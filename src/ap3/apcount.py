@@ -1,10 +1,13 @@
-"""Exact progression counting: the normalized triple count by brute force,
-restricted counts, nontrivial counts, the complementation identity, and
-the subgroup-averaging lower-bound estimator.
+"""Progression counting: exact integer counts of sets by one transform
+kernel, float counts of densities by the spectral identity, restricted
+counts, nontrivial counts, the complementation identity, and the
+subgroup-averaging lower-bound estimator.
 
 A triple is (m, m+d, m+2d); it is trivial when d = 0.  Raw counts T3
-include trivial triples, the primed count T3' excludes them.  Indicator
-inputs are counted in exact integer arithmetic.
+include trivial triples, the primed count T3' excludes them.  Since
+m + (m+2d) = 2(m+d), T3(S) = sum_v 1_S(v) (1_S * 1_S)(2v), and the
+self-convolution is computed exactly by the mod-q transform in
+`fourier.convolve_indicators`.
 """
 
 from __future__ import annotations
@@ -12,47 +15,32 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .gfspace import DensityFunction, GroupParams, PointSet, add_indices, scale_indices
+from .gfspace import DensityFunction, GroupParams, PointSet, add_indices, scale_indices, scale_map
+from . import fourier
 from . import subspace as sub
 
 
-@lru_cache(maxsize=None)
-def _triple_maps(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ADD1, ADD2): for (m, d), indices of m+d and m+2d; shape (p^n, p^n)."""
-    params = GroupParams(p, n)
-    idx = np.arange(p**n, dtype=np.int64)
-    add1 = add_indices(idx[:, None], idx[None, :], params)
-    dbl = scale_indices(idx, 2, params)
-    add2 = add1[:, dbl]
-    add1.setflags(write=False)
-    add2.setflags(write=False)
-    return add1, add2
-
-
-def t3_raw(f: DensityFunction) -> float:
-    """Unnormalized sum over (m, d) of f(m) f(m+d) f(m+2d)."""
-    p, n = f.params.p, f.params.n
-    add1, add2 = _triple_maps(p, n)
-    v = f.values
-    parts = [float(np.dot(v, v[add1[:, d]] * v[add2[:, d]])) for d in range(f.params.size)]
-    return math.fsum(parts)
-
-
-def lambda3_direct(f: DensityFunction) -> float:
-    """p^(-2n) sum_{m,d} f(m) f(m+d) f(m+2d), by the exact double loop."""
-    return t3_raw(f) / float(f.params.size) ** 2
+def count_raw_masks(masks: np.ndarray, params: GroupParams) -> np.ndarray:
+    """Exact T3 of each row of a (batch, p^n) boolean array, as int64."""
+    x = np.asarray(masks, dtype=bool).reshape(-1, params.size)
+    conv = fourier.convolve_indicators(x, x, params)
+    return (x * conv[:, scale_map(params.p, params.n, 2)]).sum(axis=1)
 
 
 def count_raw(s: PointSet) -> int:
     """Exact integer T3(1|S,S,S), trivial triples included."""
-    p, n = s.params.p, s.params.n
-    add1, add2 = _triple_maps(p, n)
-    x = s.mask()
-    return int(sum(np.count_nonzero(x & x[add1[:, d]] & x[add2[:, d]]) for d in range(s.params.size)))
+    return int(count_raw_masks(s.mask(), s.params)[0])
+
+
+def t3_raw(f: DensityFunction) -> int | float:
+    """Unnormalized sum over (m, d) of f(m) f(m+d) f(m+2d): the exact
+    integer for an indicator, the spectral float otherwise."""
+    if f.is_indicator:
+        return int(count_raw_masks(f.values > 0.0, f.params)[0])
+    return fourier.lambda3_spectral(f) * float(f.params.size) ** 2
 
 
 def lambda3_exact(s: PointSet) -> Fraction:
@@ -95,22 +83,14 @@ def t3_restricted_count(u: PointSet, v: PointSet, w: PointSet) -> int:
 
 def t3_nontrivial(s: PointSet) -> int:
     """Count of (m, d) with d != 0 and m, m+d, m+2d all in S."""
-    p, n = s.params.p, s.params.n
-    add1, add2 = _triple_maps(p, n)
-    x = s.mask()
-    return int(
-        sum(
-            np.count_nonzero(x & x[add1[:, d]] & x[add2[:, d]])
-            for d in range(1, s.params.size)
-        )
-    )
+    return count_raw(s) - len(s)
 
 
 def complement_lambda3(h1: DensityFunction) -> tuple[float, float, float]:
     """(Lambda3(h1), Lambda3(1-h1), beta): the sum equals 1 - 3b + 3b^2."""
     beta = h1.expectation()
     h2 = DensityFunction(h1.params, 1.0 - h1.values)
-    return lambda3_direct(h1), lambda3_direct(h2), beta
+    return fourier.lambda3_spectral(h1), fourier.lambda3_spectral(h2), beta
 
 
 def complement_lambda3_exact(s: PointSet) -> tuple[Fraction, Fraction, Fraction]:

@@ -94,11 +94,11 @@ def _out(args, name: str) -> str:
 def cmd_count(args) -> int:
     f = load_density(args.input)
     _write_manifest(args, [args.input])
-    lam = apcount.lambda3_direct(f)
-    print(f"lambda3={lam:.17g}")
-    print(f"t3_raw={apcount.t3_raw(f):.17g}")
+    raw = apcount.t3_raw(f)  # the one count: an exact int for an indicator
+    print(f"lambda3={raw / f.params.size**2:.17g}")
+    print(f"t3_raw={float(raw):.17g}")
     if f.is_indicator:
-        print(f"t3_nontrivial={apcount.t3_nontrivial(f.support())}")
+        print(f"t3_nontrivial={raw - int(np.count_nonzero(f.values))}")
     return 0
 
 
@@ -241,8 +241,16 @@ def selfcheck_checks() -> list[dict]:
         lhs = float(np.sum(np.abs(spec.coeffs) ** 2)) / params.size
         rhs = float(np.sum(f.values**2))
         record(f"parseval_p{p}_n{n}", abs(lhs - rhs) <= 1e-9 * max(1.0, rhs))
-        diff = abs(fourier.lambda3_spectral(f) - apcount.lambda3_direct(f))
+        # Float kernel against two independent counts: the pair enumeration
+        # on a density and the exact F_q count on an indicator.
+        full = PointSet(params, tuple(range(params.size)))
+        direct = apcount.t3_restricted(f, full, full, full) / params.size**2
+        diff = abs(fourier.lambda3_spectral(f) - direct)
         record(f"lambda3_identity_p{p}_n{n}", diff < 1e-9, f"diff={diff:.3g}")
+        s = PointSet.from_mask(params, rng.random(params.size) < 0.5)
+        exact = apcount.count_raw(s) / params.size**2
+        diff = abs(fourier.lambda3_spectral(s.density()) - exact)
+        record(f"lambda3_exact_p{p}_n{n}", diff < 1e-9, f"diff={diff:.3g}")
 
     params = GroupParams(3, 2)
     h1 = _random_density(params, rng)

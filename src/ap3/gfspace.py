@@ -116,6 +116,14 @@ def scale_indices(a, c: int, params: GroupParams):
     return ((t[np.asarray(a, dtype=np.int64)] * (c % params.p)) % params.p) @ pv
 
 
+@lru_cache(maxsize=None)
+def scale_map(p: int, n: int, c: int) -> np.ndarray:
+    """Read-only map from each index i to the index of c*i."""
+    out = scale_indices(np.arange(p**n), c, GroupParams(p, n))
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class Element:
     """One point of F_p^n, held by index with digit-wise arithmetic."""
@@ -169,6 +177,9 @@ class DensityFunction:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.shape != (self.params.size,):
             raise ValueError(f"expected {self.params.size} values, got shape {vals.shape}")
+        finite = np.isfinite(vals)
+        if not finite.all():
+            raise ValueError(f"non-finite value at index {int(np.argmin(finite))}")
         if vals.min() < -RANGE_SLACK or vals.max() > 1.0 + RANGE_SLACK:
             raise ValueError(
                 f"values outside [0,1]: min={vals.min()!r} max={vals.max()!r}"
@@ -289,10 +300,9 @@ def load_density(path: str) -> DensityFunction:
                 raise FileFormatError(
                     f"{path}:{lineno}: field {col}: bad value {tok!r}"
                 ) from exc
-            if v < 0.0 or v > 1.0:
-                raise FileFormatError(
-                    f"{path}:{lineno}: field {col}: value {tok} outside [0,1]"
-                )
+            if not 0.0 <= v <= 1.0:  # also false for NaN
+                problem = "outside [0,1]" if math.isfinite(v) else "is not finite"
+                raise FileFormatError(f"{path}:{lineno}: field {col}: value {tok} {problem}")
             values[count] = v
             count += 1
     if count != params.size:

@@ -253,9 +253,9 @@ def construct_g(
                 )
             )
 
-    lambda3_f = apcount.lambda3_direct(f)
-    lambda3_fw = apcount.lambda3_direct(fw)
-    lambda3_g = apcount.lambda3_direct(g)
+    lambda3_f = fourier.lambda3_spectral(f)
+    lambda3_fw = fourier.lambda3_spectral(fw)
+    lambda3_g = fourier.lambda3_spectral(g)
 
     hyp_val = math.fsum(np.abs(f.values - fw.values)) / params.size
     hyp = hyp_val > eps

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .gfspace import DensityFunction
-from . import apcount
+from . import fourier
 from . import subspace as sub
 
 
@@ -97,8 +97,8 @@ def round_to_indicator(
         seed=seed,
         mean_before=target,
         mean_after=j2.expectation(),
-        lambda3_before=apcount.lambda3_direct(j),
-        lambda3_after=apcount.lambda3_direct(j2),
+        lambda3_before=fourier.lambda3_spectral(j),
+        lambda3_after=fourier.lambda3_spectral(j2),
         repaired_points=repaired,
         max_coset_deviation=max_dev,
         hoeffding_bound=bound,

@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .gfspace import GroupParams, PointSet
-from . import apcount
+from .gfspace import GroupParams, PointSet, add_indices, scale_map, sub_indices
+from . import apcount, fourier
 from . import subspace as sub
 
 DEFAULT_MAX_DOMAIN = 16
@@ -88,35 +88,33 @@ def size_floor(alpha: float, size: int) -> int:
     return max(1, math.ceil(alpha * size - 1e-9))
 
 
-def _count_of_mask(x: np.ndarray, add1: np.ndarray, add2: np.ndarray) -> int:
-    return int(np.count_nonzero(x[:, None] & x[add1] & x[add2]))
-
-
 def exhaustive_min(
     params: GroupParams, alpha: float, max_domain: int = DEFAULT_MAX_DOMAIN
 ) -> SearchResult:
     """Global minimum of the raw triple count over all S with |S| >= floor.
 
-    Subsets are walked in size-then-lex order; any set of size s has count
-    at least s (trivial progressions), which prunes larger sizes once the
-    incumbent beats them.  Ties go to the lexicographically smallest set.
+    Subsets are walked in size-then-lex order, one batched count per size;
+    any set of size s has count at least s (trivial progressions), which
+    prunes larger sizes once the incumbent beats them.  Ties go to the
+    lexicographically smallest set.
     """
     n_pts = params.size
     if n_pts > max_domain:
         raise ValueError(f"domain size {n_pts} exceeds exhaustive bound {max_domain}")
     floor = size_floor(alpha, n_pts)
-    add1, add2 = apcount._triple_maps(params.p, params.n)
     best_count = None
     best_combo = None
     for s in range(floor, n_pts + 1):
         if best_count is not None and best_count <= s:
             break
-        for combo in itertools.combinations(range(n_pts), s):
-            x = np.zeros(n_pts, dtype=bool)
-            x[list(combo)] = True
-            c = _count_of_mask(x, add1, add2)
-            if best_count is None or c < best_count or (c == best_count and combo < best_combo):
-                best_count, best_combo = c, combo
+        combos = np.array(list(itertools.combinations(range(n_pts), s)), dtype=np.int64)
+        masks = np.zeros((len(combos), n_pts), dtype=bool)
+        np.put_along_axis(masks, combos, True, axis=1)
+        counts = apcount.count_raw_masks(masks, params)
+        i = int(np.argmin(counts))  # first minimum: the lex-smallest of this size
+        c, combo = int(counts[i]), tuple(int(v) for v in combos[i])
+        if best_count is None or c < best_count or (c == best_count and combo < best_combo):
+            best_count, best_combo = c, combo
     best = PointSet(params, best_combo)
     # complementation identity as an internal consistency gate
     comp_count = apcount.count_raw(best.complement())
@@ -134,6 +132,57 @@ def exhaustive_min(
     )
 
 
+def _participation(x: np.ndarray, params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
+    """(M, E) for the set with mask x: M(v) = (x*x)(2v) counts triples with
+    v in the middle, E(v) = sum_y x(y) x(2y - v) those with v first (and,
+    by reversal, those with v last)."""
+    p, n = params.p, params.n
+    # E is the convolution of x pushed forward by y -> 2y with x(-.).
+    doubled = x[scale_map(p, n, (p + 1) // 2)]
+    conv = fourier.convolve_indicators(
+        np.stack([x, doubled]), np.stack([x, x[scale_map(p, n, p - 1)]]), params
+    )
+    return conv[0][scale_map(p, n, 2)], conv[1]
+
+
+def _best_move(
+    x: np.ndarray, count: int, m: np.ndarray, e: np.ndarray, params: GroupParams
+) -> tuple[np.ndarray | None, int]:
+    """Steepest single move from mask x: the first strictly best swap in
+    (removed, added) ascending order, replaced by an addition only when
+    that is strictly better still.  Returns (new mask or None, its count).
+
+    In odd characteristic two equal entries force the third, so adding v
+    gives count + 2E(v) + M(v) + 1 and removing u gives
+    count - 2E(u) - M(u) + 2; a swap u -> v also drops the triples through
+    both, which have 2u - v, (u+v)/2 or 2v - u as the third entry.
+    """
+    inside, outside = np.flatnonzero(x), np.flatnonzero(~x)
+    add = count + 2 * e[outside] + m[outside] + 1
+    best, best_count = None, count
+    if len(inside) and len(outside):
+        remove = count - 2 * e[inside] - m[inside] + 2
+        p, n = params.p, params.n
+        u, v = inside[:, None], outside[None, :]
+        xi = x.astype(np.int64)
+        pairs = (
+            xi[sub_indices(scale_map(p, n, 2)[u], v, params)]
+            + xi[scale_map(p, n, (p + 1) // 2)[add_indices(u, v, params)]]
+            + xi[sub_indices(scale_map(p, n, 2)[v], u, params)]
+        )
+        swap = remove[:, None] + add[None, :] - count - 2 * pairs
+        i, j = np.unravel_index(int(np.argmin(swap)), swap.shape)
+        if swap[i, j] < best_count:
+            best, best_count = x.copy(), int(swap[i, j])
+            best[inside[i]], best[outside[j]] = False, True
+    if len(outside):
+        j = int(np.argmin(add))
+        if add[j] < best_count:
+            best, best_count = x.copy(), int(add[j])
+            best[outside[j]] = True
+    return best, best_count
+
+
 def local_min(
     params: GroupParams,
     alpha: float,
@@ -142,51 +191,38 @@ def local_min(
     seed: int | None,
 ) -> SearchResult:
     """Best-of-restarts steepest descent over single-point swaps and
-    additions, never dropping below the size floor."""
+    additions, never dropping below the size floor.
+
+    Every move is scored from the participation counts of the current
+    set; the recount after the move must agree with its score."""
     n_pts = params.size
     floor = size_floor(alpha, n_pts)
-    add1, add2 = apcount._triple_maps(params.p, params.n)
     rng = random.Random(seed)
-
-    def count_of(members: list[int]) -> int:
-        x = np.zeros(n_pts, dtype=bool)
-        x[members] = True
-        return _count_of_mask(x, add1, add2)
 
     best_members = None
     best_count = None
     total_iters = 0
     for _ in range(max(1, restarts)):
-        current = sorted(rng.sample(range(n_pts), floor))
-        cur_count = count_of(current)
+        x = np.zeros(n_pts, dtype=bool)
+        x[rng.sample(range(n_pts), floor)] = True
+        m, e = _participation(x, params)
+        cur_count = int(m[x].sum())
         for _ in range(iters):
-            cur_set = set(current)
-            best_move = None
-            best_move_count = cur_count
-            for out in current:
-                for inc in range(n_pts):
-                    if inc in cur_set:
-                        continue
-                    cand = sorted(cur_set - {out} | {inc})
-                    c = count_of(cand)
-                    if c < best_move_count:
-                        best_move_count, best_move = c, cand
-            for inc in range(n_pts):
-                if inc in cur_set:
-                    continue
-                cand = sorted(cur_set | {inc})
-                c = count_of(cand)
-                if c < best_move_count:
-                    best_move_count, best_move = c, cand
-            if best_move is None:
+            move, move_count = _best_move(x, cur_count, m, e, params)
+            if move is None:
                 break
-            current, cur_count = best_move, best_move_count
+            x = move
+            m, e = _participation(x, params)
+            cur_count = int(m[x].sum())
+            if cur_count != move_count:
+                raise RuntimeError(f"move scored {move_count} but recounts to {cur_count}")
             total_iters += 1
+        current = tuple(int(i) for i in np.flatnonzero(x))
         if best_count is None or cur_count < best_count or (
-            cur_count == best_count and tuple(current) < tuple(best_members)
+            cur_count == best_count and current < best_members
         ):
             best_count, best_members = cur_count, current
-    best = PointSet(params, tuple(best_members))
+    best = PointSet(params, best_members)
     return SearchResult(
         best_set=best,
         count=best_count,

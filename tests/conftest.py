@@ -43,3 +43,19 @@ def brute_lambda3(f: DensityFunction) -> float:
             m2d = (digits[m] + 2 * digits[d]) % p
             total += f.values[m] * f.values[int(md @ pv)] * f.values[int(m2d @ pv)]
     return total / f.params.size**2
+
+
+def chunked_t3(values: np.ndarray, p: int, n: int, chunk: int = 32):
+    """sum over (m, d) of v(m) v(m+d) v(m+2d) by digit arithmetic, a block
+    of m at a time.  Integer values give an exact Python int."""
+    digits = digit_table(p, n)
+    pv = p ** np.arange(n)
+    parts = []
+    for start in range(0, p**n, chunk):
+        dm = digits[start : start + chunk, None, :]
+        md = ((dm + digits[None]) % p) @ pv
+        m2d = ((dm + 2 * digits[None]) % p) @ pv
+        parts.append((values[start : start + chunk, None] * values[md] * values[m2d]).sum())
+    if np.issubdtype(values.dtype, np.integer):
+        return sum(int(x) for x in parts)
+    return math.fsum(parts)

@@ -16,6 +16,8 @@ from ap3 import apcount, fourier, improve, rounding, search
 from ap3 import subspace as sub
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, add_indices, scale_indices
 
+from conftest import chunked_t3
+
 GRIDS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
 
@@ -29,20 +31,25 @@ def fresh_rng(salt: int = 0):
 
 
 def test_criterion_01_spectral_vs_direct():
+    # The float kernel against two independent counts: the chunked direct
+    # sum on densities and the exact F_q count on indicators.
     start = time.monotonic()
     rng = fresh_rng(1)
     worst = 0.0
     for p, n in GRIDS:
         params = GroupParams(p, n)
+        norm = params.size**2
         for _ in range(100):
             f = DensityFunction(params, rng.random(params.size))
+            worst = max(worst, abs(fourier.lambda3_spectral(f) - chunked_t3(f.values, p, n) / norm))
+            s = PointSet.from_mask(params, rng.random(params.size) < 0.5)
             worst = max(
-                worst, abs(fourier.lambda3_spectral(f) - apcount.lambda3_direct(f))
+                worst, abs(fourier.lambda3_spectral(s.density()) - apcount.count_raw(s) / norm)
             )
     elapsed = time.monotonic() - start
     verdict(
         1,
-        f"spectral vs direct, 100 f x {len(GRIDS)} grids, worst={worst:.2e}, {elapsed:.1f}s",
+        f"spectral vs direct and exact, 100 f x {len(GRIDS)} grids, worst={worst:.2e}, {elapsed:.1f}s",
         worst < 1e-9 and elapsed < 30.0,
     )
 
@@ -221,7 +228,7 @@ def test_criterion_07_pipeline_general_properties():
 def test_criterion_08_rounding_statistics():
     params = GroupParams(3, 3)
     j = DensityFunction.constant(params, 0.5)
-    lam_j = apcount.lambda3_direct(j)
+    lam_j = fourier.lambda3_spectral(j)
     mean_ok = True
     replay_ok = True
     within = 0

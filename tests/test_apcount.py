@@ -7,7 +7,7 @@ from ap3.apcount import (
     complement_lambda3,
     complement_lambda3_exact,
     count_raw,
-    lambda3_direct,
+    count_raw_masks,
     lambda3_exact,
     t3_nontrivial,
     t3_raw,
@@ -15,10 +15,11 @@ from ap3.apcount import (
     t3_restricted_count,
     varnavides_estimate,
 )
+from ap3.fourier import lambda3_spectral
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, digits_to_index
 from ap3 import subspace as sub
 
-from conftest import brute_lambda3, random_density, random_indicator
+from conftest import brute_lambda3, chunked_t3, random_density, random_indicator
 
 CAP4 = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -28,25 +29,77 @@ def pointset(params, digit_tuples):
 
 
 class TestLambda3Direct:
+    """Known values of the float count and the direct double-loop oracle."""
+
     def test_constant_one(self):
-        assert lambda3_direct(DensityFunction.constant(GroupParams(3, 2), 1.0)) == 1.0
+        assert lambda3_spectral(DensityFunction.constant(GroupParams(3, 2), 1.0)) == 1.0
 
     def test_subspace_indicator(self):
         # dim-k subspace indicator gives p^(2(k-n))
         params = GroupParams(3, 3)
         w = sub.span(params, [[1, 0, 0], [0, 1, 0]])
         f = PointSet(params, tuple(int(i) for i in w.elements())).density()
-        assert lambda3_direct(f) == pytest.approx(3.0 ** (2 * (2 - 3)))
+        assert lambda3_spectral(f) == pytest.approx(3.0 ** (2 * (2 - 3)))
 
     def test_two_points_f3(self):
         f = PointSet(GroupParams(3, 1), (0, 1)).density()
-        assert lambda3_direct(f) == pytest.approx(2 / 9)
+        assert lambda3_spectral(f) == pytest.approx(2 / 9)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
     def test_matches_brute_oracle(self, p, n, rng):
         params = GroupParams(p, n)
         f = random_density(params, rng)
-        assert lambda3_direct(f) == pytest.approx(brute_lambda3(f), abs=1e-12)
+        assert lambda3_spectral(f) == pytest.approx(brute_lambda3(f), abs=1e-12)
+
+
+LADDER = [(3, n) for n in range(4, 11)] + [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 6)]
+
+
+class TestExactKernel:
+    @pytest.mark.parametrize("p,n", [(3, 6), (5, 4), (7, 3)])
+    def test_matches_chunked_oracle(self, p, n, rng):
+        params = GroupParams(p, n)
+        for density in (0.1, 0.5, 0.9):
+            mask = rng.random(params.size) < density
+            assert count_raw(PointSet.from_mask(params, mask)) == chunked_t3(
+                mask.astype(np.int64), p, n
+            )
+
+    @pytest.mark.parametrize("p,n", [(3, 10), (5, 6), (7, 5)])
+    def test_full_space(self, p, n):
+        params = GroupParams(p, n)
+        assert count_raw(PointSet(params, tuple(range(params.size)))) == params.size**2
+
+    @pytest.mark.parametrize("p,n,k", [(3, 9, 4), (3, 10, 7), (5, 6, 3), (7, 5, 2)])
+    def test_subspace(self, p, n, k):
+        params = GroupParams(p, n)
+        gens = [[int(i == j or i == j + 1) for i in range(n)] for j in range(k)]
+        w = sub.span(params, gens)
+        assert w.dim == k
+        s = PointSet(params, tuple(int(i) for i in w.elements()))
+        assert count_raw(s) == p ** (2 * k)
+
+    def test_lifted_cap_set(self):
+        # CAP4 in the first two coordinates of F_3^4 stays progression-free
+        params = GroupParams(3, 4)
+        s = pointset(params, [d + (0, 0) for d in CAP4])
+        assert t3_nontrivial(s) == 0
+
+    def test_batch_matches_single(self, rng):
+        params = GroupParams(5, 2)
+        masks = rng.random((7, params.size)) < 0.4
+        batch = count_raw_masks(masks, params)
+        assert [int(c) for c in batch] == [
+            count_raw(PointSet.from_mask(params, m)) for m in masks
+        ]
+
+    @pytest.mark.parametrize("p,n", LADDER)
+    def test_float_matches_exact(self, p, n, rng):
+        params = GroupParams(p, n)
+        for _ in range(2):
+            f = random_indicator(params, rng)
+            exact = count_raw(f.support()) / params.size**2
+            assert abs(lambda3_spectral(f) - exact) <= 1e-14 * params.size * exact
 
 
 class TestRestricted:

@@ -65,6 +65,14 @@ class TestCount:
     def test_missing_file(self, tmp_path, capsys):
         assert run(["count", "--input", str(tmp_path / "no.apf")], tmp_path) == 1
 
+    def test_nan_value(self, tmp_path, capsys):
+        bad = tmp_path / "nan.apf"
+        bad.write_text("3 1\n0.5 nan 0\n")
+        assert run(["count", "--input", str(bad)], tmp_path) == 1
+        captured = capsys.readouterr()
+        assert "not finite" in captured.err
+        assert "lambda3" not in captured.out
+
     def test_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.apf"
         bad.write_text("3 1\n1 7 0\n")

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
-from ap3 import apcount
+from ap3 import fourier
 from ap3.fourier import (
+    INT64_LIMIT,
     Spectrum,
+    convolve_indicators,
     dft_forward,
     dft_inverse,
     lambda3_spectral,
     large_spectrum,
+    ntt_prime,
     spectrum_export_lines,
 )
-from ap3.gfspace import DensityFunction, GroupParams, PointSet
+from ap3.gfspace import DensityFunction, GroupParams, PointSet, is_prime, scale_map, sub_indices
 from ap3 import subspace as sub
 
-from conftest import naive_dft, random_density
+from conftest import brute_lambda3, naive_dft, random_density
 
 
 class TestForward:
@@ -48,11 +51,9 @@ class TestForward:
         assert abs(c0.imag) < 1e-12
 
     def test_conjugate_symmetry(self, rng):
-        from ap3.fourier import _neg_map
-
         params = GroupParams(5, 2)
         c = dft_forward(random_density(params, rng)).coeffs
-        assert np.abs(c[_neg_map(5, 2)] - np.conj(c)).max() < 1e-10
+        assert np.abs(c[scale_map(5, 2, 4)] - np.conj(c)).max() < 1e-10
 
 
 class TestInverse:
@@ -108,7 +109,7 @@ class TestLambda3Spectral:
         params = GroupParams(p, n)
         for _ in range(5):
             f = random_density(params, rng)
-            assert abs(lambda3_spectral(f) - apcount.lambda3_direct(f)) < 1e-9
+            assert abs(lambda3_spectral(f) - brute_lambda3(f)) < 1e-9
 
 
 class TestLargeSpectrum:
@@ -130,6 +131,19 @@ class TestLargeSpectrum:
         f = random_density(GroupParams(3, 2), rng)
         assert large_spectrum(f, 1.01).members == ()
 
+    def test_parseval_violation_raises(self, monkeypatch, rng):
+        # No f in [0,1] breaks Parseval, so inflate the spectrum instead.
+        orig = fourier.dft_forward
+
+        def inflated(f):
+            spec = orig(f)
+            return Spectrum(spec.params, spec.coeffs * 100.0)
+
+        monkeypatch.setattr(fourier, "dft_forward", inflated)
+        f = random_density(GroupParams(3, 2), rng)
+        with pytest.raises(ValueError, match="Parseval"):
+            large_spectrum(f, 0.5)
+
     def test_parseval_bound(self, rng):
         params = GroupParams(3, 3)
         for delta in [0.05, 0.1, 0.3]:
@@ -148,3 +162,35 @@ class TestExport:
             idx, re, im = line.split()
             mags.append(abs(complex(float(re), float(im))))
         assert mags == sorted(mags, reverse=True)
+
+
+class TestExactTransform:
+    @pytest.mark.parametrize("p,n", [(3, 1), (3, 7), (5, 4), (7, 3), (11, 2), (3, 19)])
+    def test_prime_chooser(self, p, n):
+        q = ntt_prime(p, n)
+        assert is_prime(q)
+        assert q % p == 1
+        assert q > p**n
+        assert p * (q - 1) ** 2 < INT64_LIMIT
+        # smallest such prime
+        assert not any(is_prime(c) for c in range(p**n + 1, q, p))
+
+    @pytest.mark.parametrize("p,n", [(3, 20), (3, 40), (5, 14), (7, 11)])
+    def test_prime_chooser_rejects_oversize(self, p, n):
+        assert p * (p**n) ** 2 >= INT64_LIMIT
+        with pytest.raises(ValueError, match="2\\^63"):
+            ntt_prime(p, n)
+
+    @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
+    def test_convolution_matches_definition(self, p, n, rng):
+        params = GroupParams(p, n)
+        a = rng.random((3, params.size)) < 0.5
+        b = rng.random((3, params.size)) < 0.3
+        got = convolve_indicators(a, b, params)
+        t = np.arange(params.size)
+        for row in range(3):
+            want = [
+                int(np.count_nonzero(a[row] & b[row][sub_indices(ti, t, params)]))
+                for ti in t
+            ]
+            assert got[row].tolist() == want

@@ -96,6 +96,11 @@ class TestDensityFunction:
         with pytest.raises(ValueError):
             DensityFunction(GroupParams(3, 1), np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite|outside"):
+            DensityFunction(GroupParams(3, 1), np.array([0.0, bad, 1.0]))
+
     def test_immutable(self):
         f = DensityFunction.constant(GroupParams(3, 1), 0.5)
         with pytest.raises(ValueError):
@@ -149,6 +154,13 @@ class TestFiles:
         path = tmp_path / "f.apf"
         path.write_text("3 1\n1 2 0\n")
         with pytest.raises(FileFormatError, match="outside"):
+            load_density(str(path))
+
+    @pytest.mark.parametrize("tok", ["nan", "NaN", "inf", "-inf"])
+    def test_non_finite_value(self, tmp_path, tok):
+        path = tmp_path / "f.apf"
+        path.write_text(f"3 1\n1 {tok} 0\n")
+        with pytest.raises(FileFormatError, match="field 2: value .* is not finite"):
             load_density(str(path))
 
     def test_bad_header(self, tmp_path):
