@@ -125,7 +125,6 @@ class TestLocal:
         r = local_min(params, 5 / 9, restarts=3, iters=10, seed=1)
         assert len(r.best_set) >= 5
 
-
     @pytest.mark.parametrize("p,n,alpha,restarts,iters,seed,members,count,moves", LOCAL_GOLDEN)
     def test_golden(self, p, n, alpha, restarts, iters, seed, members, count, moves):
         r = local_min(GroupParams(p, n), alpha, restarts, iters, seed)
