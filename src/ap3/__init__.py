@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .gfspace import (
     DensityFunction,
-    Element,
     GroupParams,
     PointSet,
     expectation,
@@ -17,7 +16,6 @@ from .gfspace import (
 
 __all__ = [
     "DensityFunction",
-    "Element",
     "GroupParams",
     "PointSet",
     "expectation",

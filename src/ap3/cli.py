@@ -1,8 +1,8 @@
 """Single command-line entry point: every pipeline as a subcommand with
 uniform file I/O, JSON reports, and a manifest per run.
 
-Exit codes: 0 success, 1 domain error (bad group, malformed or missing
-file), 2 usage error (bad flags or flag values).
+Exit codes: 0 success, 1 domain error (bad group, malformed, missing or
+unreadable file), 2 usage error (bad flags or flag values).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .gfspace import (
     save_set,
 )
 
-log = logging.getLogger("ap3")
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 class UsageError(Exception):
@@ -76,7 +76,6 @@ def _write_manifest(args, inputs: list[str]) -> None:
         "argv": args._argv,
         "inputs": digests,
         "seed": getattr(args, "seed", None),
-        "threads": args.threads,
         "version": __version__,
     }
     _write_json(manifest, os.path.join(outdir, f"{args.command}_manifest.json"))
@@ -340,9 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=1)
     common.add_argument("--output-dir", default=".")
-    common.add_argument("--log-level", default="WARNING")
+    common.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS, default="WARNING")
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("count", parents=[common], help="triple counts of a density or set")
@@ -417,7 +415,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args._argv = list(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
+    logging.basicConfig(level=args.log_level)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -426,7 +424,7 @@ def dispatch(argv: list[str]) -> int:
     except FileNotFoundError as exc:
         print(f"ap3: file not found: {exc.filename}", file=sys.stderr)
         return 1
-    except (FileFormatError, ValueError, RuntimeError) as exc:
+    except (FileFormatError, ValueError, RuntimeError, OSError) as exc:
         print(f"ap3: error: {exc}", file=sys.stderr)
         return 1
 

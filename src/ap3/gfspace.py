@@ -124,48 +124,6 @@ def scale_map(p: int, n: int, c: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Element:
-    """One point of F_p^n, held by index with digit-wise arithmetic."""
-
-    params: GroupParams
-    index: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.index < self.params.size:
-            raise ValueError(f"index {self.index} out of range [0, {self.params.size})")
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return index_to_digits(self.index, self.params)
-
-    def _check(self, other: "Element") -> None:
-        if other.params != self.params:
-            raise ValueError("mismatched group parameters")
-
-    def __add__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.params, int(add_indices(self.index, other.index, self.params)))
-
-    def __sub__(self, other: "Element") -> "Element":
-        self._check(other)
-        return Element(self.params, int(sub_indices(self.index, other.index, self.params)))
-
-    def scale(self, c: int) -> "Element":
-        return Element(self.params, int(scale_indices(self.index, c, self.params)))
-
-    def __neg__(self) -> "Element":
-        return self.scale(self.params.p - 1)
-
-
-def elem_op(a: Element, b: Element, op: str) -> Element:
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    raise ValueError(f"unknown op {op!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class DensityFunction:
     """A map F_p^n -> [0,1], stored as p^n values in canonical index order."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gfspace import DensityFunction, GroupParams, PointSet, add_indices
+from .gfspace import DensityFunction, GroupParams, PointSet, scale_map, sub_indices
 from . import apcount, fourier
 from . import subspace as sub
 
@@ -29,7 +29,6 @@ class ImprovePipelineConfig:
     epsilon: float
     c_p: float = 1.0
     delta_override: float | None = None
-    ell_override: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon <= 1.0:
@@ -38,8 +37,6 @@ class ImprovePipelineConfig:
             raise ValueError(f"c_p must be positive, got {self.c_p}")
         if self.delta_override is not None and self.delta_override <= 0.0:
             raise ValueError("delta_override must be positive")
-        if self.ell_override is not None and self.ell_override < 1:
-            raise ValueError("ell_override must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -159,22 +156,16 @@ def select_v_prime(
     return [rep for rep, v in zip(dec.transversal, vals) if lo <= v <= hi]
 
 
-def _neg(i: int, params: GroupParams) -> int:
-    from .gfspace import scale_indices
+def _progression_cols(p: int, dim: int) -> np.ndarray:
+    """(p^dim, p^dim) array: entry [c1, c2] is the index of 2 c2 - c1 in F_p^dim."""
+    cols = np.arange(p**dim)
+    return sub_indices(scale_map(p, dim, 2)[None, :], cols[:, None], GroupParams(p, dim))
 
-    return int(scale_indices(i, params.p - 1, params))
 
-
-def _rep_ap_count(reps: set[int], params: GroupParams) -> int:
-    """Raw AP count (trivial included) among reps under rep-level addition."""
-    count = 0
-    for u1 in sorted(reps):
-        for u2 in sorted(reps):
-            two_u2 = int(add_indices(u2, u2, params))
-            u3 = int(add_indices(two_u2, _neg(u1, params), params))
-            if u3 in reps:
-                count += 1
-    return count
+def _case_sum(vals: np.ndarray, i: int, j: int, k: int, c3: np.ndarray) -> float:
+    """fsum over (c1, c2) of (v[i, c1] v[j, c2]) v[k, c3[c1, c2]] for per-coset rows v."""
+    terms = (vals[i][:, None] * vals[j][None, :]) * vals[k][c3]
+    return math.fsum(terms.ravel().tolist())
 
 
 def construct_g(
@@ -194,48 +185,49 @@ def construct_g(
     fw = sub.average_over_cosets(f, w_space)
     dec = sub.coset_decomposition(w_space)
     v_prime = select_v_prime(fw, w_space, eps, dec)
-    ell = config.ell_override if config.ell_override is not None else choose_ell(eps, p)
+    ell = choose_ell(eps, p)
     if ell > w_space.dim:
         raise ValueError(
             f"dim(W) = {w_space.dim} < ell = {ell}: the spectrum is too rich for "
             f"epsilon = {eps}; raise delta or epsilon"
         )
 
-    s_space = sub.canonical_codim_subspace(w_space, ell)
-    w_elems = w_space.elements()
-    s_elems = set(int(i) for i in s_space.elements())
-    t_elems = np.array([int(i) for i in w_elems if int(i) not in s_elems], dtype=np.int64)
+    # Columns of dec.rows are coordinates on W; S = the canonical codim-ell
+    # subspace picks the same columns in every coset, and T = W \ S the rest.
+    rows = dec.rows
+    s_cols = np.isin(rows[0], sub.canonical_codim_subspace(w_space, ell).elements())
     beta = 1.0 - float(p) ** (-ell)
 
     # g agrees with f_W off V'; on a V' coset it is beta^-1 f_W on the
     # T-part of the coset and 0 on the S-part.  f_W <= 1 - eps/4 on V' and
     # beta >= 1 - eps/4, so g stays in [0,1].
     g_vals = np.array(fw.values)
-    rep_value = dict(zip(dec.transversal, sub.coset_values(fw, dec)))
-    v_prime_set = set(v_prime)
-    for rep in v_prime:
-        scaled = rep_value[rep] / beta
-        if scaled > 1.0 + MEAN_TOL:
-            raise ValueError("scaled coset value exceeds 1; V' selection violated")
-        g_vals[add_indices(rep, t_elems, params)] = min(scaled, 1.0)
-        g_vals[np.array(add_indices(rep, np.array(sorted(s_elems), dtype=np.int64), params))] = 0.0
+    vp_pos = dec.rep_pos[np.array(v_prime, dtype=np.int64)]
+    scaled = sub.coset_values(fw, dec)[vp_pos] / beta
+    if np.any(scaled > 1.0 + MEAN_TOL):
+        raise ValueError("scaled coset value exceeds 1; V' selection violated")
+    g_vals[rows[vp_pos]] = np.where(s_cols, 0.0, np.minimum(scaled, 1.0)[:, None])
     g = DensityFunction(params, g_vals)
 
     # Per-case inequality audit over all coset-AP triples of reps.  The
-    # transversal is itself a subspace, so u3 = 2u2 - u1 is again a rep.
+    # transversal is itself a subspace, so u3 = 2u2 - u1 is again a rep, and
+    # with m = u1 + c1, m + d = u2 + c2 in W coordinates, m + 2d = u3 + c3
+    # with c3 = 2c2 - c1.  Each case sums the products (f(m) f(m+d)) f(m+2d)
+    # that t3_restricted sums on the three cosets.
+    c3 = _progression_cols(p, w_space.dim)
+    fw_rows, g_rows = fw.values[rows], g.values[rows]
+    two_reps = scale_map(p, params.n, 2)[rows[:, 0]]
+    in_vp = np.zeros(len(rows), dtype=bool)
+    in_vp[vp_pos] = True
     factor = 1.0 - eps**2 / (16.0 * p**2)
-    coset_sets = {
-        rep: PointSet(params, tuple(int(i) for i in dec.coset_members(rep)))
-        for rep in dec.transversal
-    }
     checks = []
-    for u1 in dec.transversal:
-        for u2 in dec.transversal:
-            two_u2 = int(add_indices(u2, u2, params))
-            u3 = int(add_indices(two_u2, _neg(u1, params), params))
-            base = apcount.t3_restricted(fw, coset_sets[u1], coset_sets[u2], coset_sets[u3])
-            lhs = apcount.t3_restricted(g, coset_sets[u1], coset_sets[u2], coset_sets[u3])
-            inside = u1 in v_prime_set and u2 in v_prime_set and u3 in v_prime_set
+    for i, u1 in enumerate(dec.transversal):
+        third = dec.rep_pos[sub_indices(two_reps, u1, params)]
+        for j, u2 in enumerate(dec.transversal):
+            k = int(third[j])
+            base = _case_sum(fw_rows, i, j, k, c3)
+            lhs = _case_sum(g_rows, i, j, k, c3)
+            inside = bool(in_vp[i] and in_vp[j] and in_vp[k])
             if inside:
                 rhs = base * factor
                 passed = lhs <= rhs + CHECK_TOL
@@ -244,7 +236,7 @@ def construct_g(
                 passed = abs(lhs - base) <= CHECK_TOL
             checks.append(
                 PerCaseCheck(
-                    reps=(u1, u2, u3),
+                    reps=(u1, u2, dec.transversal[k]),
                     all_in_v_prime=inside,
                     lhs=lhs,
                     rhs=rhs,
@@ -261,8 +253,8 @@ def construct_g(
     hyp = hyp_val > eps
     v_prime_ok = (not hyp) or (2 * len(v_prime) > eps * len(dec.transversal))
 
-    t3_vp = _rep_ap_count(v_prime_set, params)
-    w_size = len(w_elems)
+    t3_vp = apcount.count_raw(PointSet(params, tuple(v_prime)))
+    w_size = rows.shape[1]
     norm = float(params.size) ** 2
     agg_lhs = lambda3_g * norm
     agg_rhs = lambda3_fw * norm - (eps**5 / (1024.0 * p**2)) * w_size**2 * t3_vp

@@ -106,15 +106,6 @@ def round_to_indicator(
     return j2, report
 
 
-def hoeffding_bound(r: int, t: float) -> float:
-    """P(|Sigma - mu| > r t) <= 2 exp(-r t^2 / 2), clamped to [0, 1]."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
-    return min(1.0, 2.0 * math.exp(-r * t * t / 2.0))
-
-
 def hoeffding_bound_raw(w_size: int, inv_n: float) -> float:
     """The proof's per-subspace tail 2 exp(-|W| / 2n^2), clamped to [0, 1]."""
     return min(1.0, 2.0 * math.exp(-w_size * inv_n / 2.0))

@@ -17,14 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gfspace import (
-    DensityFunction,
-    Element,
-    GroupParams,
-    add_indices,
-    digit_table,
-    place_values,
-)
+from .gfspace import DensityFunction, GroupParams, digit_table, place_values
 
 COSET_CONSTANT_TOL = 1e-9
 
@@ -120,14 +113,10 @@ def full_space(params: GroupParams) -> Subspace:
 
 
 def span(params: GroupParams, generators: Iterable) -> Subspace:
-    """GF(p) span of the given generators (Elements, indices, or digit rows)."""
+    """GF(p) span of the given generators (element indices or digit rows)."""
     rows = []
     for g in generators:
-        if isinstance(g, Element):
-            if g.params != params:
-                raise ValueError("mismatched group parameters")
-            rows.append(g.digits)
-        elif isinstance(g, (int, np.integer)):
+        if isinstance(g, (int, np.integer)):
             rows.append(digit_table(params.p, params.n)[int(g)])
         else:
             rows.append([int(x) for x in g])
@@ -170,11 +159,17 @@ class CosetDecomposition:
     """A subspace W with the canonical transversal U (+) W = F_p^n.
 
     Transversal representatives have zeros in all pivot coordinates of W's
-    basis; they form the subspace spanned by the non-pivot coordinate axes.
+    basis; they form the subspace spanned by the non-pivot coordinate axes,
+    in ascending index order.  Row i of `rows` is the coset
+    transversal[i] + W, with column c holding transversal[i] + sum_j c_j b_j
+    for the little-endian base-p digits c_j of c and W's echelon rows b_j.
+    So every row is an affine copy of F_p^(dim W) in the same coordinates,
+    and column 0 is the representative itself.
     """
 
     subspace: Subspace
     transversal: tuple[int, ...]
+    rows: np.ndarray  # (|T|, |W|) element indices, one coset per row
     rep_index: np.ndarray  # element index -> its representative's index
     rep_pos: np.ndarray  # element index -> position in transversal
 
@@ -182,52 +177,46 @@ class CosetDecomposition:
         return int(self.rep_index[m])
 
     def coset_members(self, rep: int) -> np.ndarray:
-        return np.sort(add_indices(rep, self.subspace.elements(), self.subspace.params))
+        return np.sort(self.rows[self.rep_pos[rep]])
 
 
 def coset_decomposition(w: Subspace) -> CosetDecomposition:
     params = w.params
     p, n = params.p, params.n
-    digits = np.array(digit_table(p, n))
-    for row, piv in zip(w.basis, w.pivots):
-        digits = (digits - np.outer(digits[:, piv], row)) % p
-    rep_index = digits @ place_values(p, n)
-    transversal = np.unique(rep_index)
-    pos_of = np.full(params.size, -1, dtype=np.int64)
-    pos_of[transversal] = np.arange(len(transversal))
-    rep_pos = pos_of[rep_index]
+    free = [c for c in range(n) if c not in w.pivots]
+    t_digits = np.zeros((p ** len(free), n), dtype=np.int64)
+    t_digits[:, free] = digit_table(p, len(free))
+    w_digits = (digit_table(p, w.dim) @ w.basis) % p
+    rows = ((t_digits[:, None, :] + w_digits[None, :, :]) % p) @ place_values(p, n)
+    rows.setflags(write=False)
+    rep_pos = np.empty(params.size, dtype=np.int64)
+    rep_pos[rows] = np.arange(len(rows))[:, None]
+    transversal = rows[:, 0]
     return CosetDecomposition(
-        w, tuple(int(i) for i in transversal), rep_index, rep_pos
+        w, tuple(transversal.tolist()), rows, transversal[rep_pos], rep_pos
     )
 
 
 def average_over_cosets(f: DensityFunction, w: Subspace) -> DensityFunction:
     """f_W(m) = |W|^-1 sum_{w in W} f(m+w), constant on each coset of W."""
-    dec = coset_decomposition(w)
+    rows = coset_decomposition(w).rows
+    vals = f.values[rows]
+    means = vals[:, 0].copy()
+    # Exact idempotence: a coset already constant keeps its value bit-for-bit.
+    for i in np.flatnonzero((vals != vals[:, :1]).any(axis=1)):
+        means[i] = math.fsum(vals[i].tolist()) / rows.shape[1]
     out = np.empty(f.params.size, dtype=np.float64)
-    w_elems = w.elements()
-    for rep in dec.transversal:
-        members = add_indices(rep, w_elems, f.params)
-        vals = f.values[members]
-        # Exact idempotence: a coset already constant keeps its value bit-for-bit.
-        if np.all(vals == vals[0]):
-            mean = float(vals[0])
-        else:
-            mean = math.fsum(vals) / len(vals)
-        out[members] = mean
+    out[rows] = means[:, None]
     return DensityFunction(f.params, out)
 
 
 def coset_values(f: DensityFunction, dec: CosetDecomposition, tol: float = COSET_CONSTANT_TOL) -> np.ndarray:
-    """Per-transversal-entry values of a function constant on cosets of W."""
-    w_elems = dec.subspace.elements()
-    out = np.empty(len(dec.transversal), dtype=np.float64)
-    for k, rep in enumerate(dec.transversal):
-        vals = f.values[add_indices(rep, w_elems, f.params)]
-        if vals.max() - vals.min() > tol:
-            raise ValueError("function is not constant on cosets of W")
-        out[k] = vals[0]
-    return out
+    """Per-transversal-entry values of a function constant on cosets of W,
+    read at each representative."""
+    vals = f.values[dec.rows]
+    if np.any(vals.max(axis=1) - vals.min(axis=1) > tol):
+        raise ValueError("function is not constant on cosets of W")
+    return vals[:, 0].copy()
 
 
 def canonical_codim_subspace(w: Subspace, ell: int) -> Subspace:

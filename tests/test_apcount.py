@@ -254,6 +254,20 @@ class TestVarnavides:
             rep = varnavides_estimate(s, 1, exhaustive=True)
             assert rep.certified_lower_bound_exact <= t3_nontrivial(s)
 
+    @pytest.mark.parametrize("p,n,m_dim", [(3, 3, 1), (3, 3, 2), (5, 2, 1), (3, 4, 2)])
+    def test_exhaustive_bound_closed_form(self, p, n, m_dim, rng):
+        # Each nontrivial AP with common difference d lies in a coset of
+        # every m-dim subgroup containing d, and those are the fraction
+        # (p^m - 1) / (p^n - 1) of all m-dim subgroups.
+        params = GroupParams(p, n)
+        for _ in range(3):
+            s = PointSet.from_mask(params, rng.random(params.size) < 0.5)
+            rep = varnavides_estimate(s, m_dim, exhaustive=True)
+            expected = Fraction(
+                t3_nontrivial(s) * p ** (n - m_dim) * (p**m_dim - 1), p**n - 1
+            )
+            assert rep.certified_lower_bound_exact == expected
+
     def test_sampling_reproducible(self, rng):
         params = GroupParams(3, 3)
         s = PointSet.from_mask(params, rng.random(27) < 0.5)

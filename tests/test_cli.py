@@ -78,6 +78,12 @@ class TestCount:
         bad.write_text("3 1\n1 7 0\n")
         assert run(["count", "--input", str(bad)], tmp_path) == 1
 
+    def test_directory_input(self, tmp_path, capsys):
+        assert run(["count", "--input", str(tmp_path)], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ap3: error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_manifest_written(self, half_density, tmp_path):
         run(["count", "--input", half_density], tmp_path)
         with open(tmp_path / "out" / "count_manifest.json") as fh:
@@ -85,6 +91,18 @@ class TestCount:
         validate(manifest, "manifest")
         assert manifest["command"] == "count"
         assert half_density in manifest["inputs"]
+
+
+class TestCommonFlags:
+    def test_threads_is_gone(self, half_density, tmp_path):
+        assert run(["count", "--input", half_density, "--threads", "1"], tmp_path) == 2
+
+    def test_bad_log_level(self, half_density, tmp_path):
+        assert run(["count", "--input", half_density, "--log-level", "bogus"], tmp_path) == 2
+
+    def test_log_level_any_case(self, half_density, tmp_path, capsys):
+        assert run(["count", "--input", half_density, "--log-level", "info"], tmp_path) == 0
+        assert "lambda3=0.125" in capsys.readouterr().out
 
 
 class TestSpectrum:

@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from ap3.gfspace import DensityFunction, GroupParams
+from ap3.gfspace import (
+    DensityFunction,
+    GroupParams,
+    PointSet,
+    digit_table,
+    scale_indices,
+    sub_indices,
+)
 from ap3.improve import (
     ImprovePipelineConfig,
+    _case_sum,
+    _progression_cols,
     build_W,
     choose_ell,
     construct_g,
@@ -26,8 +35,6 @@ class TestConfig:
     def test_rejects_bad_overrides(self):
         with pytest.raises(ValueError):
             ImprovePipelineConfig(epsilon=0.5, delta_override=0.0)
-        with pytest.raises(ValueError):
-            ImprovePipelineConfig(epsilon=0.5, ell_override=0)
         with pytest.raises(ValueError):
             ImprovePipelineConfig(epsilon=0.5, c_p=-1.0)
 
@@ -129,3 +136,49 @@ class TestConstructG:
         fw = sub.average_over_cosets(f, report.W)
         assert np.array_equal(g.values, fw.values)
         assert report.lambda3_g == pytest.approx(report.lambda3_fW)
+
+    @pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
+    def test_case_sum_is_restricted_count(self, p, n, rng):
+        # On any density, one case over coset rows sums the same products
+        # as t3_restricted on the coset PointSets, so the fsums agree exactly.
+        params = GroupParams(p, n)
+        for _ in range(3):
+            f = random_density(params, rng)
+            w = sub.span(params, [list(rng.integers(0, p, size=n)) for _ in range(n - 1)])
+            if w.dim == 0:
+                continue
+            dec = sub.coset_decomposition(w)
+            c3 = _progression_cols(p, w.dim)
+            cosets = [PointSet(params, tuple(r.tolist())) for r in dec.rows]
+            for i, u1 in enumerate(dec.transversal):
+                for j, u2 in enumerate(dec.transversal):
+                    k = int(dec.rep_pos[sub_indices(int(scale_indices(u2, 2, params)), u1, params)])
+                    got = _case_sum(f.values[dec.rows], i, j, k, c3)
+                    assert got == apcount.t3_restricted(f, cosets[i], cosets[j], cosets[k])
+
+    @pytest.mark.parametrize("p,n,eps", [(3, 4, 1.0), (3, 4, 0.5), (5, 3, 1.0)])
+    def test_cases_equal_restricted_counts(self, p, n, eps, rng):
+        # A density planted on the first coordinate plus noise: W is the
+        # hyperplane x_0 = 0, and V' holds some of its cosets.
+        from ap3.fourier import dft_forward
+
+        params = GroupParams(p, n)
+        h = rng.permutation(np.linspace(0.2, 0.8, p))
+        noise = rng.uniform(-0.02, 0.02, size=params.size)
+        f = DensityFunction(params, h[digit_table(p, n)[:, 0]] + noise)
+        mags = np.sort(np.abs(dft_forward(f).coeffs)) / params.size
+        delta = float(mags[-p] + mags[-p - 1]) / 2
+        g, report = construct_g(f, ImprovePipelineConfig(epsilon=eps, delta_override=delta))
+        assert report.W.dim == n - 1
+        assert any(c.all_in_v_prime for c in report.per_case_checks)
+        fw = sub.average_over_cosets(f, report.W)
+        dec = sub.coset_decomposition(report.W)
+        cosets = {
+            rep: PointSet(params, tuple(int(i) for i in dec.coset_members(rep)))
+            for rep in dec.transversal
+        }
+        assert len(report.per_case_checks) == len(dec.transversal) ** 2
+        for c in report.per_case_checks:
+            u1, u2, u3 = (cosets[r] for r in c.reps)
+            assert c.base == apcount.t3_restricted(fw, u1, u2, u3)
+            assert c.lhs == apcount.t3_restricted(g, u1, u2, u3)

@@ -3,7 +3,6 @@ import pytest
 
 from ap3.gfspace import DensityFunction, GroupParams
 from ap3.rounding import (
-    hoeffding_bound,
     hoeffding_bound_raw,
     randomize,
     repair,
@@ -97,20 +96,13 @@ class TestRoundToIndicator:
 
 class TestHoeffding:
     def test_monotone(self):
-        assert hoeffding_bound(100, 0.5) < hoeffding_bound(10, 0.5)
-        assert hoeffding_bound(10, 0.9) < hoeffding_bound(10, 0.1)
+        assert hoeffding_bound_raw(100, 0.5) < hoeffding_bound_raw(10, 0.5)
+        assert hoeffding_bound_raw(10, 0.9) < hoeffding_bound_raw(10, 0.1)
 
     def test_clamped(self):
-        assert hoeffding_bound(1, 1e-9) == 1.0
         assert hoeffding_bound_raw(1, 1e-12) == 1.0
 
     def test_value(self):
         import math
 
-        assert hoeffding_bound(8, 0.5) == pytest.approx(2 * math.exp(-1.0))
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            hoeffding_bound(0, 0.5)
-        with pytest.raises(ValueError):
-            hoeffding_bound(5, 0.0)
+        assert hoeffding_bound_raw(8, 0.25) == pytest.approx(2 * math.exp(-1.0))

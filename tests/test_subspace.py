@@ -153,6 +153,44 @@ class TestCosetDecomposition:
 
                 assert int(sub_indices(m, rep, params)) in members
 
+    @pytest.mark.parametrize("p,n,gens", [(3, 3, None), (5, 2, None), (5, 2, [[1, 2]])])
+    def test_rows_partition_and_progressions(self, p, n, gens, rng):
+        # Five random W when gens is None; span{(1,2)} in F_5^2 is
+        # self-orthogonal.
+        params = GroupParams(p, n)
+        if gens is None:
+            spaces = [
+                span(params, [list(rng.integers(0, p, size=n)) for _ in range(k)])
+                for k in rng.integers(0, n + 1, size=5)
+            ]
+        else:
+            spaces = [span(params, gens)]
+        digits = digit_table(p, n)
+        for w in spaces:
+            dec = coset_decomposition(w)
+            rows = dec.rows
+            assert rows.shape == (p ** (n - w.dim), p**w.dim)
+            assert sorted(rows.ravel().tolist()) == list(range(params.size))
+            assert tuple(rows[:, 0].tolist()) == dec.transversal
+            assert set(rows[0].tolist()) == set(int(i) for i in w.elements())
+            # Column p^j of the coset W is W's echelon row j.
+            for j, b in enumerate(w.basis):
+                assert rows[0][p**j] == digits_to_index(b, params)
+            for i, rep in enumerate(dec.transversal):
+                assert np.all(dec.rep_pos[rows[i]] == i)
+                assert np.all(dec.rep_index[rows[i]] == rep)
+            # rows[i][c1], rows[j][c2], rows[third][2c2 - c1] is a 3-AP,
+            # checked in digits: first + last = 2 * middle.
+            c = digit_table(p, w.dim)
+            c3 = ((2 * c[None, :, :] - c[:, None, :]) % p) @ (p ** np.arange(w.dim))
+            for i, u1 in enumerate(dec.transversal):
+                for j, u2 in enumerate(dec.transversal):
+                    u3 = digits_to_index((2 * digits[u2] - digits[u1]) % p, params)
+                    first = digits[rows[i]][:, None, :]
+                    middle = digits[rows[j]][None, :, :]
+                    last = digits[rows[dec.rep_pos[u3]][c3]]
+                    assert np.all((first + last - 2 * middle) % p == 0)
+
     def test_self_orthogonal_transversal_is_valid(self):
         # With W = span{(1,2)} in F_5^2, V = W so "v + W, v in V" fails;
         # the pivot-free transversal still decomposes the group.
