@@ -11,7 +11,7 @@ epsilon-scale intermediate inequalities, which are the testable content.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,7 @@ class ImprovePipelineConfig:
             raise ValueError("delta_override must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerCaseCheck:
     """One coset-AP triple of transversal reps and its inequality status."""
 
@@ -139,33 +139,102 @@ def choose_ell(epsilon: float, p: int) -> int:
     return ell
 
 
-def select_v_prime(
-    fw: DensityFunction,
-    w: sub.Subspace,
-    epsilon: float,
-    dec: sub.CosetDecomposition | None = None,
-) -> list[int]:
-    """Transversal reps of the cosets where f_W is in [eps/4, 1 - eps/4].
+def select_v_prime(values: np.ndarray, epsilon: float) -> np.ndarray:
+    """Mask of the cosets whose f_W value lies in [eps/4, 1 - eps/4].
 
-    Endpoints are inclusive.  Raises if fw is not coset-constant.
+    `values` holds one f_W value per coset; endpoints are inclusive.
     """
-    if dec is None:
-        dec = sub.coset_decomposition(w)
-    vals = sub.coset_values(fw, dec)
-    lo, hi = epsilon / 4.0, 1.0 - epsilon / 4.0
-    return [rep for rep, v in zip(dec.transversal, vals) if lo <= v <= hi]
+    return (epsilon / 4.0 <= values) & (values <= 1.0 - epsilon / 4.0)
 
 
-def _progression_cols(p: int, dim: int) -> np.ndarray:
-    """(p^dim, p^dim) array: entry [c1, c2] is the index of 2 c2 - c1 in F_p^dim."""
-    cols = np.arange(p**dim)
-    return sub_indices(scale_map(p, dim, 2)[None, :], cols[:, None], GroupParams(p, dim))
+def _row_patterns(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, pattern, masks) with vals[r] == a[r] * masks[pattern[r]] exactly.
+
+    Raises RuntimeError if some row takes two distinct nonzero values.
+    """
+    a = vals.max(axis=1)
+    support = vals != 0.0
+    if not np.all(~support | (vals == a[:, None])):
+        raise RuntimeError("a coset row is not a constant times an indicator")
+    masks, pattern = np.unique(support, axis=0, return_inverse=True)
+    return a, pattern.reshape(-1), masks
 
 
-def _case_sum(vals: np.ndarray, i: int, j: int, k: int, c3: np.ndarray) -> float:
-    """fsum over (c1, c2) of (v[i, c1] v[j, c2]) v[k, c3[c1, c2]] for per-coset rows v."""
-    terms = (vals[i][:, None] * vals[j][None, :]) * vals[k][c3]
-    return math.fsum(terms.ravel().tolist())
+def _pattern_counts(masks: np.ndarray, w_params: GroupParams) -> np.ndarray:
+    """N[a, b, c] = #{(c1, c2): c1 in X_a, c2 in X_b, 2 c2 - c1 in X_c} on F_p^dim W.
+
+    For fixed c2 the c1 count is (M_a * M_c)(2 c2), so one batched exact
+    convolution of every (a, c) pair and one matmul against the masks
+    give all pattern triples.
+    """
+    k = len(masks)
+    conv = fourier.convolve_indicators(np.repeat(masks, k, axis=0), np.tile(masks, (k, 1)), w_params)
+    at_two = conv[:, scale_map(w_params.p, w_params.n, 2)]
+    return (at_two @ masks.T.astype(np.int64)).reshape(k, k, k).transpose(0, 2, 1)
+
+
+def _case_sums(vals: np.ndarray, third: np.ndarray, w_params: GroupParams) -> np.ndarray:
+    """Entry [i, j] is the sum over (c1, c2) of (v[i, c1] v[j, c2]) v[k, 2 c2 - c1]
+    with k = third[i, j], for coset rows v[r] = a_r 1_{X_r}.
+
+    Every nonzero product of case (i, j) is the same float
+    x = (a_i a_j) a_k, so its fsum is the correctly rounded N x, which is
+    float(N) * x for the pattern count N < 2^53.
+    """
+    a, pattern, masks = _row_patterns(vals)
+    counts = _pattern_counts(masks, w_params)
+    x = (a[:, None] * a[None, :]) * a[third]
+    return counts[pattern[:, None], pattern[None, :], pattern[third]] * x
+
+
+def audit_cases(
+    fw: DensityFunction,
+    g: DensityFunction,
+    dec: sub.CosetDecomposition,
+    in_vp: np.ndarray,
+    epsilon: float,
+) -> tuple[PerCaseCheck, ...]:
+    """Check T3(g) against T3(f_W) on every coset-AP triple of reps.
+
+    The transversal is itself a subspace, so u3 = 2u2 - u1 is again a rep,
+    and with m = u1 + c1, m + d = u2 + c2 in W coordinates, m + 2d = u3 + c3
+    with c3 = 2c2 - c1.  Inside V' the bound is T3(f_W)(1 - eps^2/16p^2),
+    outside it equality.  Both allow CHECK_TOL * max(1, |T3(f_W)|): off V'
+    the two sums differ by the rounding of c/beta, which grows with |W|^2.
+    """
+    params = fw.params
+    p = params.p
+    reps = dec.rows[:, 0]
+    two_reps = scale_map(p, params.n, 2)[reps]
+    third = dec.rep_pos[sub_indices(two_reps[None, :], reps[:, None], params)]
+    w_params = GroupParams(p, dec.subspace.dim)
+    base = _case_sums(fw.values[dec.rows], third, w_params)
+    lhs = _case_sums(g.values[dec.rows], third, w_params)
+    inside = in_vp[:, None] & in_vp[None, :] & in_vp[third]
+    factor = 1.0 - epsilon**2 / (16.0 * p**2)
+    t = dec.transversal
+    checks = []
+    for i, u1 in enumerate(t):
+        row = (third[i].tolist(), inside[i].tolist(), lhs[i].tolist(), base[i].tolist())
+        for u2, k, ins, lh, bs in zip(t, *row):
+            tol = CHECK_TOL * max(1.0, abs(bs))
+            if ins:
+                rh = bs * factor
+                passed = lh <= rh + tol
+            else:
+                rh = bs
+                passed = abs(lh - bs) <= tol
+            checks.append(
+                PerCaseCheck(
+                    reps=(u1, u2, t[k]),
+                    all_in_v_prime=ins,
+                    lhs=lh,
+                    rhs=rh,
+                    base=bs,
+                    passed=passed,
+                )
+            )
+    return tuple(checks)
 
 
 def construct_g(
@@ -182,68 +251,34 @@ def construct_g(
         else delta_from_epsilon(eps, p, config.c_p)
     )
     a_set, v_space, w_space = build_W(f, delta)
-    fw = sub.average_over_cosets(f, w_space)
-    dec = sub.coset_decomposition(w_space)
-    v_prime = select_v_prime(fw, w_space, eps, dec)
     ell = choose_ell(eps, p)
     if ell > w_space.dim:
         raise ValueError(
             f"dim(W) = {w_space.dim} < ell = {ell}: the spectrum is too rich for "
             f"epsilon = {eps}; raise delta or epsilon"
         )
+    dec = sub.coset_decomposition(w_space)
+    rows = dec.rows
+    means = sub.coset_means(f, dec)
+    fw = DensityFunction(params, means[dec.rep_pos])
+    in_vp = select_v_prime(means, eps)
+    v_prime = rows[in_vp, 0].tolist()
 
     # Columns of dec.rows are coordinates on W; S = the canonical codim-ell
     # subspace picks the same columns in every coset, and T = W \ S the rest.
-    rows = dec.rows
     s_cols = np.isin(rows[0], sub.canonical_codim_subspace(w_space, ell).elements())
     beta = 1.0 - float(p) ** (-ell)
 
     # g agrees with f_W off V'; on a V' coset it is beta^-1 f_W on the
     # T-part of the coset and 0 on the S-part.  f_W <= 1 - eps/4 on V' and
     # beta >= 1 - eps/4, so g stays in [0,1].
-    g_vals = np.array(fw.values)
-    vp_pos = dec.rep_pos[np.array(v_prime, dtype=np.int64)]
-    scaled = sub.coset_values(fw, dec)[vp_pos] / beta
+    scaled = means[in_vp] / beta
     if np.any(scaled > 1.0 + MEAN_TOL):
         raise ValueError("scaled coset value exceeds 1; V' selection violated")
-    g_vals[rows[vp_pos]] = np.where(s_cols, 0.0, np.minimum(scaled, 1.0)[:, None])
+    g_vals = np.array(fw.values)
+    g_vals[rows[in_vp]] = np.where(s_cols, 0.0, np.minimum(scaled, 1.0)[:, None])
     g = DensityFunction(params, g_vals)
-
-    # Per-case inequality audit over all coset-AP triples of reps.  The
-    # transversal is itself a subspace, so u3 = 2u2 - u1 is again a rep, and
-    # with m = u1 + c1, m + d = u2 + c2 in W coordinates, m + 2d = u3 + c3
-    # with c3 = 2c2 - c1.  Each case sums the products (f(m) f(m+d)) f(m+2d)
-    # that t3_restricted sums on the three cosets.
-    c3 = _progression_cols(p, w_space.dim)
-    fw_rows, g_rows = fw.values[rows], g.values[rows]
-    two_reps = scale_map(p, params.n, 2)[rows[:, 0]]
-    in_vp = np.zeros(len(rows), dtype=bool)
-    in_vp[vp_pos] = True
-    factor = 1.0 - eps**2 / (16.0 * p**2)
-    checks = []
-    for i, u1 in enumerate(dec.transversal):
-        third = dec.rep_pos[sub_indices(two_reps, u1, params)]
-        for j, u2 in enumerate(dec.transversal):
-            k = int(third[j])
-            base = _case_sum(fw_rows, i, j, k, c3)
-            lhs = _case_sum(g_rows, i, j, k, c3)
-            inside = bool(in_vp[i] and in_vp[j] and in_vp[k])
-            if inside:
-                rhs = base * factor
-                passed = lhs <= rhs + CHECK_TOL
-            else:
-                rhs = base
-                passed = abs(lhs - base) <= CHECK_TOL
-            checks.append(
-                PerCaseCheck(
-                    reps=(u1, u2, dec.transversal[k]),
-                    all_in_v_prime=inside,
-                    lhs=lhs,
-                    rhs=rhs,
-                    base=base,
-                    passed=passed,
-                )
-            )
+    checks = audit_cases(fw, g, dec, in_vp, eps)
 
     lambda3_f = fourier.lambda3_spectral(f)
     lambda3_fw = fourier.lambda3_spectral(fw)
@@ -276,7 +311,7 @@ def construct_g(
         hypothesis_value=hyp_val,
         hypothesis_holds=hyp,
         v_prime_bound_ok=v_prime_ok,
-        per_case_checks=tuple(checks),
+        per_case_checks=checks,
         aggregate_lhs=agg_lhs,
         aggregate_rhs=agg_rhs,
         t3_v_prime_reps=t3_vp,

@@ -87,9 +87,9 @@ def round_to_indicator(
     bound = 0.0
     n = j.params.n
     for w in monitored:
-        jw = sub.average_over_cosets(j, w)
-        j2w = sub.average_over_cosets(j2, w)
-        max_dev = max(max_dev, float(np.abs(j2w.values - jw.values).max()))
+        dec = sub.coset_decomposition(w)
+        dev = np.abs(sub.coset_means(j2, dec) - sub.coset_means(j, dec)).max()
+        max_dev = max(max_dev, float(dev))
         w_size = j.params.p**w.dim
         bound = max(bound, hoeffding_bound_raw(w_size, 1.0 / n**2))
 

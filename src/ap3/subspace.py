@@ -19,9 +19,6 @@ import numpy as np
 
 from .gfspace import DensityFunction, GroupParams, digit_table, place_values
 
-COSET_CONSTANT_TOL = 1e-9
-
-
 def _inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
@@ -197,26 +194,22 @@ def coset_decomposition(w: Subspace) -> CosetDecomposition:
     )
 
 
+def coset_means(f: DensityFunction, dec: CosetDecomposition) -> np.ndarray:
+    """Mean of f on each coset row of dec, in transversal order.
+
+    A row that is already constant keeps its value bit-for-bit.
+    """
+    vals = f.values[dec.rows]
+    means = vals[:, 0].copy()
+    for i in np.flatnonzero((vals != vals[:, :1]).any(axis=1)):
+        means[i] = math.fsum(vals[i].tolist()) / vals.shape[1]
+    return means
+
+
 def average_over_cosets(f: DensityFunction, w: Subspace) -> DensityFunction:
     """f_W(m) = |W|^-1 sum_{w in W} f(m+w), constant on each coset of W."""
-    rows = coset_decomposition(w).rows
-    vals = f.values[rows]
-    means = vals[:, 0].copy()
-    # Exact idempotence: a coset already constant keeps its value bit-for-bit.
-    for i in np.flatnonzero((vals != vals[:, :1]).any(axis=1)):
-        means[i] = math.fsum(vals[i].tolist()) / rows.shape[1]
-    out = np.empty(f.params.size, dtype=np.float64)
-    out[rows] = means[:, None]
-    return DensityFunction(f.params, out)
-
-
-def coset_values(f: DensityFunction, dec: CosetDecomposition, tol: float = COSET_CONSTANT_TOL) -> np.ndarray:
-    """Per-transversal-entry values of a function constant on cosets of W,
-    read at each representative."""
-    vals = f.values[dec.rows]
-    if np.any(vals.max(axis=1) - vals.min(axis=1) > tol):
-        raise ValueError("function is not constant on cosets of W")
-    return vals[:, 0].copy()
+    dec = coset_decomposition(w)
+    return DensityFunction(f.params, coset_means(f, dec)[dec.rep_pos])
 
 
 def canonical_codim_subspace(w: Subspace, ell: int) -> Subspace:

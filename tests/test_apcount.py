@@ -16,7 +16,7 @@ from ap3.apcount import (
     varnavides_estimate,
 )
 from ap3.fourier import lambda3_spectral
-from ap3.gfspace import DensityFunction, GroupParams, PointSet, digits_to_index
+from ap3.gfspace import DensityFunction, GroupParams, PointSet, digit_table, digits_to_index
 from ap3 import subspace as sub
 
 from conftest import brute_lambda3, chunked_t3, random_density, random_indicator
@@ -84,6 +84,14 @@ class TestExactKernel:
         params = GroupParams(3, 4)
         s = pointset(params, [d + (0, 0) for d in CAP4])
         assert t3_nontrivial(s) == 0
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_binary_cube_is_cap_set(self, n):
+        # {0,1}^n in F_3^n: x + z = 2y with digits in {0,1} forces x = y = z,
+        # so only the 2^n trivial progressions remain.
+        params = GroupParams(3, n)
+        cube = digit_table(3, n).max(axis=1) <= 1
+        assert count_raw(PointSet.from_mask(params, cube)) == 2**n
 
     def test_batch_matches_single(self, rng):
         params = GroupParams(5, 2)

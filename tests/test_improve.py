@@ -13,8 +13,8 @@ from ap3.gfspace import (
 )
 from ap3.improve import (
     ImprovePipelineConfig,
-    _case_sum,
-    _progression_cols,
+    _case_sums,
+    audit_cases,
     build_W,
     choose_ell,
     construct_g,
@@ -82,12 +82,8 @@ class TestBuildW:
 
 class TestSelectVPrime:
     def test_endpoints_inclusive(self):
-        params = GroupParams(3, 1)
-        w = sub.trivial_space(params)
-        eps = 1.0
-        f = DensityFunction(params, np.array([0.25, 0.75, 0.1]))
-        reps = select_v_prime(f, w, eps)
-        assert reps == [0, 1]
+        mask = select_v_prime(np.array([0.25, 0.75, 0.1]), 1.0)
+        assert mask.tolist() == [True, True, False]
 
 
 class TestConstructG:
@@ -138,23 +134,44 @@ class TestConstructG:
         assert report.lambda3_g == pytest.approx(report.lambda3_fW)
 
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
-    def test_case_sum_is_restricted_count(self, p, n, rng):
-        # On any density, one case over coset rows sums the same products
-        # as t3_restricted on the coset PointSets, so the fsums agree exactly.
+    def test_closed_form_is_restricted_count(self, p, n, rng):
+        # Rows a_r 1_{X_r} with X_r in {W, W \ S, empty} or a row's own
+        # random support (so that the pattern counts are not all symmetric):
+        # the closed form is the fsum of the products t3_restricted sums.
         params = GroupParams(p, n)
-        for _ in range(3):
-            f = random_density(params, rng)
+        for _ in range(8):
             w = sub.span(params, [list(rng.integers(0, p, size=n)) for _ in range(n - 1)])
             if w.dim == 0:
                 continue
             dec = sub.coset_decomposition(w)
-            c3 = _progression_cols(p, w.dim)
+            support = rng.random(dec.rows.shape) < 0.6
+            pick = rng.integers(0, 6, size=len(dec.rows))
+            support[pick == 0] = True
+            support[pick == 1] = rng.random(dec.rows.shape[1]) < 0.6
+            support[pick == 2] = False
+            vals = support * rng.uniform(0.05, 1.0, size=(len(dec.rows), 1))
+            f_vals = np.empty(params.size)
+            f_vals[dec.rows] = vals
+            f = DensityFunction(params, f_vals)
             cosets = [PointSet(params, tuple(r.tolist())) for r in dec.rows]
-            for i, u1 in enumerate(dec.transversal):
-                for j, u2 in enumerate(dec.transversal):
-                    k = int(dec.rep_pos[sub_indices(int(scale_indices(u2, 2, params)), u1, params)])
-                    got = _case_sum(f.values[dec.rows], i, j, k, c3)
-                    assert got == apcount.t3_restricted(f, cosets[i], cosets[j], cosets[k])
+            third = np.array(
+                [
+                    [
+                        dec.rep_pos[sub_indices(int(scale_indices(u2, 2, params)), u1, params)]
+                        for u2 in dec.transversal
+                    ]
+                    for u1 in dec.transversal
+                ]
+            )
+            sums = _case_sums(vals, third, GroupParams(p, w.dim))
+            for (i, j), k in np.ndenumerate(third):
+                assert sums[i, j] == apcount.t3_restricted(f, cosets[i], cosets[j], cosets[k])
+
+    def test_closed_form_rejects_mixed_rows(self):
+        third = np.zeros((1, 1), dtype=np.int64)
+        for row in ([0.5, 0.25, 0.5], [0.0, 0.25, 0.5]):
+            with pytest.raises(RuntimeError, match="not a constant times an indicator"):
+                _case_sums(np.array([row]), third, GroupParams(3, 1))
 
     @pytest.mark.parametrize("p,n,eps", [(3, 4, 1.0), (3, 4, 0.5), (5, 3, 1.0)])
     def test_cases_equal_restricted_counts(self, p, n, eps, rng):
@@ -179,6 +196,70 @@ class TestConstructG:
         }
         assert len(report.per_case_checks) == len(dec.transversal) ** 2
         for c in report.per_case_checks:
+            u1, u2, u3 = (cosets[r] for r in c.reps)
+            assert c.base == apcount.t3_restricted(fw, u1, u2, u3)
+            assert c.lhs == apcount.t3_restricted(g, u1, u2, u3)
+
+
+def planted_density(p, n, k, seed):
+    """h(Lx) + noise for a random rank-k form L, so that W should be ker L."""
+    r = np.random.default_rng(seed)
+    params = GroupParams(p, n)
+    while True:
+        forms = r.integers(0, p, size=(k, n))
+        if sub.span(params, forms.tolist()).dim == k:
+            break
+    labels = ((digit_table(p, n) @ forms.T) % p) @ (p ** np.arange(k))
+    h = r.uniform(0.2, 0.8, size=p**k)
+    return DensityFunction(params, h[labels] + r.uniform(-0.02, 0.02, size=params.size))
+
+
+class TestAuditAtScale:
+    CONFIG = ImprovePipelineConfig(epsilon=1.0, delta_override=0.004)
+
+    def test_planted_3_10_passes(self):
+        # Off V', T3(g) and T3(f_W) agree only up to the rounding of c/beta:
+        # several cases here differ by more than 1e-9 on sums of about 1.7e7,
+        # which the tolerance scaled by the case sum accepts.
+        g, report = construct_g(planted_density(3, 10, 2, 2), self.CONFIG)
+        assert report.W.dim == 8
+        outside = [c for c in report.per_case_checks if not c.all_in_v_prime]
+        assert any(abs(c.lhs - c.base) > 1e-9 for c in outside)
+        assert report.all_cases_pass()
+
+    def test_raised_value_off_v_prime_fails(self):
+        f = planted_density(3, 6, 2, 0)
+        g, report = construct_g(f, self.CONFIG)
+        assert report.all_cases_pass()
+        dec = sub.coset_decomposition(report.W)
+        in_vp = np.isin(dec.rows[:, 0], report.V_prime)
+        i = int(np.flatnonzero(~in_vp)[0])
+        raised = np.array(g.values)
+        raised[dec.rows[i]] *= 1.0 + 1e-6
+        fw = sub.average_over_cosets(f, report.W)
+        checks = audit_cases(fw, DensityFunction(f.params, raised), dec, in_vp, 1.0)
+        rep = dec.transversal[i]
+        touched = [c for c in checks if rep in c.reps]
+        assert touched and not any(c.passed for c in touched)
+        assert all(c.passed for c in checks if rep not in c.reps)
+
+    def test_planted_3_8_cases_equal_restricted_counts(self, rng):
+        # At a size where enumerating every case is too slow for the suite:
+        # each V' case and a seeded sample of the others match t3_restricted.
+        f = planted_density(3, 8, 2, 0)
+        g, report = construct_g(f, self.CONFIG)
+        assert report.W.dim == 6
+        fw = sub.average_over_cosets(f, report.W)
+        dec = sub.coset_decomposition(report.W)
+        cosets = {
+            rep: PointSet(f.params, tuple(dec.coset_members(rep).tolist()))
+            for rep in dec.transversal
+        }
+        inside = [c for c in report.per_case_checks if c.all_in_v_prime]
+        others = [c for c in report.per_case_checks if not c.all_in_v_prime]
+        assert inside and others
+        picks = rng.choice(len(others), size=min(8, len(others)), replace=False)
+        for c in inside + [others[i] for i in picks]:
             u1, u2, u3 = (cosets[r] for r in c.reps)
             assert c.base == apcount.t3_restricted(fw, u1, u2, u3)
             assert c.lhs == apcount.t3_restricted(g, u1, u2, u3)

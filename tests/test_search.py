@@ -87,6 +87,14 @@ class TestExhaustive:
         assert t3_nontrivial(r.best_set) == 0
         assert len(r.best_set) == 4
 
+    @pytest.mark.parametrize("n,size,count", [(1, 2, 2), (2, 4, 4), (2, 5, 11)])
+    def test_cap_set_sizes(self, n, size, count):
+        # The largest caps in F_3^1 and F_3^2 have 2 and 4 points, so only
+        # trivial progressions; any 5 points of F_3^2 hold a line (6 more).
+        params = GroupParams(3, n)
+        r = exhaustive_min(params, size / params.size)
+        assert (len(r.best_set), r.count) == (size, count)
+
     def test_lex_tiebreak(self):
         r = exhaustive_min(GroupParams(3, 1), 1 / 3)
         assert r.best_set.members == (0,)

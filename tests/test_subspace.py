@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from ap3.subspace import (
     average_over_cosets,
     canonical_codim_subspace,
     coset_decomposition,
-    coset_values,
+    coset_means,
     count_subspaces,
     full_space,
     intersect,
@@ -259,12 +260,15 @@ class TestAverageOverCosets:
             expected = fhat[a] if a in wperp else 0.0
             assert abs(fwhat[a] - expected) < 1e-9
 
-    def test_coset_values_rejects_nonconstant(self, rng):
-        params = GroupParams(3, 2)
-        f = random_density(params, rng)
-        w = span(params, [[0, 1]])
-        with pytest.raises(ValueError, match="not constant"):
-            coset_values(f, coset_decomposition(w))
+    def test_coset_means_in_transversal_order(self, rng):
+        params = GroupParams(3, 3)
+        vals = np.array(random_density(params, rng).values)
+        dec = coset_decomposition(span(params, [[1, 2, 0]]))
+        vals[dec.rows[1]] = 0.1  # a constant coset keeps its value exactly
+        means = coset_means(DensityFunction(params, vals), dec)
+        assert means[1] == 0.1 != math.fsum([0.1] * 3) / 3
+        for i in (0, 2):
+            assert means[i] == math.fsum(vals[dec.coset_members(dec.transversal[i])]) / 3
 
 
 class TestCanonicalCodim:
