@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gfspace import DensityFunction, GroupParams, PointSet, add_indices, scale_indices, scale_map
+from .gfspace import DensityFunction, GroupParams, PointSet, digit_table, place_values, scale_map
 from . import fourier
-from . import subspace as sub
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def count_raw_masks(masks: np.ndarray, params: GroupParams) -> np.ndarray:
@@ -44,7 +46,21 @@ def t3_raw(f: DensityFunction) -> int | float:
 
 
 def lambda3_exact(s: PointSet) -> Fraction:
+    from fractions import Fraction
+
     return Fraction(count_raw(s), s.params.size**2)
+
+
+def _first_terms(y: np.ndarray, z: np.ndarray, params: GroupParams) -> np.ndarray:
+    """(|y|, |z|) indices of m = 2y - z, accumulated one digit at a time,
+    so no (|y|, |z|, n) digit table is built."""
+    p, n = params.p, params.n
+    digits = digit_table(p, n)
+    pv = place_values(p, n)
+    x = np.zeros((len(y), len(z)), dtype=np.int64)
+    for k in range(n):
+        x += (2 * digits[y, k][:, None] - digits[z, k][None, :]) % p * pv[k]
+    return x
 
 
 def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> float:
@@ -59,10 +75,7 @@ def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> 
         return 0.0
     y = np.array(v.members, dtype=np.int64)
     z = np.array(w.members, dtype=np.int64)
-    y2 = scale_indices(y, 2, params)
-    x = (
-        np.array(add_indices(y2[:, None], scale_indices(z, params.p - 1, params)[None, :], params))
-    )
+    x = _first_terms(y, z, params)
     keep = u.mask()[x]
     vals = f.values
     terms = vals[x] * vals[y][:, None] * vals[z][None, :] * keep
@@ -76,9 +89,7 @@ def t3_restricted_count(u: PointSet, v: PointSet, w: PointSet) -> int:
         return 0
     y = np.array(v.members, dtype=np.int64)
     z = np.array(w.members, dtype=np.int64)
-    y2 = scale_indices(y, 2, params)
-    x = np.array(add_indices(y2[:, None], scale_indices(z, params.p - 1, params)[None, :], params))
-    return int(np.count_nonzero(u.mask()[x]))
+    return int(np.count_nonzero(u.mask()[_first_terms(y, z, params)]))
 
 
 def t3_nontrivial(s: PointSet) -> int:
@@ -123,19 +134,20 @@ class VarnavidesReport:
         }
 
 
-def _coset_stats(s_mask: np.ndarray, a: "sub.Subspace", s_size: int) -> tuple[int, int, int]:
-    """(sum of per-coset nontrivial counts, dense cosets, cosets) for one subgroup.
+def _coset_stats(
+    s_mask: np.ndarray, rows: np.ndarray, coset_params: GroupParams, s_size: int
+) -> tuple[int, int, int]:
+    """(sum of per-coset nontrivial counts, dense cosets, cosets) for the
+    coset rows of one subgroup A, with coset_params = F_p^(dim A).
 
     Each coset row is an affine copy of F_p^m, and affine maps preserve
     3-APs, so one batched count on F_p^m covers every coset.
     """
-    params = a.params
-    rows = sub.coset_decomposition(a).rows
     in_s = s_mask[rows]
     sizes = in_s.sum(axis=1)
-    raw = count_raw_masks(in_s, GroupParams(params.p, a.dim))
+    raw = count_raw_masks(in_s, coset_params)
     # density threshold |X| >= alpha |A| / 2 with alpha = |S| / p^n
-    dense = int(np.count_nonzero(2 * sizes * params.size >= s_size * rows.shape[1]))
+    dense = int(np.count_nonzero(2 * sizes * s_mask.size >= s_size * rows.shape[1]))
     return int(raw.sum() - sizes.sum()), dense, len(rows)
 
 
@@ -154,6 +166,10 @@ def varnavides_estimate(
     are sampled uniformly (via uniform ordered independent generator
     tuples, resampled on dependence) and the bound is empirical.
     """
+    from fractions import Fraction
+
+    from . import subspace as sub
+
     params = s.params
     if not 1 <= m_dim <= params.n:
         raise ValueError(f"m_dim={m_dim} out of range [1, {params.n}]")
@@ -174,11 +190,13 @@ def varnavides_estimate(
                     subgroups.append(cand)
                     break
 
+    coset_params = GroupParams(params.p, m_dim)
     total = 0
     dense = 0
     cosets = 0
     for a in subgroups:
-        cs, dn, nc = _coset_stats(s_mask, a, len(s))
+        rows = sub.coset_decomposition(a).rows
+        cs, dn, nc = _coset_stats(s_mask, rows, coset_params, len(s))
         total += cs
         dense += dn
         cosets += nc

@@ -11,14 +11,17 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, apcount, fourier, improve, rounding, search
-from . import subspace as sub
+# Each subcommand imports the pipeline modules it runs, so a job loads
+# only those.
+from . import __version__, fourier
 from .gfspace import (
     DensityFunction,
     FileFormatError,
@@ -30,6 +33,9 @@ from .gfspace import (
     save_set,
 )
 
+if TYPE_CHECKING:
+    from .subspace import Subspace
+
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
@@ -37,8 +43,32 @@ class UsageError(Exception):
     """Bad flag value; maps to exit code 2."""
 
 
-def _parse_subspace(spec: str, params: GroupParams) -> sub.Subspace:
+def _finite_float(text: str) -> float:
+    """argparse type: a finite float (nan and inf are usage errors)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return value
+
+
+def _parse_subspace(spec: str, params: GroupParams) -> Subspace:
     """Parse generators like '1,2;0,1' (digit vectors separated by ';')."""
+    from . import subspace as sub
+
     gens = []
     for part in spec.split(";"):
         part = part.strip()
@@ -91,6 +121,8 @@ def _out(args, name: str) -> str:
 
 
 def cmd_count(args) -> int:
+    from . import apcount
+
     f = load_density(args.input)
     _write_manifest(args, [args.input])
     raw = apcount.t3_raw(f)  # the one count: an exact int for an indicator
@@ -118,6 +150,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_average(args) -> int:
+    from . import subspace as sub
+
     f = load_density(args.input)
     w = _parse_subspace(args.subspace, f.params)
     _write_manifest(args, [args.input])
@@ -127,6 +161,8 @@ def cmd_average(args) -> int:
 
 
 def cmd_improve(args) -> int:
+    from . import improve
+
     if not 0.0 < args.epsilon <= 1.0:
         raise UsageError(f"--epsilon must be in (0,1], got {args.epsilon}")
     if args.delta is not None and args.delta <= 0:
@@ -141,6 +177,8 @@ def cmd_improve(args) -> int:
     g, report = improve.construct_g(f, config)
     payload = report.to_dict()
     if args.indicator:
+        from . import rounding
+
         g, rr = rounding.round_to_indicator(g, args.seed or 0, monitored=[report.W])
         payload["rounding"] = rr.to_dict()
     save_density(g, _out(args, args.output))
@@ -153,6 +191,8 @@ def cmd_improve(args) -> int:
 
 
 def cmd_round(args) -> int:
+    from . import rounding
+
     j = load_density(args.input)
     monitored = [_parse_subspace(spec, j.params) for spec in args.monitor]
     _write_manifest(args, [args.input])
@@ -164,6 +204,8 @@ def cmd_round(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from . import search
+
     if not 0.0 < args.alpha <= 1.0:
         raise UsageError(f"--alpha must be in (0,1], got {args.alpha}")
     params = GroupParams(args.p, args.n)
@@ -181,6 +223,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_structure(args) -> int:
+    from . import search
+
     s = load_set(args.input)
     if args.max_codim < 0:
         raise UsageError("--max-codim must be >= 0")
@@ -192,6 +236,8 @@ def cmd_structure(args) -> int:
 
 
 def cmd_varnavides(args) -> int:
+    from . import apcount
+
     s = load_set(args.input)
     if not args.exhaustive and args.samples < 1:
         raise UsageError("--samples must be >= 1 unless --exhaustive")
@@ -213,6 +259,9 @@ def _random_density(params: GroupParams, rng) -> DensityFunction:
 
 
 def selfcheck_checks() -> list[dict]:
+    from . import apcount, improve
+    from . import subspace as sub
+
     checks = []
 
     def record(name: str, passed: bool, detail: str = "") -> None:
@@ -349,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("spectrum", parents=[common], help="export large Fourier coefficients")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--delta", type=float, required=True)
+    sp.add_argument("--delta", type=_finite_float, required=True)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_spectrum)
 
@@ -361,9 +410,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("improve", parents=[common], help="run the decrease pipeline")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--epsilon", type=float, required=True)
-    sp.add_argument("--delta", type=float, default=None)
-    sp.add_argument("--c-p", dest="c_p", type=float, default=1.0)
+    sp.add_argument("--epsilon", type=_finite_float, required=True)
+    sp.add_argument("--delta", type=_finite_float, default=None)
+    sp.add_argument("--c-p", dest="c_p", type=_finite_float, default=1.0)
     sp.add_argument("--indicator", action="store_true")
     sp.add_argument("--output", default="g.apf")
     sp.add_argument("--report", default="improve_report.json")
@@ -379,10 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser("search", parents=[common], help="minimize the triple count")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--alpha", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite_float, required=True)
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--restarts", type=int, default=50)
-    sp.add_argument("--iters", type=int, default=1000)
+    sp.add_argument("--restarts", type=_non_negative_int, default=50)
+    sp.add_argument("--iters", type=_non_negative_int, default=1000)
     sp.add_argument("--witness", default="witness.aps")
     sp.add_argument("--report", default="search_result.json")
     sp.set_defaults(func=cmd_search)

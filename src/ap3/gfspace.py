@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Slack allowed on [0,1] membership after floating-point round trips.
 RANGE_SLACK = 1e-12
@@ -197,6 +199,8 @@ class PointSet:
         return PointSet.from_mask(self.params, ~self.mask())
 
     def fraction(self) -> Fraction:
+        from fractions import Fraction  # not at import: most jobs never need it
+
         return Fraction(len(self.members), self.params.size)
 
 
@@ -238,44 +242,60 @@ def _parse_header(line: str, path: str) -> GroupParams:
         raise FileFormatError(f"{path}:1: {exc}") from exc
 
 
+def _body_error(path: str, lines: list[str], size: int) -> FileFormatError:
+    """The error for the first bad token of an .apf body, in file order."""
+    count = 0
+    for lineno, line in enumerate(lines[1:], start=2):
+        for col, tok in enumerate(line.split(), start=1):
+            if count >= size:
+                return FileFormatError(f"{path}:{lineno}: body longer than p^n = {size}")
+            try:
+                v = float(tok)
+            except ValueError:
+                return FileFormatError(f"{path}:{lineno}: field {col}: bad value {tok!r}")
+            if not 0.0 <= v <= 1.0:  # also false for NaN
+                problem = "outside [0,1]" if math.isfinite(v) else "is not finite"
+                return FileFormatError(f"{path}:{lineno}: field {col}: value {tok} {problem}")
+            count += 1
+    if count != size:
+        return FileFormatError(f"{path}: body length {count} != p^n = {size}")
+    raise RuntimeError(f"{path}: body failed to load but has no bad token")
+
+
 def load_density(path: str) -> DensityFunction:
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise FileFormatError(f"{path}:1: empty file")
     params = _parse_header(lines[0], path)
-    values = np.empty(params.size, dtype=np.float64)
+    size = params.size
+    # Parse a line at a time and range-check the whole body at once; any
+    # failure rescans token by token for the exact message.
+    values = np.empty(size, dtype=np.float64)
     count = 0
-    for lineno, line in enumerate(lines[1:], start=2):
-        for col, tok in enumerate(line.split(), start=1):
-            if count >= params.size:
-                raise FileFormatError(
-                    f"{path}:{lineno}: body longer than p^n = {params.size}"
-                )
-            try:
-                v = float(tok)
-            except ValueError as exc:
-                raise FileFormatError(
-                    f"{path}:{lineno}: field {col}: bad value {tok!r}"
-                ) from exc
-            if not 0.0 <= v <= 1.0:  # also false for NaN
-                problem = "outside [0,1]" if math.isfinite(v) else "is not finite"
-                raise FileFormatError(f"{path}:{lineno}: field {col}: value {tok} {problem}")
-            values[count] = v
-            count += 1
-    if count != params.size:
-        raise FileFormatError(
-            f"{path}: body length {count} != p^n = {params.size}"
-        )
-    return DensityFunction(params, values)
+    for line in lines[1:]:
+        try:
+            row = list(map(float, line.split()))
+        except ValueError:
+            break
+        end = count + len(row)
+        if end > size:
+            break
+        values[count:end] = row
+        count = end
+    else:
+        if count == size and ((values >= 0.0) & (values <= 1.0)).all():  # false for NaN
+            return DensityFunction(params, values)
+    raise _body_error(path, lines, size)
 
 
 def save_density(f: DensityFunction, path: str) -> None:
+    vals = f.values.tolist()
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{f.params.p} {f.params.n}\n")
-        vals = [format(v, ".17g") for v in f.values]
         for start in range(0, len(vals), 8):
-            fh.write(" ".join(vals[start : start + 8]) + "\n")
+            line = vals[start : start + 8]
+            fh.write(" ".join(["%.17g"] * len(line)) % tuple(line) + "\n")
 
 
 def load_set(path: str) -> PointSet:

@@ -1,9 +1,19 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+import ap3
 from ap3.gfspace import DensityFunction, GroupParams, digit_table
+
+
+def subprocess_env() -> dict:
+    """os.environ with this checkout's ap3 first on PYTHONPATH, so a child
+    interpreter imports the same package without an install."""
+    src = os.path.dirname(os.path.dirname(ap3.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, path]) if path else src)
 
 
 @pytest.fixture

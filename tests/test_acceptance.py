@@ -16,7 +16,7 @@ from ap3 import apcount, fourier, improve, rounding, search
 from ap3 import subspace as sub
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, add_indices, scale_indices
 
-from conftest import chunked_t3
+from conftest import chunked_t3, subprocess_env
 
 GRIDS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
@@ -288,6 +288,7 @@ def test_criterion_11_selfcheck_gate(monkeypatch):
     start = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "ap3.cli", "selfcheck"],
+        env=subprocess_env(),
         capture_output=True,
         text=True,
         timeout=60,

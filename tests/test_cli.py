@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
@@ -15,6 +17,8 @@ from ap3.gfspace import (
     save_density,
     save_set,
 )
+
+from conftest import subprocess_env
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "ap3", "schemas", "reports.schema.json"
@@ -103,6 +107,66 @@ class TestCommonFlags:
     def test_log_level_any_case(self, half_density, tmp_path, capsys):
         assert run(["count", "--input", half_density, "--log-level", "info"], tmp_path) == 0
         assert "lambda3=0.125" in capsys.readouterr().out
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--delta", "nan"],
+            ["improve", "--epsilon", "1.0", "--delta", "nan"],
+            ["improve", "--epsilon", "nan"],
+            ["improve", "--epsilon", "1.0", "--c-p", "nan"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "inf"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--restarts", "-1"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--iters", "-3"],
+        ],
+        ids=["spectrum-delta", "improve-delta", "epsilon", "c-p", "alpha", "restarts", "iters"],
+    )
+    def test_rejected_at_parse_time(self, half_density, tmp_path, capsys, argv):
+        if argv[0] != "search":
+            argv = argv[:1] + ["--input", half_density] + argv[1:]
+        assert run(argv, tmp_path) == 2
+        assert "error: argument" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_iters_accepted(self, tmp_path):
+        assert run(
+            ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--restarts", "0", "--iters", "0"],
+            tmp_path,
+        ) == 0
+
+
+class TestImportBudget:
+    """A job loads only the ap3 modules its subcommand runs."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "import ap3.cli\n"
+        "loaded = lambda: {m for m in sys.modules if m.split('.')[0] == 'ap3'}\n"
+        "before = loaded()\n"
+        "code = ap3.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(before), sorted(loaded() - before)]))\n"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, added",
+        [
+            (["spectrum", "--delta", "0.1"], []),
+            (["count"], ["ap3.apcount"]),
+            (["average", "--subspace", "0,1"], ["ap3.subspace"]),
+        ],
+    )
+    def test_modules_loaded(self, half_density, tmp_path, argv, added):
+        argv = argv[:1] + ["--input", half_density, "--output-dir", str(tmp_path / "out")] + argv[1:]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            env=subprocess_env(), capture_output=True, text=True, check=True, timeout=60,
+        )
+        code, before, new = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert before == ["ap3", "ap3.cli", "ap3.fourier", "ap3.gfspace"]
+        assert new == added
 
 
 class TestSpectrum:

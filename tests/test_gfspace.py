@@ -160,6 +160,49 @@ class TestFiles:
         with pytest.raises(FileFormatError, match="field 2: value .* is not finite"):
             load_density(str(path))
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0 0.5 1\n0.25 x 0\n0 0 0\n", ":3: field 2: bad value 'x'"),
+            ("0 0.5 1\n0.25 0 1.5\n0 0 0\n", ":3: field 3: value 1.5 outside [0,1]"),
+            ("0 0.5 1\n-0.25 0 0\n0 0 0\n", ":3: field 1: value -0.25 outside [0,1]"),
+            ("0 0.5 1\n0.25 0 nan\n0 0 0\n", ":3: field 3: value nan is not finite"),
+            ("0 0.5 1\n0.25 0 -inf\n0 0 0\n", ":3: field 3: value -inf is not finite"),
+            ("0 5 x\n", ":2: field 2: value 5 outside [0,1]"),
+            ("0 2 0\nx\n", ":2: field 2: value 2 outside [0,1]"),
+            ("0 0 0 0 0 0 0 0\n\n0 1 0\n", ":4: body longer than p^n = 9"),
+            ("0 0 0 0 0 0 0 0 0\nx\n", ":3: body longer than p^n = 9"),
+        ],
+    )
+    def test_first_error_in_file_order(self, tmp_path, body, message):
+        path = tmp_path / "f.apf"
+        path.write_text("3 2\n" + body)
+        with pytest.raises(FileFormatError) as info:
+            load_density(str(path))
+        assert str(info.value) == f"{path}{message}"
+
+    def test_blank_body_lines_skipped(self, tmp_path):
+        path = tmp_path / "f.apf"
+        path.write_text("3 1\n\n0 1\n\n  \n0.5\n\n")
+        assert list(load_density(str(path)).values) == [0.0, 1.0, 0.5]
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "f.apf"
+        path.write_text("")
+        with pytest.raises(FileFormatError) as info:
+            load_density(str(path))
+        assert str(info.value) == f"{path}:1: empty file"
+
+    def test_save_golden_bytes(self, tmp_path):
+        # 8 values a line at 17 significant digits, then the partial last line
+        vals = np.array([0, 1, 0.1, 1 / 3, 5e-324, 0.5, 0.25, 2 / 3, 0.7])
+        path = tmp_path / "f.apf"
+        save_density(DensityFunction(GroupParams(3, 2), vals), str(path))
+        assert path.read_bytes() == (
+            b"3 2\n0 1 0.10000000000000001 0.33333333333333331 4.9406564584124654e-324"
+            b" 0.5 0.25 0.66666666666666663\n0.69999999999999996\n"
+        )
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "f.apf"
         path.write_text("4 1\n0 0 0 0\n")
