@@ -83,13 +83,11 @@ def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> 
 
 
 def t3_restricted_count(u: PointSet, v: PointSet, w: PointSet) -> int:
-    """Exact integer T3(1|U,V,W)."""
+    """Exact integer T3(1|U,V,W) = sum_y 1_V(y) (1_U * 1_W)(2y), since the
+    first and last terms of a triple sum to twice the middle one."""
     params = u.params
-    if not u.members or not v.members or not w.members:
-        return 0
-    y = np.array(v.members, dtype=np.int64)
-    z = np.array(w.members, dtype=np.int64)
-    return int(np.count_nonzero(u.mask()[_first_terms(y, z, params)]))
+    conv = fourier.convolve_indicators(u.mask(), w.mask(), params)[0]
+    return int(conv[scale_map(params.p, params.n, 2)][v.mask()].sum())
 
 
 def t3_nontrivial(s: PointSet) -> int:

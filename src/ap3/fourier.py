@@ -120,18 +120,11 @@ class Spectrum:
         object.__setattr__(self, "coeffs", c)
 
 
-@dataclass(frozen=True)
-class SpectrumThreshold:
-    """A large-spectrum cutoff: keep a with |fhat(a)| > delta * p^n."""
-
-    delta: float
-    cutoff: float
-
-    @classmethod
-    def for_params(cls, delta: float, params: GroupParams) -> "SpectrumThreshold":
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        return cls(float(delta), float(delta) * params.size)
+def _cutoff(delta: float, params: GroupParams) -> float:
+    """The large-spectrum cutoff: keep a with |fhat(a)| > delta * p^n."""
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    return float(delta) * params.size
 
 
 def dft_forward(f: DensityFunction) -> Spectrum:
@@ -170,9 +163,9 @@ def lambda3_spectral(f: DensityFunction) -> float:
 
 def large_spectrum(f: DensityFunction, delta: float) -> PointSet:
     """All frequencies a with |fhat(a)| strictly above delta * p^n."""
-    thr = SpectrumThreshold.for_params(delta, f.params)
+    cutoff = _cutoff(delta, f.params)
     mags = np.abs(dft_forward(f).coeffs)
-    a = np.nonzero(mags > thr.cutoff)[0]
+    a = np.nonzero(mags > cutoff)[0]
     # Parseval: at most delta^-2 survivors for f mapping into [0,1].
     if len(a) > delta**-2 + 1e-9:
         raise ValueError(f"|A| = {len(a)} exceeds delta^-2 = {delta**-2:.6g}: Parseval violated")
@@ -181,9 +174,9 @@ def large_spectrum(f: DensityFunction, delta: float) -> PointSet:
 
 def spectrum_export_lines(spec: Spectrum, delta: float) -> list[str]:
     """CLI export: 'index re im' for |fhat| > cutoff, by descending magnitude."""
-    thr = SpectrumThreshold.for_params(delta, spec.params)
+    cutoff = _cutoff(delta, spec.params)
     mags = np.abs(spec.coeffs)
-    keep = [int(i) for i in np.nonzero(mags > thr.cutoff)[0]]
+    keep = [int(i) for i in np.nonzero(mags > cutoff)[0]]
     keep.sort(key=lambda i: (-mags[i], i))
     return [
         f"{i} {spec.coeffs[i].real:.17g} {spec.coeffs[i].imag:.17g}" for i in keep

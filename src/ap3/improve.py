@@ -11,7 +11,7 @@ epsilon-scale intermediate inequalities, which are the testable content.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,16 +39,17 @@ class ImprovePipelineConfig:
             raise ValueError("delta_override must be positive")
 
 
-@dataclass(frozen=True, slots=True)
-class PerCaseCheck:
-    """One coset-AP triple of transversal reps and its inequality status."""
+@dataclass(frozen=True, eq=False)
+class CaseTable:
+    """Every coset-AP triple of transversal reps and its inequality status,
+    one entry per case in row-major (u1, u2) order."""
 
-    reps: tuple[int, int, int]
-    all_in_v_prime: bool
-    lhs: float  # T3(g | the three cosets)
-    rhs: float  # bound: base*(1 - eps^2/16p^2) inside V', base outside
-    base: float  # T3(f_W | the three cosets)
-    passed: bool
+    reps: np.ndarray  # (|T|^2, 3): u1, u2 and u3 = 2u2 - u1
+    all_in_v_prime: np.ndarray
+    lhs: np.ndarray  # T3(g | the three cosets)
+    rhs: np.ndarray  # bound: base*(1 - eps^2/16p^2) inside V', base outside
+    base: np.ndarray  # T3(f_W | the three cosets)
+    passed: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -68,16 +69,18 @@ class ImprovementReport:
     hypothesis_value: float  # E(|f - f_W|) for the constructed W only
     hypothesis_holds: bool
     v_prime_bound_ok: bool
-    per_case_checks: tuple[PerCaseCheck, ...]
+    per_case_checks: CaseTable
     aggregate_lhs: float  # T3(g), raw
     aggregate_rhs: float  # T3(f_W) - (eps^5/1024p^2)|W|^2 T3(V' reps), raw
     t3_v_prime_reps: int
     aggregate_ok: bool
 
     def all_cases_pass(self) -> bool:
-        return all(c.passed for c in self.per_case_checks)
+        return bool(self.per_case_checks.passed.all())
 
     def to_dict(self) -> dict:
+        cases = self.per_case_checks
+        names = [f.name for f in fields(cases)]
         return {
             "A": list(self.A.members),
             "V": self.V.describe(),
@@ -95,15 +98,8 @@ class ImprovementReport:
             "hypothesis_holds": self.hypothesis_holds,
             "v_prime_bound_ok": self.v_prime_bound_ok,
             "per_case_checks": [
-                {
-                    "reps": list(c.reps),
-                    "all_in_v_prime": c.all_in_v_prime,
-                    "lhs": c.lhs,
-                    "rhs": c.rhs,
-                    "base": c.base,
-                    "passed": c.passed,
-                }
-                for c in self.per_case_checks
+                dict(zip(names, case))
+                for case in zip(*(getattr(cases, k).tolist() for k in names))
             ],
             "aggregate_lhs": self.aggregate_lhs,
             "aggregate_rhs": self.aggregate_rhs,
@@ -193,7 +189,7 @@ def audit_cases(
     dec: sub.CosetDecomposition,
     in_vp: np.ndarray,
     epsilon: float,
-) -> tuple[PerCaseCheck, ...]:
+) -> CaseTable:
     """Check T3(g) against T3(f_W) on every coset-AP triple of reps.
 
     The transversal is itself a subspace, so u3 = 2u2 - u1 is again a rep,
@@ -204,37 +200,26 @@ def audit_cases(
     """
     params = fw.params
     p = params.p
-    reps = dec.rows[:, 0]
-    two_reps = scale_map(p, params.n, 2)[reps]
-    third = dec.rep_pos[sub_indices(two_reps[None, :], reps[:, None], params)]
+    t = dec.rows[:, 0]
+    two_t = scale_map(p, params.n, 2)[t]
+    third = dec.rep_pos[sub_indices(two_t[None, :], t[:, None], params)]
     w_params = GroupParams(p, dec.subspace.dim)
     base = _case_sums(fw.values[dec.rows], third, w_params)
     lhs = _case_sums(g.values[dec.rows], third, w_params)
     inside = in_vp[:, None] & in_vp[None, :] & in_vp[third]
     factor = 1.0 - epsilon**2 / (16.0 * p**2)
-    t = dec.transversal
-    checks = []
-    for i, u1 in enumerate(t):
-        row = (third[i].tolist(), inside[i].tolist(), lhs[i].tolist(), base[i].tolist())
-        for u2, k, ins, lh, bs in zip(t, *row):
-            tol = CHECK_TOL * max(1.0, abs(bs))
-            if ins:
-                rh = bs * factor
-                passed = lh <= rh + tol
-            else:
-                rh = bs
-                passed = abs(lh - bs) <= tol
-            checks.append(
-                PerCaseCheck(
-                    reps=(u1, u2, t[k]),
-                    all_in_v_prime=ins,
-                    lhs=lh,
-                    rhs=rh,
-                    base=bs,
-                    passed=passed,
-                )
-            )
-    return tuple(checks)
+    rhs = np.where(inside, base * factor, base)
+    tol = CHECK_TOL * np.maximum(1.0, np.abs(base))
+    passed = np.where(inside, lhs <= rhs + tol, np.abs(lhs - base) <= tol)
+    reps = np.stack(np.broadcast_arrays(t[:, None], t[None, :], t[third]), axis=-1)
+    return CaseTable(
+        reps=reps.reshape(-1, 3),
+        all_in_v_prime=inside.ravel(),
+        lhs=lhs.ravel(),
+        rhs=rhs.ravel(),
+        base=base.ravel(),
+        passed=passed.ravel(),
+    )
 
 
 def construct_g(

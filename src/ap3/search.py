@@ -93,29 +93,22 @@ def exhaustive_min(
 ) -> SearchResult:
     """Global minimum of the raw triple count over all S with |S| >= floor.
 
-    Subsets are walked in size-then-lex order, one batched count per size;
-    any set of size s has count at least s (trivial progressions), which
-    prunes larger sizes once the incumbent beats them.  Ties go to the
-    lexicographically smallest set.
+    Adding a point raises the count by at least 1 (see `_best_move`), so
+    every minimizer has size floor: one batched count of the floor-size
+    subsets in lex order, whose first minimum is the lexicographically
+    smallest minimizer.
     """
     n_pts = params.size
     if n_pts > max_domain:
         raise ValueError(f"domain size {n_pts} exceeds exhaustive bound {max_domain}")
     floor = size_floor(alpha, n_pts)
-    best_count = None
-    best_combo = None
-    for s in range(floor, n_pts + 1):
-        if best_count is not None and best_count <= s:
-            break
-        combos = np.array(list(itertools.combinations(range(n_pts), s)), dtype=np.int64)
-        masks = np.zeros((len(combos), n_pts), dtype=bool)
-        np.put_along_axis(masks, combos, True, axis=1)
-        counts = apcount.count_raw_masks(masks, params)
-        i = int(np.argmin(counts))  # first minimum: the lex-smallest of this size
-        c, combo = int(counts[i]), tuple(int(v) for v in combos[i])
-        if best_count is None or c < best_count or (c == best_count and combo < best_combo):
-            best_count, best_combo = c, combo
-    best = PointSet(params, best_combo)
+    combos = np.array(list(itertools.combinations(range(n_pts), floor)), dtype=np.int64)
+    masks = np.zeros((len(combos), n_pts), dtype=bool)
+    np.put_along_axis(masks, combos, True, axis=1)
+    counts = apcount.count_raw_masks(masks, params)
+    i = int(np.argmin(counts))
+    best_count = int(counts[i])
+    best = PointSet(params, tuple(combos[i].tolist()))
     # complementation identity as an internal consistency gate
     comp_count = apcount.count_raw(best.complement())
     k = len(best)
@@ -148,39 +141,35 @@ def _participation(x: np.ndarray, params: GroupParams) -> tuple[np.ndarray, np.n
 def _best_move(
     x: np.ndarray, count: int, m: np.ndarray, e: np.ndarray, params: GroupParams
 ) -> tuple[np.ndarray | None, int]:
-    """Steepest single move from mask x: the first strictly best swap in
-    (removed, added) ascending order, replaced by an addition only when
-    that is strictly better still.  Returns (new mask or None, its count).
+    """Steepest single swap from mask x: the first strictly best one in
+    (removed, added) ascending order.  Returns (new mask or None, its count).
 
     In odd characteristic two equal entries force the third, so adding v
     gives count + 2E(v) + M(v) + 1 and removing u gives
     count - 2E(u) - M(u) + 2; a swap u -> v also drops the triples through
-    both, which have 2u - v, (u+v)/2 or 2v - u as the third entry.
+    both, which have 2u - v, (u+v)/2 or 2v - u as the third entry.  An
+    addition alone raises the count by at least 1, so it is never a move.
     """
     inside, outside = np.flatnonzero(x), np.flatnonzero(~x)
+    if not len(outside):
+        return None, count
     add = count + 2 * e[outside] + m[outside] + 1
-    best, best_count = None, count
-    if len(inside) and len(outside):
-        remove = count - 2 * e[inside] - m[inside] + 2
-        p, n = params.p, params.n
-        u, v = inside[:, None], outside[None, :]
-        xi = x.astype(np.int64)
-        pairs = (
-            xi[sub_indices(scale_map(p, n, 2)[u], v, params)]
-            + xi[scale_map(p, n, (p + 1) // 2)[add_indices(u, v, params)]]
-            + xi[sub_indices(scale_map(p, n, 2)[v], u, params)]
-        )
-        swap = remove[:, None] + add[None, :] - count - 2 * pairs
-        i, j = np.unravel_index(int(np.argmin(swap)), swap.shape)
-        if swap[i, j] < best_count:
-            best, best_count = x.copy(), int(swap[i, j])
-            best[inside[i]], best[outside[j]] = False, True
-    if len(outside):
-        j = int(np.argmin(add))
-        if add[j] < best_count:
-            best, best_count = x.copy(), int(add[j])
-            best[outside[j]] = True
-    return best, best_count
+    remove = count - 2 * e[inside] - m[inside] + 2
+    p, n = params.p, params.n
+    u, v = inside[:, None], outside[None, :]
+    xi = x.astype(np.int64)
+    pairs = (
+        xi[sub_indices(scale_map(p, n, 2)[u], v, params)]
+        + xi[scale_map(p, n, (p + 1) // 2)[add_indices(u, v, params)]]
+        + xi[sub_indices(scale_map(p, n, 2)[v], u, params)]
+    )
+    swap = remove[:, None] + add[None, :] - count - 2 * pairs
+    i, j = np.unravel_index(int(np.argmin(swap)), swap.shape)
+    if swap[i, j] >= count:
+        return None, count
+    best = x.copy()
+    best[inside[i]], best[outside[j]] = False, True
+    return best, int(swap[i, j])
 
 
 def local_min(
@@ -190,8 +179,8 @@ def local_min(
     iters: int,
     seed: int | None,
 ) -> SearchResult:
-    """Best-of-restarts steepest descent over single-point swaps and
-    additions, never dropping below the size floor.
+    """Best-of-restarts steepest descent over single-point swaps, which
+    keep every set at the size floor.
 
     Every move is scored from the participation counts of the current
     set; the recount after the move must agree with its score."""

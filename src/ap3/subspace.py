@@ -87,13 +87,6 @@ class Subspace:
         idx = digits @ place_values(p, n)
         return np.sort(idx)
 
-    def contains(self, index: int) -> bool:
-        p = self.params.p
-        d = np.array(digit_table(p, self.params.n)[index])
-        for row, piv in zip(self.basis, self.pivots):
-            d = (d - d[piv] * row) % p
-        return not d.any()
-
     def describe(self) -> str:
         rows = "; ".join(
             "(" + ",".join(str(int(x)) for x in row) + ")" for row in self.basis

@@ -136,6 +136,15 @@ class TestRestricted:
         expected = (2 * beta**2 - beta) * w_size**2
         assert t3_restricted_count(t, t, t) == expected
 
+    @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
+    def test_count_matches_float_oracle(self, p, n, rng):
+        # On the all-ones density t3_restricted sums 0/1 terms, exact below 2^53.
+        params = GroupParams(p, n)
+        ones = DensityFunction.constant(params, 1.0)
+        for _ in range(4):
+            u, v, w = (random_indicator(params, rng).support() for _ in range(3))
+            assert t3_restricted_count(u, v, w) == t3_restricted(ones, u, v, w)
+
     def test_matches_unrestricted(self, rng):
         params = GroupParams(3, 2)
         f = random_density(params, rng)

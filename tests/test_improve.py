@@ -1,5 +1,8 @@
+import json
 import math
+import os
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -24,6 +27,12 @@ from ap3.improve import (
 from ap3 import apcount, subspace as sub
 
 from conftest import random_density
+
+SCHEMA_PATH = os.path.join(
+    os.path.dirname(__file__), "..", "src", "ap3", "schemas", "reports.schema.json"
+)
+with open(SCHEMA_PATH) as fh:
+    REPORT_SCHEMA = json.load(fh)
 
 
 class TestConfig:
@@ -187,18 +196,19 @@ class TestConstructG:
         delta = float(mags[-p] + mags[-p - 1]) / 2
         g, report = construct_g(f, ImprovePipelineConfig(epsilon=eps, delta_override=delta))
         assert report.W.dim == n - 1
-        assert any(c.all_in_v_prime for c in report.per_case_checks)
+        cases = report.per_case_checks
+        assert cases.all_in_v_prime.any()
         fw = sub.average_over_cosets(f, report.W)
         dec = sub.coset_decomposition(report.W)
         cosets = {
             rep: PointSet(params, tuple(int(i) for i in dec.coset_members(rep)))
             for rep in dec.transversal
         }
-        assert len(report.per_case_checks) == len(dec.transversal) ** 2
-        for c in report.per_case_checks:
-            u1, u2, u3 = (cosets[r] for r in c.reps)
-            assert c.base == apcount.t3_restricted(fw, u1, u2, u3)
-            assert c.lhs == apcount.t3_restricted(g, u1, u2, u3)
+        assert len(cases.reps) == len(dec.transversal) ** 2
+        for reps, base, lhs in zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist()):
+            u1, u2, u3 = (cosets[r] for r in reps)
+            assert base == apcount.t3_restricted(fw, u1, u2, u3)
+            assert lhs == apcount.t3_restricted(g, u1, u2, u3)
 
 
 def planted_density(p, n, k, seed):
@@ -223,8 +233,9 @@ class TestAuditAtScale:
         # which the tolerance scaled by the case sum accepts.
         g, report = construct_g(planted_density(3, 10, 2, 2), self.CONFIG)
         assert report.W.dim == 8
-        outside = [c for c in report.per_case_checks if not c.all_in_v_prime]
-        assert any(abs(c.lhs - c.base) > 1e-9 for c in outside)
+        cases = report.per_case_checks
+        outside = ~cases.all_in_v_prime
+        assert np.any(np.abs(cases.lhs - cases.base)[outside] > 1e-9)
         assert report.all_cases_pass()
 
     def test_raised_value_off_v_prime_fails(self):
@@ -239,9 +250,9 @@ class TestAuditAtScale:
         fw = sub.average_over_cosets(f, report.W)
         checks = audit_cases(fw, DensityFunction(f.params, raised), dec, in_vp, 1.0)
         rep = dec.transversal[i]
-        touched = [c for c in checks if rep in c.reps]
-        assert touched and not any(c.passed for c in touched)
-        assert all(c.passed for c in checks if rep not in c.reps)
+        touched = (checks.reps == rep).any(axis=1)
+        assert touched.any() and not checks.passed[touched].any()
+        assert checks.passed[~touched].all()
 
     def test_planted_3_8_cases_equal_restricted_counts(self, rng):
         # At a size where enumerating every case is too slow for the suite:
@@ -255,11 +266,37 @@ class TestAuditAtScale:
             rep: PointSet(f.params, tuple(dec.coset_members(rep).tolist()))
             for rep in dec.transversal
         }
-        inside = [c for c in report.per_case_checks if c.all_in_v_prime]
-        others = [c for c in report.per_case_checks if not c.all_in_v_prime]
-        assert inside and others
+        cases = report.per_case_checks
+        inside = np.flatnonzero(cases.all_in_v_prime)
+        others = np.flatnonzero(~cases.all_in_v_prime)
+        assert len(inside) and len(others)
         picks = rng.choice(len(others), size=min(8, len(others)), replace=False)
-        for c in inside + [others[i] for i in picks]:
-            u1, u2, u3 = (cosets[r] for r in c.reps)
-            assert c.base == apcount.t3_restricted(fw, u1, u2, u3)
-            assert c.lhs == apcount.t3_restricted(g, u1, u2, u3)
+        for k in np.concatenate([inside, others[picks]]):
+            u1, u2, u3 = (cosets[r] for r in cases.reps[k].tolist())
+            assert cases.base[k] == apcount.t3_restricted(fw, u1, u2, u3)
+            assert cases.lhs[k] == apcount.t3_restricted(g, u1, u2, u3)
+
+    def test_case_table_order_and_report_types(self):
+        # Row k is (u1, u2) = (t[k // |T|], t[k % |T|]) with u3 = 2 u2 - u1,
+        # and the JSON report holds only plain Python values.
+        f = planted_density(3, 4, 2, 0)
+        g, report = construct_g(f, self.CONFIG)
+        t = sub.coset_decomposition(report.W).transversal
+        cases = report.per_case_checks
+        assert len(cases.reps) == len(t) ** 2
+        for k, (u1, u2, u3) in enumerate(cases.reps.tolist()):
+            assert (u1, u2) == (t[k // len(t)], t[k % len(t)])
+            assert u3 == sub_indices(scale_indices(u2, 2, f.params), u1, f.params)
+        payload = report.to_dict()
+        for case in payload["per_case_checks"]:
+            assert all(type(r) is int for r in case["reps"])
+            assert {k: type(v) for k, v in case.items() if k != "reps"} == {
+                "all_in_v_prime": bool,
+                "lhs": float,
+                "rhs": float,
+                "base": float,
+                "passed": bool,
+            }
+        jsonschema.validate(
+            json.loads(json.dumps(payload)), {**REPORT_SCHEMA, "$ref": "#/$defs/improve_report"}
+        )
