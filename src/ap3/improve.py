@@ -11,7 +11,7 @@ epsilon-scale intermediate inequalities, which are the testable content.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,6 +22,17 @@ from . import subspace as sub
 CHECK_TOL = 1e-9
 MEAN_TOL = 1e-12
 AGGREGATE_REL_TOL = 1e-6
+
+# One case as json.dump(indent=2, sort_keys=True) writes it in a list that
+# is a top-level value: keys sorted, the case dict at depth 2.
+_CASE_JSON = (
+    '\n    {\n      "all_in_v_prime": %s,\n      "base": %s,\n      "lhs": %s,'
+    '\n      "passed": %s,\n      "reps": [\n        %d,\n        %d,\n        %d\n      ],'
+    '\n      "rhs": %s\n    }'
+)
+# Rows formatted per write; larger blocks raise peak RSS for no speed.
+CASE_BLOCK = 256
+_JSON_BOOLS = np.array(["false", "true"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,46 @@ class CaseTable:
     base: np.ndarray  # T3(f_W | the three cosets)
     passed: np.ndarray
 
+    def write_json(self, fh) -> None:
+        """Write the cases as json.dump(indent=2, sort_keys=True) writes
+        their list of per-case dicts as a top-level value of a report, one
+        block of CASE_BLOCK rows per write."""
+        n = len(self.passed)
+        if n == 0:
+            fh.write("[]")
+            return
+        base, lhs, rhs = (_json_floats(x) for x in (self.base, self.lhs, self.rhs))
+        sep = "["
+        for start in range(0, n, CASE_BLOCK):
+            rows = slice(start, start + CASE_BLOCK)
+            cells = np.empty((len(base[rows]), 8), dtype=object)
+            cells[:, 0] = _JSON_BOOLS[self.all_in_v_prime[rows].view(np.uint8)]
+            cells[:, 1] = base[rows]
+            cells[:, 2] = lhs[rows]
+            cells[:, 3] = _JSON_BOOLS[self.passed[rows].view(np.uint8)]
+            cells[:, 4:7] = self.reps[rows]
+            cells[:, 7] = rhs[rows]
+            fmt = ",".join([_CASE_JSON] * len(cells))
+            fh.write(sep + fmt % tuple(cells.ravel().tolist()))
+            sep = ","
+        fh.write("\n  ]")
+
+
+def _json_floats(x: np.ndarray) -> np.ndarray:
+    """What json writes for each float64 of 1-D x, as an object array of
+    str that formats each distinct bit pattern once.
+
+    Distinct values are taken on the bits, not by float equality, which
+    keeps -0.0 apart from 0.0.
+    """
+    bits, pos = np.unique(x.view(np.uint64), return_inverse=True)
+    vals = bits.view(np.float64)
+    text = np.array(list(map(float.__repr__, vals.tolist())), dtype=object)
+    text[np.isnan(vals)] = "NaN"
+    text[vals == np.inf] = "Infinity"
+    text[vals == -np.inf] = "-Infinity"
+    return text[pos]
+
 
 @dataclass(frozen=True)
 class ImprovementReport:
@@ -79,8 +130,8 @@ class ImprovementReport:
         return bool(self.per_case_checks.passed.all())
 
     def to_dict(self) -> dict:
-        cases = self.per_case_checks
-        names = [f.name for f in fields(cases)]
+        """The report's JSON fields; the case table is written by its own
+        write_json."""
         return {
             "A": list(self.A.members),
             "V": self.V.describe(),
@@ -97,10 +148,7 @@ class ImprovementReport:
             "hypothesis_value": self.hypothesis_value,
             "hypothesis_holds": self.hypothesis_holds,
             "v_prime_bound_ok": self.v_prime_bound_ok,
-            "per_case_checks": [
-                dict(zip(names, case))
-                for case in zip(*(getattr(cases, k).tolist() for k in names))
-            ],
+            "per_case_checks": self.per_case_checks,
             "aggregate_lhs": self.aggregate_lhs,
             "aggregate_rhs": self.aggregate_rhs,
             "t3_v_prime_reps": self.t3_v_prime_reps,

@@ -1,0 +1,116 @@
+"""Selfcheck: the built-in identity suite on small instances, run by
+`ap3 selfcheck`.  Only that subcommand imports this module."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import apcount, fourier, improve
+from . import subspace as sub
+from .gfspace import DensityFunction, GroupParams, PointSet
+
+
+def _random_density(params: GroupParams, rng) -> DensityFunction:
+    return DensityFunction(params, rng.random(params.size))
+
+
+def selfcheck_checks() -> list[dict]:
+    """Run every check; each entry holds its name, verdict and detail."""
+    checks = []
+
+    def record(name: str, passed: bool, detail: str = "") -> None:
+        checks.append({"name": name, "passed": bool(passed), "detail": detail})
+
+    rng = np.random.Generator(np.random.PCG64(20240901))
+
+    # Phase convention: the transform of the delta at index 1 in F_3 must
+    # carry omega^(+a), which a conjugation bug flips.
+    p3 = GroupParams(3, 1)
+    delta1 = DensityFunction(p3, np.array([0.0, 1.0, 0.0]))
+    coeff = fourier.dft_forward(delta1).coeffs[1]
+    expected = np.exp(2j * np.pi / 3)
+    record("transform_phase", abs(coeff - expected) < 1e-12, f"fhat(1)={coeff:.6f}")
+
+    for p, n in [(3, 2), (5, 2), (3, 3)]:
+        params = GroupParams(p, n)
+        f = _random_density(params, rng)
+        spec = fourier.dft_forward(f)
+        back = fourier.dft_inverse(spec)
+        record(
+            f"roundtrip_p{p}_n{n}",
+            float(np.abs(back.values - f.values).max()) < 1e-10,
+        )
+        lhs = float(np.sum(np.abs(spec.coeffs) ** 2)) / params.size
+        rhs = float(np.sum(f.values**2))
+        record(f"parseval_p{p}_n{n}", abs(lhs - rhs) <= 1e-9 * max(1.0, rhs))
+        # Float kernel against two independent counts: the pair enumeration
+        # on a density and the exact F_q count on an indicator.
+        full = PointSet(params, tuple(range(params.size)))
+        direct = apcount.t3_restricted(f, full, full, full) / params.size**2
+        diff = abs(fourier.lambda3_spectral(f) - direct)
+        record(f"lambda3_identity_p{p}_n{n}", diff < 1e-9, f"diff={diff:.3g}")
+        s = PointSet.from_mask(params, rng.random(params.size) < 0.5)
+        exact = apcount.count_raw(s) / params.size**2
+        diff = abs(fourier.lambda3_spectral(s.density()) - exact)
+        record(f"lambda3_exact_p{p}_n{n}", diff < 1e-9, f"diff={diff:.3g}")
+
+    params = GroupParams(3, 2)
+    h1 = _random_density(params, rng)
+    l1, l2, beta = apcount.complement_lambda3(h1)
+    record(
+        "complementation_float",
+        abs(l1 + l2 - (1 - 3 * beta + 3 * beta**2)) < 1e-9,
+    )
+    s = PointSet(params, (0, 1, 3, 4))
+    e1, e2, eb = apcount.complement_lambda3_exact(s)
+    record("complementation_exact", e1 + e2 == 1 - 3 * eb + 3 * eb**2)
+
+    # Subspace closed forms at p in {3, 5}.
+    for p, n in [(3, 3), (5, 2)]:
+        params = GroupParams(p, n)
+        w = sub.full_space(params)
+        ok = True
+        for ell in range(1, n + 1):
+            s_sp = sub.canonical_codim_subspace(w, ell)
+            s_set = PointSet(params, tuple(int(i) for i in s_sp.elements()))
+            w_set = PointSet(params, tuple(range(params.size)))
+            t_set = PointSet(
+                params, tuple(i for i in w_set.members if i not in set(s_set.members))
+            )
+            w_size = params.size
+            s_size = len(s_set)
+            t_size = w_size - s_size
+            ok &= apcount.t3_restricted_count(s_set, s_set, s_set) == s_size**2
+            # (2*beta^2 - beta) |W|^2 with beta = |T|/|W|
+            ok &= apcount.t3_restricted_count(t_set, t_set, t_set) == 2 * t_size**2 - t_size * w_size
+        record(f"closed_forms_p{p}_n{n}", ok)
+
+    # Coset-averaging spectrum support.
+    params = GroupParams(3, 2)
+    f = _random_density(params, rng)
+    w = sub.span(params, [[0, 1]])
+    fw = sub.average_over_cosets(f, w)
+    fhat = fourier.dft_forward(f).coeffs
+    fwhat = fourier.dft_forward(fw).coeffs
+    wperp = set(int(i) for i in sub.orthogonal_complement(w).elements())
+    ok = all(
+        abs(fwhat[a] - (fhat[a] if a in wperp else 0.0)) < 1e-9
+        for a in range(params.size)
+    )
+    record("coset_average_support", ok)
+
+    # Worked pipeline example: constant 1/2 on F_3^2.
+    params = GroupParams(3, 2)
+    f = DensityFunction.constant(params, 0.5)
+    g, report = improve.construct_g(f, improve.ImprovePipelineConfig(epsilon=1.0))
+    ok = (
+        abs(report.beta - 8 / 9) < 1e-12
+        and abs(g.values[0]) < 1e-12
+        and np.allclose(g.values[1:], 9 / 16, atol=1e-12)
+        and abs(g.expectation() - 0.5) < 1e-12
+        and abs(report.lambda3_g - 63 / 512) < 1e-12
+        and report.all_cases_pass()
+    )
+    record("pipeline_worked_example", ok)
+
+    return checks

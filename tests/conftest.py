@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import ap3
+from ap3 import subspace as sub
 from ap3.gfspace import DensityFunction, GroupParams, digit_table
 
 
@@ -69,3 +70,16 @@ def chunked_t3(values: np.ndarray, p: int, n: int, chunk: int = 32):
     if np.issubdtype(values.dtype, np.integer):
         return sum(int(x) for x in parts)
     return math.fsum(parts)
+
+
+def planted_density(p, n, k, seed):
+    """h(Lx) + noise for a random rank-k form L, so that W should be ker L."""
+    r = np.random.default_rng(seed)
+    params = GroupParams(p, n)
+    while True:
+        forms = r.integers(0, p, size=(k, n))
+        if sub.span(params, forms.tolist()).dim == k:
+            break
+    labels = ((digit_table(p, n) @ forms.T) % p) @ (p ** np.arange(k))
+    h = r.uniform(0.2, 0.8, size=p**k)
+    return DensityFunction(params, h[labels] + r.uniform(-0.02, 0.02, size=params.size))

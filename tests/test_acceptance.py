@@ -297,7 +297,7 @@ def test_criterion_11_selfcheck_gate(monkeypatch):
     clean_ok = proc.returncode == 0 and elapsed < 10.0
 
     # a single sign flip in the transform (conjugation) must be caught
-    from ap3 import cli, fourier as fr
+    from ap3 import fourier as fr, selfcheck
 
     orig = fr.dft_forward
 
@@ -306,8 +306,8 @@ def test_criterion_11_selfcheck_gate(monkeypatch):
         return fr.Spectrum(spec.params, np.conj(spec.coeffs))
 
     monkeypatch.setattr(fr, "dft_forward", conjugated)
-    monkeypatch.setattr(cli.fourier, "dft_forward", conjugated)
-    mutated = cli.selfcheck_checks()
+    monkeypatch.setattr(selfcheck.fourier, "dft_forward", conjugated)
+    mutated = selfcheck.selfcheck_checks()
     mutation_caught = not all(c["passed"] for c in mutated)
     verdict(
         11,

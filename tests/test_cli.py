@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +9,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ap3.cli import dispatch, selfcheck_checks
+from ap3 import apcount, rounding, search
+from ap3.cli import _write_json, dispatch
 from ap3.gfspace import (
     DensityFunction,
     GroupParams,
@@ -17,8 +20,9 @@ from ap3.gfspace import (
     save_density,
     save_set,
 )
+from ap3.improve import CASE_BLOCK, CaseTable, ImprovePipelineConfig, construct_g
 
-from conftest import subprocess_env
+from conftest import planted_density, subprocess_env
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "ap3", "schemas", "reports.schema.json"
@@ -51,6 +55,81 @@ def cap_set(tmp_path):
 
 def run(args, tmp_path):
     return dispatch(args + ["--output-dir", str(tmp_path / "out")])
+
+
+class TestWriteJson:
+    """_write_json writes the bytes json.dump wrote when every case of a
+    CaseTable was a dict."""
+
+    @staticmethod
+    def oracle(payload: dict) -> bytes:
+        def plain(value):
+            if not isinstance(value, CaseTable):
+                return value
+            names = [f.name for f in dataclasses.fields(value)]
+            columns = (getattr(value, k).tolist() for k in names)
+            return [dict(zip(names, case)) for case in zip(*columns)]
+
+        text = json.dumps({k: plain(v) for k, v in payload.items()}, indent=2, sort_keys=True)
+        return (text + "\n").encode("ascii")
+
+    def check(self, payload, tmp_path):
+        path = tmp_path / "report.json"
+        _write_json(payload, str(path))
+        assert path.read_bytes() == self.oracle(payload)
+
+    @pytest.mark.parametrize(
+        "p, n, k, indicator", [(3, 4, 2, False), (5, 3, 1, True), (3, 6, 4, False)]
+    )
+    def test_planted_improve_report(self, tmp_path, p, n, k, indicator):
+        config = ImprovePipelineConfig(epsilon=1.0, delta_override=0.004)
+        g, report = construct_g(planted_density(p, n, k, 0), config)
+        assert len(report.per_case_checks.passed) == p ** (2 * k)
+        payload = report.to_dict()
+        if indicator:
+            _, rounded = rounding.round_to_indicator(g, 3, monitored=[report.W])
+            payload["rounding"] = rounded.to_dict()
+        self.check(payload, tmp_path)
+
+    def test_other_payloads(self, tmp_path, rng):
+        params = GroupParams(3, 3)
+        cap = PointSet(GroupParams(3, 2), (0, 1, 3, 4))
+        j = DensityFunction(params, rng.random(params.size))
+        payloads = [
+            {},
+            {
+                "command": "count",
+                "argv": ["count", "--input", "a\nb.apf"],
+                "inputs": {"a\nb.apf": "00"},
+                "seed": None,
+                "version": "0",
+            },
+            rounding.round_to_indicator(j, 9, monitored=[])[1].to_dict(),
+            search.exhaustive_min(GroupParams(3, 2), 0.444).to_dict(),
+            search.local_min(params, 0.3, 2, 4, 5).to_dict(),
+            search.structure_report(cap, 1).to_dict(),
+            apcount.varnavides_estimate(cap, 1, exhaustive=True).to_dict(),
+        ]
+        for payload in payloads:
+            self.check(payload, tmp_path)
+
+    @pytest.mark.parametrize("m", [0, 1, CASE_BLOCK, CASE_BLOCK + 1])
+    def test_hand_built_tables(self, tmp_path, rng, m):
+        # Repeated floats, as in real audits, plus the values whose json
+        # text differs from a plain repr or that float equality would merge.
+        special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-7, 0.1 + 0.2]
+        pool = np.array(special + rng.random(7).tolist())
+        base = pool[rng.integers(0, len(pool), size=m)]
+        base[: len(special)] = special[:m]
+        cases = CaseTable(
+            reps=rng.integers(0, 3**6, size=(m, 3)),
+            all_in_v_prime=rng.random(m) < 0.5,
+            lhs=np.roll(base, 1),
+            rhs=base[::-1].copy(),
+            base=base,
+            passed=rng.random(m) < 0.5,
+        )
+        self.check({"z": {"a": [1, "x\ny"]}, "per_case_checks": cases, "a": 0.5}, tmp_path)
 
 
 class TestCount:
@@ -152,13 +231,23 @@ class TestImportBudget:
     @pytest.mark.parametrize(
         "argv, added",
         [
-            (["spectrum", "--delta", "0.1"], []),
-            (["count"], ["ap3.apcount"]),
-            (["average", "--subspace", "0,1"], ["ap3.subspace"]),
+            (["spectrum", "--input", "IN", "--delta", "0.1"], []),
+            (["count", "--input", "IN"], ["ap3.apcount"]),
+            (["average", "--input", "IN", "--subspace", "0,1"], ["ap3.subspace"]),
+            (
+                ["improve", "--input", "IN", "--epsilon", "1.0"],
+                ["ap3.apcount", "ap3.improve", "ap3.subspace"],
+            ),
+            (
+                ["improve", "--input", "IN", "--epsilon", "1.0", "--indicator"],
+                ["ap3.apcount", "ap3.improve", "ap3.rounding", "ap3.subspace"],
+            ),
+            (["selfcheck"], ["ap3.apcount", "ap3.improve", "ap3.selfcheck", "ap3.subspace"]),
         ],
     )
     def test_modules_loaded(self, half_density, tmp_path, argv, added):
-        argv = argv[:1] + ["--input", half_density, "--output-dir", str(tmp_path / "out")] + argv[1:]
+        argv = [half_density if a == "IN" else a for a in argv]
+        argv += ["--output-dir", str(tmp_path / "out")]
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, *argv],
             env=subprocess_env(), capture_output=True, text=True, check=True, timeout=60,
@@ -376,9 +465,9 @@ class TestSelfcheck:
             return fourier.Spectrum(spec.params, np.conj(spec.coeffs))
 
         monkeypatch.setattr(fourier, "dft_forward", conjugated)
-        import ap3.cli as cli
+        from ap3 import selfcheck
 
-        monkeypatch.setattr(cli.fourier, "dft_forward", conjugated)
-        checks = selfcheck_checks()
+        monkeypatch.setattr(selfcheck.fourier, "dft_forward", conjugated)
+        checks = selfcheck.selfcheck_checks()
         by_name = {c["name"]: c["passed"] for c in checks}
         assert by_name["transform_phase"] is False

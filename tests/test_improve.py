@@ -25,8 +25,9 @@ from ap3.improve import (
     select_v_prime,
 )
 from ap3 import apcount, subspace as sub
+from ap3.cli import _write_json
 
-from conftest import random_density
+from conftest import planted_density, random_density
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "ap3", "schemas", "reports.schema.json"
@@ -211,19 +212,6 @@ class TestConstructG:
             assert lhs == apcount.t3_restricted(g, u1, u2, u3)
 
 
-def planted_density(p, n, k, seed):
-    """h(Lx) + noise for a random rank-k form L, so that W should be ker L."""
-    r = np.random.default_rng(seed)
-    params = GroupParams(p, n)
-    while True:
-        forms = r.integers(0, p, size=(k, n))
-        if sub.span(params, forms.tolist()).dim == k:
-            break
-    labels = ((digit_table(p, n) @ forms.T) % p) @ (p ** np.arange(k))
-    h = r.uniform(0.2, 0.8, size=p**k)
-    return DensityFunction(params, h[labels] + r.uniform(-0.02, 0.02, size=params.size))
-
-
 class TestAuditAtScale:
     CONFIG = ImprovePipelineConfig(epsilon=1.0, delta_override=0.004)
 
@@ -276,9 +264,9 @@ class TestAuditAtScale:
             assert cases.base[k] == apcount.t3_restricted(fw, u1, u2, u3)
             assert cases.lhs[k] == apcount.t3_restricted(g, u1, u2, u3)
 
-    def test_case_table_order_and_report_types(self):
+    def test_case_table_order_and_report_types(self, tmp_path):
         # Row k is (u1, u2) = (t[k // |T|], t[k % |T|]) with u3 = 2 u2 - u1,
-        # and the JSON report holds only plain Python values.
+        # and the written report holds only plain JSON values.
         f = planted_density(3, 4, 2, 0)
         g, report = construct_g(f, self.CONFIG)
         t = sub.coset_decomposition(report.W).transversal
@@ -287,7 +275,10 @@ class TestAuditAtScale:
         for k, (u1, u2, u3) in enumerate(cases.reps.tolist()):
             assert (u1, u2) == (t[k // len(t)], t[k % len(t)])
             assert u3 == sub_indices(scale_indices(u2, 2, f.params), u1, f.params)
-        payload = report.to_dict()
+        path = tmp_path / "improve_report.json"
+        _write_json(report.to_dict(), str(path))
+        with open(path) as fh:
+            payload = json.load(fh)
         for case in payload["per_case_checks"]:
             assert all(type(r) is int for r in case["reps"])
             assert {k: type(v) for k, v in case.items() if k != "reps"} == {
@@ -297,6 +288,4 @@ class TestAuditAtScale:
                 "base": float,
                 "passed": bool,
             }
-        jsonschema.validate(
-            json.loads(json.dumps(payload)), {**REPORT_SCHEMA, "$ref": "#/$defs/improve_report"}
-        )
+        jsonschema.validate(payload, {**REPORT_SCHEMA, "$ref": "#/$defs/improve_report"})
