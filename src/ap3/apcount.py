@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gfspace import DensityFunction, GroupParams, PointSet, digit_table, place_values, scale_map
+from .gfspace import DensityFunction, GroupParams, PointSet, scale_map, sub_indices
 from . import fourier
 
 if TYPE_CHECKING:
@@ -51,18 +51,6 @@ def lambda3_exact(s: PointSet) -> Fraction:
     return Fraction(count_raw(s), s.params.size**2)
 
 
-def _first_terms(y: np.ndarray, z: np.ndarray, params: GroupParams) -> np.ndarray:
-    """(|y|, |z|) indices of m = 2y - z, accumulated one digit at a time,
-    so no (|y|, |z|, n) digit table is built."""
-    p, n = params.p, params.n
-    digits = digit_table(p, n)
-    pv = place_values(p, n)
-    x = np.zeros((len(y), len(z)), dtype=np.int64)
-    for k in range(n):
-        x += (2 * digits[y, k][:, None] - digits[z, k][None, :]) % p * pv[k]
-    return x
-
-
 def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> float:
     """T3(f|U,V,W) = sum over m in U, m+d in V, m+2d in W of the product.
 
@@ -75,7 +63,7 @@ def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> 
         return 0.0
     y = np.array(v.members, dtype=np.int64)
     z = np.array(w.members, dtype=np.int64)
-    x = _first_terms(y, z, params)
+    x = sub_indices(scale_map(params.p, params.n, 2)[y][:, None], z[None, :], params)
     keep = u.mask()[x]
     vals = f.values
     terms = vals[x] * vals[y][:, None] * vals[z][None, :] * keep
@@ -136,17 +124,17 @@ def _coset_stats(
     s_mask: np.ndarray, rows: np.ndarray, coset_params: GroupParams, s_size: int
 ) -> tuple[int, int, int]:
     """(sum of per-coset nontrivial counts, dense cosets, cosets) for the
-    coset rows of one subgroup A, with coset_params = F_p^(dim A).
+    (..., |A|) coset rows of subgroups A, with coset_params = F_p^(dim A).
 
     Each coset row is an affine copy of F_p^m, and affine maps preserve
     3-APs, so one batched count on F_p^m covers every coset.
     """
-    in_s = s_mask[rows]
+    in_s = s_mask[rows].reshape(-1, rows.shape[-1])
     sizes = in_s.sum(axis=1)
     raw = count_raw_masks(in_s, coset_params)
     # density threshold |X| >= alpha |A| / 2 with alpha = |S| / p^n
-    dense = int(np.count_nonzero(2 * sizes * s_mask.size >= s_size * rows.shape[1]))
-    return int(raw.sum() - sizes.sum()), dense, len(rows)
+    dense = int(np.count_nonzero(2 * sizes * s_mask.size >= s_size * in_s.shape[1]))
+    return int(raw.sum() - sizes.sum()), dense, len(in_s)
 
 
 def varnavides_estimate(
@@ -176,32 +164,34 @@ def varnavides_estimate(
     s_mask = s.mask()
 
     if exhaustive:
-        subgroups = list(sub.all_subspaces(params, m_dim))
+        blocks = sub.subspace_blocks(params, m_dim)
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
-        subgroups = []
+        blocks = []
         for _ in range(samples):
             while True:
                 gens = [int(g) for g in rng.integers(0, params.size, size=m_dim)]
                 cand = sub.span(params, gens)
                 if cand.dim == m_dim:
-                    subgroups.append(cand)
+                    blocks.append((cand.pivots, cand.basis[None]))
                     break
 
     coset_params = GroupParams(params.p, m_dim)
+    subgroups = 0
     total = 0
     dense = 0
     cosets = 0
-    for a in subgroups:
-        rows = sub.coset_decomposition(a).rows
+    for pivots, bases in blocks:
+        rows = sub.coset_rows(bases, pivots, params)
         cs, dn, nc = _coset_stats(s_mask, rows, coset_params, len(s))
+        subgroups += len(bases)
         total += cs
         dense += dn
         cosets += nc
-    bound = Fraction(total, len(subgroups)) * params.p ** (params.n - m_dim)
+    bound = Fraction(total, subgroups) * params.p ** (params.n - m_dim)
     return VarnavidesReport(
         m_dim=m_dim,
-        sampled_subgroups=len(subgroups),
+        sampled_subgroups=subgroups,
         dense_coset_fraction=dense / cosets if cosets else 0.0,
         certified_lower_bound=float(bound),
         certified_lower_bound_exact=bound,

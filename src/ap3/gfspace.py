@@ -62,60 +62,52 @@ class GroupParams:
         return self.p**self.n
 
 
-@lru_cache(maxsize=None)
-def digit_table(p: int, n: int) -> np.ndarray:
-    """(p^n, n) array: row i holds the little-endian base-p digits of i."""
-    idx = np.arange(p**n, dtype=np.int64)
-    digits = np.empty((p**n, n), dtype=np.int64)
-    q = idx
-    for k in range(n):
-        digits[:, k] = q % p
-        q = q // p
-    digits.setflags(write=False)
-    return digits
-
-
-@lru_cache(maxsize=None)
-def place_values(p: int, n: int) -> np.ndarray:
-    v = p ** np.arange(n, dtype=np.int64)
-    v.setflags(write=False)
-    return v
-
-
 def index_to_digits(i: int, params: GroupParams) -> tuple[int, ...]:
     if not 0 <= i < params.size:
         raise ValueError(f"index {i} out of range [0, {params.size})")
-    return tuple(int(d) for d in digit_table(params.p, params.n)[i])
+    p = params.p
+    return tuple(int(i) // p**k % p for k in range(params.n))
 
 
 def digits_to_index(digits: Sequence[int], params: GroupParams) -> int:
     if len(digits) != params.n:
         raise ValueError(f"expected {params.n} digits, got {len(digits)}")
-    pv = place_values(params.p, params.n)
-    return int(sum((int(d) % params.p) * int(v) for d, v in zip(digits, pv)))
+    p = params.p
+    return sum(int(d) % p * p**k for k, d in enumerate(digits))
+
+
+def _combine(ca: int, a, cb: int, b, params: GroupParams):
+    """Index of the element ca*a + cb*b, broadcasting a and b like numpy.
+
+    The digits are peeled off the indices one coordinate at a time and
+    combined mod p, so no array with a trailing axis of n digits is built.
+    """
+    p = params.p
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    digit = np.empty_like(out)
+    place = 1
+    for _ in range(params.n):
+        np.add(ca * (a // place % p), cb * (b // place % p), out=digit)
+        digit %= p
+        digit *= place
+        out += digit
+        place *= p
+    return out[()]
 
 
 def add_indices(a, b, params: GroupParams):
     """Digit-wise mod-p addition of element indices; broadcasts like numpy."""
-    t = digit_table(params.p, params.n)
-    pv = place_values(params.p, params.n)
-    da = t[np.asarray(a, dtype=np.int64)]
-    db = t[np.asarray(b, dtype=np.int64)]
-    return ((da + db) % params.p) @ pv
+    return _combine(1, a, 1, b, params)
 
 
 def sub_indices(a, b, params: GroupParams):
-    t = digit_table(params.p, params.n)
-    pv = place_values(params.p, params.n)
-    da = t[np.asarray(a, dtype=np.int64)]
-    db = t[np.asarray(b, dtype=np.int64)]
-    return ((da - db) % params.p) @ pv
+    return _combine(1, a, -1, b, params)
 
 
 def scale_indices(a, c: int, params: GroupParams):
-    t = digit_table(params.p, params.n)
-    pv = place_values(params.p, params.n)
-    return ((t[np.asarray(a, dtype=np.int64)] * (c % params.p)) % params.p) @ pv
+    return _combine(c % params.p, a, 0, 0, params)
 
 
 @lru_cache(maxsize=None)

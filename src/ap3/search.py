@@ -10,12 +10,15 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .gfspace import GroupParams, PointSet, add_indices, scale_map, sub_indices
 from . import apcount, fourier
-from . import subspace as sub
+
+if TYPE_CHECKING:
+    from .subspace import Subspace
 
 DEFAULT_MAX_DOMAIN = 16
 DEFAULT_MAX_SUBSPACES = 20000
@@ -46,7 +49,7 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class StructureRow:
-    W: sub.Subspace
+    W: Subspace
     A_reps: tuple[int, ...]
     symmetric_difference: int
     normalized: float
@@ -62,7 +65,7 @@ class StructureRow:
 
 @dataclass(frozen=True)
 class StructureReport:
-    W: sub.Subspace
+    W: Subspace
     A_reps: tuple[int, ...]
     symmetric_difference: int
     normalized: float
@@ -232,6 +235,8 @@ def structure_report(
     W = {0} (codim n) trivially achieves difference 0, so the best W of
     positive dimension is reported alongside the overall minimizer.
     """
+    from . import subspace as sub  # only this diagnostic lays out cosets
+
     params = s.params
     n = params.n
     if not 0 <= max_codim <= n:
@@ -240,30 +245,33 @@ def structure_report(
     if budget > max_subspaces:
         raise ValueError(f"{budget} subspaces to enumerate exceeds budget {max_subspaces}")
 
-    s_members = np.array(s.members, dtype=np.int64)
+    s_mask = s.mask()
     best: StructureRow | None = None
     best_pos: StructureRow | None = None
     for codim in range(max_codim + 1):
         dim = n - codim
         w_size = params.p**dim
-        for w in sub.all_subspaces(params, dim):
-            dec = sub.coset_decomposition(w)
-            inter = np.zeros(len(dec.transversal), dtype=np.int64)
-            if len(s_members):
-                np.add.at(inter, dec.rep_pos[s_members], 1)
-            chosen = 2 * inter > w_size
-            sd = int(np.sum(np.where(chosen, w_size - inter, inter)))
+        for pivots, bases in sub.subspace_blocks(params, dim):
+            # A block's layouts scored at once; a row is built only for the
+            # first strict improvement, so the earliest minimizer wins.
+            rows = sub.coset_rows(bases, pivots, params)
+            inter = s_mask[rows].sum(axis=-1)
+            sds = np.minimum(inter, w_size - inter).sum(axis=-1)
+            i = int(np.argmin(sds))
+            sd = int(sds[i])
+            new_best = best is None or sd < best.symmetric_difference
+            new_pos = dim >= 1 and (best_pos is None or sd < best_pos.symmetric_difference)
+            if not (new_best or new_pos):
+                continue
             row = StructureRow(
-                W=w,
-                A_reps=tuple(
-                    int(rep) for rep, c in zip(dec.transversal, chosen) if c
-                ),
+                W=sub.Subspace(params, bases[i], pivots),
+                A_reps=tuple(rows[i, 2 * inter[i] > w_size, 0].tolist()),
                 symmetric_difference=sd,
                 normalized=sd / params.size,
             )
-            if best is None or sd < best.symmetric_difference:
+            if new_best:
                 best = row
-            if dim >= 1 and (best_pos is None or sd < best_pos.symmetric_difference):
+            if new_pos:
                 best_pos = row
     return StructureReport(
         W=best.W,

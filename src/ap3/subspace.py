@@ -17,7 +17,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gfspace import DensityFunction, GroupParams, digit_table, place_values
+from .gfspace import DensityFunction, GroupParams, index_to_digits
+
+# Most group elements, N * p^n, that one block of `subspace_blocks` lays
+# out as cosets; a block always holds at least one subspace.
+BLOCK_ELEMENTS = 2**14
+
+# Most row entries one `coset_means` block turns into Python floats.
+FSUM_BLOCK_ELEMENTS = 2**13
+
 
 def _inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
@@ -79,12 +87,10 @@ class Subspace:
 
     def elements(self) -> np.ndarray:
         """Sorted indices of all p^dim members."""
-        p, n = self.params.p, self.params.n
-        if self.dim == 0:
-            return np.zeros(1, dtype=np.int64)
-        coeffs = digit_table(p, self.dim)
-        digits = (coeffs @ self.basis) % p
-        idx = digits @ place_values(p, n)
+        p = self.params.p
+        idx = np.zeros(p**self.dim, dtype=np.int64)
+        for k in range(self.params.n):
+            idx += _span_digits(self.basis[None], k, p)[0] * p**k
         return np.sort(idx)
 
     def describe(self) -> str:
@@ -107,7 +113,7 @@ def span(params: GroupParams, generators: Iterable) -> Subspace:
     rows = []
     for g in generators:
         if isinstance(g, (int, np.integer)):
-            rows.append(digit_table(params.p, params.n)[int(g)])
+            rows.append(index_to_digits(int(g), params))
         else:
             rows.append([int(x) for x in g])
     if not rows:
@@ -170,32 +176,70 @@ class CosetDecomposition:
         return np.sort(self.rows[self.rep_pos[rep]])
 
 
-def coset_decomposition(w: Subspace) -> CosetDecomposition:
-    params = w.params
+def _span_digits(bases: np.ndarray, k: int, p: int) -> np.ndarray:
+    """(N, p^dim) coordinate k of sum_j c_j b_j over the (N, dim, n) bases,
+    for every coefficient vector c in little-endian order (c_0 fastest)."""
+    digits = np.zeros((len(bases), 1), dtype=np.int64)
+    steps = np.arange(p, dtype=np.int64)[:, None]
+    for j in range(bases.shape[1]):
+        digits = (steps * bases[:, j, k, None, None] + digits[:, None, :]).reshape(len(bases), -1)
+    return digits % p
+
+
+def coset_rows(bases: np.ndarray, pivots: tuple[int, ...], params: GroupParams) -> np.ndarray:
+    """(N, |T|, |W|) coset layouts of N subspaces W with the same echelon
+    pivot columns, from their (N, dim, n) echelon bases.
+
+    Layout s is the `rows` of `coset_decomposition` for the s-th basis.  All
+    N subspaces share the pivot-free transversal T, so the digits of
+    t + sum_j c_j b_j are accumulated one coordinate at a time for all of
+    them together: a pivot coordinate holds c_j, and the free coordinate
+    carrying digit r of the transversal index adds (t_r + w_k) mod p on each
+    of the p slices of that digit.
+    """
     p, n = params.p, params.n
-    free = [c for c in range(n) if c not in w.pivots]
-    t_digits = np.zeros((p ** len(free), n), dtype=np.int64)
-    t_digits[:, free] = digit_table(p, len(free))
-    w_digits = (digit_table(p, w.dim) @ w.basis) % p
-    rows = ((t_digits[:, None, :] + w_digits[None, :, :]) % p) @ place_values(p, n)
+    bases = np.asarray(bases, dtype=np.int64)
+    free = [k for k in range(n) if k not in pivots]
+    count = len(bases)
+    rows = np.zeros((count, p ** len(free), p ** len(pivots)), dtype=np.int64)
+    for k in range(n):
+        w_digits = _span_digits(bases, k, p)
+        if k in pivots:
+            rows += (w_digits * p**k)[:, None, :]
+            continue
+        r = free.index(k)
+        by_digit = rows.reshape(count, p ** (len(free) - r - 1), p, p**r, -1)
+        for t in range(p):
+            by_digit[:, :, t] += ((w_digits + t) % p * p**k)[:, None, None, :]
+    return rows
+
+
+def coset_decomposition(w: Subspace) -> CosetDecomposition:
+    rows = coset_rows(w.basis[None], w.pivots, w.params)[0]
     rows.setflags(write=False)
-    rep_pos = np.empty(params.size, dtype=np.int64)
-    rep_pos[rows] = np.arange(len(rows))[:, None]
     transversal = rows[:, 0]
-    return CosetDecomposition(
-        w, tuple(transversal.tolist()), rows, transversal[rep_pos], rep_pos
-    )
+    reps = tuple(transversal.tolist())
+    rep_pos = np.empty(w.params.size, dtype=np.int64)
+    rep_pos[rows] = np.arange(len(rows))[:, None]
+    return CosetDecomposition(w, reps, rows, transversal[rep_pos], rep_pos)
 
 
 def coset_means(f: DensityFunction, dec: CosetDecomposition) -> np.ndarray:
     """Mean of f on each coset row of dec, in transversal order.
 
-    A row that is already constant keeps its value bit-for-bit.
+    A row that is already constant keeps its value bit-for-bit.  Mixed rows
+    are fsummed a block at a time, so only one block's Python floats exist
+    at once.
     """
     vals = f.values[dec.rows]
+    width = vals.shape[1]
     means = vals[:, 0].copy()
-    for i in np.flatnonzero((vals != vals[:, :1]).any(axis=1)):
-        means[i] = math.fsum(vals[i].tolist()) / vals.shape[1]
+    mixed = np.flatnonzero((vals != vals[:, :1]).any(axis=1))
+    step = max(1, FSUM_BLOCK_ELEMENTS // width)
+    for start in range(0, len(mixed), step):
+        block = mixed[start : start + step]
+        sums = np.fromiter(map(math.fsum, vals[block].tolist()), np.float64, len(block))
+        means[block] = sums / width
     return means
 
 
@@ -212,27 +256,43 @@ def canonical_codim_subspace(w: Subspace, ell: int) -> Subspace:
     return Subspace(w.params, w.basis[ell:], w.pivots[ell:])
 
 
-def all_subspaces(params: GroupParams, dim: int) -> Iterator[Subspace]:
-    """All subspaces of the given dimension, via canonical echelon bases."""
+def subspace_blocks(
+    params: GroupParams, dim: int
+) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """All subspaces of the given dimension as blocks (pivots, (N, dim, n)
+    canonical echelon bases) that share their pivot columns, in the order
+    of `all_subspaces`.  N * p^n stays within BLOCK_ELEMENTS unless a single
+    subspace exceeds it."""
     p, n = params.p, params.n
     if not 0 <= dim <= n:
         raise ValueError(f"dim={dim} out of range [0, {n}]")
-    if dim == 0:
-        yield trivial_space(params)
-        return
+    per_block = max(1, BLOCK_ELEMENTS // params.size)
     for pivots in itertools.combinations(range(n), dim):
+        # Entries right of a pivot and outside the pivot columns are free,
+        # counted in base p with the last entry fastest.
         free = [
             (i, c)
             for i in range(dim)
             for c in range(pivots[i] + 1, n)
             if c not in pivots
         ]
-        for assignment in itertools.product(range(p), repeat=len(free)):
-            basis = np.zeros((dim, n), dtype=np.int64)
+        total = p ** len(free)
+        for start in range(0, total, per_block):
+            count = min(per_block, total - start)
+            bases = np.zeros((count, dim, n), dtype=np.int64)
             for i, piv in enumerate(pivots):
-                basis[i, piv] = 1
-            for (i, c), val in zip(free, assignment):
-                basis[i, c] = val
+                bases[:, i, piv] = 1
+            code = np.arange(start, start + count, dtype=np.int64)
+            for i, c in reversed(free):
+                bases[:, i, c] = code % p
+                code //= p
+            yield pivots, bases
+
+
+def all_subspaces(params: GroupParams, dim: int) -> Iterator[Subspace]:
+    """All subspaces of the given dimension, via canonical echelon bases."""
+    for pivots, bases in subspace_blocks(params, dim):
+        for basis in bases:
             yield Subspace(params, basis, pivots)
 
 

@@ -6,7 +6,17 @@ import pytest
 
 import ap3
 from ap3 import subspace as sub
-from ap3.gfspace import DensityFunction, GroupParams, digit_table
+from ap3.gfspace import DensityFunction, GroupParams
+
+
+def digit_table(p: int, n: int) -> np.ndarray:
+    """(p^n, n) array: row i holds the little-endian base-p digits of i.
+    The digit-array oracle that the index kernels are checked against."""
+    idx = np.arange(p**n, dtype=np.int64)
+    digits = np.empty((p**n, n), dtype=np.int64)
+    for k in range(n):
+        digits[:, k] = idx // p**k % p
+    return digits
 
 
 def subprocess_env() -> dict:

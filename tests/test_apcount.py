@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ap3.apcount import (
+    VarnavidesReport,
     complement_lambda3,
     complement_lambda3_exact,
     count_raw,
@@ -16,10 +17,10 @@ from ap3.apcount import (
     varnavides_estimate,
 )
 from ap3.fourier import lambda3_spectral
-from ap3.gfspace import DensityFunction, GroupParams, PointSet, digit_table, digits_to_index
+from ap3.gfspace import DensityFunction, GroupParams, PointSet, digits_to_index
 from ap3 import subspace as sub
 
-from conftest import brute_lambda3, chunked_t3, random_density, random_indicator
+from conftest import brute_lambda3, chunked_t3, digit_table, random_density, random_indicator
 
 CAP4 = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -296,3 +297,61 @@ class TestVarnavides:
         params = GroupParams(3, 2)
         with pytest.raises(ValueError):
             varnavides_estimate(PointSet(params, (0,)), 3, samples=1)
+
+
+def old_varnavides_estimate(s, m_dim, samples=0, seed=None, exhaustive=False):
+    """The per-subgroup loop that the batched estimator replaced: one coset
+    decomposition and one batched count per subgroup."""
+    params = s.params
+    s_mask = s.mask()
+    if exhaustive:
+        subgroups = list(sub.all_subspaces(params, m_dim))
+    else:
+        rng = np.random.Generator(np.random.PCG64(seed))
+        subgroups = []
+        for _ in range(samples):
+            while True:
+                gens = [int(g) for g in rng.integers(0, params.size, size=m_dim)]
+                cand = sub.span(params, gens)
+                if cand.dim == m_dim:
+                    subgroups.append(cand)
+                    break
+    coset_params = GroupParams(params.p, m_dim)
+    total = dense = cosets = 0
+    for a in subgroups:
+        rows = sub.coset_decomposition(a).rows
+        in_s = s_mask[rows]
+        sizes = in_s.sum(axis=1)
+        raw = count_raw_masks(in_s, coset_params)
+        dense += int(np.count_nonzero(2 * sizes * s_mask.size >= len(s) * rows.shape[1]))
+        total += int(raw.sum() - sizes.sum())
+        cosets += len(rows)
+    bound = Fraction(total, len(subgroups)) * params.p ** (params.n - m_dim)
+    return VarnavidesReport(
+        m_dim=m_dim,
+        sampled_subgroups=len(subgroups),
+        dense_coset_fraction=dense / cosets if cosets else 0.0,
+        certified_lower_bound=float(bound),
+        certified_lower_bound_exact=bound,
+        alpha=len(s) / params.size,
+        exhaustive=exhaustive,
+    )
+
+
+class TestBatchedVarnavides:
+    """varnavides_estimate against the per-subgroup loop, across block sizes."""
+
+    @pytest.mark.parametrize("p, n", [(3, 4), (5, 3), (7, 2)])
+    @pytest.mark.parametrize("per_block", [1, 2, None])
+    def test_matches_per_subgroup_loop(self, p, n, per_block, rng, monkeypatch):
+        params = GroupParams(p, n)
+        if per_block is not None:
+            monkeypatch.setattr(sub, "BLOCK_ELEMENTS", per_block * params.size)
+        sets = [PointSet(params, ()), PointSet(params, tuple(range(params.size)))]
+        sets += [PointSet.from_mask(params, rng.random(params.size) < d) for d in (0.3, 0.6)]
+        for s in sets:
+            for m_dim in range(1, n + 1):
+                got = varnavides_estimate(s, m_dim, exhaustive=True)
+                assert got == old_varnavides_estimate(s, m_dim, exhaustive=True)
+                got = varnavides_estimate(s, m_dim, samples=5, seed=m_dim)
+                assert got == old_varnavides_estimate(s, m_dim, samples=5, seed=m_dim)

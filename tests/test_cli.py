@@ -243,10 +243,23 @@ class TestImportBudget:
                 ["ap3.apcount", "ap3.improve", "ap3.rounding", "ap3.subspace"],
             ),
             (["selfcheck"], ["ap3.apcount", "ap3.improve", "ap3.selfcheck", "ap3.subspace"]),
+            (
+                ["search", "--p", "3", "--n", "2", "--alpha", "0.3", "--restarts", "1"],
+                ["ap3.apcount", "ap3.search"],
+            ),
+            (
+                ["structure", "--input", "SET", "--max-codim", "1"],
+                ["ap3.apcount", "ap3.search", "ap3.subspace"],
+            ),
+            (
+                ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],
+                ["ap3.apcount", "ap3.subspace"],
+            ),
         ],
     )
-    def test_modules_loaded(self, half_density, tmp_path, argv, added):
-        argv = [half_density if a == "IN" else a for a in argv]
+    def test_modules_loaded(self, half_density, cap_set, tmp_path, argv, added):
+        inputs = {"IN": half_density, "SET": cap_set}
+        argv = [inputs.get(a, a) for a in argv]
         argv += ["--output-dir", str(tmp_path / "out")]
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, *argv],

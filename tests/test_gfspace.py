@@ -16,8 +16,11 @@ from ap3.gfspace import (
     save_density,
     save_set,
     scale_indices,
+    scale_map,
     sub_indices,
 )
+
+from conftest import digit_table
 
 
 class TestGroupParams:
@@ -81,6 +84,62 @@ class TestElement:
     def test_order_p(self):
         params = GroupParams(3, 2)
         assert scale_indices(5, 3, params) == 0
+
+
+def _oracle(p, n, a, b, ca, cb):
+    """ca*a + cb*b by the (..., n) digit-table formula the kernel replaced."""
+    t = digit_table(p, n)
+    digits = ca * t[np.asarray(a, dtype=np.int64)] + cb * t[np.asarray(b, dtype=np.int64)]
+    return (digits % p) @ (p ** np.arange(n, dtype=np.int64))
+
+
+KERNEL_GROUPS = [(3, 4), (5, 3), (7, 2)]
+
+
+class TestIndexKernel:
+    """add/sub/scale_indices against the digit-table oracle."""
+
+    def _shapes(self, params, rng):
+        size = params.size
+        yield rng.integers(0, size), rng.integers(0, size)  # 0-d scalars
+        yield np.array(size - 1), np.array(0)
+        yield rng.integers(0, size, (7, 1)), rng.integers(0, size, (1, 9))
+        yield rng.integers(0, size, 11), rng.integers(0, size, 11)
+        yield np.arange(size), np.arange(size)[::-1]
+        yield np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        yield np.zeros((0, 1), dtype=np.int64), rng.integers(0, size, (1, 5))
+
+    @pytest.mark.parametrize("p, n", KERNEL_GROUPS)
+    def test_add_sub_match_oracle(self, p, n, rng):
+        params = GroupParams(p, n)
+        for a, b in self._shapes(params, rng):
+            for got, want in [
+                (add_indices(a, b, params), _oracle(p, n, a, b, 1, 1)),
+                (sub_indices(a, b, params), _oracle(p, n, a, b, 1, -1)),
+            ]:
+                assert np.shape(got) == np.shape(want)
+                assert np.asarray(got).dtype == np.int64
+                assert np.array_equal(got, want)
+                assert np.ndim(got) > 0 or isinstance(got, np.int64)
+
+    @pytest.mark.parametrize("p, n", KERNEL_GROUPS)
+    def test_scale_matches_oracle(self, p, n, rng):
+        params = GroupParams(p, n)
+        for c in (0, 1, 2, p - 1, -1):
+            for a, _ in self._shapes(params, rng):
+                got = scale_indices(a, c, params)
+                want = _oracle(p, n, a, 0, c, 0)
+                assert np.shape(got) == np.shape(want)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("p, n", KERNEL_GROUPS)
+    def test_scale_map_read_only(self, p, n):
+        for c in (0, 2, p - 1):
+            m = scale_map(p, n, c)
+            assert not m.flags.writeable
+            assert np.array_equal(m, _oracle(p, n, np.arange(p**n), 0, c, 0))
+            with pytest.raises(ValueError):
+                m[0] = 1
 
 
 class TestDensityFunction:

@@ -10,7 +10,6 @@ from ap3.gfspace import (
     DensityFunction,
     GroupParams,
     PointSet,
-    digit_table,
     scale_indices,
     sub_indices,
 )
@@ -27,7 +26,7 @@ from ap3.improve import (
 from ap3 import apcount, subspace as sub
 from ap3.cli import _write_json
 
-from conftest import planted_density, random_density
+from conftest import digit_table, planted_density, random_density
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "ap3", "schemas", "reports.schema.json"

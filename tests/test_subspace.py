@@ -1,26 +1,29 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ap3.gfspace import DensityFunction, GroupParams, digit_table, digits_to_index
-from ap3 import fourier
+from ap3.gfspace import DensityFunction, GroupParams, digits_to_index
+from ap3 import fourier, subspace
 from ap3.subspace import (
     all_subspaces,
     average_over_cosets,
     canonical_codim_subspace,
     coset_decomposition,
     coset_means,
+    coset_rows,
     count_subspaces,
     full_space,
     intersect,
     orthogonal_complement,
     span,
+    subspace_blocks,
     trivial_space,
 )
 
-from conftest import random_density
+from conftest import digit_table, random_density
 
 
 def brute_span(params, generators):
@@ -271,6 +274,25 @@ class TestAverageOverCosets:
             assert means[i] == math.fsum(vals[dec.coset_members(dec.transversal[i])]) / 3
 
 
+    @pytest.mark.parametrize("block", [1, 2, 7, 5000])
+    def test_coset_means_blocks_match_per_row_fsum(self, block, rng, monkeypatch):
+        # Mixed rows summed a block at a time give the per-row fsum bit for
+        # bit; constant rows keep their value.
+        monkeypatch.setattr(subspace, "FSUM_BLOCK_ELEMENTS", block)
+        params = GroupParams(3, 4)
+        for gens in ([[1, 2, 0, 1]], [[1, 0, 0, 2], [0, 0, 1, 1]]):
+            dec = coset_decomposition(span(params, gens))
+            vals = np.array(random_density(params, rng).values)
+            vals[dec.rows[::3]] = 0.1
+            means = coset_means(DensityFunction(params, vals), dec)
+            width = dec.rows.shape[1]
+            for i, row in enumerate(dec.rows):
+                if i % 3 == 0:
+                    assert means[i] == 0.1
+                else:
+                    assert means[i] == math.fsum(vals[row].tolist()) / width
+
+
 class TestCanonicalCodim:
     def test_full_codim(self):
         params = GroupParams(3, 2)
@@ -306,3 +328,98 @@ class TestEnumeration:
         params = GroupParams(3, 3)
         seen = list(all_subspaces(params, 2))
         assert len(set(seen)) == len(seen)
+
+
+def old_all_subspaces(params, dim):
+    """The per-subspace itertools enumeration that subspace_blocks replaced,
+    as (pivots, basis) pairs."""
+    p, n = params.p, params.n
+    if dim == 0:
+        yield (), np.zeros((0, n), dtype=np.int64)
+        return
+    for pivots in itertools.combinations(range(n), dim):
+        free = [
+            (i, c)
+            for i in range(dim)
+            for c in range(pivots[i] + 1, n)
+            if c not in pivots
+        ]
+        for assignment in itertools.product(range(p), repeat=len(free)):
+            basis = np.zeros((dim, n), dtype=np.int64)
+            for i, piv in enumerate(pivots):
+                basis[i, piv] = 1
+            for (i, c), val in zip(free, assignment):
+                basis[i, c] = val
+            yield pivots, basis
+
+
+def old_coset_rows(w):
+    """The (|T|, |W|, n) digit-table layout that coset_rows replaced."""
+    p, n = w.params.p, w.params.n
+    free = [c for c in range(n) if c not in w.pivots]
+    t_digits = np.zeros((p ** len(free), n), dtype=np.int64)
+    t_digits[:, free] = digit_table(p, len(free))
+    w_digits = (digit_table(p, w.dim) @ w.basis) % p
+    return ((t_digits[:, None, :] + w_digits[None, :, :]) % p) @ (p ** np.arange(n))
+
+
+BLOCK_GROUPS = [(3, 4), (5, 3), (7, 2)]
+
+
+class TestBlocks:
+    """subspace_blocks and coset_rows against the per-subspace oracles."""
+
+    @pytest.mark.parametrize("p, n", BLOCK_GROUPS)
+    @pytest.mark.parametrize("per_block", [1, 2, None])
+    def test_blocks_flatten_to_old_order(self, p, n, per_block, monkeypatch):
+        # Two subspaces a block divides no group size p^k; None keeps the cap.
+        params = GroupParams(p, n)
+        if per_block is not None:
+            monkeypatch.setattr(subspace, "BLOCK_ELEMENTS", per_block * params.size)
+        for dim in range(n + 1):
+            old = list(old_all_subspaces(params, dim))
+            got = []
+            for pivots, bases in subspace_blocks(params, dim):
+                assert bases.shape[1:] == (dim, n)
+                if per_block is not None:
+                    assert len(bases) <= per_block
+                got.extend((pivots, b) for b in bases)
+            assert len(got) == len(old) == count_subspaces(params, dim)
+            for (gp, gb), (op, ob) in zip(got, old):
+                assert gp == op and np.array_equal(gb, ob)
+            flat = list(all_subspaces(params, dim))
+            assert [(w.pivots, w.basis.tolist()) for w in flat] == [
+                (op, ob.tolist()) for op, ob in old
+            ]
+
+    @pytest.mark.parametrize("p, n", BLOCK_GROUPS)
+    def test_coset_rows_match_digit_layout(self, p, n, monkeypatch):
+        params = GroupParams(p, n)
+        monkeypatch.setattr(subspace, "BLOCK_ELEMENTS", 3 * params.size)
+        for dim in range(n + 1):
+            for pivots, bases in subspace_blocks(params, dim):
+                rows = coset_rows(bases, pivots, params)
+                assert rows.shape == (len(bases), p ** (n - dim), p**dim)
+                assert rows.dtype == np.int64
+                for basis, layout in zip(bases, rows):
+                    w = subspace.Subspace(params, basis, pivots)
+                    assert np.array_equal(layout, old_coset_rows(w))
+                    assert np.array_equal(coset_decomposition(w).rows, layout)
+                    assert np.array_equal(w.elements(), np.sort(layout[0]))
+
+    @pytest.mark.parametrize("dim", [1, 5, 9])
+    def test_decomposition_peak_memory(self, dim):
+        # The layout is built one coordinate at a time: no (|T|, |W|, n) or
+        # (|W|, n) digit table, so the traced peak stays within 5 rows arrays
+        # (rows, rep_pos, rep_index and the transversal tuple).
+        params = GroupParams(3, 10)
+        eye = np.eye(10, dtype=np.int64)
+        w = span(params, (eye + np.roll(eye, 1, axis=1))[10 - dim :])
+        assert w.dim == dim
+        tracemalloc.start()
+        try:
+            dec = coset_decomposition(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * dec.rows.nbytes
