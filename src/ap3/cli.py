@@ -8,7 +8,6 @@ unreadable file), 2 usage error (bad flags or flag values).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import math
@@ -18,6 +17,17 @@ import time
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+# The interpreter's built-in SHA-256, where it has one, spares every job
+# loading OpenSSL's libcrypto through hashlib (CPython's random.py does the
+# same for SHA-512).
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 # Each subcommand imports the pipeline modules it runs, so a job loads
 # only those.
@@ -35,6 +45,11 @@ if TYPE_CHECKING:
     from .subspace import Subspace
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+# Bytes of an input file hashed at a time: below glibc's default 128 KiB
+# mmap threshold, since freeing a larger buffer raises that threshold for
+# the rest of the job and so its later peak RSS.
+HASH_CHUNK = 2**16
 
 
 class UsageError(Exception):
@@ -105,19 +120,21 @@ def _write_json(payload: dict, path: str) -> None:
         fh.write("\n}\n" if payload else "{}\n")
 
 
+def _file_sha256(path: str) -> str:
+    h = sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(HASH_CHUNK):
+            h.update(chunk)
+    return h.hexdigest()
+
+
 def _write_manifest(args, inputs: list[str]) -> None:
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
-    digests = {}
-    for path in inputs:
-        h = hashlib.sha256()
-        with open(path, "rb") as fh:
-            h.update(fh.read())
-        digests[path] = h.hexdigest()
     manifest = {
         "command": args.command,
         "argv": args._argv,
-        "inputs": digests,
+        "inputs": {path: _file_sha256(path) for path in inputs},
         "seed": getattr(args, "seed", None),
         "version": __version__,
     }

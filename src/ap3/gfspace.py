@@ -8,6 +8,7 @@ transform in this package uses that one order.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,6 +24,9 @@ RANGE_SLACK = 1e-12
 
 # p^n must stay comfortably inside int64 indexing.
 MAX_SIZE = 2**62
+
+# Values `save_density` formats at once; a multiple of the 8 values a line.
+SAVE_BLOCK = 2**12
 
 
 class FileFormatError(ValueError):
@@ -234,6 +238,13 @@ def _parse_header(line: str, path: str) -> GroupParams:
         raise FileFormatError(f"{path}:1: {exc}") from exc
 
 
+def _read_lines(path: str) -> list[str]:
+    """The whole file's str.splitlines() pieces; a non-ASCII byte raises
+    UnicodeDecodeError at its offset in the file."""
+    with open(path, "r", encoding="ascii") as fh:
+        return fh.read().splitlines()
+
+
 def _body_error(path: str, lines: list[str], size: int) -> FileFormatError:
     """The error for the first bad token of an .apf body, in file order."""
     count = 0
@@ -254,45 +265,67 @@ def _body_error(path: str, lines: list[str], size: int) -> FileFormatError:
     raise RuntimeError(f"{path}: body failed to load but has no bad token")
 
 
-def load_density(path: str) -> DensityFunction:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+def _read_density(fh, path: str) -> tuple[GroupParams, np.ndarray | None]:
+    """The header and body of an open .apf file, read one line at a time;
+    the body is None if any of it is malformed."""
+    first = fh.readline()
+    if not first:
         raise FileFormatError(f"{path}:1: empty file")
-    params = _parse_header(lines[0], path)
+    # The header is the first str.splitlines() piece, which also ends at \v,
+    # \f and \x1c-\x1e; the rest of the file line is body.
+    header = first.splitlines()[0]
+    params = _parse_header(header, path)
     size = params.size
-    # Parse a line at a time and range-check the whole body at once; any
-    # failure rescans token by token for the exact message.
     values = np.empty(size, dtype=np.float64)
     count = 0
-    for line in lines[1:]:
-        try:
+    try:
+        for line in itertools.chain((first[len(header) :],), fh):
             row = list(map(float, line.split()))
-        except ValueError:
-            break
-        end = count + len(row)
-        if end > size:
-            break
-        values[count:end] = row
-        count = end
-    else:
-        if count == size and ((values >= 0.0) & (values <= 1.0)).all():  # false for NaN
-            return DensityFunction(params, values)
-    raise _body_error(path, lines, size)
+            end = count + len(row)
+            if end > size:
+                return params, None
+            values[count:end] = row
+            count = end
+    except ValueError:  # a bad token, or a non-ASCII byte
+        return params, None
+    if count == size and ((values >= 0.0) & (values <= 1.0)).all():  # false for NaN
+        return params, values
+    return params, None
+
+
+def load_density(path: str) -> DensityFunction:
+    """Load an .apf file, holding only the values and one line of text.
+
+    A file that fails is read again whole, so the error is the first problem
+    in file order, and a non-ASCII byte anywhere comes before the rest.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            params, values = _read_density(fh, path)
+    except (ValueError, MemoryError):  # a bad first line, or too many values to allocate
+        _read_lines(path)  # a non-ASCII byte anywhere in the file is reported first
+        raise
+    if values is None:
+        raise _body_error(path, _read_lines(path), params.size)
+    return DensityFunction(params, values)
 
 
 def save_density(f: DensityFunction, path: str) -> None:
-    vals = f.values.tolist()
+    """Write 8 values a line at 17 significant digits, one block at a time."""
+    vals = f.values
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{f.params.p} {f.params.n}\n")
-        for start in range(0, len(vals), 8):
-            line = vals[start : start + 8]
-            fh.write(" ".join(["%.17g"] * len(line)) % tuple(line) + "\n")
+        for start in range(0, len(vals), SAVE_BLOCK):
+            block = vals[start : start + SAVE_BLOCK].tolist()
+            full, rest = divmod(len(block), 8)
+            fmt = ("%.17g " * 7 + "%.17g\n") * full
+            if rest:
+                fmt += " ".join(["%.17g"] * rest) + "\n"
+            fh.write(fmt % tuple(block))
 
 
 def load_set(path: str) -> PointSet:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise FileFormatError(f"{path}:1: empty file")
     params = _parse_header(lines[0], path)

@@ -319,7 +319,7 @@ def construct_g(
 
     hyp_val = math.fsum(np.abs(f.values - fw.values)) / params.size
     hyp = hyp_val > eps
-    v_prime_ok = (not hyp) or (2 * len(v_prime) > eps * len(dec.transversal))
+    v_prime_ok = (not hyp) or (2 * len(v_prime) > eps * len(rows))
 
     t3_vp = apcount.count_raw(PointSet(params, tuple(v_prime)))
     w_size = rows.shape[1]
@@ -333,7 +333,7 @@ def construct_g(
         V=v_space,
         W=w_space,
         V_cap_W_dim=sub.intersect(v_space, w_space).dim,
-        transversal_size=len(dec.transversal),
+        transversal_size=len(rows),
         V_prime=tuple(v_prime),
         ell=ell,
         beta=beta,

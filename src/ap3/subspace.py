@@ -164,13 +164,16 @@ class CosetDecomposition:
     """
 
     subspace: Subspace
-    transversal: tuple[int, ...]
     rows: np.ndarray  # (|T|, |W|) element indices, one coset per row
-    rep_index: np.ndarray  # element index -> its representative's index
-    rep_pos: np.ndarray  # element index -> position in transversal
+    rep_pos: np.ndarray  # element index -> its coset's row
+
+    @property
+    def transversal(self) -> tuple[int, ...]:
+        """The representatives, rows[:, 0], as a tuple built on each call."""
+        return tuple(self.rows[:, 0].tolist())
 
     def rep_of(self, m: int) -> int:
-        return int(self.rep_index[m])
+        return int(self.rows[self.rep_pos[m], 0])
 
     def coset_members(self, rep: int) -> np.ndarray:
         return np.sort(self.rows[self.rep_pos[rep]])
@@ -217,11 +220,9 @@ def coset_rows(bases: np.ndarray, pivots: tuple[int, ...], params: GroupParams) 
 def coset_decomposition(w: Subspace) -> CosetDecomposition:
     rows = coset_rows(w.basis[None], w.pivots, w.params)[0]
     rows.setflags(write=False)
-    transversal = rows[:, 0]
-    reps = tuple(transversal.tolist())
     rep_pos = np.empty(w.params.size, dtype=np.int64)
     rep_pos[rows] = np.arange(len(rows))[:, None]
-    return CosetDecomposition(w, reps, rows, transversal[rep_pos], rep_pos)
+    return CosetDecomposition(w, rows, rep_pos)
 
 
 def coset_means(f: DensityFunction, dec: CosetDecomposition) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from ap3 import apcount, rounding, search
-from ap3.cli import _write_json, dispatch
+from ap3.cli import HASH_CHUNK, _file_sha256, _write_json, dispatch
 from ap3.gfspace import (
     DensityFunction,
     GroupParams,
@@ -217,7 +218,9 @@ class TestNumericFlags:
 
 
 class TestImportBudget:
-    """A job loads only the ap3 modules its subcommand runs."""
+    """A job loads only the ap3 modules its subcommand runs, and OpenSSL
+    (`_hashlib`) only where numpy.random imports it through secrets and hmac:
+    rounding and selfcheck, which ap3 does not control."""
 
     SCRIPT = (
         "import json, sys\n"
@@ -225,7 +228,8 @@ class TestImportBudget:
         "loaded = lambda: {m for m in sys.modules if m.split('.')[0] == 'ap3'}\n"
         "before = loaded()\n"
         "code = ap3.cli.main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(before), sorted(loaded() - before)]))\n"
+        "openssl = '_hashlib' in sys.modules\n"
+        "print(json.dumps([code, sorted(before), sorted(loaded() - before), openssl]))\n"
     )
 
     @pytest.mark.parametrize(
@@ -265,10 +269,31 @@ class TestImportBudget:
             [sys.executable, "-c", self.SCRIPT, *argv],
             env=subprocess_env(), capture_output=True, text=True, check=True, timeout=60,
         )
-        code, before, new = json.loads(proc.stdout.splitlines()[-1])
+        code, before, new, openssl = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0
         assert before == ["ap3", "ap3.cli", "ap3.fourier", "ap3.gfspace"]
         assert new == added
+        # Only rounding and selfcheck draw random numbers.
+        assert openssl == ("ap3.rounding" in added or "ap3.selfcheck" in added)
+
+
+class TestManifestDigest:
+    @pytest.mark.parametrize(
+        "size", [0, 1, HASH_CHUNK - 1, HASH_CHUNK, HASH_CHUNK + 1]
+    )
+    def test_matches_hashlib(self, tmp_path, rng, size):
+        data = rng.integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "in.bin"
+        path.write_bytes(data)
+        assert _file_sha256(str(path)) == hashlib.sha256(data).hexdigest()
+
+    def test_large_density_file(self, tmp_path, rng):
+        params = GroupParams(3, 10)
+        path = tmp_path / "f.apf"
+        save_density(DensityFunction(params, rng.random(params.size)), str(path))
+        data = path.read_bytes()
+        assert len(data) > HASH_CHUNK
+        assert _file_sha256(str(path)) == hashlib.sha256(data).hexdigest()
 
 
 class TestSpectrum:

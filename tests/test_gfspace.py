@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from ap3.gfspace import (
+    SAVE_BLOCK,
     DensityFunction,
     FileFormatError,
     GroupParams,
@@ -231,14 +234,75 @@ class TestFiles:
             ("0 2 0\nx\n", ":2: field 2: value 2 outside [0,1]"),
             ("0 0 0 0 0 0 0 0\n\n0 1 0\n", ":4: body longer than p^n = 9"),
             ("0 0 0 0 0 0 0 0 0\nx\n", ":3: body longer than p^n = 9"),
+            # Form feeds, vertical tabs and \x1c-\x1e end a line as \n does.
+            ("0 0 0\x0c0 0\x0c0 y\n0 0\n", ":4: field 2: bad value 'y'"),
+            ("0 0 0\x0b0 0 0\x1c0 0 0 0\n", ":4: body longer than p^n = 9"),
+            ("0 0 0 0 0 0 0 0 0\x0c0", ":3: body longer than p^n = 9"),
+            ("0 0 0\x1d0 0 0\x1e0 0\x0c\x0cq\n", ":6: field 1: bad value 'q'"),
+            # \x1f separates tokens but does not end a line.
+            ("0 0 0\x1f0 0 0\x1f0 0 2\n", ":2: field 9: value 2 outside [0,1]"),
+            ("0 0 0\r\n0 x 0\r\n0 0 0\r\n", ":3: field 2: bad value 'x'"),
+            ("0 0 0\r0 0 0\r0 0 2", ":4: field 3: value 2 outside [0,1]"),
+            ("0 0 0\n0 0", ": body length 5 != p^n = 9"),
+            ("0 0 0\n0 0 0\n0 0 0\n0\n", ":5: body longer than p^n = 9"),
         ],
     )
     def test_first_error_in_file_order(self, tmp_path, body, message):
         path = tmp_path / "f.apf"
-        path.write_text("3 2\n" + body)
+        path.write_bytes(("3 2\n" + body).encode("ascii"))
         with pytest.raises(FileFormatError) as info:
             load_density(str(path))
         assert str(info.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3 1\x0c0 0.5\n1\n",
+            "3 1\x0b0 0.5 1\n",
+            "3 1\x1c0\x1d0.5\x1e1",
+            "3 1\r\n0 0.5\r\n1\r\n",
+            "3 1\r0 0.5\r1",
+            "3 1\n0 0.5 1",
+            " 3 1 \n\n0\x1f0.5\t1\n\n",
+        ],
+    )
+    def test_line_breaks_accepted(self, tmp_path, text):
+        # The header is the first str.splitlines() piece of the file.
+        path = tmp_path / "f.apf"
+        path.write_bytes(text.encode("ascii"))
+        assert load_density(str(path)).values.tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 2\x0c0 0 0\x0c0 0 0\x0c0 0 z\n", ":4: field 3: bad value 'z'"),
+            ("3 1\x0c0 0 0 0\n", ":2: body longer than p^n = 3"),
+            ("3 1\x1f0 0.5 1\n", ":1: header must be 'p n', got '3 1\\x1f0 0.5 1'"),
+            ("\x0c3 1\n0 0 0\n", ":1: header must be 'p n', got ''"),
+            ("\n3 1\n0 0 0\n", ":1: header must be 'p n', got ''"),
+            ("3\x1d1\n0 0 0\n", ":1: header must be 'p n', got '3'"),
+            ("3 1\r\n0 0.5\r\n", ": body length 2 != p^n = 3"),
+        ],
+    )
+    def test_header_line_errors(self, tmp_path, text, message):
+        path = tmp_path / "f.apf"
+        path.write_bytes(text.encode("ascii"))
+        with pytest.raises(FileFormatError) as info:
+            load_density(str(path))
+        assert str(info.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize(
+        "head", [b"3 1\nx 0 0\n", b"4 1\n0 0 0 0\n", b"3 39\n0\n", b"3 1\n0 0 0\n"]
+    )
+    def test_non_ascii_byte_reported_first(self, tmp_path, head):
+        # Whatever else is wrong with the file (a bad token or header, a
+        # size too large to allocate, nothing), the first non-ASCII byte is
+        # reported, at its offset in the whole file.
+        path = tmp_path / "f.apf"
+        path.write_bytes(head + b" " * 20000 + b"\xe9\n")
+        with pytest.raises(UnicodeDecodeError) as info:
+            load_density(str(path))
+        assert info.value.start == len(head) + 20000
 
     def test_blank_body_lines_skipped(self, tmp_path):
         path = tmp_path / "f.apf"
@@ -261,6 +325,44 @@ class TestFiles:
             b"3 2\n0 1 0.10000000000000001 0.33333333333333331 4.9406564584124654e-324"
             b" 0.5 0.25 0.66666666666666663\n0.69999999999999996\n"
         )
+
+    def test_save_blocks_match_whole_array_format(self, tmp_path, rng):
+        # 3^9 = 19683 values: neither a multiple of SAVE_BLOCK nor of 8.
+        params = GroupParams(3, 9)
+        vals = rng.random(params.size)
+        vals[:6] = [0.0, 1.0, 5e-324, 1 / 3, 0.1 + 0.2, 0.5]
+        vals[-3:] = [5e-324, 0.1 + 0.2, 0.0]
+        assert params.size % SAVE_BLOCK and params.size % 8
+        path = tmp_path / "f.apf"
+        save_density(DensityFunction(params, vals), str(path))
+        whole = vals.tolist()
+        oracle = "3 9\n" + "".join(
+            " ".join(["%.17g"] * len(line)) % tuple(line) + "\n"
+            for line in (whole[i : i + 8] for i in range(0, len(whole), 8))
+        )
+        assert path.read_bytes() == oracle.encode("ascii")
+
+    @staticmethod
+    def _traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_io_peak_memory(self, tmp_path, rng):
+        # At 3^10 the reader holds the values and one line of text (the
+        # values' range check and DensityFunction's clipped copy are the
+        # rest), and the writer one block of Python floats and text.
+        params = GroupParams(3, 10)
+        f = DensityFunction(params, rng.random(params.size))
+        path = str(tmp_path / "f.apf")
+        _, peak = self._traced_peak(save_density, f, path)
+        assert peak <= 2 * f.values.nbytes
+        g, peak = self._traced_peak(load_density, path)
+        assert peak <= 3 * g.values.nbytes
+        assert np.array_equal(g.values, f.values)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "f.apf"

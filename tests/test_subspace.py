@@ -182,7 +182,7 @@ class TestCosetDecomposition:
                 assert rows[0][p**j] == digits_to_index(b, params)
             for i, rep in enumerate(dec.transversal):
                 assert np.all(dec.rep_pos[rows[i]] == i)
-                assert np.all(dec.rep_index[rows[i]] == rep)
+                assert [dec.rep_of(m) for m in rows[i]] == [rep] * len(rows[i])
             # rows[i][c1], rows[j][c2], rows[third][2c2 - c1] is a 3-AP,
             # checked in digits: first + last = 2 * middle.
             c = digit_table(p, w.dim)
@@ -407,11 +407,12 @@ class TestBlocks:
                     assert np.array_equal(coset_decomposition(w).rows, layout)
                     assert np.array_equal(w.elements(), np.sort(layout[0]))
 
-    @pytest.mark.parametrize("dim", [1, 5, 9])
+    @pytest.mark.parametrize("dim", [0, 1, 5, 9])
     def test_decomposition_peak_memory(self, dim):
         # The layout is built one coordinate at a time: no (|T|, |W|, n) or
-        # (|W|, n) digit table, so the traced peak stays within 5 rows arrays
-        # (rows, rep_pos, rep_index and the transversal tuple).
+        # (|W|, n) digit table, and no per-coset copy beside rows and
+        # rep_pos, so the traced peak stays within 5 rows arrays.  With
+        # dim 0 (|T| = p^n) a tuple of representatives would add 4.5 more.
         params = GroupParams(3, 10)
         eye = np.eye(10, dtype=np.int64)
         w = span(params, (eye + np.roll(eye, 1, axis=1))[10 - dim :])
