@@ -2,7 +2,7 @@
 uniform file I/O, JSON reports, and a manifest per run.
 
 Exit codes: 0 success, 1 domain error (bad group, malformed, missing or
-unreadable file), 2 usage error (bad flags or flag values).
+unreadable file, or out of memory), 2 usage error (bad flags or flag values).
 """
 
 from __future__ import annotations
@@ -201,10 +201,7 @@ def cmd_improve(args) -> int:
         raise UsageError("--c-p must be positive")
     f = load_density(args.input)
     _write_manifest(args, [args.input])
-    config = improve.ImprovePipelineConfig(
-        epsilon=args.epsilon, c_p=args.c_p, delta_override=args.delta
-    )
-    g, report = improve.construct_g(f, config)
+    g, report = improve.construct_g(f, args.epsilon, args.delta, args.c_p)
     payload = report.to_dict()
     if args.indicator:
         from . import rounding
@@ -395,6 +392,9 @@ def dispatch(argv: list[str]) -> int:
         return 1
     except (FileFormatError, ValueError, RuntimeError, OSError) as exc:
         print(f"ap3: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"ap3: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

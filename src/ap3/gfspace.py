@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
@@ -33,13 +34,24 @@ class FileFormatError(ValueError):
     """Malformed .apf or .aps file."""
 
 
+# The trial divisors and Miller-Rabin bases of `is_prime`.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, math.isqrt(p) + 1):
-        if p % q == 0:
-            return False
-    return True
+    """Trial division by _SMALL_PRIMES, then the strong probable-prime test
+    to each of them as base, which no composite below 3.18e23 passes: exact
+    for every 64-bit p."""
+    p = operator.index(p)  # numpy integers too; pow() needs a Python int
+    if p < 2 or any(p % q == 0 for q in _SMALL_PRIMES):
+        return p in _SMALL_PRIMES
+    d, s = p - 1, 0  # p - 1 = d 2^s with d odd
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    return all(
+        pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s))
+        for a in _SMALL_PRIMES
+    )
 
 
 @dataclass(frozen=True)
@@ -58,7 +70,8 @@ class GroupParams:
             raise ValueError("p must be an odd prime >= 3")
         if self.n < 1:
             raise ValueError(f"n={self.n} must be >= 1")
-        if self.p**self.n > MAX_SIZE:
+        # n >= 63 gives p^n >= 2^63, so the power is computed only when small.
+        if self.n >= MAX_SIZE.bit_length() or self.p**self.n > MAX_SIZE:
             raise ValueError(f"p^n = {self.p}^{self.n} exceeds the supported index range")
 
     @property

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfspace import DensityFunction, GroupParams, PointSet, scale_map, sub_indices
-from . import apcount, fourier
+from .gfspace import DensityFunction, PointSet, scale_map, sub_indices
+from . import fourier
 from . import subspace as sub
 
 CHECK_TOL = 1e-9
@@ -33,21 +33,6 @@ _CASE_JSON = (
 # Rows formatted per write; larger blocks raise peak RSS for no speed.
 CASE_BLOCK = 256
 _JSON_BOOLS = np.array(["false", "true"], dtype=object)
-
-
-@dataclass(frozen=True)
-class ImprovePipelineConfig:
-    epsilon: float
-    c_p: float = 1.0
-    delta_override: float | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in (0,1], got {self.epsilon}")
-        if self.c_p <= 0.0:
-            raise ValueError(f"c_p must be positive, got {self.c_p}")
-        if self.delta_override is not None and self.delta_override <= 0.0:
-            raise ValueError("delta_override must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,44 +176,19 @@ def select_v_prime(values: np.ndarray, epsilon: float) -> np.ndarray:
     return (epsilon / 4.0 <= values) & (values <= 1.0 - epsilon / 4.0)
 
 
-def _row_patterns(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, pattern, masks) with vals[r] == a[r] * masks[pattern[r]] exactly.
+def case_counts(w_size: int, t_size: int) -> np.ndarray:
+    """N[j] = #{(c1, c2) in W^2: c1, c2 and c3 = 2 c2 - c1 each lie in their
+    row's support}, for a case with j of its three rows supported on
+    T = W \\ S (S a subspace) and the others on W.
 
-    Raises RuntimeError if some row takes two distinct nonzero values.
+    One T row in any position gives |T||W| (c1 -> 2 c2 - c1 is a bijection),
+    two give |T|^2 (any two of c1, c2, c3 fix the third), and three give
+    T3(T) = 2|T|^2 - |T||W|.
     """
-    a = vals.max(axis=1)
-    support = vals != 0.0
-    if not np.all(~support | (vals == a[:, None])):
-        raise RuntimeError("a coset row is not a constant times an indicator")
-    masks, pattern = np.unique(support, axis=0, return_inverse=True)
-    return a, pattern.reshape(-1), masks
-
-
-def _pattern_counts(masks: np.ndarray, w_params: GroupParams) -> np.ndarray:
-    """N[a, b, c] = #{(c1, c2): c1 in X_a, c2 in X_b, 2 c2 - c1 in X_c} on F_p^dim W.
-
-    For fixed c2 the c1 count is (M_a * M_c)(2 c2), so one batched exact
-    convolution of every (a, c) pair and one matmul against the masks
-    give all pattern triples.
-    """
-    k = len(masks)
-    conv = fourier.convolve_indicators(np.repeat(masks, k, axis=0), np.tile(masks, (k, 1)), w_params)
-    at_two = conv[:, scale_map(w_params.p, w_params.n, 2)]
-    return (at_two @ masks.T.astype(np.int64)).reshape(k, k, k).transpose(0, 2, 1)
-
-
-def _case_sums(vals: np.ndarray, third: np.ndarray, w_params: GroupParams) -> np.ndarray:
-    """Entry [i, j] is the sum over (c1, c2) of (v[i, c1] v[j, c2]) v[k, 2 c2 - c1]
-    with k = third[i, j], for coset rows v[r] = a_r 1_{X_r}.
-
-    Every nonzero product of case (i, j) is the same float
-    x = (a_i a_j) a_k, so its fsum is the correctly rounded N x, which is
-    float(N) * x for the pattern count N < 2^53.
-    """
-    a, pattern, masks = _row_patterns(vals)
-    counts = _pattern_counts(masks, w_params)
-    x = (a[:, None] * a[None, :]) * a[third]
-    return counts[pattern[:, None], pattern[None, :], pattern[third]] * x
+    return np.array(
+        [w_size**2, t_size * w_size, t_size**2, 2 * t_size**2 - t_size * w_size],
+        dtype=np.int64,
+    )
 
 
 def audit_cases(
@@ -236,6 +196,7 @@ def audit_cases(
     g: DensityFunction,
     dec: sub.CosetDecomposition,
     in_vp: np.ndarray,
+    s_cols: np.ndarray,
     epsilon: float,
 ) -> CaseTable:
     """Check T3(g) against T3(f_W) on every coset-AP triple of reps.
@@ -245,15 +206,31 @@ def audit_cases(
     with c3 = 2c2 - c1.  Inside V' the bound is T3(f_W)(1 - eps^2/16p^2),
     outside it equality.  Both allow CHECK_TOL * max(1, |T3(f_W)|): off V'
     the two sums differ by the rounding of c/beta, which grows with |W|^2.
+
+    f_W must be a constant c_r on each coset row, and g the constant a_r on
+    W off V' and on the T columns (not `s_cols`) of a V' row, with 0 on its
+    S columns; anything else raises RuntimeError.  Every nonzero product of
+    a case with j rows in V' is then the same float x = (a_i a_j) a_k over
+    N[j] = case_counts(|W|, |T|) pairs, so its fsum is the correctly
+    rounded N[j] x, which is float(N[j]) * x for N[j] < 2^53.
     """
     params = fw.params
     p = params.p
-    t = dec.rows[:, 0]
+    rows = dec.rows
+    t = rows[:, 0]
+    c = fw.values[t]
+    a = g.values[rows[:, np.argmin(s_cols)]]  # each row's value on T
+    built = np.where(in_vp[:, None] & s_cols, 0.0, a[:, None])
+    if not (np.all(fw.values[rows] == c[:, None]) and np.array_equal(g.values[rows], built)):
+        raise RuntimeError("a coset row is not the constant pattern g is built from")
+
     two_t = scale_map(p, params.n, 2)[t]
     third = dec.rep_pos[sub_indices(two_t[None, :], t[:, None], params)]
-    w_params = GroupParams(p, dec.subspace.dim)
-    base = _case_sums(fw.values[dec.rows], third, w_params)
-    lhs = _case_sums(g.values[dec.rows], third, w_params)
+    w_size = rows.shape[1]
+    counts = case_counts(w_size, w_size - int(np.count_nonzero(s_cols)))
+    vp = in_vp.astype(np.int8)
+    base = counts[0] * ((c[:, None] * c[None, :]) * c[third])
+    lhs = counts[vp[:, None] + vp[None, :] + vp[third]] * ((a[:, None] * a[None, :]) * a[third])
     inside = in_vp[:, None] & in_vp[None, :] & in_vp[third]
     factor = 1.0 - epsilon**2 / (16.0 * p**2)
     rhs = np.where(inside, base * factor, base)
@@ -271,30 +248,29 @@ def audit_cases(
 
 
 def construct_g(
-    f: DensityFunction, config: ImprovePipelineConfig
+    f: DensityFunction, epsilon: float, delta: float | None = None, c_p: float = 1.0
 ) -> tuple[DensityFunction, ImprovementReport]:
-    """Build g from f per the spectral pipeline and audit every inequality."""
+    """Build g from f per the spectral pipeline and audit every inequality.
+
+    delta defaults to delta_from_epsilon(epsilon, p, c_p); c_p is used only
+    for that default.
+    """
     params = f.params
     p = params.p
-    eps = config.epsilon
-
-    delta = (
-        config.delta_override
-        if config.delta_override is not None
-        else delta_from_epsilon(eps, p, config.c_p)
-    )
+    ell = choose_ell(epsilon, p)
+    if delta is None:
+        delta = delta_from_epsilon(epsilon, p, c_p)
     a_set, v_space, w_space = build_W(f, delta)
-    ell = choose_ell(eps, p)
     if ell > w_space.dim:
         raise ValueError(
             f"dim(W) = {w_space.dim} < ell = {ell}: the spectrum is too rich for "
-            f"epsilon = {eps}; raise delta or epsilon"
+            f"epsilon = {epsilon}; raise delta or epsilon"
         )
     dec = sub.coset_decomposition(w_space)
     rows = dec.rows
     means = sub.coset_means(f, dec)
     fw = DensityFunction(params, means[dec.rep_pos])
-    in_vp = select_v_prime(means, eps)
+    in_vp = select_v_prime(means, epsilon)
     v_prime = rows[in_vp, 0].tolist()
 
     # Columns of dec.rows are coordinates on W; S = the canonical codim-ell
@@ -311,21 +287,22 @@ def construct_g(
     g_vals = np.array(fw.values)
     g_vals[rows[in_vp]] = np.where(s_cols, 0.0, np.minimum(scaled, 1.0)[:, None])
     g = DensityFunction(params, g_vals)
-    checks = audit_cases(fw, g, dec, in_vp, eps)
+    checks = audit_cases(fw, g, dec, in_vp, s_cols, epsilon)
 
     lambda3_f = fourier.lambda3_spectral(f)
     lambda3_fw = fourier.lambda3_spectral(fw)
     lambda3_g = fourier.lambda3_spectral(g)
 
     hyp_val = math.fsum(np.abs(f.values - fw.values)) / params.size
-    hyp = hyp_val > eps
-    v_prime_ok = (not hyp) or (2 * len(v_prime) > eps * len(rows))
+    hyp = hyp_val > epsilon
+    v_prime_ok = (not hyp) or (2 * len(v_prime) > epsilon * len(rows))
 
-    t3_vp = apcount.count_raw(PointSet(params, tuple(v_prime)))
+    # The transversal is a subspace, so the inside cases are the 3-APs of V'.
+    t3_vp = int(np.count_nonzero(checks.all_in_v_prime))
     w_size = rows.shape[1]
     norm = float(params.size) ** 2
     agg_lhs = lambda3_g * norm
-    agg_rhs = lambda3_fw * norm - (eps**5 / (1024.0 * p**2)) * w_size**2 * t3_vp
+    agg_rhs = lambda3_fw * norm - (epsilon**5 / (1024.0 * p**2)) * w_size**2 * t3_vp
     agg_ok = agg_lhs <= agg_rhs + AGGREGATE_REL_TOL * max(1.0, abs(lambda3_fw * norm))
 
     report = ImprovementReport(

@@ -91,9 +91,7 @@ def size_floor(alpha: float, size: int) -> int:
     return max(1, math.ceil(alpha * size - 1e-9))
 
 
-def exhaustive_min(
-    params: GroupParams, alpha: float, max_domain: int = DEFAULT_MAX_DOMAIN
-) -> SearchResult:
+def exhaustive_min(params: GroupParams, alpha: float) -> SearchResult:
     """Global minimum of the raw triple count over all S with |S| >= floor.
 
     Adding a point raises the count by at least 1 (see `_best_move`), so
@@ -102,8 +100,8 @@ def exhaustive_min(
     smallest minimizer.
     """
     n_pts = params.size
-    if n_pts > max_domain:
-        raise ValueError(f"domain size {n_pts} exceeds exhaustive bound {max_domain}")
+    if n_pts > DEFAULT_MAX_DOMAIN:
+        raise ValueError(f"domain size {n_pts} exceeds exhaustive bound {DEFAULT_MAX_DOMAIN}")
     floor = size_floor(alpha, n_pts)
     combos = np.array(list(itertools.combinations(range(n_pts), floor)), dtype=np.int64)
     masks = np.zeros((len(combos), n_pts), dtype=bool)
@@ -226,9 +224,7 @@ def local_min(
     )
 
 
-def structure_report(
-    s: PointSet, max_codim: int, max_subspaces: int = DEFAULT_MAX_SUBSPACES
-) -> StructureReport:
+def structure_report(s: PointSet, max_codim: int) -> StructureReport:
     """For each subspace W of codimension <= max_codim, choose A by per-coset
     majority vote and measure |S delta (A+W)|; return the minimizing W.
 
@@ -242,8 +238,10 @@ def structure_report(
     if not 0 <= max_codim <= n:
         raise ValueError(f"max_codim={max_codim} out of range [0, {n}]")
     budget = sum(sub.count_subspaces(params, n - c) for c in range(max_codim + 1))
-    if budget > max_subspaces:
-        raise ValueError(f"{budget} subspaces to enumerate exceeds budget {max_subspaces}")
+    if budget > DEFAULT_MAX_SUBSPACES:
+        raise ValueError(
+            f"{budget} subspaces to enumerate exceeds budget {DEFAULT_MAX_SUBSPACES}"
+        )
 
     s_mask = s.mask()
     best: StructureRow | None = None

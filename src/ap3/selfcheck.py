@@ -3,6 +3,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import apcount, fourier, improve
@@ -81,8 +83,13 @@ def selfcheck_checks() -> list[dict]:
             s_size = len(s_set)
             t_size = w_size - s_size
             ok &= apcount.t3_restricted_count(s_set, s_set, s_set) == s_size**2
-            # (2*beta^2 - beta) |W|^2 with beta = |T|/|W|
-            ok &= apcount.t3_restricted_count(t_set, t_set, t_set) == 2 * t_size**2 - t_size * w_size
+            # The improve audit's count for j rows on T and the rest on W, in
+            # every placement: |W|^2, |T||W|, |T|^2 and (2*beta^2 - beta) |W|^2
+            # with beta = |T|/|W|.
+            counts = improve.case_counts(w_size, t_size)
+            for rows in itertools.product((w_set, t_set), repeat=3):
+                j = sum(r is t_set for r in rows)
+                ok &= apcount.t3_restricted_count(*rows) == counts[j]
         record(f"closed_forms_p{p}_n{n}", ok)
 
     # Coset-averaging spectrum support.
@@ -102,7 +109,7 @@ def selfcheck_checks() -> list[dict]:
     # Worked pipeline example: constant 1/2 on F_3^2.
     params = GroupParams(3, 2)
     f = DensityFunction.constant(params, 0.5)
-    g, report = improve.construct_g(f, improve.ImprovePipelineConfig(epsilon=1.0))
+    g, report = improve.construct_g(f, 1.0)
     ok = (
         abs(report.beta - 8 / 9) < 1e-12
         and abs(g.values[0]) < 1e-12

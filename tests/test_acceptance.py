@@ -177,7 +177,7 @@ def test_criterion_05_coset_decomposition_sum():
 def test_criterion_06_pipeline_worked_example():
     start = time.monotonic()
     f = DensityFunction.constant(GroupParams(3, 2), 0.5)
-    g, report = improve.construct_g(f, improve.ImprovePipelineConfig(epsilon=1.0))
+    g, report = improve.construct_g(f, 1.0)
     elapsed = time.monotonic() - start
     ok = (
         abs(report.beta - 8 / 9) < 1e-12
@@ -214,9 +214,7 @@ def test_criterion_07_pipeline_general_properties():
         for eps in (0.25, 0.5, 1.0):
             ell = improve.choose_ell(eps, 3)
             delta = _delta_keeping_codim(f, ell)
-            g, report = improve.construct_g(
-                f, improve.ImprovePipelineConfig(epsilon=eps, delta_override=delta)
-            )
+            g, report = improve.construct_g(f, eps, delta)
             ok &= abs(g.expectation() - f.expectation()) < 1e-12
             ok &= report.lambda3_fW <= report.lambda3_f + report.delta_used + 1e-9
             ok &= report.all_cases_pass()

@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
 import pytest
 
-from ap3 import apcount, rounding, search
+from ap3 import apcount, cli, rounding, search
 from ap3.cli import HASH_CHUNK, _file_sha256, _write_json, dispatch
 from ap3.gfspace import (
     DensityFunction,
@@ -21,7 +22,7 @@ from ap3.gfspace import (
     save_density,
     save_set,
 )
-from ap3.improve import CASE_BLOCK, CaseTable, ImprovePipelineConfig, construct_g
+from ap3.improve import CASE_BLOCK, CaseTable, construct_g
 
 from conftest import planted_density, subprocess_env
 
@@ -83,8 +84,7 @@ class TestWriteJson:
         "p, n, k, indicator", [(3, 4, 2, False), (5, 3, 1, True), (3, 6, 4, False)]
     )
     def test_planted_improve_report(self, tmp_path, p, n, k, indicator):
-        config = ImprovePipelineConfig(epsilon=1.0, delta_override=0.004)
-        g, report = construct_g(planted_density(p, n, k, 0), config)
+        g, report = construct_g(planted_density(p, n, k, 0), 1.0, 0.004)
         assert len(report.per_case_checks.passed) == p ** (2 * k)
         payload = report.to_dict()
         if indicator:
@@ -168,6 +168,31 @@ class TestCount:
         assert err.startswith("ap3: error:")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_huge_header_fails_fast(self, tmp_path, capsys):
+        bad = tmp_path / "huge.apf"
+        bad.write_bytes(b"7\x1f126397162360691373\n0.5\n")
+        start = time.monotonic()
+        assert run(["count", "--input", str(bad)], tmp_path) == 1
+        assert time.monotonic() - start < 1.0
+        err = capsys.readouterr().err
+        message = "p^n = 7^126397162360691373 exceeds the supported index range"
+        assert err == f"ap3: error: {bad}:1: {message}\n"
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [
+            (MemoryError("Unable to allocate 1.6 PiB"), "ap3: error: Unable to allocate 1.6 PiB\n"),
+            (MemoryError(), "ap3: error: out of memory\n"),
+        ],
+    )
+    def test_memory_error_is_one_line(self, half_density, tmp_path, capsys, monkeypatch, exc, line):
+        def load_density(path):
+            raise exc
+
+        monkeypatch.setattr(cli, "load_density", load_density)
+        assert run(["count", "--input", half_density], tmp_path) == 1
+        assert capsys.readouterr().err == line
+
     def test_manifest_written(self, half_density, tmp_path):
         run(["count", "--input", half_density], tmp_path)
         with open(tmp_path / "out" / "count_manifest.json") as fh:
@@ -240,11 +265,11 @@ class TestImportBudget:
             (["average", "--input", "IN", "--subspace", "0,1"], ["ap3.subspace"]),
             (
                 ["improve", "--input", "IN", "--epsilon", "1.0"],
-                ["ap3.apcount", "ap3.improve", "ap3.subspace"],
+                ["ap3.improve", "ap3.subspace"],
             ),
             (
                 ["improve", "--input", "IN", "--epsilon", "1.0", "--indicator"],
-                ["ap3.apcount", "ap3.improve", "ap3.rounding", "ap3.subspace"],
+                ["ap3.improve", "ap3.rounding", "ap3.subspace"],
             ),
             (["selfcheck"], ["ap3.apcount", "ap3.improve", "ap3.selfcheck", "ap3.subspace"]),
             (

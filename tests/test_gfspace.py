@@ -1,3 +1,5 @@
+import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +16,7 @@ from ap3.gfspace import (
     digits_to_index,
     expectation,
     index_to_digits,
+    is_prime,
     load_density,
     load_set,
     save_density,
@@ -43,8 +46,41 @@ class TestGroupParams:
         with pytest.raises(ValueError):
             GroupParams(3, 200)
 
+    def test_huge_n_fails_fast(self):
+        # p^n has about 1e17 digits: the bound on n rejects it unpowered.
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="exceeds the supported index range"):
+            GroupParams(7, 126397162360691373)
+        assert time.monotonic() - start < 1.0
+
     def test_size(self):
         assert GroupParams(3, 4).size == 81
+
+
+class TestIsPrime:
+    def test_small_values_match_trial_division(self):
+        for p in range(-3, 20000):
+            assert is_prime(p) == (p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1)))
+
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            (2**31 - 1, True),
+            (2**61 - 1, True),
+            (2**64 - 59, True),  # the largest 64-bit prime
+            (561, False),  # Carmichael numbers
+            (825265, False),
+            (3215031751, False),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+            (3825123056546413051, False),  # ... and to every base 2-23
+            ((2**32 - 5) * (2**32 - 17), False),
+            (2**61 + 1, False),
+        ],
+    )
+    def test_64_bit(self, p, expected):
+        start = time.monotonic()
+        assert is_prime(p) is expected
+        assert is_prime(np.uint64(p)) is expected
+        assert time.monotonic() - start < 1.0
 
 
 class TestDigits:

@@ -14,8 +14,6 @@ from ap3.gfspace import (
     sub_indices,
 )
 from ap3.improve import (
-    ImprovePipelineConfig,
-    _case_sums,
     audit_cases,
     build_W,
     choose_ell,
@@ -35,17 +33,29 @@ with open(SCHEMA_PATH) as fh:
     REPORT_SCHEMA = json.load(fh)
 
 
+def audit_inputs(f, report):
+    """(f_W, decomposition, V' mask, S columns) as construct_g passes them
+    to audit_cases."""
+    dec = sub.coset_decomposition(report.W)
+    in_vp = np.isin(dec.rows[:, 0], report.V_prime)
+    s_cols = np.isin(dec.rows[0], sub.canonical_codim_subspace(report.W, report.ell).elements())
+    return sub.average_over_cosets(f, report.W), dec, in_vp, s_cols
+
+
 class TestConfig:
+    F = DensityFunction.constant(GroupParams(3, 2), 0.5)
+
     def test_rejects_epsilon(self):
         for eps in [0.0, -0.5, 1.5]:
-            with pytest.raises(ValueError):
-                ImprovePipelineConfig(epsilon=eps)
+            for delta in [None, 0.1]:
+                with pytest.raises(ValueError, match="epsilon must be in"):
+                    construct_g(self.F, eps, delta)
 
     def test_rejects_bad_overrides(self):
-        with pytest.raises(ValueError):
-            ImprovePipelineConfig(epsilon=0.5, delta_override=0.0)
-        with pytest.raises(ValueError):
-            ImprovePipelineConfig(epsilon=0.5, c_p=-1.0)
+        with pytest.raises(ValueError, match="delta must be positive"):
+            construct_g(self.F, 0.5, delta=0.0)
+        with pytest.raises(ValueError, match="c_p must be positive"):
+            construct_g(self.F, 0.5, c_p=-1.0)
 
 
 class TestDelta:
@@ -100,7 +110,7 @@ class TestConstructG:
         # constant 1/2 on F_3^2 at eps=1: W is everything, the canonical
         # codim-2 subgroup is {0}, beta = 8/9, g = 9/16 off a single zero
         f = DensityFunction.constant(GroupParams(3, 2), 0.5)
-        g, report = construct_g(f, ImprovePipelineConfig(epsilon=1.0))
+        g, report = construct_g(f, 1.0)
         assert report.ell == 2
         assert report.beta == pytest.approx(8 / 9)
         assert g.values[0] == 0.0
@@ -119,8 +129,7 @@ class TestConstructG:
 
             mags = np.abs(dft_forward(f).coeffs) / params.size
             delta = float(np.sort(mags)[-2]) + 1e-9
-            cfg = ImprovePipelineConfig(epsilon=1.0, delta_override=delta)
-            g, report = construct_g(f, cfg)
+            g, report = construct_g(f, 1.0, delta)
             assert abs(g.expectation() - f.expectation()) < 1e-12
             assert report.all_cases_pass()
             assert report.aggregate_ok
@@ -128,15 +137,14 @@ class TestConstructG:
 
     def test_ell_too_deep_raises(self, rng):
         f = random_density(GroupParams(3, 2), rng)
-        cfg = ImprovePipelineConfig(epsilon=1.0, delta_override=1e-15)
         with pytest.raises(ValueError, match="raise delta"):
-            construct_g(f, cfg)
+            construct_g(f, 1.0, 1e-15)
 
     def test_g_untouched_off_v_prime(self):
         # a near-one constant has no cosets in [eps/4, 1-eps/4], so g = f_W
         params = GroupParams(3, 2)
         f = DensityFunction.constant(params, 0.95)
-        g, report = construct_g(f, ImprovePipelineConfig(epsilon=1.0))
+        g, report = construct_g(f, 1.0)
         assert report.V_prime == ()
         fw = sub.average_over_cosets(f, report.W)
         assert np.array_equal(g.values, fw.values)
@@ -144,45 +152,57 @@ class TestConstructG:
 
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
     def test_closed_form_is_restricted_count(self, p, n, rng):
-        # Rows a_r 1_{X_r} with X_r in {W, W \ S, empty} or a row's own
-        # random support (so that the pattern counts are not all symmetric):
-        # the closed form is the fsum of the products t3_restricted sums.
+        # f_W and g laid out as construct_g lays them out, on random W, S
+        # and V' with random row constants, some of them 0: every case is
+        # the fsum of the products t3_restricted enumerates, and the inside
+        # cases are the progressions of V'.
         params = GroupParams(p, n)
         for _ in range(8):
             w = sub.span(params, [list(rng.integers(0, p, size=n)) for _ in range(n - 1)])
             if w.dim == 0:
                 continue
             dec = sub.coset_decomposition(w)
-            support = rng.random(dec.rows.shape) < 0.6
-            pick = rng.integers(0, 6, size=len(dec.rows))
-            support[pick == 0] = True
-            support[pick == 1] = rng.random(dec.rows.shape[1]) < 0.6
-            support[pick == 2] = False
-            vals = support * rng.uniform(0.05, 1.0, size=(len(dec.rows), 1))
-            f_vals = np.empty(params.size)
-            f_vals[dec.rows] = vals
-            f = DensityFunction(params, f_vals)
-            cosets = [PointSet(params, tuple(r.tolist())) for r in dec.rows]
-            third = np.array(
-                [
-                    [
-                        dec.rep_pos[sub_indices(int(scale_indices(u2, 2, params)), u1, params)]
-                        for u2 in dec.transversal
-                    ]
-                    for u1 in dec.transversal
-                ]
-            )
-            sums = _case_sums(vals, third, GroupParams(p, w.dim))
-            for (i, j), k in np.ndenumerate(third):
-                assert sums[i, j] == apcount.t3_restricted(f, cosets[i], cosets[j], cosets[k])
+            ell = int(rng.integers(1, w.dim + 1))
+            s_cols = np.isin(dec.rows[0], sub.canonical_codim_subspace(w, ell).elements())
+            c = rng.uniform(0.05, 1.0, size=len(dec.rows)) * (rng.random(len(dec.rows)) < 0.8)
+            in_vp = rng.random(len(dec.rows)) < 0.6
+            fw_vals = np.empty(params.size)
+            fw_vals[dec.rows] = c[:, None]
+            g_vals = np.array(fw_vals)
+            a = rng.uniform(0.05, 1.0, size=(int(in_vp.sum()), 1))
+            g_vals[dec.rows[in_vp]] = np.where(s_cols, 0.0, a)
+            fw, g = DensityFunction(params, fw_vals), DensityFunction(params, g_vals)
+            cases = audit_cases(fw, g, dec, in_vp, s_cols, 1.0)
+            cosets = {
+                rep: PointSet(params, tuple(dec.coset_members(rep).tolist()))
+                for rep in dec.transversal
+            }
+            table = zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist())
+            for reps, base, lhs in table:
+                u1, u2, u3 = (cosets[r] for r in reps)
+                assert base == apcount.t3_restricted(fw, u1, u2, u3)
+                assert lhs == apcount.t3_restricted(g, u1, u2, u3)
+            v_prime = PointSet(params, tuple(dec.rows[in_vp, 0].tolist()))
+            assert np.count_nonzero(cases.all_in_v_prime) == apcount.count_raw(v_prime)
 
     def test_closed_form_rejects_mixed_rows(self):
-        third = np.zeros((1, 1), dtype=np.int64)
-        for row in ([0.5, 0.25, 0.5], [0.0, 0.25, 0.5]):
-            with pytest.raises(RuntimeError, match="not a constant times an indicator"):
-                _case_sums(np.array([row]), third, GroupParams(3, 1))
+        f = planted_density(3, 6, 2, 0)
+        g, report = construct_g(f, 1.0, 0.004)
+        fw, dec, in_vp, s_cols = audit_inputs(f, report)
+        assert audit_cases(fw, g, dec, in_vp, s_cols, 1.0).passed.all()
+        off, on = np.flatnonzero(~in_vp)[0], np.flatnonzero(in_vp)[0]
+        t_col = np.flatnonzero(~s_cols)[0]
+        # A mixed row off V', a V' row nonzero on S (column 0 is 0 in S), a
+        # V' row with two values on T, and a mixed f_W row.
+        for func, row, col in [(g, off, 1), (g, on, 0), (g, on, t_col), (fw, off, 1)]:
+            vals = np.array(func.values)
+            vals[dec.rows[row, col]] = 0.5 * vals[dec.rows[row, col]] + 0.01
+            bad = DensityFunction(f.params, vals)
+            args = (fw, bad) if func is g else (bad, g)
+            with pytest.raises(RuntimeError, match="not the constant pattern"):
+                audit_cases(*args, dec, in_vp, s_cols, 1.0)
 
-    @pytest.mark.parametrize("p,n,eps", [(3, 4, 1.0), (3, 4, 0.5), (5, 3, 1.0)])
+    @pytest.mark.parametrize("p,n,eps", [(3, 4, 1.0), (3, 4, 0.5), (5, 3, 1.0), (7, 3, 0.3)])
     def test_cases_equal_restricted_counts(self, p, n, eps, rng):
         # A density planted on the first coordinate plus noise: W is the
         # hyperplane x_0 = 0, and V' holds some of its cosets.
@@ -194,7 +214,7 @@ class TestConstructG:
         f = DensityFunction(params, h[digit_table(p, n)[:, 0]] + noise)
         mags = np.sort(np.abs(dft_forward(f).coeffs)) / params.size
         delta = float(mags[-p] + mags[-p - 1]) / 2
-        g, report = construct_g(f, ImprovePipelineConfig(epsilon=eps, delta_override=delta))
+        g, report = construct_g(f, eps, delta)
         assert report.W.dim == n - 1
         cases = report.per_case_checks
         assert cases.all_in_v_prime.any()
@@ -212,30 +232,53 @@ class TestConstructG:
 
 
 class TestAuditAtScale:
-    CONFIG = ImprovePipelineConfig(epsilon=1.0, delta_override=0.004)
+    DELTA = 0.004
 
     def test_planted_3_10_passes(self):
         # Off V', T3(g) and T3(f_W) agree only up to the rounding of c/beta:
         # several cases here differ by more than 1e-9 on sums of about 1.7e7,
         # which the tolerance scaled by the case sum accepts.
-        g, report = construct_g(planted_density(3, 10, 2, 2), self.CONFIG)
+        g, report = construct_g(planted_density(3, 10, 2, 2), 1.0, self.DELTA)
         assert report.W.dim == 8
         cases = report.per_case_checks
         outside = ~cases.all_in_v_prime
         assert np.any(np.abs(cases.lhs - cases.base)[outside] > 1e-9)
         assert report.all_cases_pass()
 
+    @pytest.mark.parametrize(
+        "p,n,k,eps",
+        [
+            (3, 4, 2, 1.0),
+            (3, 6, 3, 1.0),
+            (3, 6, 4, 1.0),
+            (3, 6, 3, 0.25),
+            (3, 7, 3, 1.0),
+            (5, 4, 2, 1.0),
+            (5, 5, 3, 0.5),
+            (7, 3, 1, 0.3),
+            (7, 4, 2, 0.3),
+            (3, 8, 4, 1.0),
+            (3, 9, 6, 1.0),
+        ],
+    )
+    def test_inside_cases_are_v_prime_progressions(self, p, n, k, eps):
+        # The count of cases inside V' is the exact triple count of V'.
+        f = planted_density(p, n, k, 0)
+        g, report = construct_g(f, eps, self.DELTA)
+        assert report.W.dim == n - k
+        v_prime = PointSet(f.params, report.V_prime)
+        assert report.t3_v_prime_reps == apcount.count_raw(v_prime) > 0
+        assert report.all_cases_pass()
+
     def test_raised_value_off_v_prime_fails(self):
         f = planted_density(3, 6, 2, 0)
-        g, report = construct_g(f, self.CONFIG)
+        g, report = construct_g(f, 1.0, self.DELTA)
         assert report.all_cases_pass()
-        dec = sub.coset_decomposition(report.W)
-        in_vp = np.isin(dec.rows[:, 0], report.V_prime)
+        fw, dec, in_vp, s_cols = audit_inputs(f, report)
         i = int(np.flatnonzero(~in_vp)[0])
         raised = np.array(g.values)
         raised[dec.rows[i]] *= 1.0 + 1e-6
-        fw = sub.average_over_cosets(f, report.W)
-        checks = audit_cases(fw, DensityFunction(f.params, raised), dec, in_vp, 1.0)
+        checks = audit_cases(fw, DensityFunction(f.params, raised), dec, in_vp, s_cols, 1.0)
         rep = dec.transversal[i]
         touched = (checks.reps == rep).any(axis=1)
         assert touched.any() and not checks.passed[touched].any()
@@ -245,7 +288,7 @@ class TestAuditAtScale:
         # At a size where enumerating every case is too slow for the suite:
         # each V' case and a seeded sample of the others match t3_restricted.
         f = planted_density(3, 8, 2, 0)
-        g, report = construct_g(f, self.CONFIG)
+        g, report = construct_g(f, 1.0, self.DELTA)
         assert report.W.dim == 6
         fw = sub.average_over_cosets(f, report.W)
         dec = sub.coset_decomposition(report.W)
@@ -267,7 +310,7 @@ class TestAuditAtScale:
         # Row k is (u1, u2) = (t[k // |T|], t[k % |T|]) with u3 = 2 u2 - u1,
         # and the written report holds only plain JSON values.
         f = planted_density(3, 4, 2, 0)
-        g, report = construct_g(f, self.CONFIG)
+        g, report = construct_g(f, 1.0, self.DELTA)
         t = sub.coset_decomposition(report.W).transversal
         cases = report.per_case_checks
         assert len(cases.reps) == len(t) ** 2

@@ -13,7 +13,7 @@ from ap3.search import (
     size_floor,
     structure_report,
 )
-from ap3 import subspace as sub
+from ap3 import search, subspace as sub
 
 from conftest import chunked_t3
 
@@ -188,9 +188,10 @@ class TestStructure:
         assert rep.symmetric_difference == 0
         assert rep.W.dim == 0
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(search, "DEFAULT_MAX_SUBSPACES", 3)
         with pytest.raises(ValueError, match="budget"):
-            structure_report(PointSet(GroupParams(3, 3), (0,)), 2, max_subspaces=3)
+            structure_report(PointSet(GroupParams(3, 3), (0,)), 2)
 
     def test_normalization(self):
         params = GroupParams(3, 2)
