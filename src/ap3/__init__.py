@@ -7,7 +7,6 @@ from .gfspace import (
     DensityFunction,
     GroupParams,
     PointSet,
-    expectation,
     load_density,
     load_set,
     save_density,
@@ -18,7 +17,6 @@ __all__ = [
     "DensityFunction",
     "GroupParams",
     "PointSet",
-    "expectation",
     "load_density",
     "load_set",
     "save_density",

@@ -1,12 +1,12 @@
-"""Progression counting: exact integer counts of sets by one transform
-kernel, float counts of densities by the spectral identity, restricted
-counts, nontrivial counts, the complementation identity, and the
-subgroup-averaging lower-bound estimator.
+"""Progression counting: one exact integer count of sets by the transform
+kernel, float counts of densities by the spectral identity, the float
+restricted count by pair enumeration, and the subgroup-averaging
+lower-bound estimator.
 
 A triple is (m, m+d, m+2d); it is trivial when d = 0.  Raw counts T3
-include trivial triples, the primed count T3' excludes them.  Since
-m + (m+2d) = 2(m+d), T3(S) = sum_v 1_S(v) (1_S * 1_S)(2v), and the
-self-convolution is computed exactly by the mod-q transform in
+include trivial triples, the primed count T3' = T3 - |S| excludes them.
+Since m + (m+2d) = 2(m+d), T3(1|U,V,W) = sum_y 1_V(y) (1_U * 1_W)(2y), and
+the convolution is computed exactly by the mod-q transform in
 `fourier.convolve_indicators`.
 """
 
@@ -25,30 +25,31 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def count_raw_masks(masks: np.ndarray, params: GroupParams) -> np.ndarray:
-    """Exact T3 of each row of a (batch, p^n) boolean array, as int64."""
-    x = np.asarray(masks, dtype=bool).reshape(-1, params.size)
-    conv = fourier.convolve_indicators(x, x, params)
-    return (x * conv[:, scale_map(params.p, params.n, 2)]).sum(axis=1)
+def t3_masks(u: np.ndarray, v: np.ndarray, w: np.ndarray, params: GroupParams) -> np.ndarray:
+    """Exact T3(1|U,V,W) = sum_y v(y) (u * w)(2y) for each row of the
+    (batch, p^n) boolean masks u, v and w, as int64.
+
+    It counts the (m, d) with m in U, m+d in V and m+2d in W, trivial
+    triples included; the full count of a set x is t3_masks(x, x, x).
+    """
+    u, v, w = (np.asarray(x, dtype=bool).reshape(-1, params.size) for x in (u, v, w))
+    conv = fourier.convolve_indicators(u, w, params)
+    return (v * conv[:, scale_map(params.p, params.n, 2)]).sum(axis=1)
 
 
 def count_raw(s: PointSet) -> int:
     """Exact integer T3(1|S,S,S), trivial triples included."""
-    return int(count_raw_masks(s.mask(), s.params)[0])
+    x = s.mask()
+    return int(t3_masks(x, x, x, s.params)[0])
 
 
 def t3_raw(f: DensityFunction) -> int | float:
     """Unnormalized sum over (m, d) of f(m) f(m+d) f(m+2d): the exact
     integer for an indicator, the spectral float otherwise."""
     if f.is_indicator:
-        return int(count_raw_masks(f.values > 0.0, f.params)[0])
+        x = f.values > 0.0
+        return int(t3_masks(x, x, x, f.params)[0])
     return fourier.lambda3_spectral(f) * float(f.params.size) ** 2
-
-
-def lambda3_exact(s: PointSet) -> Fraction:
-    from fractions import Fraction
-
-    return Fraction(count_raw(s), s.params.size**2)
 
 
 def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> float:
@@ -68,32 +69,6 @@ def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> 
     vals = f.values
     terms = vals[x] * vals[y][:, None] * vals[z][None, :] * keep
     return math.fsum(terms.ravel())
-
-
-def t3_restricted_count(u: PointSet, v: PointSet, w: PointSet) -> int:
-    """Exact integer T3(1|U,V,W) = sum_y 1_V(y) (1_U * 1_W)(2y), since the
-    first and last terms of a triple sum to twice the middle one."""
-    params = u.params
-    conv = fourier.convolve_indicators(u.mask(), w.mask(), params)[0]
-    return int(conv[scale_map(params.p, params.n, 2)][v.mask()].sum())
-
-
-def t3_nontrivial(s: PointSet) -> int:
-    """Count of (m, d) with d != 0 and m, m+d, m+2d all in S."""
-    return count_raw(s) - len(s)
-
-
-def complement_lambda3(h1: DensityFunction) -> tuple[float, float, float]:
-    """(Lambda3(h1), Lambda3(1-h1), beta): the sum equals 1 - 3b + 3b^2."""
-    beta = h1.expectation()
-    h2 = DensityFunction(h1.params, 1.0 - h1.values)
-    return fourier.lambda3_spectral(h1), fourier.lambda3_spectral(h2), beta
-
-
-def complement_lambda3_exact(s: PointSet) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact-rational complementation data for an indicator set."""
-    beta = s.fraction()
-    return lambda3_exact(s), lambda3_exact(s.complement()), beta
 
 
 @dataclass(frozen=True)
@@ -131,7 +106,7 @@ def _coset_stats(
     """
     in_s = s_mask[rows].reshape(-1, rows.shape[-1])
     sizes = in_s.sum(axis=1)
-    raw = count_raw_masks(in_s, coset_params)
+    raw = t3_masks(in_s, in_s, in_s, coset_params)
     # density threshold |X| >= alpha |A| / 2 with alpha = |S| / p^n
     dense = int(np.count_nonzero(2 * sizes * s_mask.size >= s_size * in_s.shape[1]))
     return int(raw.sum() - sizes.sum()), dense, len(in_s)

@@ -253,8 +253,6 @@ def cmd_structure(args) -> int:
     from . import search
 
     s = load_set(args.input)
-    if args.max_codim < 0:
-        raise UsageError("--max-codim must be >= 0")
     _write_manifest(args, [args.input])
     report = search.structure_report(s, args.max_codim)
     _write_json(report.to_dict(), _out(args, args.report))
@@ -265,9 +263,9 @@ def cmd_structure(args) -> int:
 def cmd_varnavides(args) -> int:
     from . import apcount
 
-    s = load_set(args.input)
     if not args.exhaustive and args.samples < 1:
         raise UsageError("--samples must be >= 1 unless --exhaustive")
+    s = load_set(args.input)
     _write_manifest(args, [args.input])
     report = apcount.varnavides_estimate(
         s, args.m_dim, samples=args.samples, seed=args.seed, exhaustive=args.exhaustive
@@ -355,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("structure", parents=[common], help="coset-structure diagnostic")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--max-codim", dest="max_codim", type=int, required=True)
+    sp.add_argument("--max-codim", dest="max_codim", type=_non_negative_int, required=True)
     sp.add_argument("--report", default="structure_report.json")
     sp.set_defaults(func=cmd_structure)
 

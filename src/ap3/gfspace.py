@@ -13,12 +13,8 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # Slack allowed on [0,1] membership after floating-point round trips.
 RANGE_SLACK = 1e-12
@@ -86,13 +82,6 @@ def index_to_digits(i: int, params: GroupParams) -> tuple[int, ...]:
     return tuple(int(i) // p**k % p for k in range(params.n))
 
 
-def digits_to_index(digits: Sequence[int], params: GroupParams) -> int:
-    if len(digits) != params.n:
-        raise ValueError(f"expected {params.n} digits, got {len(digits)}")
-    p = params.p
-    return sum(int(d) % p * p**k for k, d in enumerate(digits))
-
-
 def _combine(ca: int, a, cb: int, b, params: GroupParams):
     """Index of the element ca*a + cb*b, broadcasting a and b like numpy.
 
@@ -137,23 +126,29 @@ def scale_map(p: int, n: int, c: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityFunction:
-    """A map F_p^n -> [0,1], stored as p^n values in canonical index order."""
+    """A map F_p^n -> [0,1], stored as p^n values in canonical index order.
+
+    A contiguous float64 array with every value in [0, 1] is stored as it
+    is, not copied, and made read-only: the caller must not write to it
+    afterwards.  Values within RANGE_SLACK outside [0, 1] are clipped into
+    a copy.
+    """
 
     params: GroupParams
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.float64)
+        vals = np.ascontiguousarray(self.values, dtype=np.float64)
         if vals.shape != (self.params.size,):
             raise ValueError(f"expected {self.params.size} values, got shape {vals.shape}")
         finite = np.isfinite(vals)
         if not finite.all():
             raise ValueError(f"non-finite value at index {int(np.argmin(finite))}")
-        if vals.min() < -RANGE_SLACK or vals.max() > 1.0 + RANGE_SLACK:
-            raise ValueError(
-                f"values outside [0,1]: min={vals.min()!r} max={vals.max()!r}"
-            )
-        vals = np.clip(vals, 0.0, 1.0)
+        lo, hi = vals.min(), vals.max()
+        if lo < -RANGE_SLACK or hi > 1.0 + RANGE_SLACK:
+            raise ValueError(f"values outside [0,1]: min={lo!r} max={hi!r}")
+        if lo < 0.0 or hi > 1.0:  # -0.0 passes, as np.clip would keep it
+            vals = np.clip(vals, 0.0, 1.0)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -164,9 +159,6 @@ class DensityFunction:
     @property
     def is_indicator(self) -> bool:
         return bool(np.all((self.values == 0.0) | (self.values == 1.0)))
-
-    def support(self) -> "PointSet":
-        return PointSet(self.params, tuple(int(i) for i in np.nonzero(self.values)[0]))
 
     def expectation(self) -> float:
         return math.fsum(self.values) / self.params.size
@@ -193,9 +185,6 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask()[i])
-
     def mask(self) -> np.ndarray:
         m = np.zeros(self.params.size, dtype=bool)
         m[list(self.members)] = True
@@ -206,26 +195,6 @@ class PointSet:
 
     def complement(self) -> "PointSet":
         return PointSet.from_mask(self.params, ~self.mask())
-
-    def fraction(self) -> Fraction:
-        from fractions import Fraction  # not at import: most jobs never need it
-
-        return Fraction(len(self.members), self.params.size)
-
-
-def expectation(f: DensityFunction, over=None) -> float:
-    """Mean of f over the whole group, a PointSet, a Subspace, or raw indices."""
-    if over is None:
-        return f.expectation()
-    if isinstance(over, PointSet):
-        idx = np.array(over.members, dtype=np.int64)
-    elif hasattr(over, "elements"):  # Subspace without importing the module
-        idx = np.asarray(over.elements(), dtype=np.int64)
-    else:
-        idx = np.asarray(list(over), dtype=np.int64)
-    if idx.size == 0:
-        raise ValueError("cannot average over an empty subset")
-    return math.fsum(f.values[idx]) / idx.size
 
 
 # ---------------------------------------------------------------------------

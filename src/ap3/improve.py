@@ -273,9 +273,10 @@ def construct_g(
     in_vp = select_v_prime(means, epsilon)
     v_prime = rows[in_vp, 0].tolist()
 
-    # Columns of dec.rows are coordinates on W; S = the canonical codim-ell
-    # subspace picks the same columns in every coset, and T = W \ S the rest.
-    s_cols = np.isin(rows[0], sub.canonical_codim_subspace(w_space, ell).elements())
+    # Column c of a coset row adds sum_j c_j b_j over W's echelon rows b_j,
+    # and S = the canonical codim-ell subspace drops the first ell of them:
+    # S is the columns whose ell low base-p digits are 0, and T = W \ S the rest.
+    s_cols = np.arange(rows.shape[1]) % p**ell == 0
     beta = 1.0 - float(p) ** (-ell)
 
     # g agrees with f_W off V'; on a V' coset it is beta^-1 f_W on the

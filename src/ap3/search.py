@@ -106,7 +106,7 @@ def exhaustive_min(params: GroupParams, alpha: float) -> SearchResult:
     combos = np.array(list(itertools.combinations(range(n_pts), floor)), dtype=np.int64)
     masks = np.zeros((len(combos), n_pts), dtype=bool)
     np.put_along_axis(masks, combos, True, axis=1)
-    counts = apcount.count_raw_masks(masks, params)
+    counts = apcount.t3_masks(masks, masks, masks, params)
     i = int(np.argmin(counts))
     best_count = int(counts[i])
     best = PointSet(params, tuple(combos[i].tolist()))

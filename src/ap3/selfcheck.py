@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -56,40 +57,42 @@ def selfcheck_checks() -> list[dict]:
         diff = abs(fourier.lambda3_spectral(s.density()) - exact)
         record(f"lambda3_exact_p{p}_n{n}", diff < 1e-9, f"diff={diff:.3g}")
 
+    # Complementation: Lambda3(h) + Lambda3(1 - h) = 1 - 3b + 3b^2, b = E(h).
     params = GroupParams(3, 2)
     h1 = _random_density(params, rng)
-    l1, l2, beta = apcount.complement_lambda3(h1)
+    h2 = DensityFunction(params, 1.0 - h1.values)
+    beta = h1.expectation()
+    l1, l2 = fourier.lambda3_spectral(h1), fourier.lambda3_spectral(h2)
     record(
         "complementation_float",
         abs(l1 + l2 - (1 - 3 * beta + 3 * beta**2)) < 1e-9,
     )
     s = PointSet(params, (0, 1, 3, 4))
-    e1, e2, eb = apcount.complement_lambda3_exact(s)
+    size = params.size
+    e1 = Fraction(apcount.count_raw(s), size**2)
+    e2 = Fraction(apcount.count_raw(s.complement()), size**2)
+    eb = Fraction(len(s), size)
     record("complementation_exact", e1 + e2 == 1 - 3 * eb + 3 * eb**2)
 
     # Subspace closed forms at p in {3, 5}.
     for p, n in [(3, 3), (5, 2)]:
         params = GroupParams(p, n)
         w = sub.full_space(params)
+        w_mask = np.ones(params.size, dtype=bool)
         ok = True
         for ell in range(1, n + 1):
-            s_sp = sub.canonical_codim_subspace(w, ell)
-            s_set = PointSet(params, tuple(int(i) for i in s_sp.elements()))
-            w_set = PointSet(params, tuple(range(params.size)))
-            t_set = PointSet(
-                params, tuple(i for i in w_set.members if i not in set(s_set.members))
-            )
-            w_size = params.size
-            s_size = len(s_set)
-            t_size = w_size - s_size
-            ok &= apcount.t3_restricted_count(s_set, s_set, s_set) == s_size**2
+            s_mask = np.zeros(params.size, dtype=bool)
+            s_mask[sub.canonical_codim_subspace(w, ell).elements()] = True
+            t_mask = ~s_mask
+            s_size = int(s_mask.sum())
+            ok &= apcount.t3_masks(s_mask, s_mask, s_mask, params)[0] == s_size**2
             # The improve audit's count for j rows on T and the rest on W, in
             # every placement: |W|^2, |T||W|, |T|^2 and (2*beta^2 - beta) |W|^2
             # with beta = |T|/|W|.
-            counts = improve.case_counts(w_size, t_size)
-            for rows in itertools.product((w_set, t_set), repeat=3):
-                j = sum(r is t_set for r in rows)
-                ok &= apcount.t3_restricted_count(*rows) == counts[j]
+            counts = improve.case_counts(params.size, params.size - s_size)
+            for rows in itertools.product((w_mask, t_mask), repeat=3):
+                j = sum(r is t_mask for r in rows)
+                ok &= apcount.t3_masks(*rows, params)[0] == counts[j]
         record(f"closed_forms_p{p}_n{n}", ok)
 
     # Coset-averaging spectrum support.

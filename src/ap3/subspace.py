@@ -1,5 +1,5 @@
 """GF(p) linear algebra: spans, orthogonal complements, intersections,
-coset transversals, coset averaging, and canonical sub-subspace selection.
+coset layouts, coset averaging, and canonical sub-subspace selection.
 
 Coset representatives are NOT taken from the orthogonal complement: over
 GF(p) a subspace can meet its own complement (self-orthogonal vectors,
@@ -156,27 +156,17 @@ class CosetDecomposition:
 
     Transversal representatives have zeros in all pivot coordinates of W's
     basis; they form the subspace spanned by the non-pivot coordinate axes,
-    in ascending index order.  Row i of `rows` is the coset
-    transversal[i] + W, with column c holding transversal[i] + sum_j c_j b_j
+    in ascending index order, and are column 0 of `rows`.  Row i is the
+    coset rows[i, 0] + W, with column c holding rows[i, 0] + sum_j c_j b_j
     for the little-endian base-p digits c_j of c and W's echelon rows b_j.
-    So every row is an affine copy of F_p^(dim W) in the same coordinates,
-    and column 0 is the representative itself.
+    So every row is an affine copy of F_p^(dim W) in the same coordinates.
+    The representative of element m is rows[rep_pos[m], 0], and the members
+    of its coset are rows[rep_pos[m]].
     """
 
     subspace: Subspace
     rows: np.ndarray  # (|T|, |W|) element indices, one coset per row
     rep_pos: np.ndarray  # element index -> its coset's row
-
-    @property
-    def transversal(self) -> tuple[int, ...]:
-        """The representatives, rows[:, 0], as a tuple built on each call."""
-        return tuple(self.rows[:, 0].tolist())
-
-    def rep_of(self, m: int) -> int:
-        return int(self.rows[self.rep_pos[m], 0])
-
-    def coset_members(self, rep: int) -> np.ndarray:
-        return np.sort(self.rows[self.rep_pos[rep]])
 
 
 def _span_digits(bases: np.ndarray, k: int, p: int) -> np.ndarray:

@@ -19,6 +19,14 @@ def digit_table(p: int, n: int) -> np.ndarray:
     return digits
 
 
+def digits_to_index(digits, params: GroupParams) -> int:
+    """Index of the element with the given little-endian base-p digits."""
+    if len(digits) != params.n:
+        raise ValueError(f"expected {params.n} digits, got {len(digits)}")
+    p = params.p
+    return sum(int(d) % p * p**k for k, d in enumerate(digits))
+
+
 def subprocess_env() -> dict:
     """os.environ with this checkout's ap3 first on PYTHONPATH, so a child
     interpreter imports the same package without an install."""
@@ -80,6 +88,19 @@ def chunked_t3(values: np.ndarray, p: int, n: int, chunk: int = 32):
     if np.issubdtype(values.dtype, np.integer):
         return sum(int(x) for x in parts)
     return math.fsum(parts)
+
+
+def brute_count(u, v, w, p: int, n: int, trivial: bool = True) -> int:
+    """#(m, d) with m in U, m+d in V and m+2d in W for boolean masks u, v, w,
+    one d at a time by digit arithmetic; trivial=False skips d = 0."""
+    digits = digit_table(p, n)
+    pv = p ** np.arange(n)
+    total = 0
+    for d in digits[0 if trivial else 1 :]:
+        md = ((digits + d) % p) @ pv
+        m2d = ((digits + 2 * d) % p) @ pv
+        total += int(np.count_nonzero(u & v[md] & w[m2d]))
+    return total
 
 
 def planted_density(p, n, k, seed):

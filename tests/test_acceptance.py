@@ -83,13 +83,17 @@ def test_criterion_03_complementation():
         p, n = GRIDS[rng.integers(0, len(GRIDS))]
         params = GroupParams(p, n)
         h1 = DensityFunction(params, rng.random(params.size))
-        l1, l2, beta = apcount.complement_lambda3(h1)
+        h2 = DensityFunction(params, 1.0 - h1.values)
+        l1, l2 = fourier.lambda3_spectral(h1), fourier.lambda3_spectral(h2)
+        beta = h1.expectation()
         ok &= abs(l1 + l2 - (1 - 3 * beta + 3 * beta**2)) < 1e-9
     for _ in range(100):
         n = int(rng.integers(1, 4))
         params = GroupParams(3, n)
         s = PointSet.from_mask(params, rng.random(params.size) < rng.random())
-        e1, e2, eb = apcount.complement_lambda3_exact(s)
+        e1 = Fraction(apcount.count_raw(s), params.size**2)
+        e2 = Fraction(apcount.count_raw(s.complement()), params.size**2)
+        eb = Fraction(len(s), params.size)
         ok &= e1 + e2 == 1 - 3 * eb + 3 * eb**2
     verdict(3, "complementation identity, 100 float + 100 exact-rational", ok)
 
@@ -100,20 +104,18 @@ def test_criterion_04_subspace_closed_forms():
     ok = True
     for dim in range(4):
         for w in sub.all_subspaces(params, dim):
-            w_elems = [int(i) for i in w.elements()]
-            w_size = len(w_elems)
+            w_mask = np.zeros(params.size, dtype=bool)
+            w_mask[w.elements()] = True
+            w_size = int(w_mask.sum())
             for ell in range(1, dim + 1):
-                s_sp = sub.canonical_codim_subspace(w, ell)
-                s_members = set(int(i) for i in s_sp.elements())
-                s_set = PointSet(params, tuple(sorted(s_members)))
-                t_set = PointSet(
-                    params, tuple(i for i in w_elems if i not in s_members)
-                )
-                beta = Fraction(len(t_set), w_size)
-                ok &= apcount.t3_restricted_count(s_set, s_set, s_set) == (
+                s_mask = np.zeros(params.size, dtype=bool)
+                s_mask[sub.canonical_codim_subspace(w, ell).elements()] = True
+                t_mask = w_mask & ~s_mask
+                beta = Fraction(int(t_mask.sum()), w_size)
+                ok &= apcount.t3_masks(s_mask, s_mask, s_mask, params)[0] == (
                     (1 - beta) ** 2 * w_size**2
                 )
-                ok &= apcount.t3_restricted_count(t_set, t_set, t_set) == (
+                ok &= apcount.t3_masks(t_mask, t_mask, t_mask, params)[0] == (
                     (2 * beta**2 - beta) * w_size**2
                 )
     elapsed = time.monotonic() - start
@@ -142,35 +144,23 @@ def test_criterion_05_coset_decomposition_sum():
 
     ok = True
     for params, w in cases:
-        h = PointSet.from_mask(params, rng.random(params.size) < 0.5)
-        total_direct = apcount.count_raw(h)
+        h_mask = rng.random(params.size) < 0.5
+        total_direct = apcount.count_raw(PointSet.from_mask(params, h_mask))
         dec = sub.coset_decomposition(w)
-        h_members = set(h.members)
-        coset_parts = {
-            rep: PointSet(
-                params,
-                tuple(
-                    sorted(
-                        int(i) for i in dec.coset_members(rep) if int(i) in h_members
-                    )
-                ),
-            )
-            for rep in dec.transversal
-        }
-        total = 0
-        for u1 in dec.transversal:
-            for u2 in dec.transversal:
-                two_u2 = int(add_indices(u2, u2, params))
-                u3 = int(
-                    add_indices(
-                        two_u2, int(scale_indices(u1, params.p - 1, params)), params
-                    )
-                )
-                u3 = dec.rep_of(u3)
-                total += apcount.t3_restricted_count(
-                    coset_parts[u1], coset_parts[u2], coset_parts[u3]
-                )
-        ok &= total == total_direct
+        rows = dec.rows
+        # Row i of parts is h restricted to coset i.
+        parts = np.zeros((len(rows), params.size), dtype=bool)
+        for i, row in enumerate(rows):
+            parts[i, row] = h_mask[row]
+        # One batched count for every coset triple (u1, u2, 2u2 - u1).
+        u1, u2 = rows[:, 0, None], rows[None, :, 0]
+        two_u2 = add_indices(u2, u2, params)
+        u3 = add_indices(two_u2, scale_indices(u1, params.p - 1, params), params)
+        first, middle = np.indices(u3.shape)
+        counts = apcount.t3_masks(
+            parts[first.ravel()], parts[middle.ravel()], parts[dec.rep_pos[u3].ravel()], params
+        )
+        ok &= int(counts.sum()) == total_direct
     verdict(5, "coset-decomposition count, 50 cases incl. self-orthogonal W", ok)
 
 
@@ -258,7 +248,7 @@ def test_criterion_09_search_oracle_equivalence():
         if k == 4:
             ok &= ex.count == 4 and ex.lambda3 == Fraction(4, 81)
             ok &= len(ex.best_set) == 4
-            ok &= apcount.t3_nontrivial(ex.best_set) == 0
+            ok &= apcount.count_raw(ex.best_set) == len(ex.best_set)  # T3' = 0
     elapsed = time.monotonic() - start
     verdict(
         9,
@@ -274,7 +264,7 @@ def test_criterion_10_varnavides_bound():
     for _ in range(100):
         s = PointSet.from_mask(params, rng.random(9) < rng.random())
         rep = apcount.varnavides_estimate(s, 1, exhaustive=True)
-        ok &= rep.certified_lower_bound_exact <= apcount.t3_nontrivial(s)
+        ok &= rep.certified_lower_bound_exact <= apcount.count_raw(s) - len(s)
     full = apcount.varnavides_estimate(
         PointSet(params, tuple(range(9))), 1, exhaustive=True
     )

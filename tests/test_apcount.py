@@ -5,22 +5,25 @@ import pytest
 
 from ap3.apcount import (
     VarnavidesReport,
-    complement_lambda3,
-    complement_lambda3_exact,
     count_raw,
-    count_raw_masks,
-    lambda3_exact,
-    t3_nontrivial,
+    t3_masks,
     t3_raw,
     t3_restricted,
-    t3_restricted_count,
     varnavides_estimate,
 )
 from ap3.fourier import lambda3_spectral
-from ap3.gfspace import DensityFunction, GroupParams, PointSet, digits_to_index
+from ap3.gfspace import DensityFunction, GroupParams, PointSet
 from ap3 import subspace as sub
 
-from conftest import brute_lambda3, chunked_t3, digit_table, random_density, random_indicator
+from conftest import (
+    brute_count,
+    brute_lambda3,
+    chunked_t3,
+    digit_table,
+    digits_to_index,
+    random_density,
+    random_indicator,
+)
 
 CAP4 = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -84,7 +87,7 @@ class TestExactKernel:
         # CAP4 in the first two coordinates of F_3^4 stays progression-free
         params = GroupParams(3, 4)
         s = pointset(params, [d + (0, 0) for d in CAP4])
-        assert t3_nontrivial(s) == 0
+        assert count_raw(s) == len(s)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_binary_cube_is_cap_set(self, n):
@@ -97,9 +100,19 @@ class TestExactKernel:
     def test_batch_matches_single(self, rng):
         params = GroupParams(5, 2)
         masks = rng.random((7, params.size)) < 0.4
-        batch = count_raw_masks(masks, params)
+        batch = t3_masks(masks, masks, masks, params)
         assert [int(c) for c in batch] == [
             count_raw(PointSet.from_mask(params, m)) for m in masks
+        ]
+        # Three different masks per row: each row is counted on its own.
+        u, v, w = rng.random((3, 7, params.size)) < 0.4
+        batch = t3_masks(u, v, w, params)
+        assert batch.dtype == np.int64
+        assert [int(c) for c in batch] == [
+            int(t3_masks(u[i], v[i], w[i], params)[0]) for i in range(7)
+        ]
+        assert [int(c) for c in batch] == [
+            brute_count(u[i], v[i], w[i], params.p, params.n) for i in range(7)
         ]
 
     @pytest.mark.parametrize("p,n", LADDER)
@@ -107,7 +120,7 @@ class TestExactKernel:
         params = GroupParams(p, n)
         for _ in range(2):
             f = random_indicator(params, rng)
-            exact = count_raw(f.support()) / params.size**2
+            exact = t3_raw(f) / params.size**2
             assert abs(lambda3_spectral(f) - exact) <= 1e-14 * params.size * exact
 
 
@@ -115,13 +128,13 @@ class TestRestricted:
     def test_subspace_closure(self):
         params = GroupParams(3, 2)
         w = sub.span(params, [[0, 1]])
-        ws = PointSet(params, tuple(int(i) for i in w.elements()))
-        assert t3_restricted_count(ws, ws, ws) == 9
+        ws = PointSet(params, tuple(int(i) for i in w.elements())).mask()
+        assert t3_masks(ws, ws, ws, params)[0] == 9
 
     def test_empty(self):
         params = GroupParams(3, 2)
         e = PointSet(params, ())
-        assert t3_restricted_count(e, e, e) == 0
+        assert t3_masks(e.mask(), e.mask(), e.mask(), params)[0] == 0
         f = DensityFunction.constant(params, 1.0)
         assert t3_restricted(f, e, e, e) == 0.0
 
@@ -135,22 +148,31 @@ class TestRestricted:
         w_size = params.size
         beta = Fraction(len(t), w_size)
         expected = (2 * beta**2 - beta) * w_size**2
-        assert t3_restricted_count(t, t, t) == expected
+        assert t3_masks(t.mask(), t.mask(), t.mask(), params)[0] == expected
 
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
     def test_count_matches_float_oracle(self, p, n, rng):
         # On the all-ones density t3_restricted sums 0/1 terms, exact below 2^53.
+        # One batch of 4 rows, each with three different masks.
         params = GroupParams(p, n)
         ones = DensityFunction.constant(params, 1.0)
-        for _ in range(4):
-            u, v, w = (random_indicator(params, rng).support() for _ in range(3))
-            assert t3_restricted_count(u, v, w) == t3_restricted(ones, u, v, w)
+        u, v, w = rng.random((3, 4, params.size)) < 0.5
+        batch = t3_masks(u, v, w, params)
+        for i in range(4):
+            sets = (PointSet.from_mask(params, x[i]) for x in (u, v, w))
+            assert batch[i] == t3_restricted(ones, *sets)
+            assert batch[i] == brute_count(u[i], v[i], w[i], p, n)
 
     def test_matches_unrestricted(self, rng):
         params = GroupParams(3, 2)
         f = random_density(params, rng)
         full = PointSet(params, tuple(range(9)))
         assert t3_restricted(f, full, full, full) == pytest.approx(t3_raw(f), abs=1e-9)
+
+
+def t3_nontrivial(s: PointSet) -> int:
+    """T3'(S): the raw count less its |S| trivial triples."""
+    return count_raw(s) - len(s)
 
 
 class TestNontrivial:
@@ -167,8 +189,9 @@ class TestNontrivial:
     def test_raw_equals_nontrivial_plus_size(self, rng):
         for _ in range(20):
             params = GroupParams(3, 2)
-            s = PointSet.from_mask(params, rng.random(9) < 0.5)
-            assert count_raw(s) == t3_nontrivial(s) + len(s)
+            x = rng.random(9) < 0.5
+            nontrivial = brute_count(x, x, x, 3, 2, trivial=False)
+            assert count_raw(PointSet.from_mask(params, x)) == nontrivial + np.count_nonzero(x)
 
     def test_even_count(self, rng):
         # d and -d (or d and 2d at p=3) pair up, so T3' is even
@@ -177,6 +200,13 @@ class TestNontrivial:
             for _ in range(10):
                 s = PointSet.from_mask(params, rng.random(params.size) < 0.6)
                 assert t3_nontrivial(s) % 2 == 0
+
+
+def complement_lambda3(h1: DensityFunction) -> tuple[float, float, float]:
+    """(Lambda3(h1), Lambda3(1 - h1), E(h1)): the sum of the first two is
+    1 - 3b + 3b^2 with b the third."""
+    h2 = DensityFunction(h1.params, 1.0 - h1.values)
+    return lambda3_spectral(h1), lambda3_spectral(h2), h1.expectation()
 
 
 class TestComplementation:
@@ -211,7 +241,9 @@ class TestComplementation:
         params = GroupParams(3, 3)
         for _ in range(20):
             s = PointSet.from_mask(params, rng.random(27) < 0.5)
-            e1, e2, eb = complement_lambda3_exact(s)
+            e1 = Fraction(count_raw(s), 27**2)
+            e2 = Fraction(count_raw(s.complement()), 27**2)
+            eb = Fraction(len(s), 27)
             assert e1 + e2 == 1 - 3 * eb + 3 * eb**2
 
 
@@ -223,14 +255,12 @@ class TestCosetDecompositionOfCounts:
             h = random_indicator(params, rng)
             gens = [list(rng.integers(0, p, size=n))]
             w = sub.span(params, gens)
-            dec = sub.coset_decomposition(w)
-            cosets = {
-                rep: PointSet(params, tuple(int(i) for i in dec.coset_members(rep)))
-                for rep in dec.transversal
-            }
+            rows = sub.coset_decomposition(w).rows
+            transversal = rows[:, 0].tolist()
+            cosets = {int(row[0]): PointSet(params, tuple(row.tolist())) for row in rows}
             total = 0.0
-            for u1 in dec.transversal:
-                for u2 in dec.transversal:
+            for u1 in transversal:
+                for u2 in transversal:
                     from ap3.gfspace import add_indices, scale_indices
 
                     u3 = int(
@@ -322,7 +352,7 @@ def old_varnavides_estimate(s, m_dim, samples=0, seed=None, exhaustive=False):
         rows = sub.coset_decomposition(a).rows
         in_s = s_mask[rows]
         sizes = in_s.sum(axis=1)
-        raw = count_raw_masks(in_s, coset_params)
+        raw = t3_masks(in_s, in_s, in_s, coset_params)
         dense += int(np.count_nonzero(2 * sizes * s_mask.size >= len(s) * rows.shape[1]))
         total += int(raw.sum() - sizes.sum())
         cosets += len(rows)

@@ -225,8 +225,18 @@ class TestNumericFlags:
             ["search", "--p", "3", "--n", "2", "--alpha", "inf"],
             ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--restarts", "-1"],
             ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--iters", "-3"],
+            ["structure", "--max-codim", "-1"],
         ],
-        ids=["spectrum-delta", "improve-delta", "epsilon", "c-p", "alpha", "restarts", "iters"],
+        ids=[
+            "spectrum-delta",
+            "improve-delta",
+            "epsilon",
+            "c-p",
+            "alpha",
+            "restarts",
+            "iters",
+            "max-codim",
+        ],
     )
     def test_rejected_at_parse_time(self, half_density, tmp_path, capsys, argv):
         if argv[0] != "search":
@@ -502,6 +512,12 @@ class TestVarnavides:
             ["varnavides", "--input", cap_set, "--m-dim", "1", "--samples", "0"],
             tmp_path,
         ) == 2
+
+    def test_bad_samples_before_missing_input(self, tmp_path, capsys):
+        # A usage error is reported before the input is read.
+        missing = str(tmp_path / "no.aps")
+        assert run(["varnavides", "--input", missing, "--m-dim", "1", "--samples", "0"], tmp_path) == 2
+        assert "--samples" in capsys.readouterr().err
 
 
 class TestSelfcheck:

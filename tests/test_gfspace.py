@@ -12,9 +12,8 @@ from ap3.gfspace import (
     FileFormatError,
     GroupParams,
     PointSet,
+    RANGE_SLACK,
     add_indices,
-    digits_to_index,
-    expectation,
     index_to_digits,
     is_prime,
     load_density,
@@ -26,7 +25,7 @@ from ap3.gfspace import (
     sub_indices,
 )
 
-from conftest import digit_table
+from conftest import digit_table, digits_to_index
 
 
 class TestGroupParams:
@@ -201,27 +200,42 @@ class TestDensityFunction:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    def test_in_range_values_stored_as_given(self):
+        # Clipping would copy and give the same bits, -0.0 included.
+        vals = np.array([-0.0, 0.5, 1.0])
+        f = DensityFunction(GroupParams(3, 1), vals)
+        assert f.values is vals and not vals.flags.writeable
+        assert np.array_equal(np.signbit(f.values), [True, False, False])
+
+    def test_slack_band_clipped_into_a_copy(self):
+        vals = np.array([-RANGE_SLACK / 2, 0.5, 1.0 + RANGE_SLACK / 2])
+        f = DensityFunction(GroupParams(3, 1), vals)
+        assert f.values.tolist() == [0.0, 0.5, 1.0]
+        assert vals.flags.writeable and vals[0] < 0.0
+
+    def test_construction_peak_memory(self, rng):
+        # At 3^10 an in-range float64 array is checked, not copied: the
+        # isfinite mask (1/8 of the values) is the only allocation.
+        vals = rng.random(3**10)
+        tracemalloc.start()
+        try:
+            f = DensityFunction(GroupParams(3, 10), vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.values is vals
+        assert peak <= 0.25 * vals.nbytes
+
 
 class TestExpectation:
     def test_constant(self):
         f = DensityFunction.constant(GroupParams(3, 2), 1.0)
-        assert expectation(f) == 1.0
+        assert f.expectation() == 1.0
 
     def test_indicator(self):
         params = GroupParams(3, 1)
         f = PointSet(params, (0, 1)).density()
-        assert expectation(f) == pytest.approx(2 / 3)
-
-    def test_over_subset(self):
-        params = GroupParams(3, 1)
-        f = DensityFunction(params, np.array([0.25, 0.25, 1.0]))
-        assert expectation(f, PointSet(params, (0, 1))) == pytest.approx(0.25)
-
-    def test_empty_subset(self):
-        params = GroupParams(3, 1)
-        f = DensityFunction.constant(params, 0.5)
-        with pytest.raises(ValueError):
-            expectation(f, PointSet(params, ()))
+        assert f.expectation() == pytest.approx(2 / 3)
 
 
 class TestFiles:
@@ -389,8 +403,8 @@ class TestFiles:
 
     def test_io_peak_memory(self, tmp_path, rng):
         # At 3^10 the reader holds the values and one line of text (the
-        # values' range check and DensityFunction's clipped copy are the
-        # rest), and the writer one block of Python floats and text.
+        # values' range checks are the rest), and the writer one block of
+        # Python floats and text.
         params = GroupParams(3, 10)
         f = DensityFunction(params, rng.random(params.size))
         path = str(tmp_path / "f.apf")

@@ -42,6 +42,11 @@ def audit_inputs(f, report):
     return sub.average_over_cosets(f, report.W), dec, in_vp, s_cols
 
 
+def coset_sets(params, dec):
+    """Each coset row of dec as a PointSet, keyed by its representative."""
+    return {int(row[0]): PointSet(params, tuple(row.tolist())) for row in dec.rows}
+
+
 class TestConfig:
     F = DensityFunction.constant(GroupParams(3, 2), 0.5)
 
@@ -173,10 +178,7 @@ class TestConstructG:
             g_vals[dec.rows[in_vp]] = np.where(s_cols, 0.0, a)
             fw, g = DensityFunction(params, fw_vals), DensityFunction(params, g_vals)
             cases = audit_cases(fw, g, dec, in_vp, s_cols, 1.0)
-            cosets = {
-                rep: PointSet(params, tuple(dec.coset_members(rep).tolist()))
-                for rep in dec.transversal
-            }
+            cosets = coset_sets(params, dec)
             table = zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist())
             for reps, base, lhs in table:
                 u1, u2, u3 = (cosets[r] for r in reps)
@@ -220,11 +222,8 @@ class TestConstructG:
         assert cases.all_in_v_prime.any()
         fw = sub.average_over_cosets(f, report.W)
         dec = sub.coset_decomposition(report.W)
-        cosets = {
-            rep: PointSet(params, tuple(int(i) for i in dec.coset_members(rep)))
-            for rep in dec.transversal
-        }
-        assert len(cases.reps) == len(dec.transversal) ** 2
+        cosets = coset_sets(params, dec)
+        assert len(cases.reps) == len(dec.rows) ** 2
         for reps, base, lhs in zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist()):
             u1, u2, u3 = (cosets[r] for r in reps)
             assert base == apcount.t3_restricted(fw, u1, u2, u3)
@@ -279,7 +278,7 @@ class TestAuditAtScale:
         raised = np.array(g.values)
         raised[dec.rows[i]] *= 1.0 + 1e-6
         checks = audit_cases(fw, DensityFunction(f.params, raised), dec, in_vp, s_cols, 1.0)
-        rep = dec.transversal[i]
+        rep = dec.rows[i, 0]
         touched = (checks.reps == rep).any(axis=1)
         assert touched.any() and not checks.passed[touched].any()
         assert checks.passed[~touched].all()
@@ -292,10 +291,7 @@ class TestAuditAtScale:
         assert report.W.dim == 6
         fw = sub.average_over_cosets(f, report.W)
         dec = sub.coset_decomposition(report.W)
-        cosets = {
-            rep: PointSet(f.params, tuple(dec.coset_members(rep).tolist()))
-            for rep in dec.transversal
-        }
+        cosets = coset_sets(f.params, dec)
         cases = report.per_case_checks
         inside = np.flatnonzero(cases.all_in_v_prime)
         others = np.flatnonzero(~cases.all_in_v_prime)
@@ -311,7 +307,7 @@ class TestAuditAtScale:
         # and the written report holds only plain JSON values.
         f = planted_density(3, 4, 2, 0)
         g, report = construct_g(f, 1.0, self.DELTA)
-        t = sub.coset_decomposition(report.W).transversal
+        t = sub.coset_decomposition(report.W).rows[:, 0].tolist()
         cases = report.per_case_checks
         assert len(cases.reps) == len(t) ** 2
         for k, (u1, u2, u3) in enumerate(cases.reps.tolist()):

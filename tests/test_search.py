@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ap3.gfspace import GroupParams, PointSet, digits_to_index
+from ap3.apcount import count_raw
+from ap3.gfspace import GroupParams, PointSet
 from ap3.search import (
     StructureReport,
     StructureRow,
@@ -90,9 +91,7 @@ class TestExhaustive:
         r = exhaustive_min(GroupParams(3, 2), 4 / 9)
         assert r.count == 4
         assert r.lambda3 == Fraction(4, 81)
-        from ap3.apcount import t3_nontrivial
-
-        assert t3_nontrivial(r.best_set) == 0
+        assert count_raw(r.best_set) == len(r.best_set)  # no nontrivial triple
         assert len(r.best_set) == 4
 
     @pytest.mark.parametrize("n,size,count", [(1, 2, 2), (2, 4, 4), (2, 5, 11)])
@@ -175,8 +174,8 @@ class TestStructure:
         w = sub.span(params, [[0, 1]])
         dec = sub.coset_decomposition(w)
         members = []
-        for rep in dec.transversal[:2]:
-            members.extend(int(i) for i in dec.coset_members(rep))
+        for rep in dec.rows[:2, 0]:
+            members.extend(int(i) for i in np.sort(dec.rows[dec.rep_pos[rep]]))
         rep = structure_report(PointSet(params, tuple(sorted(members))), max_codim=1)
         assert rep.best_positive_dim.symmetric_difference == 0
         assert rep.best_positive_dim.W == w
@@ -213,14 +212,14 @@ def old_structure_report(s, max_codim):
         w_size = params.p**dim
         for w in sub.all_subspaces(params, dim):
             dec = sub.coset_decomposition(w)
-            inter = np.zeros(len(dec.transversal), dtype=np.int64)
+            inter = np.zeros(len(dec.rows), dtype=np.int64)
             if len(s_members):
                 np.add.at(inter, dec.rep_pos[s_members], 1)
             chosen = 2 * inter > w_size
             sd = int(np.sum(np.where(chosen, w_size - inter, inter)))
             row = StructureRow(
                 W=w,
-                A_reps=tuple(int(rep) for rep, c in zip(dec.transversal, chosen) if c),
+                A_reps=tuple(int(rep) for rep, c in zip(dec.rows[:, 0], chosen) if c),
                 symmetric_difference=sd,
                 normalized=sd / params.size,
             )
@@ -241,7 +240,7 @@ def old_structure_report(s, max_codim):
 def difference_of(s, w):
     """|S delta (A + W)| for the majority-vote A of one subspace W."""
     dec = sub.coset_decomposition(w)
-    inter = np.bincount(dec.rep_pos[list(s.members)], minlength=len(dec.transversal))
+    inter = np.bincount(dec.rep_pos[list(s.members)], minlength=len(dec.rows))
     return int(np.minimum(inter, dec.rows.shape[1] - inter).sum())
 
 

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ap3.gfspace import DensityFunction, GroupParams, digits_to_index
+from ap3.gfspace import DensityFunction, GroupParams, sub_indices
 from ap3 import fourier, subspace
 from ap3.subspace import (
     all_subspaces,
@@ -23,7 +23,7 @@ from ap3.subspace import (
     trivial_space,
 )
 
-from conftest import digit_table, random_density
+from conftest import digit_table, digits_to_index, random_density
 
 
 def brute_span(params, generators):
@@ -131,15 +131,15 @@ class TestCosetDecomposition:
     def test_complementary_coordinate(self):
         params = GroupParams(3, 2)
         dec = coset_decomposition(span(params, [[0, 1]]))
-        assert dec.transversal == (0, 1, 2)  # digits (0,0),(1,0),(2,0)
+        assert dec.rows[:, 0].tolist() == [0, 1, 2]  # digits (0,0),(1,0),(2,0)
 
     def test_full_space(self):
         params = GroupParams(3, 2)
-        assert coset_decomposition(full_space(params)).transversal == (0,)
+        assert coset_decomposition(full_space(params)).rows[:, 0].tolist() == [0]
 
     def test_trivial_space(self):
         params = GroupParams(3, 2)
-        assert coset_decomposition(trivial_space(params)).transversal == tuple(range(9))
+        assert coset_decomposition(trivial_space(params)).rows[:, 0].tolist() == list(range(9))
 
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
     def test_unique_decomposition(self, p, n, rng):
@@ -149,15 +149,16 @@ class TestCosetDecomposition:
             w = span(params, gens)
             dec = coset_decomposition(w)
             members = set(int(i) for i in w.elements())
-            assert len(dec.transversal) * len(members) == params.size
+            transversal = set(dec.rows[:, 0].tolist())
+            assert len(transversal) * len(members) == params.size
             for m in range(params.size):
-                rep = dec.rep_of(m)
-                assert rep in dec.transversal
-                from ap3.gfspace import sub_indices
-
+                rep = int(dec.rows[dec.rep_pos[m], 0])
+                assert rep in transversal
                 assert int(sub_indices(m, rep, params)) in members
 
-    @pytest.mark.parametrize("p,n,gens", [(3, 3, None), (5, 2, None), (5, 2, [[1, 2]])])
+    @pytest.mark.parametrize(
+        "p,n,gens", [(3, 3, None), (5, 2, None), (5, 2, [[1, 2]]), (3, 4, None), (7, 2, None)]
+    )
     def test_rows_partition_and_progressions(self, p, n, gens, rng):
         # Five random W when gens is None; span{(1,2)} in F_5^2 is
         # self-orthogonal.
@@ -175,20 +176,28 @@ class TestCosetDecomposition:
             rows = dec.rows
             assert rows.shape == (p ** (n - w.dim), p**w.dim)
             assert sorted(rows.ravel().tolist()) == list(range(params.size))
-            assert tuple(rows[:, 0].tolist()) == dec.transversal
+            transversal = rows[:, 0].tolist()
+            # The representatives are zero on W's pivots, in ascending order.
+            assert transversal == sorted(transversal)
+            assert not digits[transversal][:, list(w.pivots)].any()
             assert set(rows[0].tolist()) == set(int(i) for i in w.elements())
             # Column p^j of the coset W is W's echelon row j.
             for j, b in enumerate(w.basis):
                 assert rows[0][p**j] == digits_to_index(b, params)
-            for i, rep in enumerate(dec.transversal):
+            # So the codim-ell subspace that drops the first ell echelon rows
+            # is the columns whose ell low base-p digits are 0.
+            for ell in range(w.dim + 1):
+                s = canonical_codim_subspace(w, ell).elements()
+                assert np.array_equal(np.isin(rows[0], s), np.arange(p**w.dim) % p**ell == 0)
+            for i, rep in enumerate(transversal):
                 assert np.all(dec.rep_pos[rows[i]] == i)
-                assert [dec.rep_of(m) for m in rows[i]] == [rep] * len(rows[i])
+                assert rows[dec.rep_pos[rows[i]], 0].tolist() == [rep] * len(rows[i])
             # rows[i][c1], rows[j][c2], rows[third][2c2 - c1] is a 3-AP,
             # checked in digits: first + last = 2 * middle.
             c = digit_table(p, w.dim)
             c3 = ((2 * c[None, :, :] - c[:, None, :]) % p) @ (p ** np.arange(w.dim))
-            for i, u1 in enumerate(dec.transversal):
-                for j, u2 in enumerate(dec.transversal):
+            for i, u1 in enumerate(transversal):
+                for j, u2 in enumerate(transversal):
                     u3 = digits_to_index((2 * digits[u2] - digits[u1]) % p, params)
                     first = digits[rows[i]][:, None, :]
                     middle = digits[rows[j]][None, :, :]
@@ -202,9 +211,8 @@ class TestCosetDecomposition:
         w = span(params, [[1, 2]])
         dec = coset_decomposition(w)
         seen = set()
-        members = set(int(i) for i in w.elements())
-        for rep in dec.transversal:
-            for x in dec.coset_members(rep):
+        for rep in dec.rows[:, 0]:
+            for x in np.sort(dec.rows[dec.rep_pos[rep]]):
                 assert x not in seen
                 seen.add(int(x))
         assert seen == set(range(25))
@@ -271,7 +279,8 @@ class TestAverageOverCosets:
         means = coset_means(DensityFunction(params, vals), dec)
         assert means[1] == 0.1 != math.fsum([0.1] * 3) / 3
         for i in (0, 2):
-            assert means[i] == math.fsum(vals[dec.coset_members(dec.transversal[i])]) / 3
+            rep = dec.rows[i, 0]
+            assert means[i] == math.fsum(vals[np.sort(dec.rows[dec.rep_pos[rep]])]) / 3
 
 
     @pytest.mark.parametrize("block", [1, 2, 7, 5000])
