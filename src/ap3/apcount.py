@@ -5,9 +5,9 @@ lower-bound estimator.
 
 A triple is (m, m+d, m+2d); it is trivial when d = 0.  Raw counts T3
 include trivial triples, the primed count T3' = T3 - |S| excludes them.
-Since m + (m+2d) = 2(m+d), T3(1|U,V,W) = sum_y 1_V(y) (1_U * 1_W)(2y), and
-the convolution is computed exactly by the mod-q transform in
-`fourier.convolve_indicators`.
+Since m + (m+2d) = 2(m+d), a set's count is
+T3(S) = sum_y 1_S(y) (1_S * 1_S)(2y), and the self-convolution is computed
+exactly from one mod-q transform, `fourier.ntt`, squared.
 """
 
 from __future__ import annotations
@@ -25,30 +25,30 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def t3_masks(u: np.ndarray, v: np.ndarray, w: np.ndarray, params: GroupParams) -> np.ndarray:
-    """Exact T3(1|U,V,W) = sum_y v(y) (u * w)(2y) for each row of the
-    (batch, p^n) boolean masks u, v and w, as int64.
+def t3_masks(x: np.ndarray, params: GroupParams) -> np.ndarray:
+    """Exact T3(S) = sum_y x(y) ntt^-1(ntt(x)^2)(2y) for each row of the
+    (batch, p^n) boolean masks x, as int64: one forward and one inverse
+    transform per row.
 
-    It counts the (m, d) with m in U, m+d in V and m+2d in W, trivial
-    triples included; the full count of a set x is t3_masks(x, x, x).
+    It counts the (m, d) with m, m+d and m+2d in S, trivial triples
+    included.
     """
-    u, v, w = (np.asarray(x, dtype=bool).reshape(-1, params.size) for x in (u, v, w))
-    conv = fourier.convolve_indicators(u, w, params)
-    return (v * conv[:, scale_map(params.p, params.n, 2)]).sum(axis=1)
+    x = np.asarray(x, dtype=bool).reshape(-1, params.size)
+    t = fourier.ntt(x, params)
+    conv = fourier.ntt(t * t % fourier.ntt_prime(params.p, params.n), params, inverse=True)
+    return (x * conv[:, scale_map(params.p, params.n, 2)]).sum(axis=1)
 
 
 def count_raw(s: PointSet) -> int:
     """Exact integer T3(1|S,S,S), trivial triples included."""
-    x = s.mask()
-    return int(t3_masks(x, x, x, s.params)[0])
+    return int(t3_masks(s.mask(), s.params)[0])
 
 
 def t3_raw(f: DensityFunction) -> int | float:
     """Unnormalized sum over (m, d) of f(m) f(m+d) f(m+2d): the exact
     integer for an indicator, the spectral float otherwise."""
     if f.is_indicator:
-        x = f.values > 0.0
-        return int(t3_masks(x, x, x, f.params)[0])
+        return int(t3_masks(f.values > 0.0, f.params)[0])
     return fourier.lambda3_spectral(f) * float(f.params.size) ** 2
 
 
@@ -83,17 +83,6 @@ class VarnavidesReport:
     alpha: float
     exhaustive: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "m_dim": self.m_dim,
-            "sampled_subgroups": self.sampled_subgroups,
-            "dense_coset_fraction": self.dense_coset_fraction,
-            "certified_lower_bound": self.certified_lower_bound,
-            "certified_lower_bound_exact": str(self.certified_lower_bound_exact),
-            "alpha": self.alpha,
-            "exhaustive": self.exhaustive,
-        }
-
 
 def _coset_stats(
     s_mask: np.ndarray, rows: np.ndarray, coset_params: GroupParams, s_size: int
@@ -106,7 +95,7 @@ def _coset_stats(
     """
     in_s = s_mask[rows].reshape(-1, rows.shape[-1])
     sizes = in_s.sum(axis=1)
-    raw = t3_masks(in_s, in_s, in_s, coset_params)
+    raw = t3_masks(in_s, coset_params)
     # density threshold |X| >= alpha |A| / 2 with alpha = |S| / p^n
     dense = int(np.count_nonzero(2 * sizes * s_mask.size >= s_size * in_s.shape[1]))
     return int(raw.sum() - sizes.sum()), dense, len(in_s)

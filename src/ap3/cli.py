@@ -8,9 +8,11 @@ unreadable file, or out of memory), 2 usage error (bad flags or flag values).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import math
+import numbers
 import os
 import sys
 import time
@@ -35,6 +37,7 @@ from . import __version__, fourier
 from .gfspace import (
     FileFormatError,
     GroupParams,
+    PointSet,
     load_density,
     load_set,
     save_density,
@@ -99,14 +102,33 @@ def _parse_subspace(spec: str, params: GroupParams) -> Subspace:
     return sub.span(params, gens)
 
 
-def _write_json(payload: dict, path: str) -> None:
-    """Write json.dump(payload, indent=2, sort_keys=True) and a newline.
+def _json_value(obj):
+    """json `default` hook, the one place that decides how report values
+    look in JSON: a report as its fields, a PointSet as its members, a
+    Subspace as its `describe()` text and a Fraction as its str."""
+    if isinstance(obj, PointSet):
+        return list(obj.members)
+    # numpy's ints are Integral, so they stay an error rather than a str.
+    if isinstance(obj, numbers.Rational) and not isinstance(obj, numbers.Integral):
+        return str(obj)
+    if hasattr(obj, "describe"):  # a Subspace, whose module cli does not import
+        return obj.describe()
+    if dataclasses.is_dataclass(obj):
+        return vars(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    `payload` has str keys.  A value with a `write_json(fh)` method
-    (improve's CaseTable) writes itself; any other value is encoded by json
-    and indented one level, which is safe because json escapes newlines in
-    strings, so each newline it writes is indentation.
+
+def _write_json(payload, path: str) -> None:
+    """Write json.dump(payload, indent=2, sort_keys=True, default=_json_value)
+    and a newline, for a dict with str keys (the manifest) or a report.
+
+    A top-level value with a `write_json(fh)` method (improve's CaseTable)
+    writes itself; any other value is encoded by json and indented one
+    level, which is safe because json escapes newlines in strings, so each
+    newline it writes is indentation.
     """
+    if not isinstance(payload, dict):
+        payload = vars(payload)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         sep = "{"
         for key in sorted(payload):
@@ -115,7 +137,8 @@ def _write_json(payload: dict, path: str) -> None:
             if hasattr(value, "write_json"):
                 value.write_json(fh)
             else:
-                fh.write(json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  "))
+                text = json.dumps(value, indent=2, sort_keys=True, default=_json_value)
+                fh.write(text.replace("\n", "\n  "))
             sep = ","
         fh.write("\n}\n" if payload else "{}\n")
 
@@ -202,12 +225,12 @@ def cmd_improve(args) -> int:
     f = load_density(args.input)
     _write_manifest(args, [args.input])
     g, report = improve.construct_g(f, args.epsilon, args.delta, args.c_p)
-    payload = report.to_dict()
+    payload = vars(report)
     if args.indicator:
         from . import rounding
 
         g, rr = rounding.round_to_indicator(g, args.seed or 0, monitored=[report.W])
-        payload["rounding"] = rr.to_dict()
+        payload = {**payload, "rounding": rr}
     save_density(g, _out(args, args.output))
     _write_json(payload, _out(args, args.report))
     print(
@@ -225,7 +248,7 @@ def cmd_round(args) -> int:
     _write_manifest(args, [args.input])
     j2, report = rounding.round_to_indicator(j, args.seed or 0, monitored=monitored)
     save_density(j2, _out(args, args.output))
-    _write_json(report.to_dict(), _out(args, args.report))
+    _write_json(report, _out(args, args.report))
     print(f"mean_after={report.mean_after:.17g} repaired={report.repaired_points}")
     return 0
 
@@ -244,7 +267,7 @@ def cmd_search(args) -> int:
             params, args.alpha, args.restarts, args.iters, args.seed
         )
     save_set(result.best_set, _out(args, args.witness))
-    _write_json(result.to_dict(), _out(args, args.report))
+    _write_json(result, _out(args, args.report))
     print(f"count={result.count} lambda3={result.lambda3}")
     return 0
 
@@ -255,7 +278,7 @@ def cmd_structure(args) -> int:
     s = load_set(args.input)
     _write_manifest(args, [args.input])
     report = search.structure_report(s, args.max_codim)
-    _write_json(report.to_dict(), _out(args, args.report))
+    _write_json(report, _out(args, args.report))
     print(f"symmetric_difference={report.symmetric_difference}")
     return 0
 
@@ -270,7 +293,7 @@ def cmd_varnavides(args) -> int:
     report = apcount.varnavides_estimate(
         s, args.m_dim, samples=args.samples, seed=args.seed, exhaustive=args.exhaustive
     )
-    _write_json(report.to_dict(), _out(args, args.report))
+    _write_json(report, _out(args, args.report))
     print(f"certified_lower_bound={report.certified_lower_bound:.17g}")
     return 0
 

@@ -1,5 +1,6 @@
 """Character transform over F_p^n, Parseval, the spectral triple-count
-identity, large-spectrum extraction, and exact convolution of indicators.
+identity, large-spectrum extraction, and the exact mod-q transform `ntt`
+behind every integer count.
 
 Convention: fhat(a) = sum_m f(m) * omega^(a.m) with omega = exp(2*pi*i/p)
 and a.m the standard dot product mod p.  The inverse carries the p^-n
@@ -90,19 +91,17 @@ def _char_matrices_mod(p: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
     return q, fwd, inv
 
 
-def convolve_indicators(a: np.ndarray, b: np.ndarray, params: GroupParams) -> np.ndarray:
-    """Exact (a*b)(t) = sum_z a(z) b(t-z) for boolean masks a, b of shape
-    (batch, p^n), row by row, as int64.
+def ntt(x: np.ndarray, params: GroupParams, inverse: bool = False) -> np.ndarray:
+    """The mod-q transform (or with inverse=True its inverse) of each row of
+    the (batch, p^n) residues x mod q = ntt_prime(p, n), as int64 residues.
 
-    Every value is a count in 0..p^n < q, so the mod-q result is exact.
+    The inverse of ntt(a) * ntt(b) % q is the convolution (a*b)(t) =
+    sum_z a(z) b(t-z), exact for masks a and b: its values are 0..p^n < q.
     """
     p, n = params.p, params.n
     q, fwd, inv = _char_matrices_mod(p, n)
-    shape = (-1,) + (p,) * n
-    ta = _axis_passes(np.asarray(a, dtype=bool).astype(np.int64).reshape(shape), fwd, q)
-    tb = _axis_passes(np.asarray(b, dtype=bool).astype(np.int64).reshape(shape), fwd, q)
-    out = _axis_passes(ta * tb % q, inv, q)
-    return out.reshape(-1, params.size)
+    arr = np.asarray(x, dtype=np.int64).reshape((-1,) + (p,) * n)
+    return _axis_passes(arr, inv if inverse else fwd, q).reshape(-1, params.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,9 +165,11 @@ def large_spectrum(f: DensityFunction, delta: float) -> PointSet:
     cutoff = _cutoff(delta, f.params)
     mags = np.abs(dft_forward(f).coeffs)
     a = np.nonzero(mags > cutoff)[0]
-    # Parseval: at most delta^-2 survivors for f mapping into [0,1].
-    if len(a) > delta**-2 + 1e-9:
-        raise ValueError(f"|A| = {len(a)} exceeds delta^-2 = {delta**-2:.6g}: Parseval violated")
+    # Parseval: at most delta^-2 survivors for f mapping into [0,1].  Below
+    # delta = 1e-154, delta^-2 overflows a float, and no |A| <= p^n exceeds it.
+    limit = delta**-2 if delta >= 1e-154 else np.inf
+    if len(a) > limit + 1e-9:
+        raise ValueError(f"|A| = {len(a)} exceeds delta^-2 = {limit:.6g}: Parseval violated")
     return PointSet(f.params, tuple(int(i) for i in a))
 
 

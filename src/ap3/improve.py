@@ -114,32 +114,6 @@ class ImprovementReport:
     def all_cases_pass(self) -> bool:
         return bool(self.per_case_checks.passed.all())
 
-    def to_dict(self) -> dict:
-        """The report's JSON fields; the case table is written by its own
-        write_json."""
-        return {
-            "A": list(self.A.members),
-            "V": self.V.describe(),
-            "W": self.W.describe(),
-            "V_cap_W_dim": self.V_cap_W_dim,
-            "transversal_size": self.transversal_size,
-            "V_prime": list(self.V_prime),
-            "ell": self.ell,
-            "beta": self.beta,
-            "lambda3_f": self.lambda3_f,
-            "lambda3_fW": self.lambda3_fW,
-            "lambda3_g": self.lambda3_g,
-            "delta_used": self.delta_used,
-            "hypothesis_value": self.hypothesis_value,
-            "hypothesis_holds": self.hypothesis_holds,
-            "v_prime_bound_ok": self.v_prime_bound_ok,
-            "per_case_checks": self.per_case_checks,
-            "aggregate_lhs": self.aggregate_lhs,
-            "aggregate_rhs": self.aggregate_rhs,
-            "t3_v_prime_reps": self.t3_v_prime_reps,
-            "aggregate_ok": self.aggregate_ok,
-        }
-
 
 def delta_from_epsilon(epsilon: float, p: int, c_p: float) -> float:
     """(eps^6 / 2^13 p^2) * exp(-16 c_p log(p) / eps)."""
@@ -159,13 +133,23 @@ def build_W(f: DensityFunction, delta: float):
 
 
 def choose_ell(epsilon: float, p: int) -> int:
-    """The unique ell >= 1 with 4/eps <= p^ell < 4p/eps."""
+    """The unique ell >= 1 with 4/eps <= p^ell < 4p/eps.
+
+    eps * p^ell is compared in floats; once p^ell is past the float range,
+    which needs eps < 4p / 2^1024, it is compared exactly.
+    """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0,1], got {epsilon}")
+    num, den = epsilon.as_integer_ratio()
     ell = 1
-    while epsilon * p**ell < 4.0:
+    while True:
+        try:
+            if epsilon * p**ell >= 4.0:
+                return ell
+        except OverflowError:
+            if num * p**ell >= 4 * den:
+                return ell
         ell += 1
-    return ell
 
 
 def select_v_prime(values: np.ndarray, epsilon: float) -> np.ndarray:
@@ -298,6 +282,10 @@ def construct_g(
     hyp = hyp_val > epsilon
     v_prime_ok = (not hyp) or (2 * len(v_prime) > epsilon * len(rows))
 
+    # W = V^perp, so x = cB over V's echelon basis B lies in W iff
+    # (B B^T) c = 0: dim(V cap W) = dim V - rank(B B^T mod p).
+    gram_rank = len(sub.rref_mod_p(v_space.basis @ v_space.basis.T, p)[1])
+
     # The transversal is a subspace, so the inside cases are the 3-APs of V'.
     t3_vp = int(np.count_nonzero(checks.all_in_v_prime))
     w_size = rows.shape[1]
@@ -310,7 +298,7 @@ def construct_g(
         A=a_set,
         V=v_space,
         W=w_space,
-        V_cap_W_dim=sub.intersect(v_space, w_space).dim,
+        V_cap_W_dim=v_space.dim - gram_rank,
         transversal_size=len(rows),
         V_prime=tuple(v_prime),
         ell=ell,

@@ -32,18 +32,6 @@ class RoundingReport:
     max_coset_deviation: float
     hoeffding_bound: float
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "mean_before": self.mean_before,
-            "mean_after": self.mean_after,
-            "lambda3_before": self.lambda3_before,
-            "lambda3_after": self.lambda3_after,
-            "repaired_points": self.repaired_points,
-            "max_coset_deviation": self.max_coset_deviation,
-            "hoeffding_bound": self.hoeffding_bound,
-        }
-
 
 def randomize(j: DensityFunction, seed: int) -> DensityFunction:
     """Independent Bernoulli(j(m)) draws; 0/1-valued, reproducible per seed."""

@@ -29,22 +29,11 @@ class SearchResult:
     best_set: PointSet
     count: int  # raw triple count, trivial included
     lambda3: Fraction
+    lambda3_float: float
     method: str
     restarts: int
     iterations: int
     seed: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "best_set": list(self.best_set.members),
-            "count": self.count,
-            "lambda3": str(self.lambda3),
-            "lambda3_float": float(self.lambda3),
-            "method": self.method,
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -54,35 +43,13 @@ class StructureRow:
     symmetric_difference: int
     normalized: float
 
-    def to_dict(self) -> dict:
-        return {
-            "W": self.W.describe(),
-            "A_reps": list(self.A_reps),
-            "symmetric_difference": self.symmetric_difference,
-            "normalized": self.normalized,
-        }
-
 
 @dataclass(frozen=True)
-class StructureReport:
-    W: Subspace
-    A_reps: tuple[int, ...]
-    symmetric_difference: int
-    normalized: float
+class StructureReport(StructureRow):
+    """The best row over every searched W, and the best with dim W >= 1."""
+
     searched_codims: tuple[int, int]
     best_positive_dim: StructureRow | None
-
-    def to_dict(self) -> dict:
-        return {
-            "W": self.W.describe(),
-            "A_reps": list(self.A_reps),
-            "symmetric_difference": self.symmetric_difference,
-            "normalized": self.normalized,
-            "searched_codims": list(self.searched_codims),
-            "best_positive_dim": (
-                self.best_positive_dim.to_dict() if self.best_positive_dim else None
-            ),
-        }
 
 
 def size_floor(alpha: float, size: int) -> int:
@@ -106,7 +73,7 @@ def exhaustive_min(params: GroupParams, alpha: float) -> SearchResult:
     combos = np.array(list(itertools.combinations(range(n_pts), floor)), dtype=np.int64)
     masks = np.zeros((len(combos), n_pts), dtype=bool)
     np.put_along_axis(masks, combos, True, axis=1)
-    counts = apcount.t3_masks(masks, masks, masks, params)
+    counts = apcount.t3_masks(masks, params)
     i = int(np.argmin(counts))
     best_count = int(counts[i])
     best = PointSet(params, tuple(combos[i].tolist()))
@@ -115,10 +82,12 @@ def exhaustive_min(params: GroupParams, alpha: float) -> SearchResult:
     k = len(best)
     if best_count + comp_count != n_pts**2 - 3 * k * n_pts + 3 * k**2:
         raise RuntimeError("complementation identity failed in exhaustive_min")
+    lambda3 = Fraction(best_count, n_pts**2)
     return SearchResult(
         best_set=best,
         count=best_count,
-        lambda3=Fraction(best_count, n_pts**2),
+        lambda3=lambda3,
+        lambda3_float=float(lambda3),
         method="exhaustive",
         restarts=0,
         iterations=0,
@@ -129,13 +98,16 @@ def exhaustive_min(params: GroupParams, alpha: float) -> SearchResult:
 def _participation(x: np.ndarray, params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
     """(M, E) for the set with mask x: M(v) = (x*x)(2v) counts triples with
     v in the middle, E(v) = sum_y x(y) x(2y - v) those with v first (and,
-    by reversal, those with v last)."""
+    by reversal, those with v last).
+
+    Both come from x's one transform t: M is the inverse of t^2 read at 2v,
+    and E is the convolution of x pushed forward by y -> 2y, whose
+    transform is t(2a), with x(-.), whose transform is t(-a).
+    """
     p, n = params.p, params.n
-    # E is the convolution of x pushed forward by y -> 2y with x(-.).
-    doubled = x[scale_map(p, n, (p + 1) // 2)]
-    conv = fourier.convolve_indicators(
-        np.stack([x, doubled]), np.stack([x, x[scale_map(p, n, p - 1)]]), params
-    )
+    t = fourier.ntt(x, params)[0]
+    prods = np.stack([t * t, t[scale_map(p, n, 2)] * t[scale_map(p, n, p - 1)]])
+    conv = fourier.ntt(prods % fourier.ntt_prime(p, n), params, inverse=True)
     return conv[0][scale_map(p, n, 2)], conv[1]
 
 
@@ -213,10 +185,12 @@ def local_min(
         ):
             best_count, best_members = cur_count, current
     best = PointSet(params, best_members)
+    lambda3 = Fraction(best_count, n_pts**2)
     return SearchResult(
         best_set=best,
         count=best_count,
-        lambda3=Fraction(best_count, n_pts**2),
+        lambda3=lambda3,
+        lambda3_float=float(lambda3),
         method="local",
         restarts=max(1, restarts),
         iterations=total_iters,
@@ -272,10 +246,5 @@ def structure_report(s: PointSet, max_codim: int) -> StructureReport:
             if new_pos:
                 best_pos = row
     return StructureReport(
-        W=best.W,
-        A_reps=best.A_reps,
-        symmetric_difference=best.symmetric_difference,
-        normalized=best.normalized,
-        searched_codims=(0, max_codim),
-        best_positive_dim=best_pos,
+        **vars(best), searched_codims=(0, max_codim), best_positive_dim=best_pos
     )

@@ -78,21 +78,23 @@ def selfcheck_checks() -> list[dict]:
     for p, n in [(3, 3), (5, 2)]:
         params = GroupParams(p, n)
         w = sub.full_space(params)
-        w_mask = np.ones(params.size, dtype=bool)
+        ones = DensityFunction.constant(params, 1.0)
+        w_set = PointSet(params, tuple(range(params.size)))
         ok = True
         for ell in range(1, n + 1):
             s_mask = np.zeros(params.size, dtype=bool)
             s_mask[sub.canonical_codim_subspace(w, ell).elements()] = True
-            t_mask = ~s_mask
+            t_set = PointSet.from_mask(params, ~s_mask)
             s_size = int(s_mask.sum())
-            ok &= apcount.t3_masks(s_mask, s_mask, s_mask, params)[0] == s_size**2
+            ok &= apcount.t3_masks(s_mask, params)[0] == s_size**2
             # The improve audit's count for j rows on T and the rest on W, in
             # every placement: |W|^2, |T||W|, |T|^2 and (2*beta^2 - beta) |W|^2
-            # with beta = |T|/|W|.
+            # with beta = |T|/|W|.  On the all-ones density the restricted
+            # count sums 0/1 terms, which is exact.
             counts = improve.case_counts(params.size, params.size - s_size)
-            for rows in itertools.product((w_mask, t_mask), repeat=3):
-                j = sum(r is t_mask for r in rows)
-                ok &= apcount.t3_masks(*rows, params)[0] == counts[j]
+            for rows in itertools.product((w_set, t_set), repeat=3):
+                j = sum(r is t_set for r in rows)
+                ok &= apcount.t3_restricted(ones, *rows) == counts[j]
         record(f"closed_forms_p{p}_n{n}", ok)
 
     # Coset-averaging spectrum support.

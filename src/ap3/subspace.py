@@ -1,5 +1,5 @@
-"""GF(p) linear algebra: spans, orthogonal complements, intersections,
-coset layouts, coset averaging, and canonical sub-subspace selection.
+"""GF(p) linear algebra: spans, orthogonal complements, coset layouts,
+coset averaging, and canonical sub-subspace selection.
 
 Coset representatives are NOT taken from the orthogonal complement: over
 GF(p) a subspace can meet its own complement (self-orthogonal vectors,
@@ -138,16 +138,6 @@ def orthogonal_complement(v: Subspace) -> Subspace:
             null_rows[r, piv] = (-int(v.basis[i, c])) % p
     basis, pivots = rref_mod_p(null_rows, p)
     return Subspace(params, basis, pivots)
-
-
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """U intersect V, via (U^perp + V^perp)^perp (the dot form is nondegenerate)."""
-    if u.params != v.params:
-        raise ValueError("mismatched group parameters")
-    up = orthogonal_complement(u)
-    vp = orthogonal_complement(v)
-    gens = [row for row in up.basis] + [row for row in vp.basis]
-    return orthogonal_complement(span(u.params, gens))
 
 
 @dataclass(frozen=True, eq=False)

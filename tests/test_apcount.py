@@ -12,8 +12,8 @@ from ap3.apcount import (
     varnavides_estimate,
 )
 from ap3.fourier import lambda3_spectral
-from ap3.gfspace import DensityFunction, GroupParams, PointSet
-from ap3 import subspace as sub
+from ap3.gfspace import DensityFunction, GroupParams, PointSet, scale_indices, sub_indices
+from ap3 import fourier, search, subspace as sub
 
 from conftest import (
     brute_count,
@@ -98,21 +98,17 @@ class TestExactKernel:
         assert count_raw(PointSet.from_mask(params, cube)) == 2**n
 
     def test_batch_matches_single(self, rng):
+        # Each row of a batch is counted on its own.
         params = GroupParams(5, 2)
         masks = rng.random((7, params.size)) < 0.4
-        batch = t3_masks(masks, masks, masks, params)
+        batch = t3_masks(masks, params)
+        assert batch.dtype == np.int64
         assert [int(c) for c in batch] == [
             count_raw(PointSet.from_mask(params, m)) for m in masks
         ]
-        # Three different masks per row: each row is counted on its own.
-        u, v, w = rng.random((3, 7, params.size)) < 0.4
-        batch = t3_masks(u, v, w, params)
-        assert batch.dtype == np.int64
+        assert [int(c) for c in batch] == [int(t3_masks(m, params)[0]) for m in masks]
         assert [int(c) for c in batch] == [
-            int(t3_masks(u[i], v[i], w[i], params)[0]) for i in range(7)
-        ]
-        assert [int(c) for c in batch] == [
-            brute_count(u[i], v[i], w[i], params.p, params.n) for i in range(7)
+            brute_count(m, m, m, params.p, params.n) for m in masks
         ]
 
     @pytest.mark.parametrize("p,n", LADDER)
@@ -129,12 +125,12 @@ class TestRestricted:
         params = GroupParams(3, 2)
         w = sub.span(params, [[0, 1]])
         ws = PointSet(params, tuple(int(i) for i in w.elements())).mask()
-        assert t3_masks(ws, ws, ws, params)[0] == 9
+        assert t3_masks(ws, params)[0] == 9
 
     def test_empty(self):
         params = GroupParams(3, 2)
         e = PointSet(params, ())
-        assert t3_masks(e.mask(), e.mask(), e.mask(), params)[0] == 0
+        assert t3_masks(e.mask(), params)[0] == 0
         f = DensityFunction.constant(params, 1.0)
         assert t3_restricted(f, e, e, e) == 0.0
 
@@ -148,20 +144,23 @@ class TestRestricted:
         w_size = params.size
         beta = Fraction(len(t), w_size)
         expected = (2 * beta**2 - beta) * w_size**2
-        assert t3_masks(t.mask(), t.mask(), t.mask(), params)[0] == expected
+        assert t3_masks(t.mask(), params)[0] == expected
 
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
     def test_count_matches_float_oracle(self, p, n, rng):
         # On the all-ones density t3_restricted sums 0/1 terms, exact below 2^53.
-        # One batch of 4 rows, each with three different masks.
+        # One batch of 4 rows; the oracle also counts three different masks.
         params = GroupParams(p, n)
         ones = DensityFunction.constant(params, 1.0)
+        masks = rng.random((4, params.size)) < 0.5
+        batch = t3_masks(masks, params)
+        for i, x in enumerate(masks):
+            s = PointSet.from_mask(params, x)
+            assert batch[i] == t3_restricted(ones, s, s, s) == brute_count(x, x, x, p, n)
         u, v, w = rng.random((3, 4, params.size)) < 0.5
-        batch = t3_masks(u, v, w, params)
         for i in range(4):
             sets = (PointSet.from_mask(params, x[i]) for x in (u, v, w))
-            assert batch[i] == t3_restricted(ones, *sets)
-            assert batch[i] == brute_count(u[i], v[i], w[i], p, n)
+            assert t3_restricted(ones, *sets) == brute_count(u[i], v[i], w[i], p, n)
 
     def test_matches_unrestricted(self, rng):
         params = GroupParams(3, 2)
@@ -329,6 +328,50 @@ class TestVarnavides:
             varnavides_estimate(PointSet(params, (0,)), 3, samples=1)
 
 
+class TestTransformCount:
+    """Every mask is transformed forward once: a count takes one forward
+    and one inverse transform per row, and the participation counts of a
+    search step one forward and two inverse."""
+
+    @staticmethod
+    def counted_rows(monkeypatch, params):
+        q, fwd, inv = fourier._char_matrices_mod(params.p, params.n)
+        rows = {"forward": 0, "inverse": 0}
+        axis_passes = fourier._axis_passes
+
+        def counting(arr, matrix, q=None):
+            if q is not None:
+                assert matrix is fwd or matrix is inv
+                rows["forward" if matrix is fwd else "inverse"] += arr.shape[0]
+            return axis_passes(arr, matrix, q)
+
+        monkeypatch.setattr(fourier, "_axis_passes", counting)
+        return rows
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_count(self, monkeypatch, rng, batch):
+        params = GroupParams(3, 3)
+        rows = self.counted_rows(monkeypatch, params)
+        masks = rng.random((batch, params.size)) < 0.5
+        counts = t3_masks(masks, params)
+        assert rows == {"forward": batch, "inverse": batch}
+        assert counts.tolist() == [brute_count(x, x, x, 3, 3) for x in masks]
+
+    @pytest.mark.parametrize("p, n", [(3, 3), (5, 2), (7, 2)])
+    def test_participation(self, monkeypatch, rng, p, n):
+        params = GroupParams(p, n)
+        rows = self.counted_rows(monkeypatch, params)
+        x = rng.random(params.size) < 0.4
+        m, e = search._participation(x, params)
+        assert rows == {"forward": 1, "inverse": 2}
+        # M(v) = #{(y, z) in S^2: y + z = 2v}, E(v) = sum_y x(y) x(2y - v).
+        y = np.arange(params.size)
+        for v in range(params.size):
+            two_v = scale_indices(v, 2, params)
+            assert m[v] == np.count_nonzero(x & x[sub_indices(two_v, y, params)])
+            assert e[v] == np.count_nonzero(x & x[sub_indices(scale_indices(y, 2, params), v, params)])
+
+
 def old_varnavides_estimate(s, m_dim, samples=0, seed=None, exhaustive=False):
     """The per-subgroup loop that the batched estimator replaced: one coset
     decomposition and one batched count per subgroup."""
@@ -352,7 +395,7 @@ def old_varnavides_estimate(s, m_dim, samples=0, seed=None, exhaustive=False):
         rows = sub.coset_decomposition(a).rows
         in_s = s_mask[rows]
         sizes = in_s.sum(axis=1)
-        raw = t3_masks(in_s, in_s, in_s, coset_params)
+        raw = t3_masks(in_s, coset_params)
         dense += int(np.count_nonzero(2 * sizes * s_mask.size >= len(s) * rows.shape[1]))
         total += int(raw.sum() - sizes.sum())
         cosets += len(rows)

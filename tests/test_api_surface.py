@@ -17,9 +17,8 @@ ALLOWED = {
 
 def test_every_public_definition_is_used_in_src():
     # A use is a name or an attribute in code (imports and __all__ strings do
-    # not count), matched by name alone: methods that share a name, such as
-    # the to_dict of each report, are not told apart, so a use of one keeps
-    # them all.
+    # not count), matched by name alone: methods that share a name are not
+    # told apart, so a use of one keeps them all.
     defined = defaultdict(list)
     used = set()
     for path in sorted(SRC.glob("*.py")):

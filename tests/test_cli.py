@@ -64,7 +64,7 @@ class TestWriteJson:
     CaseTable was a dict."""
 
     @staticmethod
-    def oracle(payload: dict) -> bytes:
+    def oracle(payload) -> bytes:
         def plain(value):
             if not isinstance(value, CaseTable):
                 return value
@@ -72,7 +72,13 @@ class TestWriteJson:
             columns = (getattr(value, k).tolist() for k in names)
             return [dict(zip(names, case)) for case in zip(*columns)]
 
-        text = json.dumps({k: plain(v) for k, v in payload.items()}, indent=2, sort_keys=True)
+        fields = payload if isinstance(payload, dict) else vars(payload)
+        text = json.dumps(
+            {k: plain(v) for k, v in fields.items()},
+            indent=2,
+            sort_keys=True,
+            default=cli._json_value,
+        )
         return (text + "\n").encode("ascii")
 
     def check(self, payload, tmp_path):
@@ -86,10 +92,10 @@ class TestWriteJson:
     def test_planted_improve_report(self, tmp_path, p, n, k, indicator):
         g, report = construct_g(planted_density(p, n, k, 0), 1.0, 0.004)
         assert len(report.per_case_checks.passed) == p ** (2 * k)
-        payload = report.to_dict()
+        payload = report
         if indicator:
             _, rounded = rounding.round_to_indicator(g, 3, monitored=[report.W])
-            payload["rounding"] = rounded.to_dict()
+            payload = {**vars(report), "rounding": rounded}
         self.check(payload, tmp_path)
 
     def test_other_payloads(self, tmp_path, rng):
@@ -105,11 +111,11 @@ class TestWriteJson:
                 "seed": None,
                 "version": "0",
             },
-            rounding.round_to_indicator(j, 9, monitored=[])[1].to_dict(),
-            search.exhaustive_min(GroupParams(3, 2), 0.444).to_dict(),
-            search.local_min(params, 0.3, 2, 4, 5).to_dict(),
-            search.structure_report(cap, 1).to_dict(),
-            apcount.varnavides_estimate(cap, 1, exhaustive=True).to_dict(),
+            rounding.round_to_indicator(j, 9, monitored=[])[1],
+            search.exhaustive_min(GroupParams(3, 2), 0.444),
+            search.local_min(params, 0.3, 2, 4, 5),
+            search.structure_report(cap, 1),
+            apcount.varnavides_estimate(cap, 1, exhaustive=True),
         ]
         for payload in payloads:
             self.check(payload, tmp_path)
@@ -131,6 +137,176 @@ class TestWriteJson:
             passed=rng.random(m) < 0.5,
         )
         self.check({"z": {"a": [1, "x\ny"]}, "per_case_checks": cases, "a": 0.5}, tmp_path)
+
+
+# Pinned bytes of small seeded reports of every type: any change to how a
+# report is written fails here.
+GOLDEN_REPORTS = {
+    "rounding": """{
+  "hoeffding_bound": 1.0,
+  "lambda3_after": 0.12345679012345677,
+  "lambda3_before": 0.07182501066426468,
+  "max_coset_deviation": 0.14865901049396202,
+  "mean_after": 0.4444444444444444,
+  "mean_before": 0.4173669800188653,
+  "repaired_points": 1,
+  "seed": 9
+}
+""",
+    "search_exhaustive": """{
+  "best_set": [
+    0,
+    1,
+    3,
+    4
+  ],
+  "count": 4,
+  "iterations": 0,
+  "lambda3": "4/81",
+  "lambda3_float": 0.04938271604938271,
+  "method": "exhaustive",
+  "restarts": 0,
+  "seed": null
+}
+""",
+    "search_local": """{
+  "best_set": [
+    7,
+    11,
+    14,
+    15,
+    16,
+    19,
+    20,
+    22,
+    23
+  ],
+  "count": 9,
+  "iterations": 2,
+  "lambda3": "1/81",
+  "lambda3_float": 0.012345679012345678,
+  "method": "local",
+  "restarts": 2,
+  "seed": 5
+}
+""",
+    "structure": """{
+  "A_reps": [
+    0,
+    3
+  ],
+  "W": "dim 1; basis: (1,0)",
+  "best_positive_dim": {
+    "A_reps": [
+      0,
+      3
+    ],
+    "W": "dim 1; basis: (1,0)",
+    "normalized": 0.2222222222222222,
+    "symmetric_difference": 2
+  },
+  "normalized": 0.2222222222222222,
+  "searched_codims": [
+    0,
+    1
+  ],
+  "symmetric_difference": 2
+}
+""",
+    "structure_no_positive": """{
+  "A_reps": [
+    0,
+    3
+  ],
+  "W": "dim 1; basis: (1,0)",
+  "best_positive_dim": null,
+  "normalized": 0.2222222222222222,
+  "searched_codims": [
+    0,
+    1
+  ],
+  "symmetric_difference": 2
+}
+""",
+    "varnavides_exhaustive": """{
+  "alpha": 0.4444444444444444,
+  "certified_lower_bound": 0.0,
+  "certified_lower_bound_exact": "0",
+  "dense_coset_fraction": 0.8333333333333334,
+  "exhaustive": true,
+  "m_dim": 1,
+  "sampled_subgroups": 4
+}
+""",
+    "varnavides_sampled": """{
+  "alpha": 0.25925925925925924,
+  "certified_lower_bound": 7.2,
+  "certified_lower_bound_exact": "36/5",
+  "dense_coset_fraction": 0.8,
+  "exhaustive": false,
+  "m_dim": 2,
+  "sampled_subgroups": 5
+}
+""",
+}
+
+
+def golden_report(name):
+    from ap3 import subspace as sub
+
+    cap = PointSet(GroupParams(3, 2), (0, 1, 3, 4))
+    p33 = GroupParams(3, 3)
+    if name == "rounding":
+        j = DensityFunction(
+            GroupParams(3, 2), np.random.Generator(np.random.PCG64(2024)).random(9)
+        )
+        return rounding.round_to_indicator(j, 9, monitored=[sub.span(j.params, [[0, 1]])])[1]
+    if name == "search_exhaustive":
+        return search.exhaustive_min(GroupParams(3, 2), 0.444)
+    if name == "search_local":
+        return search.local_min(p33, 0.3, 2, 4, 5)
+    if name == "structure":
+        return search.structure_report(cap, 1)
+    if name == "structure_no_positive":
+        return dataclasses.replace(search.structure_report(cap, 1), best_positive_dim=None)
+    if name == "varnavides_exhaustive":
+        return apcount.varnavides_estimate(cap, 1, exhaustive=True)
+    s = PointSet(p33, (0, 1, 3, 4, 9, 13, 26))
+    return apcount.varnavides_estimate(s, 2, samples=5, seed=1)
+
+
+class TestReportGoldens:
+    """Each report type writes its pinned bytes through the one json hook."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+    def test_small_report(self, tmp_path, name):
+        path = tmp_path / "report.json"
+        _write_json(golden_report(name), str(path))
+        assert path.read_text(encoding="ascii") == GOLDEN_REPORTS[name]
+
+    @pytest.mark.parametrize(
+        "indicator, size, digest",
+        [
+            (False, 18703, "caae95ed4ab0ef68d3db6ab1f6e38cfe24f32304746c67ae119c94d9875d6c19"),
+            (True, 19002, "de49a719168c5df4d74ec678e1ac85d12fa02694007de57de9524e56307fcb5a"),
+        ],
+        ids=["plain", "rounded"],
+    )
+    def test_planted_improve(self, tmp_path, indicator, size, digest):
+        g, report = construct_g(planted_density(3, 4, 2, 0), 1.0, 0.004)
+        payload = report
+        if indicator:
+            _, rounded = rounding.round_to_indicator(g, 3, monitored=[report.W])
+            payload = {**vars(report), "rounding": rounded}
+        path = tmp_path / "improve_report.json"
+        _write_json(payload, str(path))
+        data = path.read_bytes()
+        assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+
+    @pytest.mark.parametrize("value", [np.int64(3), np.float32(0.5), object(), {1, 2}])
+    def test_other_values_are_errors(self, tmp_path, value):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _write_json({"x": value}, str(tmp_path / "r.json"))
 
 
 class TestCount:
@@ -408,6 +584,22 @@ class TestImprove:
             ["improve", "--input", str(src), "--epsilon", "1.0", "--delta", "1e-15"],
             tmp_path,
         ) == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--epsilon", "0.5", "--delta", "1e-200"], ["--epsilon", "1e-310"]],
+        ids=["delta-squared-overflows", "epsilon-power-overflows"],
+    )
+    def test_extreme_finite_flags_are_one_line(self, tmp_path, rng, capsys, flags):
+        # delta^-2 and eps * p^ell leave the float range; both end in one
+        # domain error, not a traceback.
+        params = GroupParams(3, 4)
+        src = tmp_path / "f.apf"
+        save_density(DensityFunction(params, rng.random(params.size)), str(src))
+        assert run(["improve", "--input", str(src), *flags], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ap3: error:")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestRound:

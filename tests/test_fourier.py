@@ -5,11 +5,11 @@ from ap3 import fourier
 from ap3.fourier import (
     INT64_LIMIT,
     Spectrum,
-    convolve_indicators,
     dft_forward,
     dft_inverse,
     lambda3_spectral,
     large_spectrum,
+    ntt,
     ntt_prime,
     spectrum_export_lines,
 )
@@ -184,9 +184,12 @@ class TestExactTransform:
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
     def test_convolution_matches_definition(self, p, n, rng):
         params = GroupParams(p, n)
+        q = ntt_prime(p, n)
         a = rng.random((3, params.size)) < 0.5
         b = rng.random((3, params.size)) < 0.3
-        got = convolve_indicators(a, b, params)
+        got = ntt(ntt(a, params) * ntt(b, params) % q, params, inverse=True)
+        assert got.dtype == np.int64
+        assert np.array_equal(ntt(ntt(a, params), params, inverse=True), a)
         t = np.arange(params.size)
         for row in range(3):
             want = [

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -89,6 +90,13 @@ class TestChooseEll:
         assert ell == expected
         assert 4.0 / eps <= p**ell < 4.0 * p / eps
 
+    @pytest.mark.parametrize("eps", [3e-308, 1e-310, 5e-324])
+    @pytest.mark.parametrize("p", [3, 7, 101])
+    def test_past_the_float_range(self, eps, p):
+        # eps * p^ell no longer fits a float; ell is still exact.
+        ell = choose_ell(eps, p)
+        assert 4 / Fraction(eps) <= p**ell < 4 * p / Fraction(eps)
+
 
 class TestBuildW:
     def test_constant_gives_full_W(self):
@@ -102,6 +110,13 @@ class TestBuildW:
         f = random_density(GroupParams(3, 2), rng)
         a, v, w = build_W(f, 1e-15)
         assert v.dim == 2 and w.dim == 0
+
+    @pytest.mark.parametrize("delta", [1e-200, 5e-324])
+    def test_parseval_bound_past_the_float_range(self, rng, delta):
+        # Below 1e-154 delta^-2 overflows a float; no |A| can exceed it.
+        f = random_density(GroupParams(3, 2), rng)
+        a, v, w = build_W(f, delta)
+        assert len(a) == 9 and v.dim == 2 and w.dim == 0
 
 
 class TestSelectVPrime:
@@ -144,6 +159,30 @@ class TestConstructG:
         f = random_density(GroupParams(3, 2), rng)
         with pytest.raises(ValueError, match="raise delta"):
             construct_g(f, 1.0, 1e-15)
+
+    def test_v_cap_w_dim_is_the_overlap(self, rng):
+        # f = 1/2 + (0.4/k) sum_i cos(2 pi a_i.x / p) has large spectrum
+        # {0, +-a_i}, so V = span(a_i) and W = V^perp.
+        cases = [
+            (GroupParams(5, 2), [[1, 2]]),  # self-orthogonal: V = W
+            (GroupParams(5, 3), [[1, 2, 0], [0, 0, 1]]),  # V cap W = span{(1,2,0)}
+        ]
+        for p, n in [(3, 4), (5, 3), (5, 4), (7, 3)]:
+            ell = choose_ell(1.0, p)
+            for k in range(1, n - ell + 1):
+                for _ in range(3):
+                    cases.append((GroupParams(p, n), rng.integers(0, p, size=(k, n)).tolist()))
+        dims = []
+        for params, gens in cases:
+            p = params.p
+            phase = 2 * np.pi * (digit_table(p, params.n) @ np.array(gens).T % p) / p
+            f = DensityFunction(params, 0.5 + 0.4 / len(gens) * np.cos(phase).sum(axis=1))
+            _, report = construct_g(f, 1.0, 0.01)
+            assert report.V == sub.span(params, gens)
+            both = np.intersect1d(report.V.elements(), report.W.elements())
+            assert len(both) == p**report.V_cap_W_dim
+            dims.append(report.V_cap_W_dim)
+        assert dims[:2] == [1, 1]
 
     def test_g_untouched_off_v_prime(self):
         # a near-one constant has no cosets in [eps/4, 1-eps/4], so g = f_W
@@ -314,7 +353,7 @@ class TestAuditAtScale:
             assert (u1, u2) == (t[k // len(t)], t[k % len(t)])
             assert u3 == sub_indices(scale_indices(u2, 2, f.params), u1, f.params)
         path = tmp_path / "improve_report.json"
-        _write_json(report.to_dict(), str(path))
+        _write_json(report, str(path))
         with open(path) as fh:
             payload = json.load(fh)
         for case in payload["per_case_checks"]:
