@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gfspace import DensityFunction, GroupParams, PointSet, scale_map, sub_indices
+from .gfspace import DensityFunction, GroupParams, PointSet, combine, scale_map
 from . import fourier
 
 if TYPE_CHECKING:
@@ -35,7 +35,8 @@ def t3_masks(x: np.ndarray, params: GroupParams) -> np.ndarray:
     """
     x = np.asarray(x, dtype=bool).reshape(-1, params.size)
     t = fourier.ntt(x, params)
-    conv = fourier.ntt(t * t % fourier.ntt_prime(params.p, params.n), params, inverse=True)
+    t *= t  # in place: a t * t temporary would stay alive through the inverse
+    conv = fourier.ntt(t, params, inverse=True)
     return (x * conv[:, scale_map(params.p, params.n, 2)]).sum(axis=1)
 
 
@@ -64,7 +65,7 @@ def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> 
         return 0.0
     y = np.array(v.members, dtype=np.int64)
     z = np.array(w.members, dtype=np.int64)
-    x = sub_indices(scale_map(params.p, params.n, 2)[y][:, None], z[None, :], params)
+    x = combine(2, y[:, None], -1, z[None, :], params)
     keep = u.mask()[x]
     vals = f.values
     terms = vals[x] * vals[y][:, None] * vals[z][None, :] * keep

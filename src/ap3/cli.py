@@ -191,7 +191,9 @@ def cmd_spectrum(args) -> int:
         raise UsageError("--delta must be positive")
     f = load_density(args.input)
     _write_manifest(args, [args.input])
-    lines = fourier.spectrum_export_lines(fourier.dft_forward(f), args.delta)
+    coeffs = fourier.dft_forward(f)
+    a = fourier.large_spectrum(coeffs, args.delta, f.params)
+    lines = fourier.spectrum_export_lines(coeffs, a)
     text = "\n".join(lines)
     if args.output:
         with open(_out(args, args.output), "w", encoding="ascii", newline="\n") as fh:

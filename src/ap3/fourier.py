@@ -15,7 +15,6 @@ integer convolutions with no rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -93,50 +92,36 @@ def _char_matrices_mod(p: int, n: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 def ntt(x: np.ndarray, params: GroupParams, inverse: bool = False) -> np.ndarray:
     """The mod-q transform (or with inverse=True its inverse) of each row of
-    the (batch, p^n) residues x mod q = ntt_prime(p, n), as int64 residues.
+    the (batch, p^n) integers x, q = ntt_prime(p, n), as int64 residues.
 
-    The inverse of ntt(a) * ntt(b) % q is the convolution (a*b)(t) =
+    Integer x is reduced mod q as it is converted to int64, so any int64
+    values may be passed, such as a product of two residues, which fits
+    since p (q-1)^2 < 2^63.  A boolean mask is already residues.  The
+    inverse of ntt(a) * ntt(b) is the convolution (a*b)(t) =
     sum_z a(z) b(t-z), exact for masks a and b: its values are 0..p^n < q.
     """
     p, n = params.p, params.n
     q, fwd, inv = _char_matrices_mod(p, n)
-    arr = np.asarray(x, dtype=np.int64).reshape((-1,) + (p,) * n)
+    # Reducing a mask, rather than converting it, costs ten times as much.
+    arr = x.astype(np.int64) if x.dtype == bool else np.remainder(x, q, dtype=np.int64)
+    arr = arr.reshape((-1,) + (p,) * n)
     return _axis_passes(arr, inv if inverse else fwd, q).reshape(-1, params.size)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Complex Fourier coefficients fhat(a), indexed by a in canonical order."""
-
-    params: GroupParams
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (self.params.size,):
-            raise ValueError(f"expected {self.params.size} coefficients, got {c.shape}")
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-
-def _cutoff(delta: float, params: GroupParams) -> float:
-    """The large-spectrum cutoff: keep a with |fhat(a)| > delta * p^n."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return float(delta) * params.size
-
-
-def dft_forward(f: DensityFunction) -> Spectrum:
-    """n axis passes of the p-point character transform (O(n p^(n+1)))."""
+def dft_forward(f: DensityFunction) -> np.ndarray:
+    """The coefficients fhat(a) in canonical order, as a read-only complex128
+    array: n axis passes of the p-point character transform (O(n p^(n+1)))."""
     p, n = f.params.p, f.params.n
     arr = f.values.astype(np.complex128).reshape((1,) + (p,) * n)
-    return Spectrum(f.params, _axis_passes(arr, _char_matrix(p)).reshape(-1))
+    coeffs = _axis_passes(arr, _char_matrix(p)).reshape(-1)
+    coeffs.setflags(write=False)
+    return coeffs
 
 
-def dft_inverse(spec: Spectrum) -> DensityFunction:
-    """Inverse transform; requires conjugate symmetry (a real preimage)."""
-    p, n = spec.params.p, spec.params.n
-    c = spec.coeffs
+def dft_inverse(c: np.ndarray, params: GroupParams) -> DensityFunction:
+    """Inverse transform of the coefficients c; requires conjugate symmetry
+    (a real preimage)."""
+    p, n = params.p, params.n
     scale = max(1.0, float(np.abs(c).max()))
     if np.abs(c[scale_map(p, n, p - 1)] - np.conj(c)).max() > IMAG_TOL * scale:
         raise ValueError("spectrum violates conjugate symmetry; no real preimage")
@@ -144,13 +129,13 @@ def dft_inverse(spec: Spectrum) -> DensityFunction:
     flat = _axis_passes(arr, np.conj(_char_matrix(p)) / p).reshape(-1)
     if np.abs(flat.imag).max() > ROUNDTRIP_IMAG_TOL * scale:
         raise ValueError("imaginary residue above tolerance in inverse transform")
-    return DensityFunction(spec.params, flat.real)
+    return DensityFunction(params, flat.real)
 
 
 def lambda3_spectral(f: DensityFunction) -> float:
     """Normalized triple count via p^(-3n) * sum_a fhat(a)^2 fhat(-2a)."""
     p, n = f.params.p, f.params.n
-    c = dft_forward(f).coeffs
+    c = dft_forward(f)
     total = np.sum(c * c * c[scale_map(p, n, p - 2)])
     # Normalize the real part alone: complex division loses the last bit
     # (91.125 / 729 would give 0.12499999999999999).
@@ -160,25 +145,23 @@ def lambda3_spectral(f: DensityFunction) -> float:
     return float(total.real) / norm
 
 
-def large_spectrum(f: DensityFunction, delta: float) -> PointSet:
-    """All frequencies a with |fhat(a)| strictly above delta * p^n."""
-    cutoff = _cutoff(delta, f.params)
-    mags = np.abs(dft_forward(f).coeffs)
-    a = np.nonzero(mags > cutoff)[0]
+def large_spectrum(coeffs: np.ndarray, delta: float, params: GroupParams) -> PointSet:
+    """All frequencies a with |fhat(a)| strictly above delta * p^n, for the
+    coefficients of an f mapping into [0, 1]."""
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    a = np.nonzero(np.abs(coeffs) > float(delta) * params.size)[0]
     # Parseval: at most delta^-2 survivors for f mapping into [0,1].  Below
     # delta = 1e-154, delta^-2 overflows a float, and no |A| <= p^n exceeds it.
     limit = delta**-2 if delta >= 1e-154 else np.inf
     if len(a) > limit + 1e-9:
         raise ValueError(f"|A| = {len(a)} exceeds delta^-2 = {limit:.6g}: Parseval violated")
-    return PointSet(f.params, tuple(int(i) for i in a))
+    return PointSet(params, tuple(int(i) for i in a))
 
 
-def spectrum_export_lines(spec: Spectrum, delta: float) -> list[str]:
-    """CLI export: 'index re im' for |fhat| > cutoff, by descending magnitude."""
-    cutoff = _cutoff(delta, spec.params)
-    mags = np.abs(spec.coeffs)
-    keep = [int(i) for i in np.nonzero(mags > cutoff)[0]]
-    keep.sort(key=lambda i: (-mags[i], i))
-    return [
-        f"{i} {spec.coeffs[i].real:.17g} {spec.coeffs[i].imag:.17g}" for i in keep
-    ]
+def spectrum_export_lines(coeffs: np.ndarray, a: PointSet) -> list[str]:
+    """CLI export: 'index re im' for each frequency in a, by descending
+    magnitude and then ascending index."""
+    mags = np.abs(coeffs)
+    keep = sorted(a.members, key=lambda i: (-mags[i], i))
+    return [f"{i} {coeffs[i].real:.17g} {coeffs[i].imag:.17g}" for i in keep]

@@ -1,5 +1,5 @@
-"""Canonical model of F_p^n: parameters, element arithmetic, density
-functions, point sets, and the .apf/.aps text formats.
+"""Canonical model of F_p^n: parameters, element arithmetic on indices
+(`combine`), density functions, point sets, and the .apf/.aps text formats.
 
 Elements are indexed little-endian base p: index = sum(digit_k * p**k),
 with coordinate 0 the least significant digit.  Every array, file, and
@@ -82,11 +82,13 @@ def index_to_digits(i: int, params: GroupParams) -> tuple[int, ...]:
     return tuple(int(i) // p**k % p for k in range(params.n))
 
 
-def _combine(ca: int, a, cb: int, b, params: GroupParams):
-    """Index of the element ca*a + cb*b, broadcasting a and b like numpy.
+def combine(ca: int, a, cb: int, b, params: GroupParams):
+    """Index of the element ca*a + cb*b, broadcasting a and b like numpy;
+    the integer coefficients act mod p, so they may be negative or >= p.
 
-    The digits are peeled off the indices one coordinate at a time and
-    combined mod p, so no array with a trailing axis of n digits is built.
+    The package's one index operation.  The digits are peeled off the
+    indices one coordinate at a time and combined mod p, so no array with
+    a trailing axis of n digits is built.
     """
     p = params.p
     a = np.asarray(a, dtype=np.int64)
@@ -103,23 +105,10 @@ def _combine(ca: int, a, cb: int, b, params: GroupParams):
     return out[()]
 
 
-def add_indices(a, b, params: GroupParams):
-    """Digit-wise mod-p addition of element indices; broadcasts like numpy."""
-    return _combine(1, a, 1, b, params)
-
-
-def sub_indices(a, b, params: GroupParams):
-    return _combine(1, a, -1, b, params)
-
-
-def scale_indices(a, c: int, params: GroupParams):
-    return _combine(c % params.p, a, 0, 0, params)
-
-
 @lru_cache(maxsize=None)
 def scale_map(p: int, n: int, c: int) -> np.ndarray:
     """Read-only map from each index i to the index of c*i."""
-    out = scale_indices(np.arange(p**n), c, GroupParams(p, n))
+    out = combine(c % p, np.arange(p**n), 0, 0, GroupParams(p, n))
     out.setflags(write=False)
     return out
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfspace import DensityFunction, PointSet, scale_map, sub_indices
+from .gfspace import DensityFunction, PointSet, combine
 from . import fourier
 from . import subspace as sub
 
@@ -116,17 +116,21 @@ class ImprovementReport:
 
 
 def delta_from_epsilon(epsilon: float, p: int, c_p: float) -> float:
-    """(eps^6 / 2^13 p^2) * exp(-16 c_p log(p) / eps)."""
+    """(eps^6 / 2^13 p^2) * exp(-16 c_p log(p) / eps); raises ValueError
+    where that underflows to 0.0 (a subnormal result is returned)."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0,1], got {epsilon}")
     if c_p <= 0.0:
         raise ValueError(f"c_p must be positive, got {c_p}")
-    return (epsilon**6 / (2**13 * p**2)) * math.exp(-16.0 * c_p * math.log(p) / epsilon)
+    delta = (epsilon**6 / (2**13 * p**2)) * math.exp(-16.0 * c_p * math.log(p) / epsilon)
+    if delta == 0.0:
+        raise ValueError(f"default delta underflows at epsilon = {epsilon}, p = {p}: pass --delta")
+    return delta
 
 
 def build_W(f: DensityFunction, delta: float):
     """A = large spectrum, V = span(A), W = V^perp."""
-    a = fourier.large_spectrum(f, delta)
+    a = fourier.large_spectrum(fourier.dft_forward(f), delta, f.params)
     v = sub.span(f.params, list(a.members))
     w = sub.orthogonal_complement(v)
     return a, v, w
@@ -208,8 +212,7 @@ def audit_cases(
     if not (np.all(fw.values[rows] == c[:, None]) and np.array_equal(g.values[rows], built)):
         raise RuntimeError("a coset row is not the constant pattern g is built from")
 
-    two_t = scale_map(p, params.n, 2)[t]
-    third = dec.rep_pos[sub_indices(two_t[None, :], t[:, None], params)]
+    third = dec.rep_pos[combine(-1, t[:, None], 2, t[None, :], params)]
     w_size = rows.shape[1]
     counts = case_counts(w_size, w_size - int(np.count_nonzero(s_cols)))
     vp = in_vp.astype(np.int8)

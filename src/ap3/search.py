@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gfspace import GroupParams, PointSet, add_indices, scale_map, sub_indices
+from .gfspace import GroupParams, PointSet, combine, scale_map
 from . import apcount, fourier
 
 if TYPE_CHECKING:
@@ -46,10 +46,11 @@ class StructureRow:
 
 @dataclass(frozen=True)
 class StructureReport(StructureRow):
-    """The best row over every searched W, and the best with dim W >= 1."""
+    """The best row over every searched W, and the best with dim W >= 1,
+    which codimension 0 (dim W = n >= 1) always supplies."""
 
     searched_codims: tuple[int, int]
-    best_positive_dim: StructureRow | None
+    best_positive_dim: StructureRow
 
 
 def size_floor(alpha: float, size: int) -> int:
@@ -107,7 +108,7 @@ def _participation(x: np.ndarray, params: GroupParams) -> tuple[np.ndarray, np.n
     p, n = params.p, params.n
     t = fourier.ntt(x, params)[0]
     prods = np.stack([t * t, t[scale_map(p, n, 2)] * t[scale_map(p, n, p - 1)]])
-    conv = fourier.ntt(prods % fourier.ntt_prime(p, n), params, inverse=True)
+    conv = fourier.ntt(prods, params, inverse=True)
     return conv[0][scale_map(p, n, 2)], conv[1]
 
 
@@ -128,13 +129,13 @@ def _best_move(
         return None, count
     add = count + 2 * e[outside] + m[outside] + 1
     remove = count - 2 * e[inside] - m[inside] + 2
-    p, n = params.p, params.n
+    h = (params.p + 1) // 2  # 1/2 mod p
     u, v = inside[:, None], outside[None, :]
     xi = x.astype(np.int64)
     pairs = (
-        xi[sub_indices(scale_map(p, n, 2)[u], v, params)]
-        + xi[scale_map(p, n, (p + 1) // 2)[add_indices(u, v, params)]]
-        + xi[sub_indices(scale_map(p, n, 2)[v], u, params)]
+        xi[combine(2, u, -1, v, params)]
+        + xi[combine(h, u, h, v, params)]
+        + xi[combine(-1, u, 2, v, params)]
     )
     swap = remove[:, None] + add[None, :] - count - 2 * pairs
     i, j = np.unravel_index(int(np.argmin(swap)), swap.shape)

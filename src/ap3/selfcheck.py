@@ -30,20 +30,20 @@ def selfcheck_checks() -> list[dict]:
     # carry omega^(+a), which a conjugation bug flips.
     p3 = GroupParams(3, 1)
     delta1 = DensityFunction(p3, np.array([0.0, 1.0, 0.0]))
-    coeff = fourier.dft_forward(delta1).coeffs[1]
+    coeff = fourier.dft_forward(delta1)[1]
     expected = np.exp(2j * np.pi / 3)
     record("transform_phase", abs(coeff - expected) < 1e-12, f"fhat(1)={coeff:.6f}")
 
     for p, n in [(3, 2), (5, 2), (3, 3)]:
         params = GroupParams(p, n)
         f = _random_density(params, rng)
-        spec = fourier.dft_forward(f)
-        back = fourier.dft_inverse(spec)
+        coeffs = fourier.dft_forward(f)
+        back = fourier.dft_inverse(coeffs, params)
         record(
             f"roundtrip_p{p}_n{n}",
             float(np.abs(back.values - f.values).max()) < 1e-10,
         )
-        lhs = float(np.sum(np.abs(spec.coeffs) ** 2)) / params.size
+        lhs = float(np.sum(np.abs(coeffs) ** 2)) / params.size
         rhs = float(np.sum(f.values**2))
         record(f"parseval_p{p}_n{n}", abs(lhs - rhs) <= 1e-9 * max(1.0, rhs))
         # Float kernel against two independent counts: the pair enumeration
@@ -102,8 +102,8 @@ def selfcheck_checks() -> list[dict]:
     f = _random_density(params, rng)
     w = sub.span(params, [[0, 1]])
     fw = sub.average_over_cosets(f, w)
-    fhat = fourier.dft_forward(f).coeffs
-    fwhat = fourier.dft_forward(fw).coeffs
+    fhat = fourier.dft_forward(f)
+    fwhat = fourier.dft_forward(fw)
     wperp = set(int(i) for i in sub.orthogonal_complement(w).elements())
     ok = all(
         abs(fwhat[a] - (fhat[a] if a in wperp else 0.0)) < 1e-9

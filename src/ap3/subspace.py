@@ -241,8 +241,8 @@ def subspace_blocks(
     params: GroupParams, dim: int
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """All subspaces of the given dimension as blocks (pivots, (N, dim, n)
-    canonical echelon bases) that share their pivot columns, in the order
-    of `all_subspaces`.  N * p^n stays within BLOCK_ELEMENTS unless a single
+    canonical echelon bases) that share their pivot columns, pivot tuples in
+    lex order.  N * p^n stays within BLOCK_ELEMENTS unless a single
     subspace exceeds it."""
     p, n = params.p, params.n
     if not 0 <= dim <= n:
@@ -268,13 +268,6 @@ def subspace_blocks(
                 bases[:, i, c] = code % p
                 code //= p
             yield pivots, bases
-
-
-def all_subspaces(params: GroupParams, dim: int) -> Iterator[Subspace]:
-    """All subspaces of the given dimension, via canonical echelon bases."""
-    for pivots, bases in subspace_blocks(params, dim):
-        for basis in bases:
-            yield Subspace(params, basis, pivots)
 
 
 def count_subspaces(params: GroupParams, dim: int) -> int:

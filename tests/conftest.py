@@ -27,6 +27,15 @@ def digits_to_index(digits, params: GroupParams) -> int:
     return sum(int(d) % p * p**k for k, d in enumerate(digits))
 
 
+def all_subspaces(params: GroupParams, dim: int):
+    """Every subspace of the given dimension, one Subspace at a time in the
+    order of `subspace_blocks`: the oracle the batched paths are checked
+    against."""
+    for pivots, bases in sub.subspace_blocks(params, dim):
+        for basis in bases:
+            yield sub.Subspace(params, basis, pivots)
+
+
 def subprocess_env() -> dict:
     """os.environ with this checkout's ap3 first on PYTHONPATH, so a child
     interpreter imports the same package without an install."""

@@ -14,9 +14,9 @@ import pytest
 
 from ap3 import apcount, fourier, improve, rounding, search
 from ap3 import subspace as sub
-from ap3.gfspace import DensityFunction, GroupParams, PointSet, add_indices, scale_indices
+from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
 
-from conftest import chunked_t3, subprocess_env
+from conftest import all_subspaces, chunked_t3, subprocess_env
 
 GRIDS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
@@ -61,14 +61,14 @@ def test_criterion_02_parseval_and_averaging_support():
         params = GroupParams(p, n)
         for _ in range(20):
             f = DensityFunction(params, rng.random(params.size))
-            fhat = fourier.dft_forward(f).coeffs
+            fhat = fourier.dft_forward(f)
             lhs = float(np.sum(np.abs(fhat) ** 2)) / params.size
             rhs = float(np.sum(f.values**2))
             ok &= abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
             gens = [list(rng.integers(0, p, size=n)) for _ in range(rng.integers(0, n + 1))]
             w = sub.span(params, gens)
             fw = sub.average_over_cosets(f, w)
-            fwhat = fourier.dft_forward(fw).coeffs
+            fwhat = fourier.dft_forward(fw)
             wperp = set(int(i) for i in sub.orthogonal_complement(w).elements())
             for a in range(params.size):
                 target = fhat[a] if a in wperp else 0.0
@@ -103,7 +103,7 @@ def test_criterion_04_subspace_closed_forms():
     params = GroupParams(3, 3)
     ok = True
     for dim in range(4):
-        for w in sub.all_subspaces(params, dim):
+        for w in all_subspaces(params, dim):
             w_mask = np.zeros(params.size, dtype=bool)
             w_mask[w.elements()] = True
             w_size = int(w_mask.sum())
@@ -150,8 +150,7 @@ def test_criterion_05_coset_decomposition_sum():
         # density, whose restricted sums of 0/1 terms are exact.
         ones = DensityFunction.constant(params, 1.0)
         u1, u2 = rows[:, 0, None], rows[None, :, 0]
-        two_u2 = add_indices(u2, u2, params)
-        u3 = add_indices(two_u2, scale_indices(u1, params.p - 1, params), params)
+        u3 = combine(-1, u1, 2, u2, params)
         first, middle = np.indices(u3.shape)
         triples = zip(first.ravel(), middle.ravel(), dec.rep_pos[u3].ravel())
         total = sum(apcount.t3_restricted(ones, *(parts[i] for i in t)) for t in triples)
@@ -180,10 +179,11 @@ def test_criterion_06_pipeline_worked_example():
 def _delta_keeping_codim(f: DensityFunction, ell: int) -> float:
     """Smallest delta whose large spectrum spans codim >= ell (binary climb
     over the sorted normalized magnitudes)."""
-    mags = np.abs(fourier.dft_forward(f).coeffs) / f.params.size
+    coeffs = fourier.dft_forward(f)
+    mags = np.abs(coeffs) / f.params.size
     for cut in sorted(set(mags)):
         delta = float(cut)
-        a = fourier.large_spectrum(f, delta)
+        a = fourier.large_spectrum(coeffs, delta, f.params)
         v = sub.span(f.params, list(a.members))
         if v.dim <= f.params.n - ell:
             return delta + 1e-15
@@ -285,8 +285,7 @@ def test_criterion_11_selfcheck_gate(monkeypatch):
     orig = fr.dft_forward
 
     def conjugated(f):
-        spec = orig(f)
-        return fr.Spectrum(spec.params, np.conj(spec.coeffs))
+        return np.conj(orig(f))
 
     monkeypatch.setattr(fr, "dft_forward", conjugated)
     monkeypatch.setattr(selfcheck.fourier, "dft_forward", conjugated)

@@ -12,10 +12,11 @@ from ap3.apcount import (
     varnavides_estimate,
 )
 from ap3.fourier import lambda3_spectral
-from ap3.gfspace import DensityFunction, GroupParams, PointSet, scale_indices, sub_indices
+from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
 from ap3 import fourier, search, subspace as sub
 
 from conftest import (
+    all_subspaces,
     brute_count,
     brute_lambda3,
     chunked_t3,
@@ -260,15 +261,7 @@ class TestCosetDecompositionOfCounts:
             total = 0.0
             for u1 in transversal:
                 for u2 in transversal:
-                    from ap3.gfspace import add_indices, scale_indices
-
-                    u3 = int(
-                        add_indices(
-                            int(add_indices(u2, u2, params)),
-                            int(scale_indices(u1, p - 1, params)),
-                            params,
-                        )
-                    )
+                    u3 = int(combine(-1, u1, 2, u2, params))
                     total += t3_restricted(h, cosets[u1], cosets[u2], cosets[u3])
             assert total == pytest.approx(t3_raw(h), abs=1e-9)
 
@@ -367,9 +360,8 @@ class TestTransformCount:
         # M(v) = #{(y, z) in S^2: y + z = 2v}, E(v) = sum_y x(y) x(2y - v).
         y = np.arange(params.size)
         for v in range(params.size):
-            two_v = scale_indices(v, 2, params)
-            assert m[v] == np.count_nonzero(x & x[sub_indices(two_v, y, params)])
-            assert e[v] == np.count_nonzero(x & x[sub_indices(scale_indices(y, 2, params), v, params)])
+            assert m[v] == np.count_nonzero(x & x[combine(2, v, -1, y, params)])
+            assert e[v] == np.count_nonzero(x & x[combine(2, y, -1, v, params)])
 
 
 def old_varnavides_estimate(s, m_dim, samples=0, seed=None, exhaustive=False):
@@ -378,7 +370,7 @@ def old_varnavides_estimate(s, m_dim, samples=0, seed=None, exhaustive=False):
     params = s.params
     s_mask = s.mask()
     if exhaustive:
-        subgroups = list(sub.all_subspaces(params, m_dim))
+        subgroups = list(all_subspaces(params, m_dim))
     else:
         rng = np.random.Generator(np.random.PCG64(seed))
         subgroups = []

@@ -9,10 +9,7 @@ import ap3
 SRC = pathlib.Path(ap3.__file__).parent
 
 # Public names that nothing in src/ uses, each with the reason it stays.
-ALLOWED = {
-    "all_subspaces": "benchmarks/tracer.py wraps it; it moves to tests/conftest.py "
-    "when the tracer is retired (ROADMAP item 4(b))",
-}
+ALLOWED = {}
 
 
 def test_every_public_definition_is_used_in_src():

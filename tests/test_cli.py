@@ -11,7 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ap3 import apcount, cli, rounding, search
+from ap3 import apcount, cli, fourier, rounding, search
 from ap3.cli import HASH_CHUNK, _file_sha256, _write_json, dispatch
 from ap3.gfspace import (
     DensityFunction,
@@ -213,19 +213,29 @@ GOLDEN_REPORTS = {
   "symmetric_difference": 2
 }
 """,
-    "structure_no_positive": """{
+    "structure_max_codim": """{
   "A_reps": [
     0,
-    3
+    1,
+    3,
+    4
   ],
-  "W": "dim 1; basis: (1,0)",
-  "best_positive_dim": null,
-  "normalized": 0.2222222222222222,
+  "W": "dim 0; basis:",
+  "best_positive_dim": {
+    "A_reps": [
+      0,
+      3
+    ],
+    "W": "dim 1; basis: (1,0)",
+    "normalized": 0.2222222222222222,
+    "symmetric_difference": 2
+  },
+  "normalized": 0.0,
   "searched_codims": [
     0,
-    1
+    2
   ],
-  "symmetric_difference": 2
+  "symmetric_difference": 0
 }
 """,
     "varnavides_exhaustive": """{
@@ -267,8 +277,8 @@ def golden_report(name):
         return search.local_min(p33, 0.3, 2, 4, 5)
     if name == "structure":
         return search.structure_report(cap, 1)
-    if name == "structure_no_positive":
-        return dataclasses.replace(search.structure_report(cap, 1), best_positive_dim=None)
+    if name == "structure_max_codim":
+        return search.structure_report(cap, 2)  # the best W is {0}
     if name == "varnavides_exhaustive":
         return apcount.varnavides_estimate(cap, 1, exhaustive=True)
     s = PointSet(p33, (0, 1, 3, 4, 9, 13, 26))
@@ -517,6 +527,20 @@ class TestSpectrum:
         idx, re, im = lines[0].split()
         assert idx == "0" and float(re) == pytest.approx(4.5)
 
+    def test_lines_are_the_large_spectrum(self, tmp_path, rng):
+        params = GroupParams(3, 4)
+        src = tmp_path / "f.apf"
+        save_density(DensityFunction(params, rng.random(params.size)), str(src))
+        f = load_density(str(src))
+        for delta in (0.01, 0.02, 0.05, 0.5):
+            assert run(
+                ["spectrum", "--input", str(src), "--delta", str(delta), "--output", "s.txt"],
+                tmp_path,
+            ) == 0
+            lines = (tmp_path / "out" / "s.txt").read_text().splitlines()
+            want = fourier.large_spectrum(fourier.dft_forward(f), delta, params)
+            assert sorted(int(line.split()[0]) for line in lines) == list(want.members)
+
     def test_bad_delta_is_usage_error(self, half_density, tmp_path):
         assert run(
             ["spectrum", "--input", half_density, "--delta", "-1"], tmp_path
@@ -600,6 +624,17 @@ class TestImprove:
         err = capsys.readouterr().err
         assert err.startswith("ap3: error:")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_default_delta_underflow_names_epsilon(self, tmp_path, rng, capsys):
+        # With no --delta, epsilon = 0.02 at p = 3 gives a default that
+        # underflows to 0; the error names epsilon and --delta.
+        params = GroupParams(3, 4)
+        src = tmp_path / "f.apf"
+        save_density(DensityFunction(params, rng.random(params.size)), str(src))
+        assert run(["improve", "--input", str(src), "--epsilon", "0.02"], tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ap3: error:") and err.count("\n") == 1
+        assert "epsilon = 0.02" in err and "--delta" in err
 
 
 class TestRound:
@@ -732,8 +767,7 @@ class TestSelfcheck:
         orig = fourier.dft_forward
 
         def conjugated(f):
-            spec = orig(f)
-            return fourier.Spectrum(spec.params, np.conj(spec.coeffs))
+            return np.conj(orig(f))
 
         monkeypatch.setattr(fourier, "dft_forward", conjugated)
         from ap3 import selfcheck

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from ap3 import fourier
 from ap3.fourier import (
     INT64_LIMIT,
-    Spectrum,
     dft_forward,
     dft_inverse,
     lambda3_spectral,
@@ -13,7 +11,7 @@ from ap3.fourier import (
     ntt_prime,
     spectrum_export_lines,
 )
-from ap3.gfspace import DensityFunction, GroupParams, PointSet, is_prime, scale_map, sub_indices
+from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine, is_prime, scale_map
 from ap3 import subspace as sub
 
 from conftest import brute_lambda3, naive_dft, random_density
@@ -22,7 +20,8 @@ from conftest import brute_lambda3, naive_dft, random_density
 class TestForward:
     def test_constant(self):
         params = GroupParams(3, 2)
-        c = dft_forward(DensityFunction.constant(params, 1.0)).coeffs
+        c = dft_forward(DensityFunction.constant(params, 1.0))
+        assert c.dtype == np.complex128 and not c.flags.writeable
         assert c[0] == pytest.approx(9.0)
         assert np.abs(c[1:]).max() < 1e-12
 
@@ -30,29 +29,29 @@ class TestForward:
         params = GroupParams(3, 2)
         vals = np.zeros(9)
         vals[0] = 1.0
-        c = dft_forward(DensityFunction(params, vals)).coeffs
+        c = dft_forward(DensityFunction(params, vals))
         assert np.abs(c - 1.0).max() < 1e-12
 
     def test_against_naive(self, rng):
         params = GroupParams(5, 2)
         f = random_density(params, rng)
-        assert np.abs(dft_forward(f).coeffs - naive_dft(f)).max() < 1e-9
+        assert np.abs(dft_forward(f) - naive_dft(f)).max() < 1e-9
 
     def test_against_naive_p3_n3(self, rng):
         params = GroupParams(3, 3)
         f = random_density(params, rng)
-        assert np.abs(dft_forward(f).coeffs - naive_dft(f)).max() < 1e-9
+        assert np.abs(dft_forward(f) - naive_dft(f)).max() < 1e-9
 
     def test_dc_coefficient(self, rng):
         params = GroupParams(3, 3)
         f = random_density(params, rng)
-        c0 = dft_forward(f).coeffs[0]
+        c0 = dft_forward(f)[0]
         assert abs(c0 - f.values.sum()) < 1e-9 * params.size
         assert abs(c0.imag) < 1e-12
 
     def test_conjugate_symmetry(self, rng):
         params = GroupParams(5, 2)
-        c = dft_forward(random_density(params, rng)).coeffs
+        c = dft_forward(random_density(params, rng))
         assert np.abs(c[scale_map(5, 2, 4)] - np.conj(c)).max() < 1e-10
 
 
@@ -60,21 +59,21 @@ class TestInverse:
     def test_roundtrip(self, rng):
         params = GroupParams(3, 3)
         f = random_density(params, rng)
-        back = dft_inverse(dft_forward(f))
+        back = dft_inverse(dft_forward(f), params)
         assert np.abs(back.values - f.values).max() < 1e-10
 
     def test_dc_only(self):
         params = GroupParams(3, 2)
         c = np.zeros(9, dtype=complex)
         c[0] = 9.0
-        f = dft_inverse(Spectrum(params, c))
+        f = dft_inverse(c, params)
         assert np.allclose(f.values, 1.0)
 
     def test_rejects_asymmetric(self):
         params = GroupParams(3, 1)
         c = np.array([1.0, 2.0j, 5.0], dtype=complex)
         with pytest.raises(ValueError, match="conjugate symmetry"):
-            dft_inverse(Spectrum(params, c))
+            dft_inverse(c, params)
 
 
 class TestParseval:
@@ -82,7 +81,7 @@ class TestParseval:
     def test_parseval(self, p, n, rng):
         params = GroupParams(p, n)
         f = random_density(params, rng)
-        lhs = float(np.sum(np.abs(dft_forward(f).coeffs) ** 2)) / params.size
+        lhs = float(np.sum(np.abs(dft_forward(f)) ** 2)) / params.size
         rhs = float(np.sum(f.values**2))
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -112,51 +111,49 @@ class TestLambda3Spectral:
             assert abs(lambda3_spectral(f) - brute_lambda3(f)) < 1e-9
 
 
+def spectrum_of(f, delta):
+    return large_spectrum(dft_forward(f), delta, f.params)
+
+
 class TestLargeSpectrum:
     def test_constant(self):
         f = DensityFunction.constant(GroupParams(3, 2), 1.0)
-        assert large_spectrum(f, 0.5).members == (0,)
+        assert spectrum_of(f, 0.5).members == (0,)
 
     def test_subspace_indicator(self):
         # indicator of span{(0,1)} in F_3^2: fhat is |W| on the annihilator
         params = GroupParams(3, 2)
         w = sub.span(params, [[0, 1]])
         f = PointSet(params, tuple(int(i) for i in w.elements())).density()
-        a = large_spectrum(f, 0.2)
+        a = spectrum_of(f, 0.2)
         annihilator = set(int(i) for i in sub.orthogonal_complement(w).elements())
         assert set(a.members) == annihilator
         assert len(a) == 3
 
     def test_above_max_is_empty(self, rng):
         f = random_density(GroupParams(3, 2), rng)
-        assert large_spectrum(f, 1.01).members == ()
+        assert spectrum_of(f, 1.01).members == ()
 
-    def test_parseval_violation_raises(self, monkeypatch, rng):
-        # No f in [0,1] breaks Parseval, so inflate the spectrum instead.
-        orig = fourier.dft_forward
-
-        def inflated(f):
-            spec = orig(f)
-            return Spectrum(spec.params, spec.coeffs * 100.0)
-
-        monkeypatch.setattr(fourier, "dft_forward", inflated)
+    def test_parseval_violation_raises(self, rng):
+        # No f in [0,1] breaks Parseval, so inflate its coefficients instead.
         f = random_density(GroupParams(3, 2), rng)
         with pytest.raises(ValueError, match="Parseval"):
-            large_spectrum(f, 0.5)
+            large_spectrum(dft_forward(f) * 100.0, 0.5, f.params)
 
     def test_parseval_bound(self, rng):
         params = GroupParams(3, 3)
         for delta in [0.05, 0.1, 0.3]:
             for _ in range(5):
                 f = random_density(params, rng)
-                assert len(large_spectrum(f, delta)) <= delta**-2
+                assert len(spectrum_of(f, delta)) <= delta**-2
 
 
 class TestExport:
     def test_sorted_by_magnitude(self, rng):
         params = GroupParams(3, 2)
         f = random_density(params, rng)
-        lines = spectrum_export_lines(dft_forward(f), 0.01)
+        coeffs = dft_forward(f)
+        lines = spectrum_export_lines(coeffs, large_spectrum(coeffs, 0.01, params))
         mags = []
         for line in lines:
             idx, re, im = line.split()
@@ -184,16 +181,25 @@ class TestExactTransform:
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
     def test_convolution_matches_definition(self, p, n, rng):
         params = GroupParams(p, n)
-        q = ntt_prime(p, n)
         a = rng.random((3, params.size)) < 0.5
         b = rng.random((3, params.size)) < 0.3
-        got = ntt(ntt(a, params) * ntt(b, params) % q, params, inverse=True)
+        got = ntt(ntt(a, params) * ntt(b, params), params, inverse=True)
         assert got.dtype == np.int64
         assert np.array_equal(ntt(ntt(a, params), params, inverse=True), a)
         t = np.arange(params.size)
         for row in range(3):
             want = [
-                int(np.count_nonzero(a[row] & b[row][sub_indices(ti, t, params)]))
+                int(np.count_nonzero(a[row] & b[row][combine(1, ti, -1, t, params)]))
                 for ti in t
             ]
             assert got[row].tolist() == want
+
+    @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (3, 10), (7, 5)])
+    def test_reduces_its_input(self, p, n, rng):
+        # Products of two residues, up to (q-1)^2, go in unreduced.
+        params = GroupParams(p, n)
+        q = ntt_prime(p, n)
+        y = rng.integers(0, (q - 1) ** 2, size=(2, params.size), endpoint=True)
+        y[0, :2] = (q - 1) ** 2, q
+        for inverse in (False, True):
+            assert np.array_equal(ntt(y, params, inverse), ntt(y % q, params, inverse))

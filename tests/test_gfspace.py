@@ -13,16 +13,14 @@ from ap3.gfspace import (
     GroupParams,
     PointSet,
     RANGE_SLACK,
-    add_indices,
+    combine,
     index_to_digits,
     is_prime,
     load_density,
     load_set,
     save_density,
     save_set,
-    scale_indices,
     scale_map,
-    sub_indices,
 )
 
 from conftest import digit_table, digits_to_index
@@ -107,21 +105,21 @@ class TestElement:
         params = GroupParams(3, 2)
         a = digits_to_index((1, 2), params)
         b = digits_to_index((2, 2), params)
-        assert index_to_digits(int(add_indices(a, b, params)), params) == (0, 1)
+        assert index_to_digits(int(combine(1, a, 1, b, params)), params) == (0, 1)
 
     def test_scale(self):
         params = GroupParams(3, 2)
         a = digits_to_index((1, 2), params)
-        assert index_to_digits(int(scale_indices(a, 2, params)), params) == (2, 1)
+        assert index_to_digits(int(combine(2, a, 0, 0, params)), params) == (2, 1)
 
     def test_sub_self_is_zero(self):
         params = GroupParams(5, 3)
         for i in [0, 7, 124]:
-            assert sub_indices(i, i, params) == 0
+            assert combine(1, i, -1, i, params) == 0
 
     def test_order_p(self):
         params = GroupParams(3, 2)
-        assert scale_indices(5, 3, params) == 0
+        assert combine(3, 5, 0, 0, params) == 0
 
 
 def _oracle(p, n, a, b, ca, cb):
@@ -135,7 +133,7 @@ KERNEL_GROUPS = [(3, 4), (5, 3), (7, 2)]
 
 
 class TestIndexKernel:
-    """add/sub/scale_indices against the digit-table oracle."""
+    """combine against the digit-table oracle."""
 
     def _shapes(self, params, rng):
         size = params.size
@@ -147,28 +145,32 @@ class TestIndexKernel:
         yield np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
         yield np.zeros((0, 1), dtype=np.int64), rng.integers(0, size, (1, 5))
 
+    def check(self, params, ca, cb, rng):
+        p, n = params.p, params.n
+        for a, b in self._shapes(params, rng):
+            got = combine(ca, a, cb, b, params)
+            want = _oracle(p, n, a, b, ca, cb)
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).dtype == np.int64
+            assert np.array_equal(got, want)
+            assert np.ndim(got) > 0 or isinstance(got, np.int64)
+
     @pytest.mark.parametrize("p, n", KERNEL_GROUPS)
     def test_add_sub_match_oracle(self, p, n, rng):
-        params = GroupParams(p, n)
-        for a, b in self._shapes(params, rng):
-            for got, want in [
-                (add_indices(a, b, params), _oracle(p, n, a, b, 1, 1)),
-                (sub_indices(a, b, params), _oracle(p, n, a, b, 1, -1)),
-            ]:
-                assert np.shape(got) == np.shape(want)
-                assert np.asarray(got).dtype == np.int64
-                assert np.array_equal(got, want)
-                assert np.ndim(got) > 0 or isinstance(got, np.int64)
+        for ca, cb in [(1, 1), (1, -1)]:
+            self.check(GroupParams(p, n), ca, cb, rng)
 
     @pytest.mark.parametrize("p, n", KERNEL_GROUPS)
     def test_scale_matches_oracle(self, p, n, rng):
-        params = GroupParams(p, n)
-        for c in (0, 1, 2, p - 1, -1):
-            for a, _ in self._shapes(params, rng):
-                got = scale_indices(a, c, params)
-                want = _oracle(p, n, a, 0, c, 0)
-                assert np.shape(got) == np.shape(want)
-                assert np.array_equal(got, want)
+        for c in (0, 1, 2, p - 1, -1, p + 2):
+            self.check(GroupParams(p, n), c, 0, rng)
+
+    @pytest.mark.parametrize("p, n", KERNEL_GROUPS)
+    def test_combine_matches_oracle(self, p, n, rng):
+        # 2u - v, (u+v)/2 and 2v - u, then coefficients outside [0, p).
+        h = (p + 1) // 2
+        for ca, cb in [(2, -1), (h, h), (-1, 2), (-p - 2, 2 * p - 1), (3 * p, -3 * p + 1)]:
+            self.check(GroupParams(p, n), ca, cb, rng)
 
     @pytest.mark.parametrize("p, n", KERNEL_GROUPS)
     def test_scale_map_read_only(self, p, n):

@@ -1,19 +1,14 @@
 import json
 import math
 import os
+import sys
 from fractions import Fraction
 
 import jsonschema
 import numpy as np
 import pytest
 
-from ap3.gfspace import (
-    DensityFunction,
-    GroupParams,
-    PointSet,
-    scale_indices,
-    sub_indices,
-)
+from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
 from ap3.improve import (
     audit_cases,
     build_W,
@@ -73,6 +68,18 @@ class TestDelta:
     def test_monotone_in_epsilon(self):
         deltas = [delta_from_epsilon(e, 3, 1.0) for e in (0.25, 0.5, 1.0)]
         assert deltas == sorted(deltas)
+
+    def test_underflow_raises_at_the_source(self):
+        # exp(-16 log(3) / eps) leaves the float range for eps <= 0.024.
+        for eps in (0.024, 0.02, 1e-3):
+            with pytest.raises(ValueError, match=f"epsilon = {eps}, p = 3: pass --delta"):
+                delta_from_epsilon(eps, 3, 1.0)
+        with pytest.raises(ValueError, match="pass --delta"):
+            construct_g(TestConfig.F, 0.02)
+
+    def test_subnormal_default_is_kept(self):
+        delta = delta_from_epsilon(0.025, 3, 1.0)
+        assert 0.0 < delta < sys.float_info.min
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -147,7 +154,7 @@ class TestConstructG:
             # pick delta so span(A) has codim >= ell: keep only the DC term
             from ap3.fourier import dft_forward
 
-            mags = np.abs(dft_forward(f).coeffs) / params.size
+            mags = np.abs(dft_forward(f)) / params.size
             delta = float(np.sort(mags)[-2]) + 1e-9
             g, report = construct_g(f, 1.0, delta)
             assert abs(g.expectation() - f.expectation()) < 1e-12
@@ -253,7 +260,7 @@ class TestConstructG:
         h = rng.permutation(np.linspace(0.2, 0.8, p))
         noise = rng.uniform(-0.02, 0.02, size=params.size)
         f = DensityFunction(params, h[digit_table(p, n)[:, 0]] + noise)
-        mags = np.sort(np.abs(dft_forward(f).coeffs)) / params.size
+        mags = np.sort(np.abs(dft_forward(f))) / params.size
         delta = float(mags[-p] + mags[-p - 1]) / 2
         g, report = construct_g(f, eps, delta)
         assert report.W.dim == n - 1
@@ -351,7 +358,7 @@ class TestAuditAtScale:
         assert len(cases.reps) == len(t) ** 2
         for k, (u1, u2, u3) in enumerate(cases.reps.tolist()):
             assert (u1, u2) == (t[k // len(t)], t[k % len(t)])
-            assert u3 == sub_indices(scale_indices(u2, 2, f.params), u1, f.params)
+            assert u3 == combine(-1, u1, 2, u2, f.params)
         path = tmp_path / "improve_report.json"
         _write_json(report, str(path))
         with open(path) as fh:

@@ -17,7 +17,7 @@ from ap3.search import (
 )
 from ap3 import search, subspace as sub
 
-from conftest import chunked_t3
+from conftest import all_subspaces, chunked_t3
 
 
 # (p, n, alpha, restarts, iters, seed, best_set, count, iterations), recorded
@@ -211,7 +211,7 @@ def old_structure_report(s, max_codim):
     for codim in range(max_codim + 1):
         dim = n - codim
         w_size = params.p**dim
-        for w in sub.all_subspaces(params, dim):
+        for w in all_subspaces(params, dim):
             dec = sub.coset_decomposition(w)
             inter = np.zeros(len(dec.rows), dtype=np.int64)
             if len(s_members):
@@ -284,7 +284,7 @@ class TestBatchedStructure:
         v1 = sub.span(params, [[1, 0, 0, 0], [0, 1, 0, 0]])
         v2 = sub.span(params, [[1, 0, 0, 0], [0, 1, 1, 0]])
         s = PointSet(params, tuple({*v1.elements().tolist(), *v2.elements().tolist()}))
-        planes = [(w, difference_of(s, w)) for w in sub.all_subspaces(params, 2)]
+        planes = [(w, difference_of(s, w)) for w in all_subspaces(params, 2)]
         best = min(sd for _, sd in planes)
         assert best == 6 and [w for w, sd in planes if sd == best] == [v1, v2]
         for per_block in (None, 2):

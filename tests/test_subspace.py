@@ -5,10 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ap3.gfspace import DensityFunction, GroupParams, sub_indices
+from ap3.gfspace import DensityFunction, GroupParams, combine
 from ap3 import fourier, subspace
 from ap3.subspace import (
-    all_subspaces,
     average_over_cosets,
     canonical_codim_subspace,
     coset_decomposition,
@@ -22,7 +21,7 @@ from ap3.subspace import (
     trivial_space,
 )
 
-from conftest import digit_table, digits_to_index, random_density
+from conftest import all_subspaces, digit_table, digits_to_index, random_density
 
 
 def brute_span(params, generators):
@@ -142,7 +141,7 @@ class TestCosetDecomposition:
             for m in range(params.size):
                 rep = int(dec.rows[dec.rep_pos[m], 0])
                 assert rep in transversal
-                assert int(sub_indices(m, rep, params)) in members
+                assert int(combine(1, m, -1, rep, params)) in members
 
     @pytest.mark.parametrize(
         "p,n,gens", [(3, 3, None), (5, 2, None), (5, 2, [[1, 2]]), (3, 4, None), (7, 2, None)]
@@ -252,8 +251,8 @@ class TestAverageOverCosets:
         f = random_density(params, rng)
         w = span(params, [[1, 2, 0]])
         fw = average_over_cosets(f, w)
-        fhat = fourier.dft_forward(f).coeffs
-        fwhat = fourier.dft_forward(fw).coeffs
+        fhat = fourier.dft_forward(f)
+        fwhat = fourier.dft_forward(fw)
         wperp = set(int(i) for i in orthogonal_complement(w).elements())
         for a in range(params.size):
             expected = fhat[a] if a in wperp else 0.0
