@@ -131,11 +131,13 @@ def varnavides_estimate(
     if exhaustive:
         blocks = sub.subspace_blocks(params, m_dim)
     else:
-        rng = np.random.Generator(np.random.PCG64(seed))
+        from .pcg import PCG64
+
+        rng = PCG64(seed)
         blocks = []
         for _ in range(samples):
             while True:
-                gens = [int(g) for g in rng.integers(0, params.size, size=m_dim)]
+                gens = [int(g) for g in rng.integers(params.size, m_dim)]
                 cand = sub.span(params, gens)
                 if cand.dim == m_dim:
                     blocks.append((cand.pivots, cand.basis[None]))

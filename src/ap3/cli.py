@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Three-term arithmetic progression counts on F_p^n",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--seed", type=_non_negative_int, default=None)
     common.add_argument("--output-dir", default=".")
     common.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS, default="WARNING")
     subs = parser.add_subparsers(dest="command", required=True)

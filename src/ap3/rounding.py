@@ -2,10 +2,10 @@
 repair and coset-deviation monitoring, plus the Hoeffding tail bound as a
 diagnostic.
 
-PRNG discipline: the stream is PCG64 seeded directly with the given seed,
-one 64-bit draw per point in canonical index order, point m set to 1 when
-draw / 2^64 < j(m).  Pinning the stream (not just the library) is what
-makes runs bit-reproducible.
+PRNG discipline: the stream is numpy's `Generator(PCG64(seed))`, drawn by
+`ap3.pcg` without numpy's random package: one 64-bit draw per point in
+canonical index order, point m set to 1 when draw / 2^64 < j(m).  Pinning
+the stream (not just the library) is what makes runs bit-reproducible.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ class RoundingReport:
 
 def randomize(j: DensityFunction, seed: int) -> DensityFunction:
     """Independent Bernoulli(j(m)) draws; 0/1-valued, reproducible per seed."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.integers(0, 2**64, size=j.params.size, dtype=np.uint64)
+    from .pcg import PCG64
+
+    draws = PCG64(seed).uint64(j.params.size)
     # draw/2^64 < j(m); handled exactly at j = 0 and j = 1.
     out = draws.astype(np.float64) < j.values * 2.0**64
     out |= j.values >= 1.0

@@ -11,6 +11,7 @@ import numpy as np
 from . import apcount, fourier, improve
 from . import subspace as sub
 from .gfspace import DensityFunction, GroupParams, PointSet
+from .pcg import PCG64
 
 
 def _random_density(params: GroupParams, rng) -> DensityFunction:
@@ -24,7 +25,7 @@ def selfcheck_checks() -> list[dict]:
     def record(name: str, passed: bool, detail: str = "") -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    rng = np.random.Generator(np.random.PCG64(20240901))
+    rng = PCG64(20240901)
 
     # Phase convention: the transform of the delta at index 1 in F_3 must
     # carry omega^(+a), which a conjugation bug flips.

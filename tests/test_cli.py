@@ -431,6 +431,42 @@ class TestNumericFlags:
         assert "error: argument" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--input", "IN"],
+            ["spectrum", "--input", "IN", "--delta", "0.1"],
+            ["average", "--input", "IN", "--subspace", "0,1"],
+            ["improve", "--input", "IN", "--epsilon", "1.0"],
+            ["improve", "--input", "IN", "--epsilon", "1.0", "--indicator"],
+            ["round", "--input", "IN"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--restarts", "1"],
+            ["structure", "--input", "SET", "--max-codim", "1"],
+            ["varnavides", "--input", "SET", "--m-dim", "1"],
+            ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],
+            ["selfcheck"],
+        ],
+        ids=[
+            "count",
+            "spectrum",
+            "average",
+            "improve",
+            "improve-indicator",
+            "round",
+            "search",
+            "structure",
+            "varnavides-sampled",
+            "varnavides-exhaustive",
+            "selfcheck",
+        ],
+    )
+    def test_negative_seed_rejected(self, half_density, cap_set, tmp_path, capsys, argv):
+        inputs = {"IN": half_density, "SET": cap_set}
+        argv = [inputs.get(a, a) for a in argv] + ["--seed", "-1"]
+        assert run(argv, tmp_path) == 2
+        assert "argument --seed: '-1' is negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_iters_accepted(self, tmp_path):
         assert run(
             ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--restarts", "0", "--iters", "0"],
@@ -439,9 +475,10 @@ class TestNumericFlags:
 
 
 class TestImportBudget:
-    """A job loads only the ap3 modules its subcommand runs, and OpenSSL
-    (`_hashlib`) only where numpy.random imports it through secrets and hmac:
-    rounding and selfcheck, which ap3 does not control."""
+    """A job loads only the ap3 modules its subcommand runs, and none loads
+    numpy's random package or OpenSSL (`_hashlib`), which that package
+    imports through secrets and hmac: jobs that draw random numbers use
+    `ap3.pcg`."""
 
     SCRIPT = (
         "import json, sys\n"
@@ -449,8 +486,8 @@ class TestImportBudget:
         "loaded = lambda: {m for m in sys.modules if m.split('.')[0] == 'ap3'}\n"
         "before = loaded()\n"
         "code = ap3.cli.main(sys.argv[1:])\n"
-        "openssl = '_hashlib' in sys.modules\n"
-        "print(json.dumps([code, sorted(before), sorted(loaded() - before), openssl]))\n"
+        "banned = sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules))\n"
+        "print(json.dumps([code, sorted(before), sorted(loaded() - before), banned]))\n"
     )
 
     @pytest.mark.parametrize(
@@ -465,9 +502,13 @@ class TestImportBudget:
             ),
             (
                 ["improve", "--input", "IN", "--epsilon", "1.0", "--indicator"],
-                ["ap3.improve", "ap3.rounding", "ap3.subspace"],
+                ["ap3.improve", "ap3.pcg", "ap3.rounding", "ap3.subspace"],
             ),
-            (["selfcheck"], ["ap3.apcount", "ap3.improve", "ap3.selfcheck", "ap3.subspace"]),
+            (["round", "--input", "IN"], ["ap3.pcg", "ap3.rounding", "ap3.subspace"]),
+            (
+                ["selfcheck"],
+                ["ap3.apcount", "ap3.improve", "ap3.pcg", "ap3.selfcheck", "ap3.subspace"],
+            ),
             (
                 ["search", "--p", "3", "--n", "2", "--alpha", "0.3", "--restarts", "1"],
                 ["ap3.apcount", "ap3.search"],
@@ -480,6 +521,14 @@ class TestImportBudget:
                 ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],
                 ["ap3.apcount", "ap3.subspace"],
             ),
+            (
+                ["varnavides", "--input", "SET", "--m-dim", "1", "--samples", "3"],
+                ["ap3.apcount", "ap3.pcg", "ap3.subspace"],
+            ),
+            (
+                ["varnavides", "--input", "SET", "--m-dim", "1", "--samples", "3", "--seed", "4"],
+                ["ap3.apcount", "ap3.pcg", "ap3.subspace"],
+            ),
         ],
     )
     def test_modules_loaded(self, half_density, cap_set, tmp_path, argv, added):
@@ -490,12 +539,11 @@ class TestImportBudget:
             [sys.executable, "-c", self.SCRIPT, *argv],
             env=subprocess_env(), capture_output=True, text=True, check=True, timeout=60,
         )
-        code, before, new, openssl = json.loads(proc.stdout.splitlines()[-1])
+        code, before, new, banned = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0
         assert before == ["ap3", "ap3.cli", "ap3.fourier", "ap3.gfspace"]
         assert new == added
-        # Only rounding and selfcheck draw random numbers.
-        assert openssl == ("ap3.rounding" in added or "ap3.selfcheck" in added)
+        assert banned == []
 
 
 class TestManifestDigest:

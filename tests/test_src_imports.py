@@ -1,0 +1,21 @@
+"""No module in the package names numpy's random package: importing it
+loads OpenSSL through secrets and hmac, so random draws go through
+`ap3.pcg`."""
+
+import pathlib
+import re
+
+import ap3
+
+SRC = pathlib.Path(ap3.__file__).parent
+
+
+def test_no_module_names_numpy_random():
+    pattern = re.compile(r"numpy.random|np.random")
+    hits = [
+        f"{path.name}:{lineno}"
+        for path in sorted(SRC.rglob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
