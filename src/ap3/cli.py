@@ -151,6 +151,20 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _resolve_seed(args) -> int | None:
+    """The seed a run draws from, so that its manifest records it: --seed
+    when given; else 0 for rounding (`round`, `improve --indicator`), a
+    fresh 63-bit draw from os.urandom for local `search` and sampled
+    `varnavides`, and None for a run that draws nothing."""
+    if args.seed is not None:
+        return args.seed
+    if args.command == "round" or (args.command == "improve" and args.indicator):
+        return 0
+    if args.command in ("search", "varnavides") and not args.exhaustive:
+        return int.from_bytes(os.urandom(8), "little") >> 1
+    return None
+
+
 def _write_manifest(args, inputs: list[str]) -> None:
     outdir = args.output_dir
     os.makedirs(outdir, exist_ok=True)
@@ -158,7 +172,7 @@ def _write_manifest(args, inputs: list[str]) -> None:
         "command": args.command,
         "argv": args._argv,
         "inputs": {path: _file_sha256(path) for path in inputs},
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "version": __version__,
     }
     _write_json(manifest, os.path.join(outdir, f"{args.command}_manifest.json"))
@@ -191,8 +205,9 @@ def cmd_spectrum(args) -> int:
         raise UsageError("--delta must be positive")
     f = load_density(args.input)
     _write_manifest(args, [args.input])
-    coeffs = fourier.dft_forward(f)
-    a = fourier.large_spectrum(coeffs, args.delta, f.params)
+    coeffs, params = fourier.dft_forward(f), f.params
+    del f  # its values are not needed once the coefficients exist
+    a = fourier.large_spectrum(coeffs, args.delta, params)
     lines = fourier.spectrum_export_lines(coeffs, a)
     text = "\n".join(lines)
     if args.output:
@@ -231,7 +246,7 @@ def cmd_improve(args) -> int:
     if args.indicator:
         from . import rounding
 
-        g, rr = rounding.round_to_indicator(g, args.seed or 0, monitored=[report.W])
+        g, rr = rounding.round_to_indicator(g, args.seed, monitored=[report.W])
         payload = {**payload, "rounding": rr}
     save_density(g, _out(args, args.output))
     _write_json(payload, _out(args, args.report))
@@ -248,7 +263,7 @@ def cmd_round(args) -> int:
     j = load_density(args.input)
     monitored = [_parse_subspace(spec, j.params) for spec in args.monitor]
     _write_manifest(args, [args.input])
-    j2, report = rounding.round_to_indicator(j, args.seed or 0, monitored=monitored)
+    j2, report = rounding.round_to_indicator(j, args.seed, monitored=monitored)
     save_density(j2, _out(args, args.output))
     _write_json(report, _out(args, args.report))
     print(f"mean_after={report.mean_after:.17g} repaired={report.repaired_points}")
@@ -404,6 +419,7 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args._argv = list(argv)
+    args.seed = _resolve_seed(args)
     logging.basicConfig(level=args.log_level)
     try:
         return args.func(args)

@@ -11,6 +11,11 @@ The same axis passes run over the prime field F_q with q = 1 (mod p),
 where omega is a p-th root of unity mod q (Pollard, "The fast Fourier
 transform in a finite field", Math. Comp. 1971).  That gives exact
 integer convolutions with no rounding.
+
+Both transforms run one kernel, `_axis_passes`, in place on a private copy
+of their input: each digit axis is swept a block of at most `PASS_BLOCK`
+elements at a time, so a transform holds its input, its output and one
+block, with no full-size temporary or transposed copy.
 """
 
 from __future__ import annotations
@@ -24,8 +29,13 @@ from .gfspace import DensityFunction, GroupParams, PointSet, is_prime, scale_map
 IMAG_TOL = 1e-9
 ROUNDTRIP_IMAG_TOL = 1e-10
 
-# Each mod-q axis pass sums p products of residues below q in int64.
+# Each mod-q axis pass sums p products of residues below q in int64, and
+# unreduced passes keep every entry below this bound.
 INT64_LIMIT = 2**63
+
+# Most elements, p times the columns, one block of an axis pass holds: 64 KiB
+# of complex128 (see `_axis_passes`).
+PASS_BLOCK = 2**12
 
 
 @lru_cache(maxsize=None)
@@ -38,22 +48,51 @@ def _char_matrix(p: int) -> np.ndarray:
 
 
 def _axis_passes(arr: np.ndarray, matrix: np.ndarray, q: int | None = None) -> np.ndarray:
-    """Apply the p x p `matrix` along each of the n digit axes of `arr`.
+    """Apply the p x p `matrix` in place along each of the n digit axes of
+    the C-contiguous `arr`, and return `arr`.
 
     `arr` has shape (batch, p, ..., p) with n digit axes; every batch row
     is transformed independently in O(n p^(n+1)).  With `q` set, entries
-    are residues mod q and each pass is reduced mod q.
+    are residues mod q, and they are reduced mod q after the last pass and
+    after any pass whose output could overflow int64 in the next one.
+
+    The pass over the digit of stride p^k views `arr` as (rows, p, p^k),
+    most significant digit first, and works through blocks of at most
+    PASS_BLOCK elements, each multiplied by `matrix` and written back.  A
+    complex block is gathered into one (p, m) matrix, since BLAS takes one
+    matrix a call; numpy's integer matmul loops over a block's rows itself.
+    Blocks are kept small for two reasons.  Their temporaries stay below
+    glibc's 128 KiB mmap threshold, since freeing a larger one raises that
+    threshold for the rest of the job and so its later peak RSS: blocks of
+    2^13 columns make 393 KB temporaries, and a 3^10 `ap3 spectrum` job
+    then peaks at 32.9 MB against 31.6 MB.  And each matmul stays too small
+    for OpenBLAS to thread: with (7 x 7) @ (7 x 2048) blocks a 7^6
+    transform takes 4 ms, but up to 412 ms when a call is threaded on 2
+    cores.
     """
     p = matrix.shape[0]
-    batch, n = arr.shape[0], arr.ndim - 1
-    a = arr.reshape(batch, p, -1)
-    for _ in range(n):
-        a = np.matmul(matrix, a)
+    cols = max(1, PASS_BLOCK // p)
+    bound = None if q is None else q - 1  # the largest entry
+    for k in reversed(range(arr.ndim - 1)):
+        view = arr.reshape(-1, p, p**k)
+        rows, width = view.shape[0], view.shape[2]
+        row_step, col_step = max(1, cols // width), min(width, cols)
         if q is not None:
-            a %= q
-        # Rotate the transformed digit to the back; n rotations restore the order.
-        a = a.transpose(0, 2, 1).reshape(batch, p, -1)
-    return a.reshape(arr.shape)
+            bound *= p * (q - 1)
+            reduce = k == 0 or bound * p * (q - 1) >= INT64_LIMIT
+            if reduce:
+                bound = q - 1
+        for r in range(0, rows, row_step):
+            for c in range(0, width, col_step):
+                block = view[r : r + row_step, :, c : c + col_step]
+                if q is None:
+                    out = np.matmul(matrix, block.transpose(1, 0, 2).reshape(p, -1))
+                    block[...] = out.reshape(p, len(block), -1).transpose(1, 0, 2)
+                elif reduce:
+                    np.remainder(np.matmul(matrix, block), q, out=block)
+                else:
+                    block[...] = np.matmul(matrix, block)
+    return arr
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +164,7 @@ def dft_inverse(c: np.ndarray, params: GroupParams) -> DensityFunction:
     scale = max(1.0, float(np.abs(c).max()))
     if np.abs(c[scale_map(p, n, p - 1)] - np.conj(c)).max() > IMAG_TOL * scale:
         raise ValueError("spectrum violates conjugate symmetry; no real preimage")
-    arr = c.reshape((1,) + (p,) * n)
+    arr = np.array(c, dtype=np.complex128).reshape((1,) + (p,) * n)
     flat = _axis_passes(arr, np.conj(_char_matrix(p)) / p).reshape(-1)
     if np.abs(flat.imag).max() > ROUNDTRIP_IMAG_TOL * scale:
         raise ValueError("imaginary residue above tolerance in inverse transform")
@@ -162,6 +201,7 @@ def large_spectrum(coeffs: np.ndarray, delta: float, params: GroupParams) -> Poi
 def spectrum_export_lines(coeffs: np.ndarray, a: PointSet) -> list[str]:
     """CLI export: 'index re im' for each frequency in a, by descending
     magnitude and then ascending index."""
-    mags = np.abs(coeffs)
-    keep = sorted(a.members, key=lambda i: (-mags[i], i))
-    return [f"{i} {coeffs[i].real:.17g} {coeffs[i].imag:.17g}" for i in keep]
+    members = np.array(a.members, dtype=np.int64)
+    mags = np.abs(coeffs[members])  # large_spectrum took the full |fhat| once
+    keep = members[np.lexsort((members, -mags))]
+    return [f"{i} {coeffs[i].real:.17g} {coeffs[i].imag:.17g}" for i in keep.tolist()]

@@ -255,7 +255,7 @@ def construct_g(
         )
     dec = sub.coset_decomposition(w_space)
     rows = dec.rows
-    means = sub.coset_means(f, dec)
+    means = sub.coset_means(f, rows)
     fw = DensityFunction(params, means[dec.rep_pos])
     in_vp = select_v_prime(means, epsilon)
     v_prime = rows[in_vp, 0].tolist()

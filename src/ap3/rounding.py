@@ -76,8 +76,8 @@ def round_to_indicator(
     bound = 0.0
     n = j.params.n
     for w in monitored:
-        dec = sub.coset_decomposition(w)
-        dev = np.abs(sub.coset_means(j2, dec) - sub.coset_means(j, dec)).max()
+        rows = sub.coset_decomposition(w).rows
+        dev = np.abs(sub.coset_means(j2, rows) - sub.coset_means(j, rows)).max()
         max_dev = max(max_dev, float(dev))
         w_size = j.params.p**w.dim
         bound = max(bound, hoeffding_bound_raw(w_size, 1.0 / n**2))

@@ -23,7 +23,8 @@ from .gfspace import DensityFunction, GroupParams, index_to_digits
 # out as cosets; a block always holds at least one subspace.
 BLOCK_ELEMENTS = 2**14
 
-# Most row entries one `coset_means` block turns into Python floats.
+# Most row entries one `coset_means` block gathers and turns into Python
+# floats.
 FSUM_BLOCK_ELEMENTS = 2**13
 
 
@@ -205,29 +206,34 @@ def coset_decomposition(w: Subspace) -> CosetDecomposition:
     return CosetDecomposition(w, rows, rep_pos)
 
 
-def coset_means(f: DensityFunction, dec: CosetDecomposition) -> np.ndarray:
-    """Mean of f on each coset row of dec, in transversal order.
+def coset_means(f: DensityFunction, rows: np.ndarray) -> np.ndarray:
+    """Mean of f on each row of the (|T|, |W|) coset layout `rows` (a
+    decomposition's `rows`), in row order.
 
-    A row that is already constant keeps its value bit-for-bit.  Mixed rows
-    are fsummed a block at a time, so only one block's Python floats exist
-    at once.
+    Rows are gathered a block of at most FSUM_BLOCK_ELEMENTS values at a
+    time, so only one block's values and Python floats exist at once.  A
+    row that is already constant keeps its value bit-for-bit; mixed rows
+    are fsummed.
     """
-    vals = f.values[dec.rows]
-    width = vals.shape[1]
-    means = vals[:, 0].copy()
-    mixed = np.flatnonzero((vals != vals[:, :1]).any(axis=1))
+    width = rows.shape[1]
+    means = np.empty(len(rows))
     step = max(1, FSUM_BLOCK_ELEMENTS // width)
-    for start in range(0, len(mixed), step):
-        block = mixed[start : start + step]
-        sums = np.fromiter(map(math.fsum, vals[block].tolist()), np.float64, len(block))
-        means[block] = sums / width
+    for start in range(0, len(rows), step):
+        vals = f.values[rows[start : start + step]]
+        block = means[start : start + step]
+        block[:] = vals[:, 0]
+        mixed = np.flatnonzero((vals != vals[:, :1]).any(axis=1))
+        sums = np.fromiter(map(math.fsum, vals[mixed].tolist()), np.float64, len(mixed))
+        block[mixed] = sums / width
     return means
 
 
 def average_over_cosets(f: DensityFunction, w: Subspace) -> DensityFunction:
     """f_W(m) = |W|^-1 sum_{w in W} f(m+w), constant on each coset of W."""
-    dec = coset_decomposition(w)
-    return DensityFunction(f.params, coset_means(f, dec)[dec.rep_pos])
+    rows = coset_rows(w.basis[None], w.pivots, w.params)[0]
+    values = np.empty(f.params.size)
+    values[rows] = coset_means(f, rows)[:, None]
+    return DensityFunction(f.params, values)
 
 
 def canonical_codim_subspace(w: Subspace, ell: int) -> Subspace:

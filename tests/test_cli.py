@@ -546,6 +546,50 @@ class TestImportBudget:
         assert banned == []
 
 
+class TestMemoryBudget:
+    """Like TestImportBudget for memory: the 3^10 spectrum and average jobs
+    peak within MARGIN_MB of `ap3 --help`.  Measured on a 2-core x86-64 VM
+    (Python 3.11.7, numpy 2.4.6), a job over `--help`: spectrum +2.5 MB and
+    average +2.6 MB with in-place transforms and blocked coset means; +4.3
+    and +3.2 MB before, when a transform held up to three full-size copies
+    and averaging gathered every coset row and an element-to-row table."""
+
+    MARGIN_MB = 2.9
+    # Jobs start from this small process, not from pytest: on Linux a
+    # child's ru_maxrss counts the memory of the process it was forked from.
+    LAUNCH = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    ENTRY = "import sys; from ap3.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def peak_mb(self, argv, cwd):
+        """Least peak RSS of three runs, which sheds the host's noise."""
+        cmd = [sys.executable, "-c", self.LAUNCH, sys.executable, "-c", self.ENTRY, *argv]
+        runs = [
+            subprocess.run(
+                cmd, env=subprocess_env(), cwd=cwd, capture_output=True, text=True,
+                check=True, timeout=60,
+            ).stdout
+            for _ in range(3)
+        ]
+        return min(int(out.split()[-1]) for out in runs) / 1024
+
+    def test_large_jobs_near_startup(self, tmp_path, rng):
+        params = GroupParams(3, 10)
+        path = str(tmp_path / "in.apf")
+        save_density(DensityFunction(params, rng.random(params.size)), path)
+        out = ["--output-dir", str(tmp_path / "out")]
+        base = self.peak_mb(["--help"], tmp_path)
+        jobs = {
+            "spectrum": ["spectrum", "--input", path, "--delta", "0.01", "--output", "s.txt"],
+            "average": ["average", "--input", path, "--subspace", "1,1,0,0,0,0,0,0,0,0"],
+        }
+        growth = {name: self.peak_mb(argv + out, tmp_path) - base for name, argv in jobs.items()}
+        assert all(g <= self.MARGIN_MB for g in growth.values()), growth
+
+
 class TestManifestDigest:
     @pytest.mark.parametrize(
         "size", [0, 1, HASH_CHUNK - 1, HASH_CHUNK, HASH_CHUNK + 1]
@@ -715,6 +759,55 @@ class TestRound:
         va = load_density(str(tmp_path / "a" / "rounded.apf")).values
         vb = load_density(str(tmp_path / "b" / "rounded.apf")).values
         assert np.array_equal(va, vb)
+
+
+class TestRecordedSeed:
+    """A manifest records the seed its run drew from: an unseeded run's
+    recorded seed, passed back as --seed, gives the same outputs."""
+
+    @pytest.mark.parametrize(
+        "argv, fixed",
+        [
+            (["round", "--input", "J"], 0),
+            (["improve", "--input", "HALF", "--epsilon", "1.0", "--indicator"], 0),
+            (["search", "--p", "3", "--n", "3", "--alpha", "0.3", "--restarts", "2"], None),
+            (["varnavides", "--input", "SET", "--m-dim", "1", "--samples", "3"], None),
+        ],
+    )
+    def test_unseeded_run_replays(self, half_density, cap_set, tmp_path, rng, capsys, argv, fixed):
+        j = tmp_path / "j.apf"
+        save_density(DensityFunction(GroupParams(3, 3), rng.random(27)), str(j))
+        inputs = {"J": str(j), "HALF": half_density, "SET": cap_set}
+        argv = [inputs.get(a, a) for a in argv]
+
+        def once(extra, out):
+            assert dispatch(argv + extra + ["--output-dir", str(out)]) == 0
+            seed = json.loads((out / f"{argv[0]}_manifest.json").read_text())["seed"]
+            files = {
+                f.name: f.read_bytes() for f in out.iterdir() if not f.name.endswith("_manifest.json")
+            }
+            return seed, capsys.readouterr().out, files
+
+        seed, *first = once([], tmp_path / "first")
+        assert isinstance(seed, int) and 0 <= seed < 2**63
+        assert fixed is None or seed == fixed
+        replay_seed, *replay = once(["--seed", str(seed)], tmp_path / "replay")
+        assert replay_seed == seed and replay == first
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--input", "HALF"],
+            ["improve", "--input", "HALF", "--epsilon", "1.0"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "0.444", "--exhaustive"],
+            ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],
+        ],
+    )
+    def test_run_that_draws_nothing_records_none(self, half_density, cap_set, tmp_path, argv):
+        inputs = {"HALF": half_density, "SET": cap_set}
+        assert run([inputs.get(a, a) for a in argv], tmp_path) == 0
+        manifest = json.loads((tmp_path / "out" / f"{argv[0]}_manifest.json").read_text())
+        assert manifest["seed"] is None
 
 
 class TestSearch:

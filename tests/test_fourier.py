@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from ap3 import fourier
 from ap3.fourier import (
     INT64_LIMIT,
+    PASS_BLOCK,
     dft_forward,
     dft_inverse,
     lambda3_spectral,
@@ -14,7 +18,7 @@ from ap3.fourier import (
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine, is_prime, scale_map
 from ap3 import subspace as sub
 
-from conftest import brute_lambda3, naive_dft, random_density
+from conftest import brute_lambda3, digit_table, naive_dft, random_density
 
 
 class TestForward:
@@ -203,3 +207,78 @@ class TestExactTransform:
         y[0, :2] = (q - 1) ** 2, q
         for inverse in (False, True):
             assert np.array_equal(ntt(y, params, inverse), ntt(y % q, params, inverse))
+
+
+# Groups of several PASS_BLOCK blocks per axis pass, and a batch of masks.
+KERNEL_GROUPS = [(3, 8, 1), (5, 6, 1), (7, 5, 1), (3, 4, 200)]
+
+
+class TestAxisPassKernel:
+    """The in-place block kernel behind both transforms, at sizes above one
+    block, against oracles that do not use it."""
+
+    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
+    def test_forward_matches_numpy_fft(self, p, n, rng):
+        params = GroupParams(p, n)
+        assert params.size > PASS_BLOCK
+        f = random_density(params, rng)
+        # fftn takes omega^-1, so fhat is its conjugate.  Digit k of an index
+        # has stride p^k, so a C-order grid lists the digits in reverse:
+        # reversing its axes indexes it by (d_0, ..., d_(n-1)).
+        grid = f.values.reshape((p,) * n).T
+        want = np.conj(np.fft.fftn(grid)).T.reshape(-1)
+        assert np.abs(dft_forward(f) - want).max() < 1e-12 * params.size
+
+    @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
+    def test_inverse_roundtrip_leaves_its_argument(self, p, n, rng):
+        params = GroupParams(p, n)
+        f = random_density(params, rng)
+        coeffs = np.array(dft_forward(f))  # writable, so a write would show
+        before = coeffs.copy()
+        back = dft_inverse(coeffs, params)
+        assert np.array_equal(coeffs, before)
+        assert np.abs(back.values - f.values).max() < 1e-12
+
+    @pytest.mark.parametrize("p,n,batch", KERNEL_GROUPS)
+    def test_ntt_roundtrip_exact(self, p, n, batch, rng):
+        params = GroupParams(p, n)
+        assert batch * params.size > PASS_BLOCK
+        masks = rng.random((batch, params.size)) < 0.5
+        residues = rng.integers(0, ntt_prime(p, n), (batch, params.size))
+        for x in (masks, residues):
+            before = x.copy()
+            t = ntt(x, params)
+            assert np.array_equal(x, before)
+            coeffs = t.copy()
+            assert np.array_equal(ntt(t, params, inverse=True), x)
+            assert np.array_equal(t, coeffs)
+
+    @pytest.mark.parametrize("p,n,batch", KERNEL_GROUPS)
+    def test_ntt_matches_character_sums(self, p, n, batch, rng):
+        # ntt(x)(a) = sum_m x(m) omega^(a.m) mod q, summed directly for a
+        # sample of frequencies (the sums stay below 2^63 at these sizes).
+        params = GroupParams(p, n)
+        q, fwd, _ = fourier._char_matrices_mod(p, n)
+        x = rng.integers(0, q, (batch, params.size))
+        t = ntt(x, params)
+        digits = digit_table(p, n)
+        for a in rng.integers(0, params.size, 8):
+            phase = digits @ digits[a] % p
+            want = (x * fwd[1][phase]).sum(axis=1) % q
+            assert np.array_equal(t[:, a], want)
+
+    def test_reduction_near_the_int64_limit(self, rng):
+        # With the largest q that p (q-1)^2 < 2^63 allows, and entries near
+        # q, every pass must be reduced before the next; a Python-int
+        # oracle applies the same passes with no bound.
+        p, n = 3, 8
+        q = math.isqrt((INT64_LIMIT - 1) // p) + 1
+        q -= (q - 1) % p
+        while not is_prime(q):
+            q -= p
+        matrix = rng.integers(q - 1000, q, (p, p))
+        x = rng.integers(q - 1000, q, (2,) + (p,) * n)
+        want = x.astype(object)
+        for axis in range(1, n + 1):
+            want = np.moveaxis(np.tensordot(matrix.astype(object), want, ([1], [axis])), 0, axis) % q
+        assert fourier._axis_passes(x.copy(), matrix, q).tolist() == want.tolist()

@@ -263,7 +263,7 @@ class TestAverageOverCosets:
         vals = np.array(random_density(params, rng).values)
         dec = coset_decomposition(span(params, [[1, 2, 0]]))
         vals[dec.rows[1]] = 0.1  # a constant coset keeps its value exactly
-        means = coset_means(DensityFunction(params, vals), dec)
+        means = coset_means(DensityFunction(params, vals), dec.rows)
         assert means[1] == 0.1 != math.fsum([0.1] * 3) / 3
         for i in (0, 2):
             rep = dec.rows[i, 0]
@@ -280,7 +280,7 @@ class TestAverageOverCosets:
             dec = coset_decomposition(span(params, gens))
             vals = np.array(random_density(params, rng).values)
             vals[dec.rows[::3]] = 0.1
-            means = coset_means(DensityFunction(params, vals), dec)
+            means = coset_means(DensityFunction(params, vals), dec.rows)
             width = dec.rows.shape[1]
             for i, row in enumerate(dec.rows):
                 if i % 3 == 0:
