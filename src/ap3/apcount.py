@@ -13,6 +13,7 @@ exactly from one mod-q transform, `fourier.ntt`, squared.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -131,13 +132,11 @@ def varnavides_estimate(
     if exhaustive:
         blocks = sub.subspace_blocks(params, m_dim)
     else:
-        from .pcg import PCG64
-
-        rng = PCG64(seed)
+        rng = random.Random(seed)
         blocks = []
         for _ in range(samples):
             while True:
-                gens = [int(g) for g in rng.integers(params.size, m_dim)]
+                gens = [rng.randrange(params.size) for _ in range(m_dim)]
                 cand = sub.span(params, gens)
                 if cand.dim == m_dim:
                     blocks.append((cand.pivots, cand.basis[None]))

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gfspace import DensityFunction, GroupParams, PointSet, is_prime, scale_map
+from .gfspace import DensityFunction, GroupParams, PointSet, combine, is_prime, scale_map
 
 IMAG_TOL = 1e-9
 ROUNDTRIP_IMAG_TOL = 1e-10
@@ -200,8 +200,19 @@ def large_spectrum(coeffs: np.ndarray, delta: float, params: GroupParams) -> Poi
 
 def spectrum_export_lines(coeffs: np.ndarray, a: PointSet) -> list[str]:
     """CLI export: 'index re im' for each frequency in a, by descending
-    magnitude and then ascending index."""
+    magnitude and then ascending index.
+
+    Both members of a conjugate pair b, -b print the lower-index
+    coefficient, conjugated for the other member (fhat(-b) = conj fhat(b)
+    for a real f).  Their magnitudes are then bit-equal, so the index, not
+    last-bit noise, orders the pair.
+    """
     members = np.array(a.members, dtype=np.int64)
-    mags = np.abs(coeffs[members])  # large_spectrum took the full |fhat| once
-    keep = members[np.lexsort((members, -mags))]
-    return [f"{i} {coeffs[i].real:.17g} {coeffs[i].imag:.17g}" for i in keep.tolist()]
+    lower = np.minimum(members, combine(-1, members, 0, 0, a.params))
+    vals = coeffs[lower]
+    vals = np.where(lower == members, vals, np.conj(vals))
+    order = np.lexsort((members, -np.abs(vals)))
+    return [
+        f"{i} {v.real:.17g} {v.imag:.17g}"
+        for i, v in zip(members[order].tolist(), vals[order].tolist())
+    ]

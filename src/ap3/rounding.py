@@ -2,15 +2,17 @@
 repair and coset-deviation monitoring, plus the Hoeffding tail bound as a
 diagnostic.
 
-PRNG discipline: the stream is numpy's `Generator(PCG64(seed))`, drawn by
-`ap3.pcg` without numpy's random package: one 64-bit draw per point in
-canonical index order, point m set to 1 when draw / 2^64 < j(m).  Pinning
-the stream (not just the library) is what makes runs bit-reproducible.
+PRNG discipline: the stream is the standard library's `random.Random(seed)`,
+the one generator ap3 draws from: one 64-bit word per point in canonical
+index order, the words of `getrandbits(64 * p^n)` least significant first,
+point m set to 1 when word / 2^64 < j(m).  Pinning the stream (not just the
+library) is what makes runs bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,6 +21,13 @@ import numpy as np
 from .gfspace import DensityFunction
 from . import fourier
 from . import subspace as sub
+
+# Words `randomize` draws at a time, so that the Python int and bytes of a
+# draw are 32 KiB each, below glibc's 128 KiB mmap threshold (see
+# `fourier._axis_passes`), whatever p^n.  CPython's getrandbits fills 32 bits
+# at a time, least significant first, so the blocks join into the stream of
+# one getrandbits(64 * p^n) call.
+DRAW_BLOCK = 2**12
 
 
 @dataclass(frozen=True)
@@ -33,11 +42,16 @@ class RoundingReport:
     hoeffding_bound: float
 
 
-def randomize(j: DensityFunction, seed: int) -> DensityFunction:
-    """Independent Bernoulli(j(m)) draws; 0/1-valued, reproducible per seed."""
-    from .pcg import PCG64
-
-    draws = PCG64(seed).uint64(j.params.size)
+def randomize(j: DensityFunction, seed: int | None) -> DensityFunction:
+    """Independent Bernoulli(j(m)) draws; 0/1-valued, reproducible per seed
+    (seed=None seeds from os.urandom)."""
+    rng = random.Random(seed)
+    size = j.params.size
+    draws = np.empty(size, dtype=np.uint64)
+    for start in range(0, size, DRAW_BLOCK):
+        k = min(DRAW_BLOCK, size - start)
+        words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        draws[start : start + k] = np.frombuffer(words, dtype="<u8")
     # draw/2^64 < j(m); handled exactly at j = 0 and j = 1.
     out = draws.astype(np.float64) < j.values * 2.0**64
     out |= j.values >= 1.0

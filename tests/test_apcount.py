@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -372,11 +373,11 @@ def old_varnavides_estimate(s, m_dim, samples=0, seed=None, exhaustive=False):
     if exhaustive:
         subgroups = list(all_subspaces(params, m_dim))
     else:
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = random.Random(seed)
         subgroups = []
         for _ in range(samples):
             while True:
-                gens = [int(g) for g in rng.integers(0, params.size, size=m_dim)]
+                gens = [rng.randrange(params.size) for _ in range(m_dim)]
                 cand = sub.span(params, gens)
                 if cand.dim == m_dim:
                     subgroups.append(cand)

@@ -164,6 +164,29 @@ class TestExport:
             mags.append(abs(complex(float(re), float(im))))
         assert mags == sorted(mags, reverse=True)
 
+    def test_pairs_stable_under_last_bit_noise(self, rng):
+        # A conjugate pair's magnitudes differ only by rounding, so a
+        # one-ulp move of either member must not reorder the lines; moving
+        # the higher-index member must not change them at all.
+        params = GroupParams(7, 3)
+        coeffs = dft_forward(random_density(params, rng))
+        a = large_spectrum(coeffs, 0.01, params)
+        lines = spectrum_export_lines(coeffs, a)
+        order = [line.split()[0] for line in lines]
+        members = np.array(a.members)
+        negs = combine(-1, members, 0, 0, params)
+        pairs = [(b, c) for b, c in zip(members.tolist(), negs.tolist()) if b < c]
+        assert len(pairs) > 100
+        for low, high in pairs:
+            for member in (low, high):
+                for toward in (-np.inf, np.inf):
+                    moved = coeffs.copy()
+                    moved.real[member] = np.nextafter(moved.real[member], toward)
+                    got = spectrum_export_lines(moved, a)
+                    assert [line.split()[0] for line in got] == order, (member, toward)
+                    if member == high:
+                        assert got == lines
+
 
 class TestExactTransform:
     @pytest.mark.parametrize("p,n", [(3, 1), (3, 7), (5, 4), (7, 3), (11, 2), (3, 19)])

@@ -1,8 +1,13 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ap3 import rounding
 from ap3.gfspace import DensityFunction, GroupParams
 from ap3.rounding import (
+    DRAW_BLOCK,
     hoeffding_bound_raw,
     randomize,
     repair,
@@ -11,6 +16,13 @@ from ap3.rounding import (
 from ap3 import subspace as sub
 
 from conftest import random_density
+
+
+def one_call_draws(size, seed):
+    """The stream drawn in one call: the `size` 64-bit words, least
+    significant first, of random.Random(seed).getrandbits(64 size)."""
+    words = random.Random(seed).getrandbits(64 * size).to_bytes(8 * size, "little")
+    return np.frombuffer(words, dtype="<u8")
 
 
 class TestRandomize:
@@ -42,6 +54,40 @@ class TestRandomize:
         f = DensityFunction(params, np.array([0.3, 0.3, 0.3]))
         hits = sum(randomize(f, s).values.sum() for s in range(2000))
         assert abs(hits / 6000 - 0.3) < 0.02
+
+    @pytest.mark.parametrize(
+        "p, n, block",
+        [(3, 8, 3**8 + 1), (3, 8, 3**8), (3, 8, 3**8 - 1), (3, 10, DRAW_BLOCK)],
+        ids=["one-short-block", "one-block", "block-and-one", "3^10"],
+    )
+    def test_blocks_join_into_one_call(self, monkeypatch, rng, p, n, block):
+        # The draws are 2^12 words at a time; sizes one below, at and one
+        # above a block are reached by resizing the block.
+        monkeypatch.setattr(rounding, "DRAW_BLOCK", block)
+        f = random_density(GroupParams(p, n), rng)
+        want = one_call_draws(f.params.size, 31).astype(np.float64) < f.values * 2.0**64
+        assert np.array_equal(randomize(f, 31).values, want)
+
+    def test_mean_within_six_sigma(self):
+        params = GroupParams(3, 10)
+        ones = randomize(DensityFunction.constant(params, 0.3), 8).values.sum()
+        assert abs(ones - 0.3 * params.size) <= 6 * (params.size * 0.3 * 0.7) ** 0.5
+
+    def test_unseeded_draws_differ(self):
+        f = DensityFunction.constant(GroupParams(3, 5), 0.5)
+        assert not np.array_equal(randomize(f, None).values, randomize(f, None).values)
+
+    def test_memory_is_bounded_by_its_blocks(self, rng):
+        # The whole draw's words as one Python int, held while it is
+        # converted, peak at 4.2 times the draws' bytes.
+        f = random_density(GroupParams(3, 10), rng)
+        tracemalloc.start()
+        try:
+            randomize(f, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 8 * f.params.size
 
 
 class TestRepair:

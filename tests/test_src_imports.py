@@ -1,6 +1,7 @@
-"""No module in the package names numpy's random package: importing it
-loads OpenSSL through secrets and hmac, so random draws go through
-`ap3.pcg`."""
+"""The package draws every seeded stream from one generator, the standard
+library's `random.Random`, so no module names another: not numpy's random
+package (importing it loads OpenSSL through secrets and hmac), its
+`default_rng` or `SeedSequence`, nor `secrets`."""
 
 import pathlib
 import re
@@ -11,7 +12,7 @@ SRC = pathlib.Path(ap3.__file__).parent
 
 
 def test_no_module_names_numpy_random():
-    pattern = re.compile(r"numpy.random|np.random")
+    pattern = re.compile(r"numpy\.random|np\.random|default_rng|SeedSequence|secrets")
     hits = [
         f"{path.name}:{lineno}"
         for path in sorted(SRC.rglob("*.py"))
