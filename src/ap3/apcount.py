@@ -13,17 +13,12 @@ exactly from one mod-q transform, `fourier.ntt`, squared.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
 
 import numpy as np
 
-from .gfspace import DensityFunction, GroupParams, PointSet, combine, scale_map
+from .gfspace import DensityFunction, GroupParams, PointSet, combine, scale_map, seeded_rng
 from . import fourier
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 def t3_masks(x: np.ndarray, params: GroupParams) -> np.ndarray:
@@ -73,19 +68,6 @@ def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> 
     return math.fsum(terms.ravel())
 
 
-@dataclass(frozen=True)
-class VarnavidesReport:
-    """Result of subgroup-averaged lower-bounding of the nontrivial count."""
-
-    m_dim: int
-    sampled_subgroups: int
-    dense_coset_fraction: float
-    certified_lower_bound: float
-    certified_lower_bound_exact: Fraction
-    alpha: float
-    exhaustive: bool
-
-
 def _coset_stats(
     s_mask: np.ndarray, rows: np.ndarray, coset_params: GroupParams, s_size: int
 ) -> tuple[int, int, int]:
@@ -109,9 +91,10 @@ def varnavides_estimate(
     samples: int = 0,
     seed: int | None = None,
     exhaustive: bool = False,
-) -> VarnavidesReport:
+) -> SimpleNamespace:
     """Lower-bound T3'(S) by averaging exhaustive per-coset counts over
-    subgroups of dimension m_dim.
+    subgroups of dimension m_dim, as a `varnavides_report` of
+    reports.schema.json.
 
     With exhaustive=True every subgroup is visited once and the bound
     p^(n-m) * (average coset sum) <= T3'(S) is exact; otherwise subgroups
@@ -132,7 +115,7 @@ def varnavides_estimate(
     if exhaustive:
         blocks = sub.subspace_blocks(params, m_dim)
     else:
-        rng = random.Random(seed)
+        rng = seeded_rng(seed)
         blocks = []
         for _ in range(samples):
             while True:
@@ -155,7 +138,7 @@ def varnavides_estimate(
         dense += dn
         cosets += nc
     bound = Fraction(total, subgroups) * params.p ** (params.n - m_dim)
-    return VarnavidesReport(
+    return SimpleNamespace(
         m_dim=m_dim,
         sampled_subgroups=subgroups,
         dense_coset_fraction=dense / cosets if cosets else 0.0,

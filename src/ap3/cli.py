@@ -8,14 +8,13 @@ unreadable file, or out of memory), 2 usage error (bad flags or flag values).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import logging
 import math
 import numbers
 import os
 import sys
 import time
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,7 +32,7 @@ except ImportError:
 
 # Each subcommand imports the pipeline modules it runs, so a job loads
 # only those.
-from . import __version__, fourier
+from . import __version__
 from .gfspace import (
     FileFormatError,
     GroupParams,
@@ -104,8 +103,9 @@ def _parse_subspace(spec: str, params: GroupParams) -> Subspace:
 
 def _json_value(obj):
     """json `default` hook, the one place that decides how report values
-    look in JSON: a report as its fields, a PointSet as its members, a
-    Subspace as its `describe()` text and a Fraction as its str."""
+    look in JSON: a report (a SimpleNamespace) as its fields, a PointSet as
+    its members, a Subspace as its `describe()` text and a Fraction as its
+    str."""
     if isinstance(obj, PointSet):
         return list(obj.members)
     # numpy's ints are Integral, so they stay an error rather than a str.
@@ -113,7 +113,7 @@ def _json_value(obj):
         return str(obj)
     if hasattr(obj, "describe"):  # a Subspace, whose module cli does not import
         return obj.describe()
-    if dataclasses.is_dataclass(obj):
+    if isinstance(obj, SimpleNamespace):
         return vars(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -201,6 +201,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import fourier
+
     if args.delta <= 0:
         raise UsageError("--delta must be positive")
     f = load_density(args.input)
@@ -252,7 +254,7 @@ def cmd_improve(args) -> int:
     _write_json(payload, _out(args, args.report))
     print(
         f"lambda3_f={report.lambda3_f:.17g} lambda3_g={report.lambda3_g:.17g} "
-        f"cases_pass={report.all_cases_pass()}"
+        f"cases_pass={bool(report.per_case_checks.passed.all())}"
     )
     return 0
 
@@ -420,7 +422,10 @@ def dispatch(argv: list[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     args._argv = list(argv)
     args.seed = _resolve_seed(args)
-    logging.basicConfig(level=args.log_level)
+    if args.log_level != "WARNING":  # logging's default; nothing in ap3 logs
+        import logging
+
+        logging.basicConfig(level=args.log_level)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -1,5 +1,6 @@
 """Canonical model of F_p^n: parameters, element arithmetic on indices
-(`combine`), density functions, point sets, and the .apf/.aps text formats.
+(`combine`), density functions, point sets, the .apf/.aps text formats, and
+the seeded generator every random draw comes from (`seeded_rng`).
 
 Elements are indexed little-endian base p: index = sum(digit_k * p**k),
 with coordinate 0 the least significant digit.  Every array, file, and
@@ -11,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -50,29 +51,43 @@ def is_prime(p: int) -> bool:
     )
 
 
-@dataclass(frozen=True)
 class GroupParams:
     """The group F_p^n for an odd prime p and dimension n >= 1."""
 
-    p: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        if self.p < 3:
+    def __init__(self, p: int, n: int) -> None:
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
+        if p < 3:
             # Over F_2, m+2d == m and every progression degenerates, so we
             # reject p=2 outright rather than return meaningless counts.
             raise ValueError("p must be an odd prime >= 3")
-        if self.n < 1:
-            raise ValueError(f"n={self.n} must be >= 1")
+        if n < 1:
+            raise ValueError(f"n={n} must be >= 1")
         # n >= 63 gives p^n >= 2^63, so the power is computed only when small.
-        if self.n >= MAX_SIZE.bit_length() or self.p**self.n > MAX_SIZE:
-            raise ValueError(f"p^n = {self.p}^{self.n} exceeds the supported index range")
+        if n >= MAX_SIZE.bit_length() or p**n > MAX_SIZE:
+            raise ValueError(f"p^n = {p}^{n} exceeds the supported index range")
+        self.p, self.n = p, n
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GroupParams):
+            return NotImplemented
+        return (self.p, self.n) == (other.p, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n))
 
     @property
     def size(self) -> int:
         return self.p**self.n
+
+
+def seeded_rng(seed: int | None) -> random.Random:
+    """random.Random(seed), the one generator ap3 draws from; None seeds it
+    from OS entropy.  random.Random(-s) draws the stream of random.Random(s),
+    so a negative seed raises ValueError."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    return random.Random(seed)
 
 
 def index_to_digits(i: int, params: GroupParams) -> tuple[int, ...]:
@@ -113,7 +128,6 @@ def scale_map(p: int, n: int, c: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
 class DensityFunction:
     """A map F_p^n -> [0,1], stored as p^n values in canonical index order.
 
@@ -123,13 +137,10 @@ class DensityFunction:
     a copy.
     """
 
-    params: GroupParams
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if vals.shape != (self.params.size,):
-            raise ValueError(f"expected {self.params.size} values, got shape {vals.shape}")
+    def __init__(self, params: GroupParams, values: np.ndarray) -> None:
+        vals = np.ascontiguousarray(values, dtype=np.float64)
+        if vals.shape != (params.size,):
+            raise ValueError(f"expected {params.size} values, got shape {vals.shape}")
         finite = np.isfinite(vals)
         if not finite.all():
             raise ValueError(f"non-finite value at index {int(np.argmin(finite))}")
@@ -139,7 +150,7 @@ class DensityFunction:
         if lo < 0.0 or hi > 1.0:  # -0.0 passes, as np.clip would keep it
             vals = np.clip(vals, 0.0, 1.0)
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        self.params, self.values = params, vals
 
     @classmethod
     def constant(cls, params: GroupParams, c: float) -> "DensityFunction":
@@ -153,19 +164,23 @@ class DensityFunction:
         return math.fsum(self.values) / self.params.size
 
 
-@dataclass(frozen=True)
 class PointSet:
     """A subset of F_p^n as a sorted tuple of element indices."""
 
-    params: GroupParams
-    members: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        members = tuple(sorted({int(i) for i in self.members}))
+    def __init__(self, params: GroupParams, members: tuple[int, ...]) -> None:
+        members = tuple(sorted({int(i) for i in members}))
         for i in members:
-            if not 0 <= i < self.params.size:
-                raise ValueError(f"member {i} out of range [0, {self.params.size})")
-        object.__setattr__(self, "members", members)
+            if not 0 <= i < params.size:
+                raise ValueError(f"member {i} out of range [0, {params.size})")
+        self.params, self.members = params, members
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PointSet):
+            return NotImplemented
+        return (self.params, self.members) == (other.params, other.members)
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.members))
 
     @classmethod
     def from_mask(cls, params: GroupParams, mask: np.ndarray) -> "PointSet":

@@ -11,11 +11,11 @@ epsilon-scale intermediate inequalities, which are the testable content.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .gfspace import DensityFunction, PointSet, combine
+from .gfspace import DensityFunction, combine
 from . import fourier
 from . import subspace as sub
 
@@ -35,17 +35,17 @@ CASE_BLOCK = 256
 _JSON_BOOLS = np.array(["false", "true"], dtype=object)
 
 
-@dataclass(frozen=True, eq=False)
 class CaseTable:
     """Every coset-AP triple of transversal reps and its inequality status,
     one entry per case in row-major (u1, u2) order."""
 
-    reps: np.ndarray  # (|T|^2, 3): u1, u2 and u3 = 2u2 - u1
-    all_in_v_prime: np.ndarray
-    lhs: np.ndarray  # T3(g | the three cosets)
-    rhs: np.ndarray  # bound: base*(1 - eps^2/16p^2) inside V', base outside
-    base: np.ndarray  # T3(f_W | the three cosets)
-    passed: np.ndarray
+    def __init__(self, reps, all_in_v_prime, lhs, rhs, base, passed) -> None:
+        self.reps = reps  # (|T|^2, 3): u1, u2 and u3 = 2u2 - u1
+        self.all_in_v_prime = all_in_v_prime
+        self.lhs = lhs  # T3(g | the three cosets)
+        self.rhs = rhs  # bound: base*(1 - eps^2/16p^2) inside V', base outside
+        self.base = base  # T3(f_W | the three cosets)
+        self.passed = passed
 
     def write_json(self, fh) -> None:
         """Write the cases as json.dump(indent=2, sort_keys=True) writes
@@ -86,33 +86,6 @@ def _json_floats(x: np.ndarray) -> np.ndarray:
     text[vals == np.inf] = "Infinity"
     text[vals == -np.inf] = "-Infinity"
     return text[pos]
-
-
-@dataclass(frozen=True)
-class ImprovementReport:
-    A: PointSet
-    V: sub.Subspace
-    W: sub.Subspace
-    V_cap_W_dim: int
-    transversal_size: int
-    V_prime: tuple[int, ...]
-    ell: int
-    beta: float
-    lambda3_f: float
-    lambda3_fW: float
-    lambda3_g: float
-    delta_used: float
-    hypothesis_value: float  # E(|f - f_W|) for the constructed W only
-    hypothesis_holds: bool
-    v_prime_bound_ok: bool
-    per_case_checks: CaseTable
-    aggregate_lhs: float  # T3(g), raw
-    aggregate_rhs: float  # T3(f_W) - (eps^5/1024p^2)|W|^2 T3(V' reps), raw
-    t3_v_prime_reps: int
-    aggregate_ok: bool
-
-    def all_cases_pass(self) -> bool:
-        return bool(self.per_case_checks.passed.all())
 
 
 def delta_from_epsilon(epsilon: float, p: int, c_p: float) -> float:
@@ -236,8 +209,9 @@ def audit_cases(
 
 def construct_g(
     f: DensityFunction, epsilon: float, delta: float | None = None, c_p: float = 1.0
-) -> tuple[DensityFunction, ImprovementReport]:
-    """Build g from f per the spectral pipeline and audit every inequality.
+) -> tuple[DensityFunction, SimpleNamespace]:
+    """Build g from f per the spectral pipeline and audit every inequality;
+    the report has the fields of `improve_report` in reports.schema.json.
 
     delta defaults to delta_from_epsilon(epsilon, p, c_p); c_p is used only
     for that default.
@@ -297,7 +271,7 @@ def construct_g(
     agg_rhs = lambda3_fw * norm - (epsilon**5 / (1024.0 * p**2)) * w_size**2 * t3_vp
     agg_ok = agg_lhs <= agg_rhs + AGGREGATE_REL_TOL * max(1.0, abs(lambda3_fw * norm))
 
-    report = ImprovementReport(
+    report = SimpleNamespace(
         A=a_set,
         V=v_space,
         W=w_space,
@@ -310,12 +284,12 @@ def construct_g(
         lambda3_fW=lambda3_fw,
         lambda3_g=lambda3_g,
         delta_used=delta,
-        hypothesis_value=hyp_val,
+        hypothesis_value=hyp_val,  # E(|f - f_W|) for the constructed W only
         hypothesis_holds=hyp,
         v_prime_bound_ok=v_prime_ok,
         per_case_checks=checks,
-        aggregate_lhs=agg_lhs,
-        aggregate_rhs=agg_rhs,
+        aggregate_lhs=agg_lhs,  # T3(g), raw
+        aggregate_rhs=agg_rhs,  # T3(f_W) - (eps^5/1024p^2)|W|^2 T3(V' reps), raw
         t3_v_prime_reps=t3_vp,
         aggregate_ok=agg_ok,
     )

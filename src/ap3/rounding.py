@@ -12,13 +12,12 @@ library) is what makes runs bit-reproducible.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
 
-from .gfspace import DensityFunction
+from .gfspace import DensityFunction, seeded_rng
 from . import fourier
 from . import subspace as sub
 
@@ -30,32 +29,20 @@ from . import subspace as sub
 DRAW_BLOCK = 2**12
 
 
-@dataclass(frozen=True)
-class RoundingReport:
-    seed: int
-    mean_before: float
-    mean_after: float
-    lambda3_before: float
-    lambda3_after: float
-    repaired_points: int
-    max_coset_deviation: float
-    hoeffding_bound: float
-
-
 def randomize(j: DensityFunction, seed: int | None) -> DensityFunction:
     """Independent Bernoulli(j(m)) draws; 0/1-valued, reproducible per seed
-    (seed=None seeds from os.urandom)."""
-    rng = random.Random(seed)
+    (seed=None seeds from os.urandom), each block compared as it is drawn."""
+    rng = seeded_rng(seed)
     size = j.params.size
-    draws = np.empty(size, dtype=np.uint64)
+    out = np.empty(size, dtype=bool)
     for start in range(0, size, DRAW_BLOCK):
         k = min(DRAW_BLOCK, size - start)
         words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-        draws[start : start + k] = np.frombuffer(words, dtype="<u8")
-    # draw/2^64 < j(m); handled exactly at j = 0 and j = 1.
-    out = draws.astype(np.float64) < j.values * 2.0**64
-    out |= j.values >= 1.0
-    out &= j.values > 0.0
+        vals, hit = j.values[start : start + k], out[start : start + k]
+        # draw/2^64 < j(m); handled exactly at j = 0 and j = 1.
+        np.less(np.frombuffer(words, dtype="<u8").astype(np.float64), vals * 2.0**64, out=hit)
+        hit |= vals >= 1.0
+        hit &= vals > 0.0
     return DensityFunction(j.params, out.astype(np.float64))
 
 
@@ -79,8 +66,9 @@ def repair(j0: DensityFunction, target_mean: float) -> DensityFunction:
 
 def round_to_indicator(
     j: DensityFunction, seed: int, monitored: Sequence[sub.Subspace] = ()
-) -> tuple[DensityFunction, RoundingReport]:
-    """Randomize then repair; audit mean, triple-count drift, and coset drift."""
+) -> tuple[DensityFunction, SimpleNamespace]:
+    """Randomize then repair; audit mean, triple-count drift, and coset drift
+    in a `rounding_report` of reports.schema.json."""
     j0 = randomize(j, seed)
     target = j.expectation()
     j2 = repair(j0, target)
@@ -96,7 +84,7 @@ def round_to_indicator(
         w_size = j.params.p**w.dim
         bound = max(bound, hoeffding_bound_raw(w_size, 1.0 / n**2))
 
-    report = RoundingReport(
+    report = SimpleNamespace(
         seed=seed,
         mean_before=target,
         mean_after=j2.expectation(),

@@ -7,50 +7,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
 
 import numpy as np
 
-from .gfspace import GroupParams, PointSet, combine, scale_map
+from .gfspace import GroupParams, PointSet, combine, scale_map, seeded_rng
 from . import apcount, fourier
-
-if TYPE_CHECKING:
-    from .subspace import Subspace
 
 DEFAULT_MAX_DOMAIN = 16
 DEFAULT_MAX_SUBSPACES = 20000
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    best_set: PointSet
-    count: int  # raw triple count, trivial included
-    lambda3: Fraction
-    lambda3_float: float
-    method: str
-    restarts: int
-    iterations: int
-    seed: int | None
-
-
-@dataclass(frozen=True)
-class StructureRow:
-    W: Subspace
-    A_reps: tuple[int, ...]
-    symmetric_difference: int
-    normalized: float
-
-
-@dataclass(frozen=True)
-class StructureReport(StructureRow):
-    """The best row over every searched W, and the best with dim W >= 1,
-    which codimension 0 (dim W = n >= 1) always supplies."""
-
-    searched_codims: tuple[int, int]
-    best_positive_dim: StructureRow
 
 
 def size_floor(alpha: float, size: int) -> int:
@@ -59,8 +25,9 @@ def size_floor(alpha: float, size: int) -> int:
     return max(1, math.ceil(alpha * size - 1e-9))
 
 
-def exhaustive_min(params: GroupParams, alpha: float) -> SearchResult:
-    """Global minimum of the raw triple count over all S with |S| >= floor.
+def exhaustive_min(params: GroupParams, alpha: float) -> SimpleNamespace:
+    """Global minimum of the raw triple count over all S with |S| >= floor,
+    as a `search_result` of reports.schema.json.
 
     Adding a point raises the count by at least 1 (see `_best_move`), so
     every minimizer has size floor: one batched count of the floor-size
@@ -84,7 +51,7 @@ def exhaustive_min(params: GroupParams, alpha: float) -> SearchResult:
     if best_count + comp_count != n_pts**2 - 3 * k * n_pts + 3 * k**2:
         raise RuntimeError("complementation identity failed in exhaustive_min")
     lambda3 = Fraction(best_count, n_pts**2)
-    return SearchResult(
+    return SimpleNamespace(
         best_set=best,
         count=best_count,
         lambda3=lambda3,
@@ -152,7 +119,7 @@ def local_min(
     restarts: int,
     iters: int,
     seed: int | None,
-) -> SearchResult:
+) -> SimpleNamespace:
     """Best-of-restarts steepest descent over single-point swaps, which
     keep every set at the size floor.
 
@@ -160,7 +127,7 @@ def local_min(
     set; the recount after the move must agree with its score."""
     n_pts = params.size
     floor = size_floor(alpha, n_pts)
-    rng = random.Random(seed)
+    rng = seeded_rng(seed)
 
     best_members = None
     best_count = None
@@ -187,7 +154,7 @@ def local_min(
             best_count, best_members = cur_count, current
     best = PointSet(params, best_members)
     lambda3 = Fraction(best_count, n_pts**2)
-    return SearchResult(
+    return SimpleNamespace(
         best_set=best,
         count=best_count,
         lambda3=lambda3,
@@ -199,12 +166,14 @@ def local_min(
     )
 
 
-def structure_report(s: PointSet, max_codim: int) -> StructureReport:
+def structure_report(s: PointSet, max_codim: int) -> SimpleNamespace:
     """For each subspace W of codimension <= max_codim, choose A by per-coset
-    majority vote and measure |S delta (A+W)|; return the minimizing W.
+    majority vote and measure |S delta (A+W)|; return the minimizing W's row
+    as a `structure_report` of reports.schema.json.
 
     W = {0} (codim n) trivially achieves difference 0, so the best W of
-    positive dimension is reported alongside the overall minimizer.
+    positive dimension, which codimension 0 (dim W = n >= 1) always
+    supplies, is reported alongside the overall minimizer.
     """
     from . import subspace as sub  # only this diagnostic lays out cosets
 
@@ -219,8 +188,7 @@ def structure_report(s: PointSet, max_codim: int) -> StructureReport:
         )
 
     s_mask = s.mask()
-    best: StructureRow | None = None
-    best_pos: StructureRow | None = None
+    best = best_pos = None
     for codim in range(max_codim + 1):
         dim = n - codim
         w_size = params.p**dim
@@ -236,7 +204,7 @@ def structure_report(s: PointSet, max_codim: int) -> StructureReport:
             new_pos = dim >= 1 and (best_pos is None or sd < best_pos.symmetric_difference)
             if not (new_best or new_pos):
                 continue
-            row = StructureRow(
+            row = SimpleNamespace(
                 W=sub.Subspace(params, bases[i], pivots),
                 A_reps=tuple(rows[i, 2 * inter[i] > w_size, 0].tolist()),
                 symmetric_difference=sd,
@@ -246,6 +214,6 @@ def structure_report(s: PointSet, max_codim: int) -> StructureReport:
                 best = row
             if new_pos:
                 best_pos = row
-    return StructureReport(
+    return SimpleNamespace(
         **vars(best), searched_codims=(0, max_codim), best_positive_dim=best_pos
     )

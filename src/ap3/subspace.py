@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -61,18 +60,13 @@ def rref_mod_p(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return m[:r], tuple(pivots)
 
 
-@dataclass(frozen=True, eq=False)
 class Subspace:
     """A subspace of F_p^n held as a canonical reduced row-echelon basis."""
 
-    params: GroupParams
-    basis: np.ndarray
-    pivots: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        b = np.array(self.basis, dtype=np.int64).reshape(-1, self.params.n) % self.params.p
+    def __init__(self, params: GroupParams, basis: np.ndarray, pivots: tuple[int, ...]) -> None:
+        b = np.array(basis, dtype=np.int64).reshape(-1, params.n) % params.p
         b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
+        self.params, self.basis, self.pivots = params, b, pivots
 
     @property
     def dim(self) -> int:
@@ -141,7 +135,6 @@ def orthogonal_complement(v: Subspace) -> Subspace:
     return Subspace(params, basis, pivots)
 
 
-@dataclass(frozen=True, eq=False)
 class CosetDecomposition:
     """A subspace W with the canonical transversal U (+) W = F_p^n.
 
@@ -155,9 +148,10 @@ class CosetDecomposition:
     of its coset are rows[rep_pos[m]].
     """
 
-    subspace: Subspace
-    rows: np.ndarray  # (|T|, |W|) element indices, one coset per row
-    rep_pos: np.ndarray  # element index -> its coset's row
+    def __init__(self, subspace: Subspace, rows: np.ndarray, rep_pos: np.ndarray) -> None:
+        self.subspace = subspace
+        self.rows = rows  # (|T|, |W|) element indices, one coset per row
+        self.rep_pos = rep_pos  # element index -> its coset's row
 
 
 def _span_digits(bases: np.ndarray, k: int, p: int) -> np.ndarray:

@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ap3.apcount import (
-    VarnavidesReport,
     count_raw,
     t3_masks,
     t3_raw,
@@ -316,6 +316,12 @@ class TestVarnavides:
         b = varnavides_estimate(s, 2, samples=10, seed=7)
         assert a == b
 
+    def test_rejects_negative_seed(self):
+        # random.Random(-7) draws the stream of random.Random(7).
+        s = pointset(GroupParams(3, 2), CAP4)
+        with pytest.raises(ValueError, match="seed -7"):
+            varnavides_estimate(s, 1, samples=3, seed=-7)
+
     def test_rejects_bad_m(self):
         params = GroupParams(3, 2)
         with pytest.raises(ValueError):
@@ -393,7 +399,7 @@ def old_varnavides_estimate(s, m_dim, samples=0, seed=None, exhaustive=False):
         total += int(raw.sum() - sizes.sum())
         cosets += len(rows)
     bound = Fraction(total, len(subgroups)) * params.p ** (params.n - m_dim)
-    return VarnavidesReport(
+    return SimpleNamespace(
         m_dim=m_dim,
         sampled_subgroups=len(subgroups),
         dense_coset_fraction=dense / cosets if cosets else 0.0,

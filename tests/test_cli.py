@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -68,7 +67,7 @@ class TestWriteJson:
         def plain(value):
             if not isinstance(value, CaseTable):
                 return value
-            names = [f.name for f in dataclasses.fields(value)]
+            names = ["reps", "all_in_v_prime", "lhs", "rhs", "base", "passed"]
             columns = (getattr(value, k).tolist() for k in names)
             return [dict(zip(names, case)) for case in zip(*columns)]
 
@@ -475,10 +474,13 @@ class TestNumericFlags:
 
 
 class TestImportBudget:
-    """A job loads only the ap3 modules its subcommand runs, and none loads
+    """A job loads only the ap3 modules its subcommand runs: `--help` and
+    `average` transform nothing and load no `ap3.fourier`.  None loads
     numpy's random package or OpenSSL (`_hashlib`), which that package
     imports through secrets and hmac: jobs that draw random numbers use the
-    standard library's `random.Random`."""
+    standard library's `random.Random`.  None loads `dataclasses`, whose
+    classes each compile their methods at import, nor `logging` unless
+    --log-level is other than its default WARNING."""
 
     SCRIPT = (
         "import json, sys\n"
@@ -486,52 +488,13 @@ class TestImportBudget:
         "loaded = lambda: {m for m in sys.modules if m.split('.')[0] == 'ap3'}\n"
         "before = loaded()\n"
         "code = ap3.cli.main(sys.argv[1:])\n"
-        "banned = sorted({'numpy.random', 'secrets', '_hashlib'} & set(sys.modules))\n"
+        "banned = {'numpy.random', 'secrets', '_hashlib', 'logging', 'dataclasses'}\n"
+        "banned = sorted(banned & set(sys.modules))\n"
         "print(json.dumps([code, sorted(before), sorted(loaded() - before), banned]))\n"
     )
 
-    @pytest.mark.parametrize(
-        "argv, added",
-        [
-            (["spectrum", "--input", "IN", "--delta", "0.1"], []),
-            (["count", "--input", "IN"], ["ap3.apcount"]),
-            (["average", "--input", "IN", "--subspace", "0,1"], ["ap3.subspace"]),
-            (
-                ["improve", "--input", "IN", "--epsilon", "1.0"],
-                ["ap3.improve", "ap3.subspace"],
-            ),
-            (
-                ["improve", "--input", "IN", "--epsilon", "1.0", "--indicator"],
-                ["ap3.improve", "ap3.rounding", "ap3.subspace"],
-            ),
-            (["round", "--input", "IN"], ["ap3.rounding", "ap3.subspace"]),
-            (
-                ["selfcheck"],
-                ["ap3.apcount", "ap3.improve", "ap3.selfcheck", "ap3.subspace"],
-            ),
-            (
-                ["search", "--p", "3", "--n", "2", "--alpha", "0.3", "--restarts", "1"],
-                ["ap3.apcount", "ap3.search"],
-            ),
-            (
-                ["structure", "--input", "SET", "--max-codim", "1"],
-                ["ap3.apcount", "ap3.search", "ap3.subspace"],
-            ),
-            (
-                ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],
-                ["ap3.apcount", "ap3.subspace"],
-            ),
-            (
-                ["varnavides", "--input", "SET", "--m-dim", "1", "--samples", "3"],
-                ["ap3.apcount", "ap3.subspace"],
-            ),
-            (
-                ["varnavides", "--input", "SET", "--m-dim", "1", "--samples", "3", "--seed", "4"],
-                ["ap3.apcount", "ap3.subspace"],
-            ),
-        ],
-    )
-    def test_modules_loaded(self, half_density, cap_set, tmp_path, argv, added):
+    def job(self, argv, half_density, cap_set, tmp_path):
+        """(exit code, ap3 modules loaded by import, by the job, banned)."""
         inputs = {"IN": half_density, "SET": cap_set}
         argv = [inputs.get(a, a) for a in argv]
         argv += ["--output-dir", str(tmp_path / "out")]
@@ -539,11 +502,63 @@ class TestImportBudget:
             [sys.executable, "-c", self.SCRIPT, *argv],
             env=subprocess_env(), capture_output=True, text=True, check=True, timeout=60,
         )
-        code, before, new, banned = json.loads(proc.stdout.splitlines()[-1])
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize(
+        "argv, added",
+        [
+            (["spectrum", "--input", "IN", "--delta", "0.1"], ["ap3.fourier"]),
+            (["count", "--input", "IN"], ["ap3.apcount", "ap3.fourier"]),
+            (["average", "--input", "IN", "--subspace", "0,1"], ["ap3.subspace"]),
+            (
+                ["improve", "--input", "IN", "--epsilon", "1.0"],
+                ["ap3.fourier", "ap3.improve", "ap3.subspace"],
+            ),
+            (
+                ["improve", "--input", "IN", "--epsilon", "1.0", "--indicator"],
+                ["ap3.fourier", "ap3.improve", "ap3.rounding", "ap3.subspace"],
+            ),
+            (["round", "--input", "IN"], ["ap3.fourier", "ap3.rounding", "ap3.subspace"]),
+            (
+                ["selfcheck"],
+                ["ap3.apcount", "ap3.fourier", "ap3.improve", "ap3.selfcheck", "ap3.subspace"],
+            ),
+            (
+                ["search", "--p", "3", "--n", "2", "--alpha", "0.3", "--restarts", "1"],
+                ["ap3.apcount", "ap3.fourier", "ap3.search"],
+            ),
+            (
+                ["structure", "--input", "SET", "--max-codim", "1"],
+                ["ap3.apcount", "ap3.fourier", "ap3.search", "ap3.subspace"],
+            ),
+            (
+                ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],
+                ["ap3.apcount", "ap3.fourier", "ap3.subspace"],
+            ),
+            (
+                ["varnavides", "--input", "SET", "--m-dim", "1", "--samples", "3"],
+                ["ap3.apcount", "ap3.fourier", "ap3.subspace"],
+            ),
+            (
+                ["varnavides", "--input", "SET", "--m-dim", "1", "--samples", "3", "--seed", "4"],
+                ["ap3.apcount", "ap3.fourier", "ap3.subspace"],
+            ),
+            (["--help"], []),
+        ],
+    )
+    def test_modules_loaded(self, half_density, cap_set, tmp_path, argv, added):
+        code, before, new, banned = self.job(argv, half_density, cap_set, tmp_path)
         assert code == 0
-        assert before == ["ap3", "ap3.cli", "ap3.fourier", "ap3.gfspace"]
+        assert before == ["ap3", "ap3.cli", "ap3.gfspace"]
         assert new == added
         assert banned == []
+
+    def test_log_level_loads_logging(self, half_density, cap_set, tmp_path):
+        argv = ["count", "--input", "IN", "--log-level", "INFO"]
+        code, _, new, banned = self.job(argv, half_density, cap_set, tmp_path)
+        assert code == 0
+        assert new == ["ap3.apcount", "ap3.fourier"]
+        assert banned == ["logging"]
 
 
 class TestMemoryBudget:

@@ -144,7 +144,7 @@ class TestConstructG:
         assert np.allclose(g.values[1:], 9 / 16)
         assert abs(g.expectation() - 0.5) < 1e-12
         assert abs(report.lambda3_g - 63 / 512) < 1e-12
-        assert report.all_cases_pass()
+        assert report.per_case_checks.passed.all()
         assert report.aggregate_ok
 
     def test_mean_preserved_and_cases(self, rng):
@@ -158,7 +158,7 @@ class TestConstructG:
             delta = float(np.sort(mags)[-2]) + 1e-9
             g, report = construct_g(f, 1.0, delta)
             assert abs(g.expectation() - f.expectation()) < 1e-12
-            assert report.all_cases_pass()
+            assert report.per_case_checks.passed.all()
             assert report.aggregate_ok
             assert g.values.min() >= 0.0 and g.values.max() <= 1.0
 
@@ -288,7 +288,7 @@ class TestAuditAtScale:
         cases = report.per_case_checks
         outside = ~cases.all_in_v_prime
         assert np.any(np.abs(cases.lhs - cases.base)[outside] > 1e-9)
-        assert report.all_cases_pass()
+        assert report.per_case_checks.passed.all()
 
     @pytest.mark.parametrize(
         "p,n,k,eps",
@@ -313,12 +313,12 @@ class TestAuditAtScale:
         assert report.W.dim == n - k
         v_prime = PointSet(f.params, report.V_prime)
         assert report.t3_v_prime_reps == apcount.count_raw(v_prime) > 0
-        assert report.all_cases_pass()
+        assert report.per_case_checks.passed.all()
 
     def test_raised_value_off_v_prime_fails(self):
         f = planted_density(3, 6, 2, 0)
         g, report = construct_g(f, 1.0, self.DELTA)
-        assert report.all_cases_pass()
+        assert report.per_case_checks.passed.all()
         fw, dec, in_vp, s_cols = audit_inputs(f, report)
         i = int(np.flatnonzero(~in_vp)[0])
         raised = np.array(g.values)

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,6 @@ from ap3.apcount import count_raw
 from ap3.cli import _write_json
 from ap3.gfspace import GroupParams, PointSet
 from ap3.search import (
-    StructureReport,
-    StructureRow,
     exhaustive_min,
     local_min,
     size_floor,
@@ -136,6 +135,11 @@ class TestLocal:
         lo = local_min(params, 4 / 9, restarts=30, iters=50, seed=0)
         assert lo.count == ex.count
 
+    def test_rejects_negative_seed(self):
+        # random.Random(-3) draws the stream of random.Random(3).
+        with pytest.raises(ValueError, match="seed -3"):
+            local_min(GroupParams(3, 2), 4 / 9, restarts=5, iters=20, seed=-3)
+
     def test_respects_floor(self):
         params = GroupParams(3, 2)
         r = local_min(params, 5 / 9, restarts=3, iters=10, seed=1)
@@ -218,7 +222,7 @@ def old_structure_report(s, max_codim):
                 np.add.at(inter, dec.rep_pos[s_members], 1)
             chosen = 2 * inter > w_size
             sd = int(np.sum(np.where(chosen, w_size - inter, inter)))
-            row = StructureRow(
+            row = SimpleNamespace(
                 W=w,
                 A_reps=tuple(int(rep) for rep, c in zip(dec.rows[:, 0], chosen) if c),
                 symmetric_difference=sd,
@@ -228,7 +232,7 @@ def old_structure_report(s, max_codim):
                 best = row
             if dim >= 1 and (best_pos is None or sd < best_pos.symmetric_difference):
                 best_pos = row
-    return StructureReport(
+    return SimpleNamespace(
         W=best.W,
         A_reps=best.A_reps,
         symmetric_difference=best.symmetric_difference,
