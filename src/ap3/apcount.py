@@ -6,8 +6,8 @@ lower-bound estimator.
 A triple is (m, m+d, m+2d); it is trivial when d = 0.  Raw counts T3
 include trivial triples, the primed count T3' = T3 - |S| excludes them.
 Since m + (m+2d) = 2(m+d), a set's count is
-T3(S) = sum_y 1_S(y) (1_S * 1_S)(2y), and the self-convolution is computed
-exactly from one mod-q transform, `fourier.ntt`, squared.
+T3(S) = sum_y 1_S(y) (1_S * 1_S)(2y), and the self-convolution is the
+rounded square of one complex transform, `fourier.pair_counts`.
 """
 
 from __future__ import annotations
@@ -22,18 +22,19 @@ from . import fourier
 
 
 def t3_masks(x: np.ndarray, params: GroupParams) -> np.ndarray:
-    """Exact T3(S) = sum_y x(y) ntt^-1(ntt(x)^2)(2y) for each row of the
-    (batch, p^n) boolean masks x, as int64: one forward and one inverse
-    transform per row.
+    """Exact T3(S) = sum_y x(y) (x * x)(2y) for each row of the (batch, p^n)
+    boolean masks x, as int64: one forward and one inverse transform per
+    row.
 
     It counts the (m, d) with m, m+d and m+2d in S, trivial triples
     included.
     """
+    p, n = params.p, params.n
     x = np.asarray(x, dtype=bool).reshape(-1, params.size)
-    t = fourier.ntt(x, params)
-    t *= t  # in place: a t * t temporary would stay alive through the inverse
-    conv = fourier.ntt(t, params, inverse=True)
-    return (x * conv[:, scale_map(params.p, params.n, 2)]).sum(axis=1)
+    conv = fourier.pair_counts(x, params)
+    # sum_y x(y) conv(2y) = sum_w x(w/2) conv(w), summed in place
+    conv[~x[:, scale_map(p, n, (p + 1) // 2)]] = 0
+    return conv.sum(axis=1)
 
 
 def count_raw(s: PointSet) -> int:

@@ -292,11 +292,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_structure(args) -> int:
-    from . import search
+    from . import subspace as sub
 
     s = load_set(args.input)
     _write_manifest(args, [args.input])
-    report = search.structure_report(s, args.max_codim)
+    report = sub.structure_report(s, args.max_codim)
     _write_json(report, _out(args, args.report))
     print(f"symmetric_difference={report.symmetric_difference}")
     return 0

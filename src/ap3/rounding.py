@@ -97,6 +97,7 @@ def round_to_indicator(
     return j2, report
 
 
-def hoeffding_bound_raw(w_size: int, inv_n: float) -> float:
-    """The proof's per-subspace tail 2 exp(-|W| / 2n^2), clamped to [0, 1]."""
-    return min(1.0, 2.0 * math.exp(-w_size * inv_n / 2.0))
+def hoeffding_bound_raw(w_size: int, inv_n_sq: float) -> float:
+    """2 exp(-|W| inv_n_sq / 2) clamped to [0, 1]: with inv_n_sq = 1/n^2,
+    the proof's per-subspace tail 2 exp(-|W| / 2n^2)."""
+    return min(1.0, 2.0 * math.exp(-w_size * inv_n_sq / 2.0))

@@ -1,6 +1,5 @@
 """Minimization of the triple count over sets with |S| >= ceil(alpha p^n):
-exhaustive at tiny scale, steepest-descent local search beyond, and the
-coset-structure diagnostic for candidate minimizers.
+exhaustive at tiny scale, steepest-descent local search beyond.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from .gfspace import GroupParams, PointSet, combine, scale_map, seeded_rng
 from . import apcount, fourier
 
 DEFAULT_MAX_DOMAIN = 16
-DEFAULT_MAX_SUBSPACES = 20000
 
 
 def size_floor(alpha: float, size: int) -> int:
@@ -68,14 +66,11 @@ def _participation(x: np.ndarray, params: GroupParams) -> tuple[np.ndarray, np.n
     v in the middle, E(v) = sum_y x(y) x(2y - v) those with v first (and,
     by reversal, those with v last).
 
-    Both come from x's one transform t: M is the inverse of t^2 read at 2v,
-    and E is the convolution of x pushed forward by y -> 2y, whose
-    transform is t(2a), with x(-.), whose transform is t(-a).
+    Both are counts of pairs in S^2 from x's one transform: M(v) counts
+    the (y, z) with y + z = 2v, and E(v) those with 2y - z = v.
     """
     p, n = params.p, params.n
-    t = fourier.ntt(x, params)[0]
-    prods = np.stack([t * t, t[scale_map(p, n, 2)] * t[scale_map(p, n, p - 1)]])
-    conv = fourier.ntt(prods, params, inverse=True)
+    conv = fourier.pair_counts(x[None], params, ((1, 1), (2, -1)))
     return conv[0][scale_map(p, n, 2)], conv[1]
 
 
@@ -163,57 +158,4 @@ def local_min(
         restarts=max(1, restarts),
         iterations=total_iters,
         seed=seed,
-    )
-
-
-def structure_report(s: PointSet, max_codim: int) -> SimpleNamespace:
-    """For each subspace W of codimension <= max_codim, choose A by per-coset
-    majority vote and measure |S delta (A+W)|; return the minimizing W's row
-    as a `structure_report` of reports.schema.json.
-
-    W = {0} (codim n) trivially achieves difference 0, so the best W of
-    positive dimension, which codimension 0 (dim W = n >= 1) always
-    supplies, is reported alongside the overall minimizer.
-    """
-    from . import subspace as sub  # only this diagnostic lays out cosets
-
-    params = s.params
-    n = params.n
-    if not 0 <= max_codim <= n:
-        raise ValueError(f"max_codim={max_codim} out of range [0, {n}]")
-    budget = sum(sub.count_subspaces(params, n - c) for c in range(max_codim + 1))
-    if budget > DEFAULT_MAX_SUBSPACES:
-        raise ValueError(
-            f"{budget} subspaces to enumerate exceeds budget {DEFAULT_MAX_SUBSPACES}"
-        )
-
-    s_mask = s.mask()
-    best = best_pos = None
-    for codim in range(max_codim + 1):
-        dim = n - codim
-        w_size = params.p**dim
-        for pivots, bases in sub.subspace_blocks(params, dim):
-            # A block's layouts scored at once; a row is built only for the
-            # first strict improvement, so the earliest minimizer wins.
-            rows = sub.coset_rows(bases, pivots, params)
-            inter = s_mask[rows].sum(axis=-1)
-            sds = np.minimum(inter, w_size - inter).sum(axis=-1)
-            i = int(np.argmin(sds))
-            sd = int(sds[i])
-            new_best = best is None or sd < best.symmetric_difference
-            new_pos = dim >= 1 and (best_pos is None or sd < best_pos.symmetric_difference)
-            if not (new_best or new_pos):
-                continue
-            row = SimpleNamespace(
-                W=sub.Subspace(params, bases[i], pivots),
-                A_reps=tuple(rows[i, 2 * inter[i] > w_size, 0].tolist()),
-                symmetric_difference=sd,
-                normalized=sd / params.size,
-            )
-            if new_best:
-                best = row
-            if new_pos:
-                best_pos = row
-    return SimpleNamespace(
-        **vars(best), searched_codims=(0, max_codim), best_positive_dim=best_pos
     )

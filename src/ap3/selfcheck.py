@@ -47,8 +47,9 @@ def selfcheck_checks() -> list[dict]:
         lhs = float(np.sum(np.abs(coeffs) ** 2)) / params.size
         rhs = float(np.sum(f.values**2))
         record(f"parseval_p{p}_n{n}", abs(lhs - rhs) <= 1e-9 * max(1.0, rhs))
-        # Float kernel against two independent counts: the pair enumeration
-        # on a density and the exact F_q count on an indicator.
+        # Float kernel against the pair enumeration `t3_restricted`, the one
+        # independent oracle, on a density; and against the exact count,
+        # the same kernel rounded, on an indicator.
         full = PointSet(params, tuple(range(params.size)))
         direct = apcount.t3_restricted(f, full, full, full) / params.size**2
         diff = abs(fourier.lambda3_spectral(f) - direct)

@@ -1,5 +1,6 @@
 """GF(p) linear algebra: spans, orthogonal complements, coset layouts,
-coset averaging, and canonical sub-subspace selection.
+coset averaging, canonical sub-subspace selection, and the coset-structure
+diagnostic for candidate minimizers.
 
 Coset representatives are NOT taken from the orthogonal complement: over
 GF(p) a subspace can meet its own complement (self-orthogonal vectors,
@@ -12,11 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .gfspace import DensityFunction, GroupParams, index_to_digits
+from .gfspace import DensityFunction, GroupParams, PointSet, index_to_digits
 
 # Most group elements, N * p^n, that one block of `subspace_blocks` lays
 # out as cosets; a block always holds at least one subspace.
@@ -25,6 +27,9 @@ BLOCK_ELEMENTS = 2**14
 # Most row entries one `coset_means` block gathers and turns into Python
 # floats.
 FSUM_BLOCK_ELEMENTS = 2**13
+
+# Most subspaces `structure_report` may enumerate.
+DEFAULT_MAX_SUBSPACES = 20000
 
 
 def _inv_mod(a: int, p: int) -> int:
@@ -278,3 +283,54 @@ def count_subspaces(params: GroupParams, dim: int) -> int:
         num *= p ** (n - i) - 1
         den *= p ** (i + 1) - 1
     return num // den
+
+
+def structure_report(s: PointSet, max_codim: int) -> SimpleNamespace:
+    """For each subspace W of codimension <= max_codim, choose A by per-coset
+    majority vote and measure |S delta (A+W)|; return the minimizing W's row
+    as a `structure_report` of reports.schema.json.
+
+    W = {0} (codim n) trivially achieves difference 0, so the best W of
+    positive dimension, which codimension 0 (dim W = n >= 1) always
+    supplies, is reported alongside the overall minimizer.
+    """
+    params = s.params
+    n = params.n
+    if not 0 <= max_codim <= n:
+        raise ValueError(f"max_codim={max_codim} out of range [0, {n}]")
+    budget = sum(count_subspaces(params, n - c) for c in range(max_codim + 1))
+    if budget > DEFAULT_MAX_SUBSPACES:
+        raise ValueError(
+            f"{budget} subspaces to enumerate exceeds budget {DEFAULT_MAX_SUBSPACES}"
+        )
+
+    s_mask = s.mask()
+    best = best_pos = None
+    for codim in range(max_codim + 1):
+        dim = n - codim
+        w_size = params.p**dim
+        for pivots, bases in subspace_blocks(params, dim):
+            # A block's layouts scored at once; a row is built only for the
+            # first strict improvement, so the earliest minimizer wins.
+            rows = coset_rows(bases, pivots, params)
+            inter = s_mask[rows].sum(axis=-1)
+            sds = np.minimum(inter, w_size - inter).sum(axis=-1)
+            i = int(np.argmin(sds))
+            sd = int(sds[i])
+            new_best = best is None or sd < best.symmetric_difference
+            new_pos = dim >= 1 and (best_pos is None or sd < best_pos.symmetric_difference)
+            if not (new_best or new_pos):
+                continue
+            row = SimpleNamespace(
+                W=Subspace(params, bases[i], pivots),
+                A_reps=tuple(rows[i, 2 * inter[i] > w_size, 0].tolist()),
+                symmetric_difference=sd,
+                normalized=sd / params.size,
+            )
+            if new_best:
+                best = row
+            if new_pos:
+                best_pos = row
+    return SimpleNamespace(
+        **vars(best), searched_codims=(0, max_codim), best_positive_dim=best_pos
+    )

@@ -62,7 +62,7 @@ LADDER = [(3, n) for n in range(4, 11)] + [(5, n) for n in range(3, 7)] + [(7, n
 
 
 class TestExactKernel:
-    @pytest.mark.parametrize("p,n", [(3, 6), (5, 4), (7, 3)])
+    @pytest.mark.parametrize("p,n", [(3, 6), (5, 4), (7, 3), (1009, 1)])
     def test_matches_chunked_oracle(self, p, n, rng):
         params = GroupParams(p, n)
         for density in (0.1, 0.5, 0.9):
@@ -71,7 +71,7 @@ class TestExactKernel:
                 mask.astype(np.int64), p, n
             )
 
-    @pytest.mark.parametrize("p,n", [(3, 10), (5, 6), (7, 5)])
+    @pytest.mark.parametrize("p,n", [(3, 10), (5, 6), (7, 5), (3, 12), (4001, 1)])
     def test_full_space(self, p, n):
         params = GroupParams(p, n)
         assert count_raw(PointSet(params, tuple(range(params.size)))) == params.size**2
@@ -335,18 +335,19 @@ class TestTransformCount:
 
     @staticmethod
     def counted_rows(monkeypatch, params):
-        q, fwd, inv = fourier._char_matrices_mod(params.p, params.n)
-        rows = {"forward": 0, "inverse": 0}
+        # Both transforms apply the one character matrix, the forward one
+        # first: the rows of each call, in order, are [forward, inverse].
+        matrix = fourier._char_matrix(params.p)
+        calls = []
         axis_passes = fourier._axis_passes
 
-        def counting(arr, matrix, q=None):
-            if q is not None:
-                assert matrix is fwd or matrix is inv
-                rows["forward" if matrix is fwd else "inverse"] += arr.shape[0]
-            return axis_passes(arr, matrix, q)
+        def counting(arr, m):
+            assert m is matrix
+            calls.append(arr.shape[0])
+            return axis_passes(arr, m)
 
         monkeypatch.setattr(fourier, "_axis_passes", counting)
-        return rows
+        return calls
 
     @pytest.mark.parametrize("batch", [1, 5])
     def test_count(self, monkeypatch, rng, batch):
@@ -354,7 +355,7 @@ class TestTransformCount:
         rows = self.counted_rows(monkeypatch, params)
         masks = rng.random((batch, params.size)) < 0.5
         counts = t3_masks(masks, params)
-        assert rows == {"forward": batch, "inverse": batch}
+        assert rows == [batch, batch]
         assert counts.tolist() == [brute_count(x, x, x, 3, 3) for x in masks]
 
     @pytest.mark.parametrize("p, n", [(3, 3), (5, 2), (7, 2)])
@@ -363,7 +364,7 @@ class TestTransformCount:
         rows = self.counted_rows(monkeypatch, params)
         x = rng.random(params.size) < 0.4
         m, e = search._participation(x, params)
-        assert rows == {"forward": 1, "inverse": 2}
+        assert rows == [1, 2]
         # M(v) = #{(y, z) in S^2: y + z = 2v}, E(v) = sum_y x(y) x(2y - v).
         y = np.arange(params.size)
         for v in range(params.size):

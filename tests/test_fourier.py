@@ -1,24 +1,21 @@
-import math
-
 import numpy as np
 import pytest
 
 from ap3 import fourier
+from ap3.cli import main
 from ap3.fourier import (
-    INT64_LIMIT,
     PASS_BLOCK,
     dft_forward,
     dft_inverse,
     lambda3_spectral,
     large_spectrum,
-    ntt,
-    ntt_prime,
+    pair_counts,
     spectrum_export_lines,
 )
-from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine, is_prime, scale_map
+from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine, save_density, scale_map
 from ap3 import subspace as sub
 
-from conftest import brute_lambda3, digit_table, naive_dft, random_density
+from conftest import brute_lambda3, naive_dft, random_density
 
 
 class TestForward:
@@ -189,51 +186,45 @@ class TestExport:
 
 
 class TestExactTransform:
-    @pytest.mark.parametrize("p,n", [(3, 1), (3, 7), (5, 4), (7, 3), (11, 2), (3, 19)])
-    def test_prime_chooser(self, p, n):
-        q = ntt_prime(p, n)
-        assert is_prime(q)
-        assert q % p == 1
-        assert q > p**n
-        assert p * (q - 1) ** 2 < INT64_LIMIT
-        # smallest such prime
-        assert not any(is_prime(c) for c in range(p**n + 1, q, p))
-
-    @pytest.mark.parametrize("p,n", [(3, 20), (3, 40), (5, 14), (7, 11)])
-    def test_prime_chooser_rejects_oversize(self, p, n):
-        assert p * (p**n) ** 2 >= INT64_LIMIT
-        with pytest.raises(ValueError, match="2\\^63"):
-            ntt_prime(p, n)
-
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
     def test_convolution_matches_definition(self, p, n, rng):
+        # R(v) = #{(y, z) in S^2: a y + b z = v}, counted pair by pair.
         params = GroupParams(p, n)
-        a = rng.random((3, params.size)) < 0.5
-        b = rng.random((3, params.size)) < 0.3
-        got = ntt(ntt(a, params) * ntt(b, params), params, inverse=True)
-        assert got.dtype == np.int64
-        assert np.array_equal(ntt(ntt(a, params), params, inverse=True), a)
-        t = np.arange(params.size)
-        for row in range(3):
-            want = [
-                int(np.count_nonzero(a[row] & b[row][combine(1, ti, -1, t, params)]))
-                for ti in t
-            ]
-            assert got[row].tolist() == want
+        x = rng.random((3, params.size)) < 0.5
+        forms = ((1, 1), (2, -1), (1, p - 1))
+        got = pair_counts(x, params, forms)
+        assert got.dtype == np.int64 and got.shape == (len(forms) * 3, params.size)
+        assert np.array_equal(pair_counts(x, params), got[:3])
+        for i, (a, b) in enumerate(forms):
+            for row in range(3):
+                members = np.flatnonzero(x[row])
+                sums = combine(a, members[:, None], b, members[None, :], params)
+                want = np.bincount(sums.ravel(), minlength=params.size)
+                assert got[i * 3 + row].tolist() == want.tolist()
 
-    @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (3, 10), (7, 5)])
-    def test_reduces_its_input(self, p, n, rng):
-        # Products of two residues, up to (q-1)^2, go in unreduced.
-        params = GroupParams(p, n)
-        q = ntt_prime(p, n)
-        y = rng.integers(0, (q - 1) ** 2, size=(2, params.size), endpoint=True)
-        y[0, :2] = (q - 1) ** 2, q
-        for inverse in (False, True):
-            assert np.array_equal(ntt(y, params, inverse), ntt(y % q, params, inverse))
+    @staticmethod
+    def perturb(monkeypatch):
+        # A character matrix off by 0.01 in every entry.
+        char_matrix = fourier._char_matrix
+        monkeypatch.setattr(fourier, "_char_matrix", lambda p: char_matrix(p) + 0.01)
 
+    def test_residue_check_raises(self, monkeypatch, rng):
+        params = GroupParams(3, 4)
+        x = rng.random((2, params.size)) < 0.5
+        self.perturb(monkeypatch)
+        with pytest.raises(RuntimeError, match="from an integer"):
+            pair_counts(x, params)
 
-# Groups of several PASS_BLOCK blocks per axis pass, and a batch of masks.
-KERNEL_GROUPS = [(3, 8, 1), (5, 6, 1), (7, 5, 1), (3, 4, 200)]
+    def test_count_job_exits_on_a_failed_residue_check(self, monkeypatch, rng, tmp_path, capsys):
+        params = GroupParams(3, 4)
+        path = str(tmp_path / "set.apf")
+        save_density(PointSet.from_mask(params, rng.random(params.size) < 0.5).density(), path)
+        self.perturb(monkeypatch)
+        assert main(["count", "--input", path, "--output-dir", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ap3: error: exact count failed")
 
 
 class TestAxisPassKernel:
@@ -261,47 +252,3 @@ class TestAxisPassKernel:
         back = dft_inverse(coeffs, params)
         assert np.array_equal(coeffs, before)
         assert np.abs(back.values - f.values).max() < 1e-12
-
-    @pytest.mark.parametrize("p,n,batch", KERNEL_GROUPS)
-    def test_ntt_roundtrip_exact(self, p, n, batch, rng):
-        params = GroupParams(p, n)
-        assert batch * params.size > PASS_BLOCK
-        masks = rng.random((batch, params.size)) < 0.5
-        residues = rng.integers(0, ntt_prime(p, n), (batch, params.size))
-        for x in (masks, residues):
-            before = x.copy()
-            t = ntt(x, params)
-            assert np.array_equal(x, before)
-            coeffs = t.copy()
-            assert np.array_equal(ntt(t, params, inverse=True), x)
-            assert np.array_equal(t, coeffs)
-
-    @pytest.mark.parametrize("p,n,batch", KERNEL_GROUPS)
-    def test_ntt_matches_character_sums(self, p, n, batch, rng):
-        # ntt(x)(a) = sum_m x(m) omega^(a.m) mod q, summed directly for a
-        # sample of frequencies (the sums stay below 2^63 at these sizes).
-        params = GroupParams(p, n)
-        q, fwd, _ = fourier._char_matrices_mod(p, n)
-        x = rng.integers(0, q, (batch, params.size))
-        t = ntt(x, params)
-        digits = digit_table(p, n)
-        for a in rng.integers(0, params.size, 8):
-            phase = digits @ digits[a] % p
-            want = (x * fwd[1][phase]).sum(axis=1) % q
-            assert np.array_equal(t[:, a], want)
-
-    def test_reduction_near_the_int64_limit(self, rng):
-        # With the largest q that p (q-1)^2 < 2^63 allows, and entries near
-        # q, every pass must be reduced before the next; a Python-int
-        # oracle applies the same passes with no bound.
-        p, n = 3, 8
-        q = math.isqrt((INT64_LIMIT - 1) // p) + 1
-        q -= (q - 1) % p
-        while not is_prime(q):
-            q -= p
-        matrix = rng.integers(q - 1000, q, (p, p))
-        x = rng.integers(q - 1000, q, (2,) + (p,) * n)
-        want = x.astype(object)
-        for axis in range(1, n + 1):
-            want = np.moveaxis(np.tensordot(matrix.astype(object), want, ([1], [axis])), 0, axis) % q
-        assert fourier._axis_passes(x.copy(), matrix, q).tolist() == want.tolist()

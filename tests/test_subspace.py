@@ -1,11 +1,13 @@
 import itertools
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ap3.gfspace import DensityFunction, GroupParams, combine
+from ap3.cli import _write_json
+from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
 from ap3 import fourier, subspace
 from ap3.subspace import (
     average_over_cosets,
@@ -17,6 +19,7 @@ from ap3.subspace import (
     full_space,
     orthogonal_complement,
     span,
+    structure_report,
     subspace_blocks,
     trivial_space,
 )
@@ -420,3 +423,154 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 5 * dec.rows.nbytes
+
+
+class TestStructure:
+    def test_subspace_itself(self):
+        params = GroupParams(3, 3)
+        w = subspace.span(params, [[1, 0, 0], [0, 1, 0]])
+        s = PointSet(params, tuple(int(i) for i in w.elements()))
+        rep = structure_report(s, max_codim=1)
+        assert rep.best_positive_dim.symmetric_difference == 0
+        assert rep.best_positive_dim.W == w
+        assert rep.best_positive_dim.A_reps == (0,)
+
+    def test_coset_union(self):
+        # two cosets of a line in F_3^2 are matched exactly at codim 1
+        params = GroupParams(3, 2)
+        w = subspace.span(params, [[0, 1]])
+        dec = subspace.coset_decomposition(w)
+        members = []
+        for rep in dec.rows[:2, 0]:
+            members.extend(int(i) for i in np.sort(dec.rows[dec.rep_pos[rep]]))
+        rep = structure_report(PointSet(params, tuple(sorted(members))), max_codim=1)
+        assert rep.best_positive_dim.symmetric_difference == 0
+        assert rep.best_positive_dim.W == w
+
+    def test_trivial_w_is_perfect(self):
+        params = GroupParams(3, 2)
+        s = PointSet(params, (0, 1, 5))
+        rep = structure_report(s, max_codim=2)
+        assert rep.symmetric_difference == 0
+        assert rep.W.dim == 0
+
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(subspace, "DEFAULT_MAX_SUBSPACES", 3)
+        with pytest.raises(ValueError, match="budget"):
+            structure_report(PointSet(GroupParams(3, 3), (0,)), 2)
+
+    def test_normalization(self):
+        params = GroupParams(3, 2)
+        s = PointSet(params, (0, 1))
+        rep = structure_report(s, max_codim=1)
+        assert rep.best_positive_dim.normalized == pytest.approx(
+            rep.best_positive_dim.symmetric_difference / 9
+        )
+
+
+def old_structure_report(s, max_codim):
+    """The per-subspace loop that the batched scan replaced."""
+    params = s.params
+    n = params.n
+    s_members = np.array(s.members, dtype=np.int64)
+    best = best_pos = None
+    for codim in range(max_codim + 1):
+        dim = n - codim
+        w_size = params.p**dim
+        for w in all_subspaces(params, dim):
+            dec = subspace.coset_decomposition(w)
+            inter = np.zeros(len(dec.rows), dtype=np.int64)
+            if len(s_members):
+                np.add.at(inter, dec.rep_pos[s_members], 1)
+            chosen = 2 * inter > w_size
+            sd = int(np.sum(np.where(chosen, w_size - inter, inter)))
+            row = SimpleNamespace(
+                W=w,
+                A_reps=tuple(int(rep) for rep, c in zip(dec.rows[:, 0], chosen) if c),
+                symmetric_difference=sd,
+                normalized=sd / params.size,
+            )
+            if best is None or sd < best.symmetric_difference:
+                best = row
+            if dim >= 1 and (best_pos is None or sd < best_pos.symmetric_difference):
+                best_pos = row
+    return SimpleNamespace(
+        W=best.W,
+        A_reps=best.A_reps,
+        symmetric_difference=best.symmetric_difference,
+        normalized=best.normalized,
+        searched_codims=(0, max_codim),
+        best_positive_dim=best_pos,
+    )
+
+
+def difference_of(s, w):
+    """|S delta (A + W)| for the majority-vote A of one subspace W."""
+    dec = subspace.coset_decomposition(w)
+    inter = np.bincount(dec.rep_pos[list(s.members)], minlength=len(dec.rows))
+    return int(np.minimum(inter, dec.rows.shape[1] - inter).sum())
+
+
+SCAN_GROUPS = [(3, 4), (5, 3), (7, 2)]
+
+
+class TestBatchedStructure:
+    """structure_report against the per-subspace loop, across block sizes."""
+
+    def _sets(self, params, rng):
+        size = params.size
+        yield PointSet(params, ())
+        yield PointSet(params, tuple(range(size)))
+        # A single point ties every subspace of each positive dimension at
+        # difference 1, so the first in enumeration order must win.
+        yield PointSet(params, (size // 2,))
+        for density in (0.2, 0.5, 0.8):
+            yield PointSet.from_mask(params, rng.random(size) < density)
+
+    @pytest.mark.parametrize("p, n", SCAN_GROUPS)
+    @pytest.mark.parametrize("per_block", [1, 2, None])
+    def test_matches_per_subspace_loop(self, p, n, per_block, rng, monkeypatch, tmp_path):
+        params = GroupParams(p, n)
+        if per_block is not None:
+            monkeypatch.setattr(subspace, "BLOCK_ELEMENTS", per_block * params.size)
+        for s in self._sets(params, rng):
+            for max_codim in range(n + 1):
+                got = structure_report(s, max_codim)
+                want = old_structure_report(s, max_codim)
+                assert got == want
+                _write_json(got, str(tmp_path / "got.json"))
+                _write_json(want, str(tmp_path / "want.json"))
+                assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+
+    def test_tied_minimizers_first_wins(self, monkeypatch):
+        # S = V1 u V2 for the planes V1 = <e0, e1> and V2 = <e0, e1 + e2> of
+        # F_3^4: both leave difference 6, and V1 comes first.  The default
+        # cap puts them in one block, two subspaces a block in two.
+        params = GroupParams(3, 4)
+        v1 = subspace.span(params, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        v2 = subspace.span(params, [[1, 0, 0, 0], [0, 1, 1, 0]])
+        s = PointSet(params, tuple({*v1.elements().tolist(), *v2.elements().tolist()}))
+        planes = [(w, difference_of(s, w)) for w in all_subspaces(params, 2)]
+        best = min(sd for _, sd in planes)
+        assert best == 6 and [w for w, sd in planes if sd == best] == [v1, v2]
+        for per_block in (None, 2):
+            if per_block is not None:
+                monkeypatch.setattr(subspace, "BLOCK_ELEMENTS", per_block * params.size)
+            rep = structure_report(s, 2)
+            assert rep.best_positive_dim.W == v1
+            assert rep.best_positive_dim.symmetric_difference == 6
+            assert rep == old_structure_report(s, 2)
+
+    def test_peak_memory_at_3_6(self):
+        # Layouts are built one block at a time: a block cap four times
+        # BLOCK_ELEMENTS (89 of the 364 hyperplanes of F_3^6 at once)
+        # exceeds this bound.
+        params = GroupParams(3, 6)
+        s = PointSet.from_mask(params, np.random.default_rng(5).random(params.size) < 0.3)
+        tracemalloc.start()
+        try:
+            structure_report(s, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
