@@ -14,69 +14,24 @@ of highly composite numbers", Math. Comp. 2003).  `pair_counts` states the
 a priori bound, and checks at run time that every float lies within 1/4 of
 its integer.
 
-Every transform runs one kernel, `_axis_passes`, in place on a private
-copy of its input: each digit axis is swept a block of at most
-`PASS_BLOCK` elements at a time, so a transform holds its input, its
-output and one block, with no full-size temporary or transposed copy.
+Every transform is numpy's FFT, in O(p^n log p^n) for any p (Bluestein's
+algorithm, 1970, for a large prime length), run in place with `out=` on a
+private complex128 copy of its input.  `ifftn` with norm="forward" is the
+unscaled sum with omega^(+a.m), so it is the forward transform, and
+`fftn` with norm="forward" the inverse.  An index's digits are the axes of
+a (p,)*n grid, and a.m treats every digit alike, so the grid needs no
+transpose.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
+from numpy.fft import fftn, ifftn
 
 from .gfspace import DensityFunction, GroupParams, PointSet, combine, scale_map
 
 IMAG_TOL = 1e-9
 ROUNDTRIP_IMAG_TOL = 1e-10
-
-# Most elements, p times the columns, one block of an axis pass holds: 64 KiB
-# of complex128 (see `_axis_passes`).
-PASS_BLOCK = 2**12
-
-
-@lru_cache(maxsize=None)
-def _char_matrix(p: int) -> np.ndarray:
-    """p x p matrix M[a, m] = omega^(a*m)."""
-    roots = np.exp(2j * np.pi * np.arange(p) / p)
-    m = roots[np.outer(np.arange(p), np.arange(p)) % p]
-    m.setflags(write=False)
-    return m
-
-
-def _axis_passes(arr: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Apply the p x p complex `matrix` in place along each of the n digit
-    axes of the C-contiguous complex128 `arr`, and return `arr`.
-
-    `arr` has shape (batch, p, ..., p) with n digit axes; every batch row
-    is transformed independently in O(n p^(n+1)).
-
-    The pass over the digit of stride p^k views `arr` as (rows, p, p^k),
-    most significant digit first, and works through blocks of at most
-    PASS_BLOCK elements, each gathered into one (p, m) matrix (BLAS takes
-    one matrix a call), multiplied by `matrix` and written back.  Blocks
-    are kept small for two reasons.  Their temporaries stay below glibc's
-    128 KiB mmap threshold, since freeing a larger one raises that
-    threshold for the rest of the job and so its later peak RSS: blocks of
-    2^13 columns make 393 KB temporaries, and a 3^10 `ap3 spectrum` job
-    then peaks at 32.9 MB against 31.6 MB.  And each matmul stays too small
-    for OpenBLAS to thread: with (7 x 7) @ (7 x 2048) blocks a 7^6
-    transform takes 4 ms, but up to 412 ms when a call is threaded on 2
-    cores.
-    """
-    p = matrix.shape[0]
-    cols = max(1, PASS_BLOCK // p)
-    for k in reversed(range(arr.ndim - 1)):
-        view = arr.reshape(-1, p, p**k)
-        rows, width = view.shape[0], view.shape[2]
-        row_step, col_step = max(1, cols // width), min(width, cols)
-        for r in range(0, rows, row_step):
-            for c in range(0, width, col_step):
-                block = view[r : r + row_step, :, c : c + col_step]
-                out = np.matmul(matrix, block.transpose(1, 0, 2).reshape(p, -1))
-                block[...] = out.reshape(p, len(block), -1).transpose(1, 0, 2)
-    return arr
 
 
 def pair_counts(
@@ -88,33 +43,28 @@ def pair_counts(
     form (1, 1) gives the self-convolution x * x.
 
     R's transform is t(a k) t(b k), t the transform of x, so a mask takes
-    one forward transform and each output row one more.  That second
-    transform applies the forward matrix to the conjugated product, which
-    for a real R gives p^n R: no inverse matrix is built.  The floats are
+    one forward transform and each output row one inverse.  The floats are
     then rounded to the nearest integer.
 
     Rounding is exact while every float error stays below 1/2.  Percival's
-    bound for FFT convolution is ||x||_2^2 = |S| times the error of the
-    passes.  Each p-point pass multiplies by a matrix of unit entries, so
-    it adds an error of about p^(3/2) u (u = 2^-53) relative to its output
-    in the 2-norm, and n passes run each way: the largest error is of the
-    order n p^(3/2) u |S| <= n p^(3/2) u p^n.  That is 3.4e-10 at 3^10
-    and 1.1e-7 on Z_4001; measured on 30% masks it is 0 at 3^10 and 3^12
-    and below 2e-12 at 5^6, 7^5 and Z_4001.  It nears 1/4 only around 3^28
-    or p = 10^6, far beyond the memory of any job.  As a run-time check, a
-    float more than 1/4 from its integer raises RuntimeError.
+    bound for an FFT convolution is of the order u log2(p^n) ||x||_2^2
+    (u = 2^-53), and ||x||_2^2 = |S| <= p^n: 1e-10 at 3^10, 5e-12 on
+    Z_4001 and 2e-10 on Z_100003.  Measured, it is 0 at 3^10, 3^12 and
+    3^13, at most 1.2e-12 at 5^6 and 7^5 on 30% masks, and on full sets
+    6.8e-12 on Z_4001 and 2.6e-10 on Z_100003.  It nears 1/4 only far
+    beyond the memory of any job.  As a run-time check, a float more than
+    1/4 from its integer raises RuntimeError.
     """
     p, n = params.p, params.n
-    matrix = _char_matrix(p)
-    t = x.reshape((-1,) + (p,) * n).astype(np.complex128)
-    t = _axis_passes(t, matrix).reshape(-1, params.size)
+    grid, axes = (-1,) + (p,) * n, tuple(range(1, n + 1))
+    t = x.reshape(grid).astype(np.complex128)
+    t = ifftn(t, axes=axes, norm="forward", out=t).reshape(-1, params.size)
     if forms == ((1, 1),):
         t *= t  # in place: a count holds only t and its result full-size
     else:
         t = np.stack([t[:, scale_map(p, n, a)] * t[:, scale_map(p, n, b)] for a, b in forms])
-    np.conjugate(t, out=t)
-    conv = _axis_passes(t.reshape((-1,) + (p,) * n), matrix).reshape(-1, params.size).real
-    conv /= params.size
+    t = t.reshape(grid)
+    conv = fftn(t, axes=axes, norm="forward", out=t).reshape(-1, params.size).real
     counts = np.rint(conv, out=np.empty(conv.shape, dtype=np.int64), casting="unsafe")
     conv -= counts
     residue = max(conv.max(initial=0.0), -conv.min(initial=0.0))
@@ -125,10 +75,9 @@ def pair_counts(
 
 def dft_forward(f: DensityFunction) -> np.ndarray:
     """The coefficients fhat(a) in canonical order, as a read-only complex128
-    array: n axis passes of the p-point character transform (O(n p^(n+1)))."""
-    p, n = f.params.p, f.params.n
-    arr = f.values.astype(np.complex128).reshape((1,) + (p,) * n)
-    coeffs = _axis_passes(arr, _char_matrix(p)).reshape(-1)
+    array: one in-place FFT of a copy of f's values, O(p^n log p^n)."""
+    arr = f.values.astype(np.complex128).reshape((f.params.p,) * f.params.n)
+    coeffs = ifftn(arr, norm="forward", out=arr).reshape(-1)
     coeffs.setflags(write=False)
     return coeffs
 
@@ -140,8 +89,8 @@ def dft_inverse(c: np.ndarray, params: GroupParams) -> DensityFunction:
     scale = max(1.0, float(np.abs(c).max()))
     if np.abs(c[scale_map(p, n, p - 1)] - np.conj(c)).max() > IMAG_TOL * scale:
         raise ValueError("spectrum violates conjugate symmetry; no real preimage")
-    arr = np.array(c, dtype=np.complex128).reshape((1,) + (p,) * n)
-    flat = _axis_passes(arr, np.conj(_char_matrix(p)) / p).reshape(-1)
+    arr = np.array(c, dtype=np.complex128).reshape((p,) * n)
+    flat = fftn(arr, norm="forward", out=arr).reshape(-1)
     if np.abs(flat.imag).max() > ROUNDTRIP_IMAG_TOL * scale:
         raise ValueError("imaginary residue above tolerance in inverse transform")
     return DensityFunction(params, flat.real)

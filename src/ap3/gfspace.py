@@ -55,17 +55,19 @@ class GroupParams:
     """The group F_p^n for an odd prime p and dimension n >= 1."""
 
     def __init__(self, p: int, n: int) -> None:
+        if n < 1:
+            raise ValueError(f"n={n} must be >= 1")
+        # The size bound runs before the primality test, whose cost grows
+        # with the digits of p.  For p >= 3, n >= 63 gives p^n >= 2^63, so
+        # the power is computed only when both are small.
+        if p >= 3 and (p > MAX_SIZE or n >= MAX_SIZE.bit_length() or p**n > MAX_SIZE):
+            raise ValueError(f"p^n = {p}^{n} exceeds the supported index range")
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if p < 3:
             # Over F_2, m+2d == m and every progression degenerates, so we
             # reject p=2 outright rather than return meaningless counts.
             raise ValueError("p must be an odd prime >= 3")
-        if n < 1:
-            raise ValueError(f"n={n} must be >= 1")
-        # n >= 63 gives p^n >= 2^63, so the power is computed only when small.
-        if n >= MAX_SIZE.bit_length() or p**n > MAX_SIZE:
-            raise ValueError(f"p^n = {p}^{n} exceeds the supported index range")
         self.p, self.n = p, n
 
     def __eq__(self, other: object) -> bool:

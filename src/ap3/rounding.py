@@ -22,10 +22,11 @@ from . import fourier
 from . import subspace as sub
 
 # Words `randomize` draws at a time, so that the Python int and bytes of a
-# draw are 32 KiB each, below glibc's 128 KiB mmap threshold (see
-# `fourier._axis_passes`), whatever p^n.  CPython's getrandbits fills 32 bits
-# at a time, least significant first, so the blocks join into the stream of
-# one getrandbits(64 * p^n) call.
+# draw are 32 KiB each, whatever p^n: below glibc's 128 KiB mmap threshold,
+# which freeing a larger temporary raises for the rest of the job, and with
+# it the job's later peak RSS.  CPython's getrandbits fills 32 bits at a
+# time, least significant first, so the blocks join into the stream of one
+# getrandbits(64 * p^n) call.
 DRAW_BLOCK = 2**12
 
 

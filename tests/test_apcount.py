@@ -71,7 +71,7 @@ class TestExactKernel:
                 mask.astype(np.int64), p, n
             )
 
-    @pytest.mark.parametrize("p,n", [(3, 10), (5, 6), (7, 5), (3, 12), (4001, 1)])
+    @pytest.mark.parametrize("p,n", [(3, 10), (5, 6), (7, 5), (3, 12), (4001, 1), (100003, 1)])
     def test_full_space(self, p, n):
         params = GroupParams(p, n)
         assert count_raw(PointSet(params, tuple(range(params.size)))) == params.size**2
@@ -334,37 +334,36 @@ class TestTransformCount:
     search step one forward and two inverse."""
 
     @staticmethod
-    def counted_rows(monkeypatch, params):
-        # Both transforms apply the one character matrix, the forward one
-        # first: the rows of each call, in order, are [forward, inverse].
-        matrix = fourier._char_matrix(params.p)
+    def counted_rows(monkeypatch):
+        # The rows of each call, in order: forward transforms are numpy's
+        # ifftn and inverse ones its fftn.
         calls = []
-        axis_passes = fourier._axis_passes
+        for name in ("ifftn", "fftn"):
+            fft = getattr(fourier, name)
 
-        def counting(arr, m):
-            assert m is matrix
-            calls.append(arr.shape[0])
-            return axis_passes(arr, m)
+            def counting(arr, *args, fft=fft, name=name, **kwargs):
+                calls.append((name, arr.shape[0]))
+                return fft(arr, *args, **kwargs)
 
-        monkeypatch.setattr(fourier, "_axis_passes", counting)
+            monkeypatch.setattr(fourier, name, counting)
         return calls
 
     @pytest.mark.parametrize("batch", [1, 5])
     def test_count(self, monkeypatch, rng, batch):
         params = GroupParams(3, 3)
-        rows = self.counted_rows(monkeypatch, params)
+        rows = self.counted_rows(monkeypatch)
         masks = rng.random((batch, params.size)) < 0.5
         counts = t3_masks(masks, params)
-        assert rows == [batch, batch]
+        assert rows == [("ifftn", batch), ("fftn", batch)]
         assert counts.tolist() == [brute_count(x, x, x, 3, 3) for x in masks]
 
     @pytest.mark.parametrize("p, n", [(3, 3), (5, 2), (7, 2)])
     def test_participation(self, monkeypatch, rng, p, n):
         params = GroupParams(p, n)
-        rows = self.counted_rows(monkeypatch, params)
+        rows = self.counted_rows(monkeypatch)
         x = rng.random(params.size) < 0.4
         m, e = search._participation(x, params)
-        assert rows == [1, 2]
+        assert rows == [("ifftn", 1), ("fftn", 2)]
         # M(v) = #{(y, z) in S^2: y + z = 2v}, E(v) = sum_y x(y) x(2y - v).
         y = np.arange(params.size)
         for v in range(params.size):

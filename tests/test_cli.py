@@ -143,7 +143,7 @@ class TestWriteJson:
 GOLDEN_REPORTS = {
     "rounding": """{
   "hoeffding_bound": 1.0,
-  "lambda3_after": 0.049382716049382734,
+  "lambda3_after": 0.04938271604938273,
   "lambda3_before": 0.07182501066426468,
   "max_coset_deviation": 0.14865901049396202,
   "mean_after": 0.4444444444444444,
@@ -294,8 +294,8 @@ class TestReportGoldens:
     @pytest.mark.parametrize(
         "indicator, size, digest",
         [
-            (False, 18703, "caae95ed4ab0ef68d3db6ab1f6e38cfe24f32304746c67ae119c94d9875d6c19"),
-            (True, 19001, "a82227dfe21c5fa991405b433e47634cb0dd5a46ff9ae5d7b76f0db9e30b0cfa"),
+            (False, 18702, "954444f677e90d193b4bf4ac8b8f709ca0eea4fd0743751b4e25049fc65d469b"),
+            (True, 19000, "0c30abd39e4681ccc71539b6accfc7b4aa94a0e7b2b4da1c7325866796d191fc"),
         ],
         ids=["plain", "rounded"],
     )
@@ -328,6 +328,19 @@ class TestCount:
         save_density(PointSet(params, (0, 1, 3, 4)).density(), str(path))
         assert run(["count", "--input", str(path)], tmp_path) == 0
         assert "t3_nontrivial=0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", [1, 2, 1001, 50002])
+    def test_interval_in_cyclic_group(self, tmp_path, capsys, k):
+        # In Z_p with k <= (p + 1)/2, x + z = 2y within {0, ..., k-1} forces
+        # x = z mod 2 (else y = (x + z + p)/2 >= k), and then y = (x + z)/2:
+        # T3 counts the ordered pairs of equal parity.
+        params = GroupParams(100003, 1)
+        path = tmp_path / "interval.apf"
+        save_density(PointSet(params, tuple(range(k))).density(), str(path))
+        assert run(["count", "--input", str(path)], tmp_path) == 0
+        raw = ((k + 1) // 2) ** 2 + (k // 2) ** 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == [f"t3_raw={raw}", f"t3_nontrivial={raw - k}"]
 
     def test_missing_file(self, tmp_path, capsys):
         assert run(["count", "--input", str(tmp_path / "no.apf")], tmp_path) == 1
@@ -473,7 +486,8 @@ class TestNumericFlags:
 
 class TestImportBudget:
     """A job loads only the ap3 modules its subcommand runs: `--help`,
-    `average` and `structure` transform nothing and load no `ap3.fourier`.
+    `average` and `structure` transform nothing and load no `ap3.fourier`,
+    and so no `numpy.fft`, which `import numpy` leaves unloaded.
     None loads numpy's random package or OpenSSL (`_hashlib`), which that
     package imports through secrets and hmac: jobs that draw random numbers
     use the standard library's `random.Random`.  None loads `dataclasses`, whose
@@ -488,11 +502,13 @@ class TestImportBudget:
         "code = ap3.cli.main(sys.argv[1:])\n"
         "banned = {'numpy.random', 'secrets', '_hashlib', 'logging', 'dataclasses'}\n"
         "banned = sorted(banned & set(sys.modules))\n"
-        "print(json.dumps([code, sorted(before), sorted(loaded() - before), banned]))\n"
+        "fft = 'numpy.fft' in sys.modules\n"
+        "print(json.dumps([code, sorted(before), sorted(loaded() - before), banned, fft]))\n"
     )
 
     def job(self, argv, half_density, cap_set, tmp_path):
-        """(exit code, ap3 modules loaded by import, by the job, banned)."""
+        """(exit code, ap3 modules loaded by import, by the job, banned,
+        whether numpy.fft is loaded)."""
         inputs = {"IN": half_density, "SET": cap_set}
         argv = [inputs.get(a, a) for a in argv]
         argv += ["--output-dir", str(tmp_path / "out")]
@@ -545,15 +561,16 @@ class TestImportBudget:
         ],
     )
     def test_modules_loaded(self, half_density, cap_set, tmp_path, argv, added):
-        code, before, new, banned = self.job(argv, half_density, cap_set, tmp_path)
+        code, before, new, banned, fft = self.job(argv, half_density, cap_set, tmp_path)
         assert code == 0
         assert before == ["ap3", "ap3.cli", "ap3.gfspace"]
         assert new == added
         assert banned == []
+        assert fft == ("ap3.fourier" in added)
 
     def test_log_level_loads_logging(self, half_density, cap_set, tmp_path):
         argv = ["count", "--input", "IN", "--log-level", "INFO"]
-        code, _, new, banned = self.job(argv, half_density, cap_set, tmp_path)
+        code, _, new, banned, _ = self.job(argv, half_density, cap_set, tmp_path)
         assert code == 0
         assert new == ["ap3.apcount", "ap3.fourier"]
         assert banned == ["logging"]
@@ -561,11 +578,15 @@ class TestImportBudget:
 
 class TestMemoryBudget:
     """Like TestImportBudget for memory: the 3^10 spectrum and average jobs
-    peak within MARGIN_MB of `ap3 --help`.  Measured on a 2-core x86-64 VM
-    (Python 3.11.7, numpy 2.4.6), a job over `--help`: spectrum +2.5 MB and
-    average +2.6 MB with in-place transforms and blocked coset means; +4.3
-    and +3.2 MB before, when a transform held up to three full-size copies
-    and averaging gathered every coset row and an element-to-row table."""
+    and a count on Z_4001 peak within MARGIN_MB of `ap3 --help`.  Measured
+    on a 2-core x86-64 VM (Python 3.11.7, numpy 2.4.6), a job over
+    `--help`: spectrum +2.3-2.6 MB, average +2.5-2.7 MB and the Z_4001
+    count +1.2-1.6 MB with in-place FFTs and blocked coset means.  The
+    count was +367 MB when each transform multiplied by a dense p x p
+    character matrix, and spectrum +4.0 MB with an FFT that is not in
+    place; spectrum +4.3 and average +3.2 MB when a transform held up to
+    three full-size copies and averaging gathered every coset row and an
+    element-to-row table."""
 
     MARGIN_MB = 2.9
     # Jobs start from this small process, not from pytest: on Linux a
@@ -593,11 +614,16 @@ class TestMemoryBudget:
         params = GroupParams(3, 10)
         path = str(tmp_path / "in.apf")
         save_density(DensityFunction(params, rng.random(params.size)), path)
+        cyclic = GroupParams(4001, 1)
+        cyclic_path = str(tmp_path / "cyclic.apf")
+        cyclic_set = PointSet.from_mask(cyclic, rng.random(cyclic.size) < 0.3)
+        save_density(cyclic_set.density(), cyclic_path)
         out = ["--output-dir", str(tmp_path / "out")]
         base = self.peak_mb(["--help"], tmp_path)
         jobs = {
             "spectrum": ["spectrum", "--input", path, "--delta", "0.01", "--output", "s.txt"],
             "average": ["average", "--input", path, "--subspace", "1,1,0,0,0,0,0,0,0,0"],
+            "count": ["count", "--input", cyclic_path],
         }
         growth = {name: self.peak_mb(argv + out, tmp_path) - base for name, argv in jobs.items()}
         assert all(g <= self.MARGIN_MB for g in growth.values()), growth

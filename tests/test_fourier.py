@@ -4,7 +4,6 @@ import pytest
 from ap3 import fourier
 from ap3.cli import main
 from ap3.fourier import (
-    PASS_BLOCK,
     dft_forward,
     dft_inverse,
     lambda3_spectral,
@@ -204,9 +203,17 @@ class TestExactTransform:
 
     @staticmethod
     def perturb(monkeypatch):
-        # A character matrix off by 0.01 in every entry.
-        char_matrix = fourier._char_matrix
-        monkeypatch.setattr(fourier, "_char_matrix", lambda p: char_matrix(p) + 0.01)
+        # A forward transform whose every axis pass is off by 0.01 in every
+        # output.
+        ifftn = fourier.ifftn
+
+        def offset(a, axes=None, norm=None, out=None):
+            for axis in range(a.ndim) if axes is None else axes:
+                a = ifftn(a, axes=(axis,), norm=norm, out=out)
+                a += 0.01
+            return a
+
+        monkeypatch.setattr(fourier, "ifftn", offset)
 
     def test_residue_check_raises(self, monkeypatch, rng):
         params = GroupParams(3, 4)
@@ -228,20 +235,22 @@ class TestExactTransform:
 
 
 class TestAxisPassKernel:
-    """The in-place block kernel behind both transforms, at sizes above one
-    block, against oracles that do not use it."""
+    """Both transforms at sizes of tens of thousands of points, against
+    oracles that do not use them."""
 
     @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
     def test_forward_matches_numpy_fft(self, p, n, rng):
         params = GroupParams(p, n)
-        assert params.size > PASS_BLOCK
         f = random_density(params, rng)
-        # fftn takes omega^-1, so fhat is its conjugate.  Digit k of an index
-        # has stride p^k, so a C-order grid lists the digits in reverse:
-        # reversing its axes indexes it by (d_0, ..., d_(n-1)).
-        grid = f.values.reshape((p,) * n).T
-        want = np.conj(np.fft.fftn(grid)).T.reshape(-1)
-        assert np.abs(dft_forward(f) - want).max() < 1e-12 * params.size
+        # The explicit character matrix M[a, m] = omega^(a m), applied along
+        # each digit axis in turn; a.m treats every digit alike, so the axis
+        # order of the grid does not matter.
+        k = np.arange(p)
+        matrix = np.exp(2j * np.pi * (np.outer(k, k) % p) / p)
+        grid = f.values.reshape((p,) * n)
+        for axis in range(n):
+            grid = np.moveaxis(np.tensordot(matrix, grid, axes=(1, axis)), 0, axis)
+        assert np.abs(dft_forward(f) - grid.reshape(-1)).max() < 1e-12 * params.size
 
     @pytest.mark.parametrize("p,n", [(3, 8), (5, 6), (7, 5)])
     def test_inverse_roundtrip_leaves_its_argument(self, p, n, rng):

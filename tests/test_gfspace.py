@@ -50,6 +50,14 @@ class TestGroupParams:
             GroupParams(7, 126397162360691373)
         assert time.monotonic() - start < 1.0
 
+    def test_huge_p_fails_fast(self):
+        # 2^4253 - 1 is a Mersenne prime that takes seconds to test: the size
+        # bound rejects it first.
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="exceeds the supported index range"):
+            GroupParams(2**4253 - 1, 1)
+        assert time.monotonic() - start < 1.0
+
     def test_size(self):
         assert GroupParams(3, 4).size == 81
 
