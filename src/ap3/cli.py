@@ -399,11 +399,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", default="structure_report.json")
     sp.set_defaults(func=cmd_structure)
 
-    sp = subs.add_parser("varnavides", parents=[common], help="subgroup-averaged lower bound")
+    sp = subs.add_parser(
+        "varnavides",
+        parents=[common],
+        help="subgroup-averaged count: a lower bound if exhaustive, else an estimate",
+    )
     sp.add_argument("--input", required=True)
     sp.add_argument("--m-dim", dest="m_dim", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=100)
-    sp.add_argument("--exhaustive", action="store_true")
+    sp.add_argument(
+        "--samples",
+        type=int,
+        default=100,
+        help="subgroups to sample; the result estimates the bound and can exceed T3'(S)",
+    )
+    sp.add_argument(
+        "--exhaustive", action="store_true", help="average over every subgroup: a certified bound"
+    )
     sp.add_argument("--report", default="varnavides_report.json")
     sp.set_defaults(func=cmd_varnavides)
 

@@ -51,6 +51,17 @@ def is_prime(p: int) -> bool:
     )
 
 
+def _brief(k: int) -> str:
+    """k in full, or its number of digits once it has more than 20.  It is
+    never converted to a string: past 4300 digits that raises ValueError."""
+    if k < 10**20:
+        return str(k)
+    digits = int((k.bit_length() - 1) * math.log10(2))  # at most the count
+    while k >= 10**digits:
+        digits += 1
+    return f"[{digits} digits]"
+
+
 class GroupParams:
     """The group F_p^n for an odd prime p and dimension n >= 1."""
 
@@ -61,7 +72,7 @@ class GroupParams:
         # with the digits of p.  For p >= 3, n >= 63 gives p^n >= 2^63, so
         # the power is computed only when both are small.
         if p >= 3 and (p > MAX_SIZE or n >= MAX_SIZE.bit_length() or p**n > MAX_SIZE):
-            raise ValueError(f"p^n = {p}^{n} exceeds the supported index range")
+            raise ValueError(f"p^n = {_brief(p)}^{_brief(n)} exceeds the supported index range")
         if not is_prime(p):
             raise ValueError(f"p={p} is not prime")
         if p < 3:

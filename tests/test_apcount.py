@@ -427,3 +427,28 @@ class TestBatchedVarnavides:
                 assert got == old_varnavides_estimate(s, m_dim, exhaustive=True)
                 got = varnavides_estimate(s, m_dim, samples=5, seed=m_dim)
                 assert got == old_varnavides_estimate(s, m_dim, samples=5, seed=m_dim)
+
+    @pytest.mark.parametrize("m_dim", [1, 2, 3])
+    def test_exhaustive_matches_per_subgroup_loop_5_4(self, m_dim):
+        # One 40% set: the loop takes about 0.3 s per call at m = 2.
+        params = GroupParams(5, 4)
+        s = PointSet.from_mask(params, np.random.default_rng(m_dim).random(params.size) < 0.4)
+        got = varnavides_estimate(s, m_dim, exhaustive=True)
+        assert got == old_varnavides_estimate(s, m_dim, exhaustive=True)
+
+    @pytest.mark.parametrize("p, n, m_dim", [(3, 4, 1), (3, 4, 3), (5, 3, 2), (7, 2, 2)])
+    def test_exhaustive_counts_once(self, p, n, m_dim, rng, monkeypatch):
+        # The exhaustive bound is arithmetic on T3'(S): one count of one
+        # mask, however many subgroups and cosets there are.
+        calls = []
+        pair_counts = fourier.pair_counts
+
+        def counting(x, *args, **kwargs):
+            calls.append(len(x))
+            return pair_counts(x, *args, **kwargs)
+
+        monkeypatch.setattr(fourier, "pair_counts", counting)
+        params = GroupParams(p, n)
+        s = PointSet.from_mask(params, rng.random(params.size) < 0.4)
+        varnavides_estimate(s, m_dim, exhaustive=True)
+        assert calls == [1]

@@ -54,9 +54,34 @@ class TestGroupParams:
         # 2^4253 - 1 is a Mersenne prime that takes seconds to test: the size
         # bound rejects it first.
         start = time.monotonic()
-        with pytest.raises(ValueError, match="exceeds the supported index range"):
+        with pytest.raises(ValueError, match="exceeds the supported index range") as exc:
             GroupParams(2**4253 - 1, 1)
         assert time.monotonic() - start < 1.0
+        # p is named by its digit count, not printed in full.
+        assert str(exc.value) == "p^n = [1281 digits]^1 exceeds the supported index range"
+
+    @pytest.mark.parametrize(
+        "p, shown",
+        [
+            (10**20 - 1, "99999999999999999999"),
+            (10**20, "[21 digits]"),
+            (10**300 - 1, "[300 digits]"),
+            (10**300, "[301 digits]"),
+        ],
+        ids=["10^20-1", "10^20", "10^300-1", "10^300"],
+    )
+    def test_size_error_digit_count(self, p, shown):
+        with pytest.raises(ValueError) as exc:
+            GroupParams(p, 1)
+        assert str(exc.value) == f"p^n = {shown}^1 exceeds the supported index range"
+
+    def test_size_error_past_the_string_limit(self):
+        # Python refuses to convert an int of more than 4300 digits to a
+        # string, so the message must name p without str(p).
+        with pytest.raises(ValueError, match=r"^p\^n = \[5001 digits\]\^1 exceeds"):
+            GroupParams(10**5000 + 1, 1)
+        with pytest.raises(ValueError, match=r"^p\^n = 3\^\[31 digits\] exceeds"):
+            GroupParams(3, 10**30)
 
     def test_size(self):
         assert GroupParams(3, 4).size == 81

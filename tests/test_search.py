@@ -1,11 +1,14 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from ap3.apcount import count_raw
-from ap3.gfspace import GroupParams, PointSet
+from ap3.gfspace import GroupParams, PointSet, combine
 from ap3.search import (
+    _best_move,
+    _participation,
     exhaustive_min,
     local_min,
     size_floor,
@@ -155,3 +158,91 @@ class TestLocal:
             if prev is not None and r.iterations > prev.iterations:
                 assert r.count < prev.count
             prev = r
+
+
+def swap_table(x, count, m, e, params):
+    """(inside, outside, swap) with swap[i, j] the count after moving
+    inside[i] to outside[j]: every pair of the full |S| x |S^c| table."""
+    inside, outside = np.flatnonzero(x), np.flatnonzero(~x)
+    add = count + 2 * e[outside] + m[outside] + 1
+    remove = count - 2 * e[inside] - m[inside] + 2
+    h = (params.p + 1) // 2
+    u, v = inside[:, None], outside[None, :]
+    xi = x.astype(np.int64)
+    pairs = (
+        xi[combine(2, u, -1, v, params)]
+        + xi[combine(h, u, h, v, params)]
+        + xi[combine(-1, u, 2, v, params)]
+    )
+    return inside, outside, remove[:, None] + add[None, :] - count - 2 * pairs
+
+
+def full_table_best_move(x, count, m, e, params):
+    """The move search made before it scored candidates only: the first
+    minimum of the whole swap table, in (removed, added) order."""
+    if x.all():
+        return None, count
+    inside, outside, swap = swap_table(x, count, m, e, params)
+    i, j = np.unravel_index(int(np.argmin(swap)), swap.shape)
+    if swap[i, j] >= count:
+        return None, count
+    best = x.copy()
+    best[inside[i]], best[outside[j]] = False, True
+    return best, int(swap[i, j])
+
+
+def move_masks(params, rng):
+    """Random masks at densities 0.1-0.9, the same masks closed under
+    negation, whose swaps u -> v and -u -> -v score alike so that the
+    minimum is tied, and the one-point and one-hole masks."""
+    neg = combine(-1, np.arange(params.size), 0, 0, params)
+    for _ in range(12):
+        x = rng.random(params.size) < rng.uniform(0.1, 0.9)
+        yield x
+        yield x | x[neg]
+    for i in (0, params.size - 1):
+        x = np.zeros(params.size, dtype=bool)
+        x[i] = True
+        yield x
+        yield ~x
+
+
+class TestCandidateMoves:
+    @pytest.mark.parametrize(
+        "p, n", [(3, 3), (3, 4), (3, 5), (5, 2), (5, 3), (7, 2), (101, 1)]
+    )
+    def test_matches_full_table(self, p, n, rng):
+        params = GroupParams(p, n)
+        tied = 0
+        for x in move_masks(params, rng):
+            if not x.any():
+                continue
+            m, e = _participation(x, params)
+            count = int(m[x].sum())
+            got = _best_move(x, count, m, e, params)
+            want = full_table_best_move(x, count, m, e, params)
+            assert got[1] == want[1]
+            if want[0] is None:
+                assert got[0] is None
+            else:
+                assert np.array_equal(got[0], want[0])
+            if not x.all():
+                swap = swap_table(x, count, m, e, params)[2]
+                tied += np.count_nonzero(swap == swap.min()) > 1
+        assert tied >= 10  # the tie-break is exercised
+
+    @pytest.mark.parametrize("p, n", [(3, 8), (4001, 1)])
+    def test_step_memory(self, p, n):
+        # The full table traces 217 MB at 3^8 and 81 MB on Z_4001.
+        params = GroupParams(p, n)
+        x = np.random.default_rng(1).random(params.size) < 0.3
+        m, e = _participation(x, params)
+        count = int(m[x].sum())
+        tracemalloc.start()
+        try:
+            move, move_count = _best_move(x, count, m, e, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert move is not None and move_count < count
