@@ -1,14 +1,7 @@
-"""Progression counting: one exact integer count of sets by the transform
-kernel, float counts of densities by the spectral identity, the float
-restricted count by pair enumeration, and the subgroup-averaging
-estimator.  Its exhaustive bound is a closed form in one count; only its
-sampled mode counts cosets.
-
-A triple is (m, m+d, m+2d); it is trivial when d = 0.  Raw counts T3
-include trivial triples, the primed count T3' = T3 - |S| excludes them.
-Since m + (m+2d) = 2(m+d), a set's count is
-T3(S) = sum_y 1_S(y) (1_S * 1_S)(2y), and the self-convolution is the
-rounded square of one complex transform, `fourier.pair_counts`.
+"""The float restricted count by pair enumeration, and the
+subgroup-averaging estimator.  Every other count of a set or a density is
+`fourier.triple_counts`.  The estimator's exhaustive bound is a closed
+form in one count; only its sampled mode counts cosets.
 """
 
 from __future__ import annotations
@@ -18,37 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .gfspace import DensityFunction, GroupParams, PointSet, combine, scale_map, seeded_rng
+from .gfspace import DensityFunction, GroupParams, PointSet, combine, seeded_rng
 from . import fourier
-
-
-def t3_masks(x: np.ndarray, params: GroupParams) -> np.ndarray:
-    """Exact T3(S) = sum_y x(y) (x * x)(2y) for each row of the (batch, p^n)
-    boolean masks x, as int64: one forward and one inverse transform per
-    row.
-
-    It counts the (m, d) with m, m+d and m+2d in S, trivial triples
-    included.
-    """
-    p, n = params.p, params.n
-    x = np.asarray(x, dtype=bool).reshape(-1, params.size)
-    conv = fourier.pair_counts(x, params)
-    # sum_y x(y) conv(2y) = sum_w x(w/2) conv(w), summed in place
-    conv[~x[:, scale_map(p, n, (p + 1) // 2)]] = 0
-    return conv.sum(axis=1)
-
-
-def count_raw(s: PointSet) -> int:
-    """Exact integer T3(1|S,S,S), trivial triples included."""
-    return int(t3_masks(s.mask(), s.params)[0])
-
-
-def t3_raw(f: DensityFunction) -> int | float:
-    """Unnormalized sum over (m, d) of f(m) f(m+d) f(m+2d): the exact
-    integer for an indicator, the spectral float otherwise."""
-    if f.is_indicator:
-        return int(t3_masks(f.values > 0.0, f.params)[0])
-    return fourier.lambda3_spectral(f) * float(f.params.size) ** 2
 
 
 def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> float:
@@ -94,7 +58,7 @@ def _coset_stats(
     """
     in_s = s_mask[rows].reshape(-1, rows.shape[-1])
     sizes = in_s.sum(axis=1)
-    raw = t3_masks(in_s, coset_params)
+    raw = fourier.triple_counts(in_s, coset_params)
     dense = _dense_cosets(sizes, in_s.shape[1], s_mask, s_size)
     return int(raw.sum() - sizes.sum()), dense, len(in_s)
 
@@ -145,7 +109,7 @@ def varnavides_estimate(
             sizes = s_mask[sub.coset_rows(bases, pivots, params)].sum(axis=-1)
             dense += _dense_cosets(sizes, coset_size, s_mask, len(s))
             cosets += sizes.size
-        t3 = count_raw(s) - len(s)
+        t3 = fourier.count_raw(s) - len(s)
         bound = Fraction(t3 * (coset_size - 1) * p ** (n - m_dim), params.size - 1)
     else:
         rng = seeded_rng(seed)

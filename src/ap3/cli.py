@@ -188,11 +188,13 @@ def _out(args, name: str) -> str:
 
 
 def cmd_count(args) -> int:
-    from . import apcount
+    from . import fourier
 
     f = load_density(args.input)
     _write_manifest(args, [args.input])
-    raw = apcount.t3_raw(f)  # the one count: an exact int for an indicator
+    # An indicator is counted as a mask, exactly; any other density as floats.
+    x = f.values > 0.0 if f.is_indicator else f.values
+    raw = fourier.triple_counts(x, f.params)[0].item()
     print(f"lambda3={raw / f.params.size**2:.17g}")
     print(f"t3_raw={float(raw):.17g}")
     if f.is_indicator:

@@ -221,6 +221,11 @@ def construct_g(
     ell = choose_ell(epsilon, p)
     if delta is None:
         delta = delta_from_epsilon(epsilon, p, c_p)
+    if ell > params.n:
+        raise ValueError(
+            f"n = {params.n} < ell = {ell}: S has codimension ell in W, and no W in "
+            f"F_{p}^{params.n} has dimension {ell} (epsilon = {epsilon})"
+        )
     a_set, v_space, w_space = build_W(f, delta)
     if ell > w_space.dim:
         raise ValueError(
@@ -251,9 +256,9 @@ def construct_g(
     g = DensityFunction(params, g_vals)
     checks = audit_cases(fw, g, dec, in_vp, s_cols, epsilon)
 
-    lambda3_f = fourier.lambda3_spectral(f)
-    lambda3_fw = fourier.lambda3_spectral(fw)
-    lambda3_g = fourier.lambda3_spectral(g)
+    t3_f, t3_fw, t3_g = fourier.triple_counts(
+        np.stack([f.values, fw.values, g.values]), params
+    ).tolist()
 
     hyp_val = math.fsum(np.abs(f.values - fw.values)) / params.size
     hyp = hyp_val > epsilon
@@ -267,9 +272,8 @@ def construct_g(
     t3_vp = int(np.count_nonzero(checks.all_in_v_prime))
     w_size = rows.shape[1]
     norm = float(params.size) ** 2
-    agg_lhs = lambda3_g * norm
-    agg_rhs = lambda3_fw * norm - (epsilon**5 / (1024.0 * p**2)) * w_size**2 * t3_vp
-    agg_ok = agg_lhs <= agg_rhs + AGGREGATE_REL_TOL * max(1.0, abs(lambda3_fw * norm))
+    agg_rhs = t3_fw - (epsilon**5 / (1024.0 * p**2)) * w_size**2 * t3_vp
+    agg_ok = t3_g <= agg_rhs + AGGREGATE_REL_TOL * max(1.0, abs(t3_fw))
 
     report = SimpleNamespace(
         A=a_set,
@@ -280,15 +284,15 @@ def construct_g(
         V_prime=tuple(v_prime),
         ell=ell,
         beta=beta,
-        lambda3_f=lambda3_f,
-        lambda3_fW=lambda3_fw,
-        lambda3_g=lambda3_g,
+        lambda3_f=t3_f / norm,
+        lambda3_fW=t3_fw / norm,
+        lambda3_g=t3_g / norm,
         delta_used=delta,
         hypothesis_value=hyp_val,  # E(|f - f_W|) for the constructed W only
         hypothesis_holds=hyp,
         v_prime_bound_ok=v_prime_ok,
         per_case_checks=checks,
-        aggregate_lhs=agg_lhs,  # T3(g), raw
+        aggregate_lhs=t3_g,  # T3(g), raw
         aggregate_rhs=agg_rhs,  # T3(f_W) - (eps^5/1024p^2)|W|^2 T3(V' reps), raw
         t3_v_prime_reps=t3_vp,
         aggregate_ok=agg_ok,

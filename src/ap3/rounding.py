@@ -85,12 +85,14 @@ def round_to_indicator(
         w_size = j.params.p**w.dim
         bound = max(bound, hoeffding_bound_raw(w_size, 1.0 / n**2))
 
+    t3_before, t3_after = fourier.triple_counts(np.stack([j.values, j2.values]), j.params).tolist()
+    norm = float(j.params.size) ** 2
     report = SimpleNamespace(
         seed=seed,
         mean_before=target,
         mean_after=j2.expectation(),
-        lambda3_before=fourier.lambda3_spectral(j),
-        lambda3_after=fourier.lambda3_spectral(j2),
+        lambda3_before=t3_before / norm,
+        lambda3_after=t3_after / norm,
         repaired_points=repaired,
         max_coset_deviation=max_dev,
         hoeffding_bound=bound,

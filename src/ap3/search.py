@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .gfspace import GroupParams, PointSet, combine, scale_map, seeded_rng
-from . import apcount, fourier
+from . import fourier
 
 DEFAULT_MAX_DOMAIN = 16
 
@@ -39,12 +39,12 @@ def exhaustive_min(params: GroupParams, alpha: float) -> SimpleNamespace:
     combos = np.array(list(itertools.combinations(range(n_pts), floor)), dtype=np.int64)
     masks = np.zeros((len(combos), n_pts), dtype=bool)
     np.put_along_axis(masks, combos, True, axis=1)
-    counts = apcount.t3_masks(masks, params)
+    counts = fourier.triple_counts(masks, params)
     i = int(np.argmin(counts))
     best_count = int(counts[i])
     best = PointSet(params, tuple(combos[i].tolist()))
     # complementation identity as an internal consistency gate
-    comp_count = apcount.count_raw(best.complement())
+    comp_count = fourier.count_raw(best.complement())
     k = len(best)
     if best_count + comp_count != n_pts**2 - 3 * k * n_pts + 3 * k**2:
         raise RuntimeError("complementation identity failed in exhaustive_min")

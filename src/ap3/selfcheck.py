@@ -11,7 +11,7 @@ import numpy as np
 
 from . import apcount, fourier, improve
 from . import subspace as sub
-from .gfspace import DensityFunction, GroupParams, PointSet
+from .gfspace import DensityFunction, GroupParams, PointSet, scale_map
 
 
 def _random_density(params: GroupParams, rng: random.Random) -> DensityFunction:
@@ -47,16 +47,19 @@ def selfcheck_checks() -> list[dict]:
         lhs = float(np.sum(np.abs(coeffs) ** 2)) / params.size
         rhs = float(np.sum(f.values**2))
         record(f"parseval_p{p}_n{n}", abs(lhs - rhs) <= 1e-9 * max(1.0, rhs))
-        # Float kernel against the pair enumeration `t3_restricted`, the one
-        # independent oracle, on a density; and against the exact count,
-        # the same kernel rounded, on an indicator.
+        # The paper's spectral identity
+        # p^(-3n) sum_a fhat(a)^2 fhat(-2a) = Lambda3(f) against the pair
+        # enumeration `t3_restricted`, the one independent oracle, on a
+        # density; and the one count on an indicator's float values against
+        # its exact count of the mask.
         full = PointSet(params, tuple(range(params.size)))
         direct = apcount.t3_restricted(f, full, full, full) / params.size**2
-        diff = abs(fourier.lambda3_spectral(f) - direct)
+        spectral = np.sum(coeffs**2 * coeffs[scale_map(p, n, p - 2)]) / params.size**3
+        diff = abs(spectral - direct)
         record(f"lambda3_identity_p{p}_n{n}", diff < 1e-9, f"diff={diff:.3g}")
         s = PointSet.from_mask(params, _random_density(params, rng).values < 0.5)
-        exact = apcount.count_raw(s) / params.size**2
-        diff = abs(fourier.lambda3_spectral(s.density()) - exact)
+        approx = fourier.triple_counts(s.density().values, params)[0]
+        diff = abs(approx - fourier.count_raw(s)) / params.size**2
         record(f"lambda3_exact_p{p}_n{n}", diff < 1e-9, f"diff={diff:.3g}")
 
     # Complementation: Lambda3(h) + Lambda3(1 - h) = 1 - 3b + 3b^2, b = E(h).
@@ -64,15 +67,15 @@ def selfcheck_checks() -> list[dict]:
     h1 = _random_density(params, rng)
     h2 = DensityFunction(params, 1.0 - h1.values)
     beta = h1.expectation()
-    l1, l2 = fourier.lambda3_spectral(h1), fourier.lambda3_spectral(h2)
+    l1, l2 = fourier.triple_counts(np.stack([h1.values, h2.values]), params) / params.size**2
     record(
         "complementation_float",
         abs(l1 + l2 - (1 - 3 * beta + 3 * beta**2)) < 1e-9,
     )
     s = PointSet(params, (0, 1, 3, 4))
     size = params.size
-    e1 = Fraction(apcount.count_raw(s), size**2)
-    e2 = Fraction(apcount.count_raw(s.complement()), size**2)
+    e1 = Fraction(fourier.count_raw(s), size**2)
+    e2 = Fraction(fourier.count_raw(s.complement()), size**2)
     eb = Fraction(len(s), size)
     record("complementation_exact", e1 + e2 == 1 - 3 * eb + 3 * eb**2)
 
@@ -88,7 +91,7 @@ def selfcheck_checks() -> list[dict]:
             s_mask[sub.canonical_codim_subspace(w, ell).elements()] = True
             t_set = PointSet.from_mask(params, ~s_mask)
             s_size = int(s_mask.sum())
-            ok &= apcount.t3_masks(s_mask, params)[0] == s_size**2
+            ok &= fourier.triple_counts(s_mask, params)[0] == s_size**2
             # The improve audit's count for j rows on T and the rest on W, in
             # every placement: |W|^2, |T||W|, |T|^2 and (2*beta^2 - beta) |W|^2
             # with beta = |T|/|W|.  On the all-ones density the restricted

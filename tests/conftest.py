@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import ap3
-from ap3 import subspace as sub
-from ap3.gfspace import DensityFunction, GroupParams
+from ap3 import fourier, subspace as sub
+from ap3.gfspace import DensityFunction, GroupParams, scale_map
 
 
 def digit_table(p: int, n: int) -> np.ndarray:
@@ -67,6 +67,27 @@ def naive_dft(f: DensityFunction) -> np.ndarray:
             dot = int(np.dot(digits[a], digits[m])) % p
             out[a] += f.values[m] * np.exp(2j * np.pi * dot / p)
     return out
+
+
+def lambda3(f: DensityFunction) -> float:
+    """Lambda3(f) = T3(f) / p^(2n) from the library's one count on f's
+    float values."""
+    return float(fourier.triple_counts(f.values, f.params)[0]) / float(f.params.size) ** 2
+
+
+def spectral_lambda3(f: DensityFunction) -> float:
+    """The paper's spectral identity p^(-3n) sum_a fhat(a)^2 fhat(-2a), an
+    oracle that shares only the forward transform with the library count.
+
+    The sum must be real; its real part alone is normalized, since a
+    complex division loses the last bit (91.125 / 729 would give
+    0.12499999999999999)."""
+    p, n = f.params.p, f.params.n
+    c = fourier.dft_forward(f)
+    total = np.sum(c * c * c[scale_map(p, n, p - 2)])
+    norm = float(f.params.size) ** 3
+    assert abs(total.imag) / norm <= 1e-9, total
+    return float(total.real) / norm
 
 
 def brute_lambda3(f: DensityFunction) -> float:

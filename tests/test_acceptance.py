@@ -16,7 +16,7 @@ from ap3 import apcount, fourier, improve, rounding, search
 from ap3 import subspace as sub
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
 
-from conftest import all_subspaces, chunked_t3, subprocess_env
+from conftest import all_subspaces, chunked_t3, lambda3, spectral_lambda3, subprocess_env
 
 GRIDS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
@@ -31,8 +31,9 @@ def fresh_rng(salt: int = 0):
 
 
 def test_criterion_01_spectral_vs_direct():
-    # The float kernel against two independent counts: the chunked direct
-    # sum on densities and the exact F_q count on indicators.
+    # The float count and the spectral identity against two independent
+    # counts: the chunked direct sum on densities and the exact count on
+    # indicators.
     start = time.monotonic()
     rng = fresh_rng(1)
     worst = 0.0
@@ -41,10 +42,14 @@ def test_criterion_01_spectral_vs_direct():
         norm = params.size**2
         for _ in range(100):
             f = DensityFunction(params, rng.random(params.size))
-            worst = max(worst, abs(fourier.lambda3_spectral(f) - chunked_t3(f.values, p, n) / norm))
+            direct = chunked_t3(f.values, p, n) / norm
+            worst = max(worst, abs(lambda3(f) - direct), abs(spectral_lambda3(f) - direct))
             s = PointSet.from_mask(params, rng.random(params.size) < 0.5)
+            exact = fourier.count_raw(s) / norm
             worst = max(
-                worst, abs(fourier.lambda3_spectral(s.density()) - apcount.count_raw(s) / norm)
+                worst,
+                abs(lambda3(s.density()) - exact),
+                abs(spectral_lambda3(s.density()) - exact),
             )
     elapsed = time.monotonic() - start
     verdict(
@@ -84,15 +89,15 @@ def test_criterion_03_complementation():
         params = GroupParams(p, n)
         h1 = DensityFunction(params, rng.random(params.size))
         h2 = DensityFunction(params, 1.0 - h1.values)
-        l1, l2 = fourier.lambda3_spectral(h1), fourier.lambda3_spectral(h2)
+        l1, l2 = lambda3(h1), lambda3(h2)
         beta = h1.expectation()
         ok &= abs(l1 + l2 - (1 - 3 * beta + 3 * beta**2)) < 1e-9
     for _ in range(100):
         n = int(rng.integers(1, 4))
         params = GroupParams(3, n)
         s = PointSet.from_mask(params, rng.random(params.size) < rng.random())
-        e1 = Fraction(apcount.count_raw(s), params.size**2)
-        e2 = Fraction(apcount.count_raw(s.complement()), params.size**2)
+        e1 = Fraction(fourier.count_raw(s), params.size**2)
+        e2 = Fraction(fourier.count_raw(s.complement()), params.size**2)
         eb = Fraction(len(s), params.size)
         ok &= e1 + e2 == 1 - 3 * eb + 3 * eb**2
     verdict(3, "complementation identity, 100 float + 100 exact-rational", ok)
@@ -112,8 +117,8 @@ def test_criterion_04_subspace_closed_forms():
                 s_mask[sub.canonical_codim_subspace(w, ell).elements()] = True
                 t_mask = w_mask & ~s_mask
                 beta = Fraction(int(t_mask.sum()), w_size)
-                ok &= apcount.t3_masks(s_mask, params)[0] == (1 - beta) ** 2 * w_size**2
-                ok &= apcount.t3_masks(t_mask, params)[0] == (2 * beta**2 - beta) * w_size**2
+                ok &= fourier.triple_counts(s_mask, params)[0] == (1 - beta) ** 2 * w_size**2
+                ok &= fourier.triple_counts(t_mask, params)[0] == (2 * beta**2 - beta) * w_size**2
     elapsed = time.monotonic() - start
     verdict(
         4,
@@ -141,7 +146,7 @@ def test_criterion_05_coset_decomposition_sum():
     ok = True
     for params, w in cases:
         h_mask = rng.random(params.size) < 0.5
-        total_direct = apcount.count_raw(PointSet.from_mask(params, h_mask))
+        total_direct = fourier.count_raw(PointSet.from_mask(params, h_mask))
         dec = sub.coset_decomposition(w)
         rows = dec.rows
         # parts[i] is h restricted to coset i.
@@ -211,7 +216,7 @@ def test_criterion_07_pipeline_general_properties():
 def test_criterion_08_rounding_statistics():
     params = GroupParams(3, 3)
     j = DensityFunction.constant(params, 0.5)
-    lam_j = fourier.lambda3_spectral(j)
+    lam_j = lambda3(j)
     mean_ok = True
     replay_ok = True
     within = 0
@@ -243,7 +248,7 @@ def test_criterion_09_search_oracle_equivalence():
         if k == 4:
             ok &= ex.count == 4 and ex.lambda3 == Fraction(4, 81)
             ok &= len(ex.best_set) == 4
-            ok &= apcount.count_raw(ex.best_set) == len(ex.best_set)  # T3' = 0
+            ok &= fourier.count_raw(ex.best_set) == len(ex.best_set)  # T3' = 0
     elapsed = time.monotonic() - start
     verdict(
         9,
@@ -259,7 +264,7 @@ def test_criterion_10_varnavides_bound():
     for _ in range(100):
         s = PointSet.from_mask(params, rng.random(9) < rng.random())
         rep = apcount.varnavides_estimate(s, 1, exhaustive=True)
-        ok &= rep.certified_lower_bound_exact <= apcount.count_raw(s) - len(s)
+        ok &= rep.certified_lower_bound_exact <= fourier.count_raw(s) - len(s)
     full = apcount.varnavides_estimate(
         PointSet(params, tuple(range(9))), 1, exhaustive=True
     )

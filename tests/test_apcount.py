@@ -5,14 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ap3.apcount import (
-    count_raw,
-    t3_masks,
-    t3_raw,
-    t3_restricted,
-    varnavides_estimate,
-)
-from ap3.fourier import lambda3_spectral
+from ap3.apcount import t3_restricted, varnavides_estimate
+from ap3.fourier import count_raw, triple_counts
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
 from ap3 import fourier, search, subspace as sub
 
@@ -23,8 +17,10 @@ from conftest import (
     chunked_t3,
     digit_table,
     digits_to_index,
+    lambda3,
     random_density,
     random_indicator,
+    spectral_lambda3,
 )
 
 CAP4 = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -38,24 +34,28 @@ class TestLambda3Direct:
     """Known values of the float count and the direct double-loop oracle."""
 
     def test_constant_one(self):
-        assert lambda3_spectral(DensityFunction.constant(GroupParams(3, 2), 1.0)) == 1.0
+        f = DensityFunction.constant(GroupParams(3, 2), 1.0)
+        assert lambda3(f) == spectral_lambda3(f) == 1.0
 
     def test_subspace_indicator(self):
         # dim-k subspace indicator gives p^(2(k-n))
         params = GroupParams(3, 3)
         w = sub.span(params, [[1, 0, 0], [0, 1, 0]])
         f = PointSet(params, tuple(int(i) for i in w.elements())).density()
-        assert lambda3_spectral(f) == pytest.approx(3.0 ** (2 * (2 - 3)))
+        assert lambda3(f) == pytest.approx(3.0 ** (2 * (2 - 3)))
+        assert spectral_lambda3(f) == pytest.approx(3.0 ** (2 * (2 - 3)))
 
     def test_two_points_f3(self):
         f = PointSet(GroupParams(3, 1), (0, 1)).density()
-        assert lambda3_spectral(f) == pytest.approx(2 / 9)
+        assert lambda3(f) == pytest.approx(2 / 9)
+        assert spectral_lambda3(f) == pytest.approx(2 / 9)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (5, 2)])
     def test_matches_brute_oracle(self, p, n, rng):
         params = GroupParams(p, n)
         f = random_density(params, rng)
-        assert lambda3_spectral(f) == pytest.approx(brute_lambda3(f), abs=1e-12)
+        assert lambda3(f) == pytest.approx(brute_lambda3(f), abs=1e-12)
+        assert spectral_lambda3(f) == pytest.approx(brute_lambda3(f), abs=1e-12)
 
 
 LADDER = [(3, n) for n in range(4, 11)] + [(5, n) for n in range(3, 7)] + [(7, n) for n in range(3, 6)]
@@ -103,23 +103,41 @@ class TestExactKernel:
         # Each row of a batch is counted on its own.
         params = GroupParams(5, 2)
         masks = rng.random((7, params.size)) < 0.4
-        batch = t3_masks(masks, params)
+        batch = triple_counts(masks, params)
         assert batch.dtype == np.int64
         assert [int(c) for c in batch] == [
             count_raw(PointSet.from_mask(params, m)) for m in masks
         ]
-        assert [int(c) for c in batch] == [int(t3_masks(m, params)[0]) for m in masks]
+        assert [int(c) for c in batch] == [int(triple_counts(m, params)[0]) for m in masks]
         assert [int(c) for c in batch] == [
             brute_count(m, m, m, params.p, params.n) for m in masks
         ]
 
     @pytest.mark.parametrize("p,n", LADDER)
     def test_float_matches_exact(self, p, n, rng):
+        # The one count on an indicator's float values, and the spectral
+        # identity, against the same count on its boolean mask.
         params = GroupParams(p, n)
         for _ in range(2):
             f = random_indicator(params, rng)
-            exact = t3_raw(f) / params.size**2
-            assert abs(lambda3_spectral(f) - exact) <= 1e-14 * params.size * exact
+            exact = int(triple_counts(f.values > 0.0, params)[0]) / params.size**2
+            assert abs(lambda3(f) - exact) <= 1e-14 * params.size * exact
+            assert abs(spectral_lambda3(f) - exact) <= 1e-14 * params.size * exact
+
+    @pytest.mark.parametrize("p,n", [(3, 1), (3, 4), (5, 3), (7, 2)])
+    def test_density_rows_are_not_rounded(self, p, n, rng):
+        # A point of weight 1/2 is one trivial triple of weight 1/8, which
+        # rounding would make 0; a batch of float rows is summed row by row.
+        params = GroupParams(p, n)
+        point = np.zeros(params.size)
+        point[1] = 0.5
+        assert triple_counts(point, params).tolist() == [0.125]
+        rows = rng.random((3, params.size)) * 0.3
+        got = triple_counts(rows, params)
+        assert got.dtype == np.float64
+        for row, t3 in zip(rows, got):
+            assert t3 == pytest.approx(chunked_t3(row, p, n), rel=1e-14)
+            assert t3 != round(t3)
 
 
 class TestRestricted:
@@ -127,12 +145,12 @@ class TestRestricted:
         params = GroupParams(3, 2)
         w = sub.span(params, [[0, 1]])
         ws = PointSet(params, tuple(int(i) for i in w.elements())).mask()
-        assert t3_masks(ws, params)[0] == 9
+        assert triple_counts(ws, params)[0] == 9
 
     def test_empty(self):
         params = GroupParams(3, 2)
         e = PointSet(params, ())
-        assert t3_masks(e.mask(), params)[0] == 0
+        assert triple_counts(e.mask(), params)[0] == 0
         f = DensityFunction.constant(params, 1.0)
         assert t3_restricted(f, e, e, e) == 0.0
 
@@ -146,7 +164,7 @@ class TestRestricted:
         w_size = params.size
         beta = Fraction(len(t), w_size)
         expected = (2 * beta**2 - beta) * w_size**2
-        assert t3_masks(t.mask(), params)[0] == expected
+        assert triple_counts(t.mask(), params)[0] == expected
 
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
     def test_count_matches_float_oracle(self, p, n, rng):
@@ -155,7 +173,7 @@ class TestRestricted:
         params = GroupParams(p, n)
         ones = DensityFunction.constant(params, 1.0)
         masks = rng.random((4, params.size)) < 0.5
-        batch = t3_masks(masks, params)
+        batch = triple_counts(masks, params)
         for i, x in enumerate(masks):
             s = PointSet.from_mask(params, x)
             assert batch[i] == t3_restricted(ones, s, s, s) == brute_count(x, x, x, p, n)
@@ -168,7 +186,8 @@ class TestRestricted:
         params = GroupParams(3, 2)
         f = random_density(params, rng)
         full = PointSet(params, tuple(range(9)))
-        assert t3_restricted(f, full, full, full) == pytest.approx(t3_raw(f), abs=1e-9)
+        t3 = triple_counts(f.values, params)[0]
+        assert t3_restricted(f, full, full, full) == pytest.approx(t3, abs=1e-9)
 
 
 def t3_nontrivial(s: PointSet) -> int:
@@ -207,7 +226,7 @@ def complement_lambda3(h1: DensityFunction) -> tuple[float, float, float]:
     """(Lambda3(h1), Lambda3(1 - h1), E(h1)): the sum of the first two is
     1 - 3b + 3b^2 with b the third."""
     h2 = DensityFunction(h1.params, 1.0 - h1.values)
-    return lambda3_spectral(h1), lambda3_spectral(h2), h1.expectation()
+    return lambda3(h1), lambda3(h2), h1.expectation()
 
 
 class TestComplementation:
@@ -264,7 +283,8 @@ class TestCosetDecompositionOfCounts:
                 for u2 in transversal:
                     u3 = int(combine(-1, u1, 2, u2, params))
                     total += t3_restricted(h, cosets[u1], cosets[u2], cosets[u3])
-            assert total == pytest.approx(t3_raw(h), abs=1e-9)
+            exact = count_raw(PointSet.from_mask(params, h.values > 0))
+            assert total == pytest.approx(exact, abs=1e-9)
 
 
 class TestVarnavides:
@@ -353,9 +373,13 @@ class TestTransformCount:
         params = GroupParams(3, 3)
         rows = self.counted_rows(monkeypatch)
         masks = rng.random((batch, params.size)) < 0.5
-        counts = t3_masks(masks, params)
+        counts = triple_counts(masks, params)
         assert rows == [("ifftn", batch), ("fftn", batch)]
         assert counts.tolist() == [brute_count(x, x, x, 3, 3) for x in masks]
+        del rows[:]
+        densities = rng.random((batch, params.size))
+        triple_counts(densities, params)
+        assert rows == [("ifftn", batch), ("fftn", batch)]
 
     @pytest.mark.parametrize("p, n", [(3, 3), (5, 2), (7, 2)])
     def test_participation(self, monkeypatch, rng, p, n):
@@ -394,7 +418,7 @@ def old_varnavides_estimate(s, m_dim, samples=0, seed=None, exhaustive=False):
         rows = sub.coset_decomposition(a).rows
         in_s = s_mask[rows]
         sizes = in_s.sum(axis=1)
-        raw = t3_masks(in_s, coset_params)
+        raw = triple_counts(in_s, coset_params)
         dense += int(np.count_nonzero(2 * sizes * s_mask.size >= len(s) * rows.shape[1]))
         total += int(raw.sum() - sizes.sum())
         cosets += len(rows)

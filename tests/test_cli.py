@@ -143,8 +143,8 @@ class TestWriteJson:
 GOLDEN_REPORTS = {
     "rounding": """{
   "hoeffding_bound": 1.0,
-  "lambda3_after": 0.04938271604938273,
-  "lambda3_before": 0.07182501066426468,
+  "lambda3_after": 0.04938271604938271,
+  "lambda3_before": 0.07182501066426467,
   "max_coset_deviation": 0.14865901049396202,
   "mean_after": 0.4444444444444444,
   "mean_before": 0.4173669800188653,
@@ -294,8 +294,8 @@ class TestReportGoldens:
     @pytest.mark.parametrize(
         "indicator, size, digest",
         [
-            (False, 18702, "954444f677e90d193b4bf4ac8b8f709ca0eea4fd0743751b4e25049fc65d469b"),
-            (True, 19000, "0c30abd39e4681ccc71539b6accfc7b4aa94a0e7b2b4da1c7325866796d191fc"),
+            (False, 18702, "c4fef2936366bfcbb290c34ca8b049c76c5704190929a89919a0dca2024e702b"),
+            (True, 19000, "6722c97dbb010349ffcfae92cc85fb44502f45a0c20141078f3efcc0ebc847c8"),
         ],
         ids=["plain", "rounded"],
     )
@@ -522,7 +522,7 @@ class TestImportBudget:
         "argv, added",
         [
             (["spectrum", "--input", "IN", "--delta", "0.1"], ["ap3.fourier"]),
-            (["count", "--input", "IN"], ["ap3.apcount", "ap3.fourier"]),
+            (["count", "--input", "IN"], ["ap3.fourier"]),
             (["average", "--input", "IN", "--subspace", "0,1"], ["ap3.subspace"]),
             (
                 ["improve", "--input", "IN", "--epsilon", "1.0"],
@@ -539,7 +539,7 @@ class TestImportBudget:
             ),
             (
                 ["search", "--p", "3", "--n", "2", "--alpha", "0.3", "--restarts", "1"],
-                ["ap3.apcount", "ap3.fourier", "ap3.search"],
+                ["ap3.fourier", "ap3.search"],
             ),
             (
                 ["structure", "--input", "SET", "--max-codim", "1"],
@@ -572,7 +572,7 @@ class TestImportBudget:
         argv = ["count", "--input", "IN", "--log-level", "INFO"]
         code, _, new, banned, _ = self.job(argv, half_density, cap_set, tmp_path)
         assert code == 0
-        assert new == ["ap3.apcount", "ap3.fourier"]
+        assert new == ["ap3.fourier"]
         assert banned == ["logging"]
 
 
@@ -580,8 +580,9 @@ class TestMemoryBudget:
     """Like TestImportBudget for memory: the 3^10 spectrum and average jobs
     and a count on Z_4001 peak within MARGIN_MB of `ap3 --help`.  Measured
     on a 2-core x86-64 VM (Python 3.11.7, numpy 2.4.6), a job over
-    `--help`: spectrum +2.3-2.6 MB, average +2.5-2.7 MB and the Z_4001
-    count +1.2-1.6 MB with in-place FFTs and blocked coset means.  The
+    `--help`: spectrum +2.3-2.6 MB, average +2.3-2.7 MB and the Z_4001
+    count (`fourier.triple_counts` on the set's mask) +1.1-1.5 MB with
+    in-place FFTs and blocked coset means.  The
     count was +367 MB when each transform multiplied by a dense p x p
     character matrix, and spectrum +4.0 MB with an FFT that is not in
     place; spectrum +4.3 and average +3.2 MB when a transform held up to
@@ -739,6 +740,16 @@ class TestImprove:
             ["improve", "--input", str(src), "--epsilon", "1.0", "--delta", "1e-15"],
             tmp_path,
         ) == 1
+
+    def test_codimension_above_n_is_one_line(self, tmp_path, capsys):
+        # At epsilon = 1, p = 3 the pipeline needs ell = 2 > n = 1.
+        src = tmp_path / "f.apf"
+        save_density(DensityFunction.constant(GroupParams(3, 1), 0.5), str(src))
+        assert run(["improve", "--input", str(src), "--epsilon", "1.0"], tmp_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ap3: error: n = 1 < ell = 2")
 
     @pytest.mark.parametrize(
         "flags",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from ap3.cli import main
 from ap3.fourier import (
     dft_forward,
     dft_inverse,
-    lambda3_spectral,
     large_spectrum,
     pair_counts,
     spectrum_export_lines,
@@ -14,7 +15,7 @@ from ap3.fourier import (
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine, save_density, scale_map
 from ap3 import subspace as sub
 
-from conftest import brute_lambda3, naive_dft, random_density
+from conftest import brute_lambda3, lambda3, naive_dft, random_density, spectral_lambda3
 
 
 class TestForward:
@@ -87,28 +88,36 @@ class TestParseval:
 
 
 class TestLambda3Spectral:
+    """The paper's spectral identity, a test oracle, and the one count on
+    float rows, against known values and the direct double loop."""
+
     def test_constant_one(self):
         f = DensityFunction.constant(GroupParams(3, 2), 1.0)
-        assert lambda3_spectral(f) == pytest.approx(1.0)
+        assert spectral_lambda3(f) == pytest.approx(1.0)
+        assert lambda3(f) == pytest.approx(1.0)
 
     def test_single_point(self):
         params = GroupParams(3, 2)
         vals = np.zeros(9)
         vals[0] = 1.0
-        assert lambda3_spectral(DensityFunction(params, vals)) == pytest.approx(1 / 81)
+        f = DensityFunction(params, vals)
+        assert spectral_lambda3(f) == pytest.approx(1 / 81)
+        assert lambda3(f) == pytest.approx(1 / 81)
 
     def test_two_point_set(self):
         # {0, 1} in F_3: only d=0 progressions survive -> 2/9
         params = GroupParams(3, 1)
         f = PointSet(params, (0, 1)).density()
-        assert lambda3_spectral(f) == pytest.approx(2 / 9, abs=1e-12)
+        assert spectral_lambda3(f) == pytest.approx(2 / 9, abs=1e-12)
+        assert lambda3(f) == pytest.approx(2 / 9, abs=1e-12)
 
     @pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2)])
     def test_matches_direct(self, p, n, rng):
         params = GroupParams(p, n)
         for _ in range(5):
             f = random_density(params, rng)
-            assert abs(lambda3_spectral(f) - brute_lambda3(f)) < 1e-9
+            assert abs(spectral_lambda3(f) - brute_lambda3(f)) < 1e-9
+            assert abs(lambda3(f) - brute_lambda3(f)) < 1e-9
 
 
 def spectrum_of(f, delta):
@@ -187,7 +196,8 @@ class TestExport:
 class TestExactTransform:
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
     def test_convolution_matches_definition(self, p, n, rng):
-        # R(v) = #{(y, z) in S^2: a y + b z = v}, counted pair by pair.
+        # R(v) = #{(y, z) in S^2: a y + b z = v}, counted pair by pair; and
+        # for density rows sum x(y) x(z) over those pairs, by math.fsum.
         params = GroupParams(p, n)
         x = rng.random((3, params.size)) < 0.5
         forms = ((1, 1), (2, -1), (1, p - 1))
@@ -200,6 +210,17 @@ class TestExactTransform:
                 sums = combine(a, members[:, None], b, members[None, :], params)
                 want = np.bincount(sums.ravel(), minlength=params.size)
                 assert got[i * 3 + row].tolist() == want.tolist()
+        d = rng.random((3, params.size))
+        got = pair_counts(d, params, forms)
+        assert got.dtype == np.float64 and got.shape == (len(forms) * 3, params.size)
+        assert np.array_equal(pair_counts(d, params), got[:3])
+        y = np.arange(params.size)
+        for i, (a, b) in enumerate(forms):
+            sums = combine(a, y[:, None], b, y[None, :], params).ravel()
+            for row in range(3):
+                terms = (d[row][:, None] * d[row][None, :]).ravel()
+                want = [math.fsum(terms[sums == v]) for v in range(params.size)]
+                assert np.abs(got[i * 3 + row] - want).max() <= 1e-14 * max(want)
 
     @staticmethod
     def perturb(monkeypatch):

@@ -17,7 +17,7 @@ from ap3.improve import (
     delta_from_epsilon,
     select_v_prime,
 )
-from ap3 import apcount, subspace as sub
+from ap3 import apcount, fourier, subspace as sub
 from ap3.cli import _write_json
 
 from conftest import digit_table, planted_density, random_density
@@ -167,6 +167,18 @@ class TestConstructG:
         with pytest.raises(ValueError, match="raise delta"):
             construct_g(f, 1.0, 1e-15)
 
+    @pytest.mark.parametrize("p, n, eps, ell", [(3, 1, 1.0, 2), (5, 1, 0.5, 2), (3, 2, 0.25, 3)])
+    def test_ell_above_n_raises_before_any_transform(self, monkeypatch, p, n, eps, ell):
+        # No W in F_p^n has dimension ell > n, whatever the spectrum: even a
+        # constant, whose spectrum is {0}, is refused before it is transformed.
+        def no_transform(*args, **kwargs):
+            raise AssertionError("transformed")
+
+        monkeypatch.setattr(fourier, "ifftn", no_transform)
+        f = DensityFunction.constant(GroupParams(p, n), 0.5)
+        with pytest.raises(ValueError, match=f"n = {n} < ell = {ell}"):
+            construct_g(f, eps)
+
     def test_v_cap_w_dim_is_the_overlap(self, rng):
         # f = 1/2 + (0.4/k) sum_i cos(2 pi a_i.x / p) has large spectrum
         # {0, +-a_i}, so V = span(a_i) and W = V^perp.
@@ -231,7 +243,7 @@ class TestConstructG:
                 assert base == apcount.t3_restricted(fw, u1, u2, u3)
                 assert lhs == apcount.t3_restricted(g, u1, u2, u3)
             v_prime = PointSet(params, tuple(dec.rows[in_vp, 0].tolist()))
-            assert np.count_nonzero(cases.all_in_v_prime) == apcount.count_raw(v_prime)
+            assert np.count_nonzero(cases.all_in_v_prime) == fourier.count_raw(v_prime)
 
     def test_closed_form_rejects_mixed_rows(self):
         f = planted_density(3, 6, 2, 0)
@@ -312,7 +324,7 @@ class TestAuditAtScale:
         g, report = construct_g(f, eps, self.DELTA)
         assert report.W.dim == n - k
         v_prime = PointSet(f.params, report.V_prime)
-        assert report.t3_v_prime_reps == apcount.count_raw(v_prime) > 0
+        assert report.t3_v_prime_reps == fourier.count_raw(v_prime) > 0
         assert report.per_case_checks.passed.all()
 
     def test_raised_value_off_v_prime_fails(self):

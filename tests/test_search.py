@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ap3.apcount import count_raw
+from ap3.fourier import count_raw
 from ap3.gfspace import GroupParams, PointSet, combine
 from ap3.search import (
     _best_move,
