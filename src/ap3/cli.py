@@ -81,7 +81,8 @@ def _non_negative_int(text: str) -> int:
 
 
 def _parse_subspace(spec: str, params: GroupParams) -> Subspace:
-    """Parse generators like '1,2;0,1' (digit vectors separated by ';')."""
+    """Parse generators like '1,2;0,1' (digit vectors separated by ';'),
+    each of n digits in [0, p)."""
     from . import subspace as sub
 
     gens = []
@@ -96,6 +97,10 @@ def _parse_subspace(spec: str, params: GroupParams) -> Subspace:
         if len(digits) != params.n:
             raise UsageError(
                 f"generator {part!r} has {len(digits)} digits, expected {params.n}"
+            )
+        if not all(0 <= d < params.p for d in digits):
+            raise UsageError(
+                f"generator {part!r} has a digit outside [0, {params.p}) (p = {params.p})"
             )
         gens.append(digits)
     return sub.span(params, gens)
@@ -256,7 +261,7 @@ def cmd_improve(args) -> int:
     _write_json(payload, _out(args, args.report))
     print(
         f"lambda3_f={report.lambda3_f:.17g} lambda3_g={report.lambda3_g:.17g} "
-        f"cases_pass={bool(report.per_case_checks.passed.all())}"
+        f"cases_pass={bool(report.per_case_checks.all_passed)}"
     )
     return 0
 

@@ -23,68 +23,129 @@ CHECK_TOL = 1e-9
 MEAN_TOL = 1e-12
 AGGREGATE_REL_TOL = 1e-6
 
-# One case as json.dump(indent=2, sort_keys=True) writes it in a list that
-# is a top-level value: keys sorted, the case dict at depth 2.
-_CASE_JSON = (
-    '\n    {\n      "all_in_v_prime": %s,\n      "base": %s,\n      "lhs": %s,'
-    '\n      "passed": %s,\n      "reps": [\n        %d,\n        %d,\n        %d\n      ],'
-    '\n      "rhs": %s\n    }'
+# The text json.dump(indent=2, sort_keys=True) writes around the values of
+# one case in a list that is a top-level value of a report (keys sorted,
+# the case dict at depth 2), with its two bools filled in: a case is
+# _HEAD[all_in_v_prime], base, _LHS, lhs, _PASSED[passed], u1, _SEP, u2,
+# _SEP, u3, _RHS, rhs, _TAIL, and a comma starts every case but the first.
+_HEAD = np.array(
+    [',\n    {\n      "all_in_v_prime": %s,\n      "base": ' % b for b in ("false", "true")],
+    dtype=object,
 )
-# Rows formatted per write; larger blocks raise peak RSS for no speed.
-CASE_BLOCK = 256
-_JSON_BOOLS = np.array(["false", "true"], dtype=object)
+_LHS = ',\n      "lhs": '
+_PASSED = np.array(
+    [',\n      "passed": %s,\n      "reps": [\n        ' % b for b in ("false", "true")],
+    dtype=object,
+)
+_SEP = ",\n        "
+_RHS = '\n      ],\n      "rhs": '
+_TAIL = "\n    }"
+# Cases per block, rounded down to whole u1 rows (at least one): the audit
+# and the report writer hold one block of cases at a time, and larger
+# blocks raise peak RSS for little speed.
+CASE_BLOCK = 512
 
 
 class CaseTable:
     """Every coset-AP triple of transversal reps and its inequality status,
-    one entry per case in row-major (u1, u2) order."""
+    in row-major (u1, u2) order.
 
-    def __init__(self, reps, all_in_v_prime, lhs, rhs, base, passed) -> None:
-        self.reps = reps  # (|T|^2, 3): u1, u2 and u3 = 2u2 - u1
-        self.all_in_v_prime = all_in_v_prime
-        self.lhs = lhs  # T3(g | the three cosets)
-        self.rhs = rhs  # bound: base*(1 - eps^2/16p^2) inside V', base outside
-        self.base = base  # T3(f_W | the three cosets)
-        self.passed = passed
+    The table holds O(|T|) row data, and `blocks` computes the |T|^2 cases
+    from it a block of whole u1 rows at a time, so no array of |T|^2
+    entries exists.  `audit_cases` sets `all_passed` and `t3_inside` (the
+    number of cases with all three rows in V') from one sweep.
+    """
+
+    def __init__(self, t, rep_pos, params, c, a, in_vp, counts, factor) -> None:
+        self.t = t  # the reps, in row order
+        self.rep_pos = rep_pos  # the decomposition's element -> row map
+        self.params = params
+        self.c = c  # f_W on each row
+        self.a = a  # g on each row's T columns
+        self.in_vp = in_vp
+        self.counts = counts  # case_counts(|W|, |T|)
+        self.factor = factor  # 1 - eps^2/16p^2
+        self.all_passed = None
+        self.t3_inside = None
+
+    def blocks(self):
+        """Yield the cases a block of whole u1 rows at a time, each block a
+        namespace of columns: reps (u1, u2 and u3 = 2u2 - u1), all_in_v_prime,
+        lhs = T3(g | the three cosets), rhs (the bound: base*(1 - eps^2/16p^2)
+        inside V', base outside), base = T3(f_W | the three cosets) and
+        passed, with the formulas and tolerance `audit_cases` states."""
+        t, c, a, in_vp, counts = self.t, self.c, self.a, self.in_vp, self.counts
+        vp = in_vp.astype(np.int8)
+        step = max(1, CASE_BLOCK // len(t))
+        for start in range(0, len(t), step):
+            u1 = slice(start, start + step)
+            third = self.rep_pos[combine(-1, t[u1, None], 2, t[None, :], self.params)]
+            base = counts[0] * ((c[u1, None] * c[None, :]) * c[third])
+            lhs = counts[vp[u1, None] + vp[None, :] + vp[third]] * (
+                (a[u1, None] * a[None, :]) * a[third]
+            )
+            inside = in_vp[u1, None] & in_vp[None, :] & in_vp[third]
+            rhs = np.where(inside, base * self.factor, base)
+            tol = CHECK_TOL * np.maximum(1.0, np.abs(base))
+            passed = np.where(inside, lhs <= rhs + tol, np.abs(lhs - base) <= tol)
+            reps = np.stack(np.broadcast_arrays(t[u1, None], t[None, :], t[third]), axis=-1)
+            yield SimpleNamespace(
+                reps=reps.reshape(-1, 3),
+                all_in_v_prime=inside.ravel(),
+                lhs=lhs.ravel(),
+                rhs=rhs.ravel(),
+                base=base.ravel(),
+                passed=passed.ravel(),
+            )
 
     def write_json(self, fh) -> None:
-        """Write the cases as json.dump(indent=2, sort_keys=True) writes
-        their list of per-case dicts as a top-level value of a report, one
-        block of CASE_BLOCK rows per write."""
-        n = len(self.passed)
-        if n == 0:
-            fh.write("[]")
-            return
-        base, lhs, rhs = (_json_floats(x) for x in (self.base, self.lhs, self.rhs))
-        sep = "["
-        for start in range(0, n, CASE_BLOCK):
-            rows = slice(start, start + CASE_BLOCK)
-            cells = np.empty((len(base[rows]), 8), dtype=object)
-            cells[:, 0] = _JSON_BOOLS[self.all_in_v_prime[rows].view(np.uint8)]
-            cells[:, 1] = base[rows]
-            cells[:, 2] = lhs[rows]
-            cells[:, 3] = _JSON_BOOLS[self.passed[rows].view(np.uint8)]
-            cells[:, 4:7] = self.reps[rows]
-            cells[:, 7] = rhs[rows]
-            fmt = ",".join([_CASE_JSON] * len(cells))
-            fh.write(sep + fmt % tuple(cells.ravel().tolist()))
-            sep = ","
-        fh.write("\n  ]")
+        write_case_blocks(fh, self.blocks())
 
 
-def _json_floats(x: np.ndarray) -> np.ndarray:
-    """What json writes for each float64 of 1-D x, as an object array of
-    str that formats each distinct bit pattern once.
+def write_case_blocks(fh, blocks) -> None:
+    """Write the cases of `blocks` (namespaces of columns, as
+    `CaseTable.blocks` yields them) as json.dump(indent=2, sort_keys=True)
+    writes their list of per-case dicts as a top-level value of a report,
+    one write per block."""
+    first = True
+    for b in blocks:
+        m = len(b.passed)
+        if m == 0:
+            continue
+        floats = _json_texts(np.concatenate([b.base, b.lhs, b.rhs])).reshape(3, m)
+        reps = _json_texts(b.reps.ravel()).reshape(m, 3)
+        pieces = np.empty((m, 13), dtype=object)
+        pieces[:, 0] = _HEAD[b.all_in_v_prime.view(np.uint8)]
+        pieces[:, 1] = floats[0]
+        pieces[:, 2] = _LHS
+        pieces[:, 3] = floats[1]
+        pieces[:, 4] = _PASSED[b.passed.view(np.uint8)]
+        pieces[:, 5:10:2] = reps
+        pieces[:, 6:10:2] = _SEP
+        pieces[:, 10] = _RHS
+        pieces[:, 11] = floats[2]
+        pieces[:, 12] = _TAIL
+        if first:
+            pieces[0, 0] = "[" + pieces[0, 0][1:]
+            first = False
+        fh.write("".join(pieces.ravel().tolist()))
+    fh.write("[]" if first else "\n  ]")
+
+
+def _json_texts(x: np.ndarray) -> np.ndarray:
+    """What json writes for each value of 1-D x, int64 or float64, as an
+    object array of str that formats each distinct bit pattern once.
 
     Distinct values are taken on the bits, not by float equality, which
     keeps -0.0 apart from 0.0.
     """
     bits, pos = np.unique(x.view(np.uint64), return_inverse=True)
-    vals = bits.view(np.float64)
-    text = np.array(list(map(float.__repr__, vals.tolist())), dtype=object)
-    text[np.isnan(vals)] = "NaN"
-    text[vals == np.inf] = "Infinity"
-    text[vals == -np.inf] = "-Infinity"
+    vals = bits.view(x.dtype)
+    text = np.array(list(map(repr, vals.tolist())), dtype=object)
+    if x.dtype.kind == "f":
+        text[np.isnan(vals)] = "NaN"
+        text[vals == np.inf] = "Infinity"
+        text[vals == -np.inf] = "-Infinity"
     return text[pos]
 
 
@@ -174,6 +235,11 @@ def audit_cases(
     a case with j rows in V' is then the same float x = (a_i a_j) a_k over
     N[j] = case_counts(|W|, |T|) pairs, so its fsum is the correctly
     rounded N[j] x, which is float(N[j]) * x for N[j] < 2^53.
+
+    The returned table computes the cases a block at a time; its
+    `all_passed` (every case passed) and `t3_inside` (the cases with all
+    three rows in V', which are the 3-APs of V' reps) come from one sweep
+    over the blocks here.
     """
     params = fw.params
     p = params.p
@@ -185,26 +251,23 @@ def audit_cases(
     if not (np.all(fw.values[rows] == c[:, None]) and np.array_equal(g.values[rows], built)):
         raise RuntimeError("a coset row is not the constant pattern g is built from")
 
-    third = dec.rep_pos[combine(-1, t[:, None], 2, t[None, :], params)]
     w_size = rows.shape[1]
-    counts = case_counts(w_size, w_size - int(np.count_nonzero(s_cols)))
-    vp = in_vp.astype(np.int8)
-    base = counts[0] * ((c[:, None] * c[None, :]) * c[third])
-    lhs = counts[vp[:, None] + vp[None, :] + vp[third]] * ((a[:, None] * a[None, :]) * a[third])
-    inside = in_vp[:, None] & in_vp[None, :] & in_vp[third]
-    factor = 1.0 - epsilon**2 / (16.0 * p**2)
-    rhs = np.where(inside, base * factor, base)
-    tol = CHECK_TOL * np.maximum(1.0, np.abs(base))
-    passed = np.where(inside, lhs <= rhs + tol, np.abs(lhs - base) <= tol)
-    reps = np.stack(np.broadcast_arrays(t[:, None], t[None, :], t[third]), axis=-1)
-    return CaseTable(
-        reps=reps.reshape(-1, 3),
-        all_in_v_prime=inside.ravel(),
-        lhs=lhs.ravel(),
-        rhs=rhs.ravel(),
-        base=base.ravel(),
-        passed=passed.ravel(),
+    table = CaseTable(
+        t=t.copy(),  # not a view that keeps `rows` alive
+        rep_pos=dec.rep_pos,
+        params=params,
+        c=c,
+        a=a,
+        in_vp=in_vp,
+        counts=case_counts(w_size, w_size - int(np.count_nonzero(s_cols))),
+        factor=1.0 - epsilon**2 / (16.0 * p**2),
     )
+    passed, inside = True, 0
+    for block in table.blocks():
+        passed &= bool(block.passed.all())
+        inside += int(np.count_nonzero(block.all_in_v_prime))
+    table.all_passed, table.t3_inside = passed, inside
+    return table
 
 
 def construct_g(
@@ -269,7 +332,7 @@ def construct_g(
     gram_rank = len(sub.rref_mod_p(v_space.basis @ v_space.basis.T, p)[1])
 
     # The transversal is a subspace, so the inside cases are the 3-APs of V'.
-    t3_vp = int(np.count_nonzero(checks.all_in_v_prime))
+    t3_vp = checks.t3_inside
     w_size = rows.shape[1]
     norm = float(params.size) ** 2
     agg_rhs = t3_fw - (epsilon**5 / (1024.0 * p**2)) * w_size**2 * t3_vp

@@ -126,7 +126,7 @@ def selfcheck_checks() -> list[dict]:
         and np.allclose(g.values[1:], 9 / 16, atol=1e-12)
         and abs(g.expectation() - 0.5) < 1e-12
         and abs(report.lambda3_g - 63 / 512) < 1e-12
-        and report.per_case_checks.passed.all()
+        and report.per_case_checks.all_passed
     )
     record("pipeline_worked_example", ok)
 

@@ -1,5 +1,6 @@
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def all_subspaces(params: GroupParams, dim: int):
     for pivots, bases in sub.subspace_blocks(params, dim):
         for basis in bases:
             yield sub.Subspace(params, basis, pivots)
+
+
+CASE_COLUMNS = ("reps", "all_in_v_prime", "lhs", "rhs", "base", "passed")
+
+
+def case_columns(table) -> SimpleNamespace:
+    """Each column of an improve case table (`improve.CaseTable`, or any
+    object whose `blocks()` yields at least one namespace of the same
+    columns) over all its cases, concatenated from its blocks."""
+    blocks = list(table.blocks())
+    return SimpleNamespace(
+        **{k: np.concatenate([getattr(b, k) for b in blocks]) for k in CASE_COLUMNS}
+    )
 
 
 def subprocess_env() -> dict:

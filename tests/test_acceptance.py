@@ -175,7 +175,7 @@ def test_criterion_06_pipeline_worked_example():
         and abs(g.expectation() - 0.5) < 1e-12
         and abs(report.lambda3_g - 63 / 512) < 1e-12
         and report.lambda3_g < report.lambda3_f
-        and report.per_case_checks.passed.all()
+        and report.per_case_checks.all_passed
         and elapsed < 1.0
     )
     verdict(6, f"worked example beta=8/9, lambda3(g)=63/512, {elapsed:.2f}s", ok)
@@ -207,7 +207,7 @@ def test_criterion_07_pipeline_general_properties():
             g, report = improve.construct_g(f, eps, delta)
             ok &= abs(g.expectation() - f.expectation()) < 1e-12
             ok &= report.lambda3_fW <= report.lambda3_f + report.delta_used + 1e-9
-            ok &= bool(report.per_case_checks.passed.all())
+            ok &= bool(report.per_case_checks.all_passed)
             if report.hypothesis_holds:
                 ok &= 2 * len(report.V_prime) > eps * report.transversal_size
     verdict(7, "pipeline invariants, 50 f x eps in {1/4,1/2,1}", ok)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -21,9 +22,9 @@ from ap3.gfspace import (
     save_density,
     save_set,
 )
-from ap3.improve import CASE_BLOCK, CaseTable, construct_g
+from ap3.improve import CASE_BLOCK, construct_g, write_case_blocks
 
-from conftest import planted_density, subprocess_env
+from conftest import CASE_COLUMNS, case_columns, planted_density, subprocess_env
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "ap3", "schemas", "reports.schema.json"
@@ -58,18 +59,37 @@ def run(args, tmp_path):
     return dispatch(args + ["--output-dir", str(tmp_path / "out")])
 
 
+class HandTable:
+    """Hand-built case columns, written through the report writer's
+    block-level entry `improve.write_case_blocks` in blocks of the given
+    sizes (one empty block for no cases)."""
+
+    def __init__(self, sizes, **columns) -> None:
+        self.sizes = sizes
+        self.columns = columns
+
+    def blocks(self):
+        ends = np.cumsum(self.sizes)
+        for start, end in zip(ends - self.sizes, ends):
+            yield SimpleNamespace(**{k: v[start:end] for k, v in self.columns.items()})
+
+    def write_json(self, fh) -> None:
+        write_case_blocks(fh, self.blocks())
+
+
 class TestWriteJson:
     """_write_json writes the bytes json.dump wrote when every case of a
-    CaseTable was a dict."""
+    case table was a dict."""
 
     @staticmethod
     def oracle(payload) -> bytes:
         def plain(value):
-            if not isinstance(value, CaseTable):
+            if not hasattr(value, "blocks"):
                 return value
-            names = ["reps", "all_in_v_prime", "lhs", "rhs", "base", "passed"]
-            columns = (getattr(value, k).tolist() for k in names)
-            return [dict(zip(names, case)) for case in zip(*columns)]
+            columns = case_columns(value)
+            names = list(CASE_COLUMNS)
+            cases = zip(*(getattr(columns, k).tolist() for k in names))
+            return [dict(zip(names, case)) for case in cases]
 
         fields = payload if isinstance(payload, dict) else vars(payload)
         text = json.dumps(
@@ -86,11 +106,21 @@ class TestWriteJson:
         assert path.read_bytes() == self.oracle(payload)
 
     @pytest.mark.parametrize(
-        "p, n, k, indicator", [(3, 4, 2, False), (5, 3, 1, True), (3, 6, 4, False)]
+        "p, n, k, indicator, blocks, last",
+        [
+            pytest.param(3, 4, 2, False, 1, 81, id="3-4-2-False"),
+            pytest.param(5, 3, 1, True, 1, 25, id="5-3-1-True"),
+            pytest.param(3, 6, 4, False, 14, 3 * 81, id="3-6-4-False"),
+            pytest.param(5, 4, 3, False, 32, 125, id="5-4-3-False"),
+        ],
     )
-    def test_planted_improve_report(self, tmp_path, p, n, k, indicator):
+    def test_planted_improve_report(self, tmp_path, p, n, k, indicator, blocks, last):
+        # The last two tables span several blocks of whole u1 rows (6 and 4
+        # rows of CASE_BLOCK = 512) and end in a partial block.
         g, report = construct_g(planted_density(p, n, k, 0), 1.0, 0.004)
-        assert len(report.per_case_checks.passed) == p ** (2 * k)
+        sizes = [len(b.passed) for b in report.per_case_checks.blocks()]
+        assert (len(sizes), sizes[-1], sum(sizes)) == (blocks, last, p ** (2 * k))
+        assert max(sizes) <= max(CASE_BLOCK, p**k)
         payload = report
         if indicator:
             _, rounded = rounding.round_to_indicator(g, 3, monitored=[report.W])
@@ -119,15 +149,19 @@ class TestWriteJson:
         for payload in payloads:
             self.check(payload, tmp_path)
 
-    @pytest.mark.parametrize("m", [0, 1, CASE_BLOCK, CASE_BLOCK + 1])
+    @pytest.mark.parametrize(
+        "m", [0, 1, CASE_BLOCK, CASE_BLOCK + 1, 3 * CASE_BLOCK + 7]
+    )
     def test_hand_built_tables(self, tmp_path, rng, m):
         # Repeated floats, as in real audits, plus the values whose json
-        # text differs from a plain repr or that float equality would merge.
+        # text differs from a plain repr or that float equality would merge;
+        # blocks of CASE_BLOCK cases and a partial last block, or ragged
+        # blocks with an empty one inside.
         special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-7, 0.1 + 0.2]
         pool = np.array(special + rng.random(7).tolist())
         base = pool[rng.integers(0, len(pool), size=m)]
         base[: len(special)] = special[:m]
-        cases = CaseTable(
+        columns = dict(
             reps=rng.integers(0, 3**6, size=(m, 3)),
             all_in_v_prime=rng.random(m) < 0.5,
             lhs=np.roll(base, 1),
@@ -135,7 +169,11 @@ class TestWriteJson:
             base=base,
             passed=rng.random(m) < 0.5,
         )
-        self.check({"z": {"a": [1, "x\ny"]}, "per_case_checks": cases, "a": 0.5}, tmp_path)
+        even = [min(CASE_BLOCK, m - start) for start in range(0, m, CASE_BLOCK)] or [0]
+        ragged = [m // 3, 0, m - m // 3 - 1, 1] if m > 1 else [0, m]
+        for sizes in (even, ragged):
+            cases = HandTable(np.array(sizes), **columns)
+            self.check({"z": {"a": [1, "x\ny"]}, "per_case_checks": cases, "a": 0.5}, tmp_path)
 
 
 # Pinned bytes of small seeded reports of every type: any change to how a
@@ -578,7 +616,8 @@ class TestImportBudget:
 
 class TestMemoryBudget:
     """Like TestImportBudget for memory: the 3^10 spectrum and average jobs
-    and a count on Z_4001 peak within MARGIN_MB of `ap3 --help`.  Measured
+    and a count on Z_4001 peak within MARGIN_MB of `ap3 --help`, and a
+    planted improve job within IMPROVE_MARGIN_MB.  Measured
     on a 2-core x86-64 VM (Python 3.11.7, numpy 2.4.6), a job over
     `--help`: spectrum +2.3-2.6 MB, average +2.3-2.7 MB and the Z_4001
     count (`fourier.triple_counts` on the set's mask) +1.1-1.5 MB with
@@ -590,6 +629,11 @@ class TestMemoryBudget:
     element-to-row table."""
 
     MARGIN_MB = 2.9
+    # `ap3 improve` on planted 3^8 with k = 5 audits |T|^2 = 59049 cases:
+    # +3.0-3.1 MB over `--help` with the case table computed a block at a
+    # time, +13.1-13.5 MB when it held every case as arrays and the report
+    # was formatted a whole column at a time.
+    IMPROVE_MARGIN_MB = 4.0
     # Jobs start from this small process, not from pytest: on Linux a
     # child's ru_maxrss counts the memory of the process it was forked from.
     LAUNCH = (
@@ -628,6 +672,14 @@ class TestMemoryBudget:
         }
         growth = {name: self.peak_mb(argv + out, tmp_path) - base for name, argv in jobs.items()}
         assert all(g <= self.MARGIN_MB for g in growth.values()), growth
+
+    def test_improve_audit_near_startup(self, tmp_path):
+        path = str(tmp_path / "planted.apf")
+        save_density(planted_density(3, 8, 5, 0), path)
+        base = self.peak_mb(["--help"], tmp_path)
+        argv = ["improve", "--input", path, "--epsilon", "1", "--delta", "0.004"]
+        growth = self.peak_mb(argv + ["--output-dir", str(tmp_path / "out")], tmp_path) - base
+        assert growth <= self.IMPROVE_MARGIN_MB, growth
 
 
 class TestManifestDigest:
@@ -696,6 +748,14 @@ class TestAverage:
         assert run(
             ["average", "--input", half_density, "--subspace", "1,x"], tmp_path
         ) == 2
+
+    @pytest.mark.parametrize("spec, bad", [("3,3", "3,3"), ("1,0;4,-1", "4,-1"), ("0,-1", "0,-1")])
+    def test_digit_outside_range(self, half_density, tmp_path, capsys, spec, bad):
+        # A digit is never reduced mod p: 3,3 would be 0 on F_3^2.
+        assert run(["average", "--input", half_density, "--subspace", spec], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err == f"ap3: usage error: generator '{bad}' has a digit outside [0, 3) (p = 3)\n"
+        assert not (tmp_path / "out" / "averaged.apf").exists()
 
 
 class TestImprove:
@@ -794,6 +854,18 @@ class TestRound:
             report = json.load(fh)
         validate(report, "rounding_report")
         assert report["seed"] == 9
+
+    @pytest.mark.parametrize("monitor", ["1,0,0;0,5,0", "-1,0,0"])
+    def test_monitor_digit_outside_range(self, tmp_path, rng, capsys, monitor):
+        params = GroupParams(5, 3)
+        src = tmp_path / "j.apf"
+        save_density(DensityFunction(params, rng.random(params.size)), str(src))
+        argv = ["round", "--input", str(src), "--monitor", "1,1,1", f"--monitor={monitor}"]
+        assert run(argv, tmp_path) == 2
+        bad = monitor.split(";")[-1]
+        err = capsys.readouterr().err
+        assert err == f"ap3: usage error: generator '{bad}' has a digit outside [0, 5) (p = 5)\n"
+        assert not (tmp_path / "out" / "rounded.apf").exists()
 
     def test_replay(self, tmp_path, rng):
         params = GroupParams(3, 3)

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import jsonschema
@@ -20,7 +21,7 @@ from ap3.improve import (
 from ap3 import apcount, fourier, subspace as sub
 from ap3.cli import _write_json
 
-from conftest import digit_table, planted_density, random_density
+from conftest import case_columns, digit_table, planted_density, random_density
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "ap3", "schemas", "reports.schema.json"
@@ -144,7 +145,7 @@ class TestConstructG:
         assert np.allclose(g.values[1:], 9 / 16)
         assert abs(g.expectation() - 0.5) < 1e-12
         assert abs(report.lambda3_g - 63 / 512) < 1e-12
-        assert report.per_case_checks.passed.all()
+        assert report.per_case_checks.all_passed
         assert report.aggregate_ok
 
     def test_mean_preserved_and_cases(self, rng):
@@ -158,7 +159,7 @@ class TestConstructG:
             delta = float(np.sort(mags)[-2]) + 1e-9
             g, report = construct_g(f, 1.0, delta)
             assert abs(g.expectation() - f.expectation()) < 1e-12
-            assert report.per_case_checks.passed.all()
+            assert report.per_case_checks.all_passed
             assert report.aggregate_ok
             assert g.values.min() >= 0.0 and g.values.max() <= 1.0
 
@@ -235,21 +236,23 @@ class TestConstructG:
             a = rng.uniform(0.05, 1.0, size=(int(in_vp.sum()), 1))
             g_vals[dec.rows[in_vp]] = np.where(s_cols, 0.0, a)
             fw, g = DensityFunction(params, fw_vals), DensityFunction(params, g_vals)
-            cases = audit_cases(fw, g, dec, in_vp, s_cols, 1.0)
+            table = audit_cases(fw, g, dec, in_vp, s_cols, 1.0)
+            cases = case_columns(table)
             cosets = coset_sets(params, dec)
-            table = zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist())
-            for reps, base, lhs in table:
+            for reps, base, lhs in zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist()):
                 u1, u2, u3 = (cosets[r] for r in reps)
                 assert base == apcount.t3_restricted(fw, u1, u2, u3)
                 assert lhs == apcount.t3_restricted(g, u1, u2, u3)
             v_prime = PointSet(params, tuple(dec.rows[in_vp, 0].tolist()))
-            assert np.count_nonzero(cases.all_in_v_prime) == fourier.count_raw(v_prime)
+            inside = np.count_nonzero(cases.all_in_v_prime)
+            assert inside == table.t3_inside == fourier.count_raw(v_prime)
+            assert table.all_passed == cases.passed.all()
 
     def test_closed_form_rejects_mixed_rows(self):
         f = planted_density(3, 6, 2, 0)
         g, report = construct_g(f, 1.0, 0.004)
         fw, dec, in_vp, s_cols = audit_inputs(f, report)
-        assert audit_cases(fw, g, dec, in_vp, s_cols, 1.0).passed.all()
+        assert audit_cases(fw, g, dec, in_vp, s_cols, 1.0).all_passed
         off, on = np.flatnonzero(~in_vp)[0], np.flatnonzero(in_vp)[0]
         t_col = np.flatnonzero(~s_cols)[0]
         # A mixed row off V', a V' row nonzero on S (column 0 is 0 in S), a
@@ -276,7 +279,7 @@ class TestConstructG:
         delta = float(mags[-p] + mags[-p - 1]) / 2
         g, report = construct_g(f, eps, delta)
         assert report.W.dim == n - 1
-        cases = report.per_case_checks
+        cases = case_columns(report.per_case_checks)
         assert cases.all_in_v_prime.any()
         fw = sub.average_over_cosets(f, report.W)
         dec = sub.coset_decomposition(report.W)
@@ -297,10 +300,10 @@ class TestAuditAtScale:
         # which the tolerance scaled by the case sum accepts.
         g, report = construct_g(planted_density(3, 10, 2, 2), 1.0, self.DELTA)
         assert report.W.dim == 8
-        cases = report.per_case_checks
+        cases = case_columns(report.per_case_checks)
         outside = ~cases.all_in_v_prime
         assert np.any(np.abs(cases.lhs - cases.base)[outside] > 1e-9)
-        assert report.per_case_checks.passed.all()
+        assert report.per_case_checks.all_passed and cases.passed.all()
 
     @pytest.mark.parametrize(
         "p,n,k,eps",
@@ -325,17 +328,19 @@ class TestAuditAtScale:
         assert report.W.dim == n - k
         v_prime = PointSet(f.params, report.V_prime)
         assert report.t3_v_prime_reps == fourier.count_raw(v_prime) > 0
-        assert report.per_case_checks.passed.all()
+        assert report.per_case_checks.all_passed
 
     def test_raised_value_off_v_prime_fails(self):
         f = planted_density(3, 6, 2, 0)
         g, report = construct_g(f, 1.0, self.DELTA)
-        assert report.per_case_checks.passed.all()
+        assert report.per_case_checks.all_passed
         fw, dec, in_vp, s_cols = audit_inputs(f, report)
         i = int(np.flatnonzero(~in_vp)[0])
         raised = np.array(g.values)
         raised[dec.rows[i]] *= 1.0 + 1e-6
-        checks = audit_cases(fw, DensityFunction(f.params, raised), dec, in_vp, s_cols, 1.0)
+        table = audit_cases(fw, DensityFunction(f.params, raised), dec, in_vp, s_cols, 1.0)
+        assert not table.all_passed
+        checks = case_columns(table)
         rep = dec.rows[i, 0]
         touched = (checks.reps == rep).any(axis=1)
         assert touched.any() and not checks.passed[touched].any()
@@ -350,7 +355,7 @@ class TestAuditAtScale:
         fw = sub.average_over_cosets(f, report.W)
         dec = sub.coset_decomposition(report.W)
         cosets = coset_sets(f.params, dec)
-        cases = report.per_case_checks
+        cases = case_columns(report.per_case_checks)
         inside = np.flatnonzero(cases.all_in_v_prime)
         others = np.flatnonzero(~cases.all_in_v_prime)
         assert len(inside) and len(others)
@@ -360,13 +365,34 @@ class TestAuditAtScale:
             assert cases.base[k] == apcount.t3_restricted(fw, u1, u2, u3)
             assert cases.lhs[k] == apcount.t3_restricted(g, u1, u2, u3)
 
+    def test_table_memory_is_per_block(self):
+        # 59049 cases: the audit and the report writer each hold one block
+        # of whole u1 rows at a time.  Traced peaks were 0.16 and 0.42 MB,
+        # against 4.2 and 8.0 MB when the table held every case as arrays
+        # and the writer formatted whole columns.
+        f = planted_density(3, 8, 5, 0)
+        g, report = construct_g(f, 1.0, self.DELTA)
+        fw, dec, in_vp, s_cols = audit_inputs(f, report)
+        tracemalloc.start()
+        try:
+            table = audit_cases(fw, g, dec, in_vp, s_cols, 1.0)
+            audit_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            with open(os.devnull, "w") as fh:
+                table.write_json(fh)
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.all_passed and table.t3_inside == report.t3_v_prime_reps
+        assert max(audit_peak, write_peak) <= 2**20, (audit_peak, write_peak)
+
     def test_case_table_order_and_report_types(self, tmp_path):
         # Row k is (u1, u2) = (t[k // |T|], t[k % |T|]) with u3 = 2 u2 - u1,
         # and the written report holds only plain JSON values.
         f = planted_density(3, 4, 2, 0)
         g, report = construct_g(f, 1.0, self.DELTA)
         t = sub.coset_decomposition(report.W).rows[:, 0].tolist()
-        cases = report.per_case_checks
+        cases = case_columns(report.per_case_checks)
         assert len(cases.reps) == len(t) ** 2
         for k, (u1, u2, u3) in enumerate(cases.reps.tolist()):
             assert (u1, u2) == (t[k // len(t)], t[k % len(t)])
