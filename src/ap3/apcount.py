@@ -121,7 +121,7 @@ def varnavides_estimate(
                 cand = sub.span(params, gens)
                 if cand.dim == m_dim:
                     break
-            rows = sub.coset_rows(cand.basis[None], cand.pivots, params)
+            rows = sub.coset_decomposition(cand)
             cs, dn, nc = _coset_stats(s_mask, rows, coset_params, len(s))
             total += cs
             dense += dn

@@ -52,13 +52,15 @@ class CaseTable:
 
     The table holds O(|T|) row data, and `blocks` computes the |T|^2 cases
     from it a block of whole u1 rows at a time, so no array of |T|^2
-    entries exists.  `audit_cases` sets `all_passed` and `t3_inside` (the
-    number of cases with all three rows in V') from one sweep.
+    entries exists.  Row indices are coordinates on the quotient by W (see
+    `subspace.coset_decomposition`), so the row of u3 = 2u2 - u1 is
+    `combine` of the row indices of u1 and u2, with no element-to-row
+    map.  `audit_cases` sets `all_passed` and `t3_inside` (the number of
+    cases with all three rows in V') from one sweep.
     """
 
-    def __init__(self, t, rep_pos, params, c, a, in_vp, counts, factor) -> None:
+    def __init__(self, t, params, c, a, in_vp, counts, factor) -> None:
         self.t = t  # the reps, in row order
-        self.rep_pos = rep_pos  # the decomposition's element -> row map
         self.params = params
         self.c = c  # f_W on each row
         self.a = a  # g on each row's T columns
@@ -76,10 +78,11 @@ class CaseTable:
         passed, with the formulas and tolerance `audit_cases` states."""
         t, c, a, in_vp, counts = self.t, self.c, self.a, self.in_vp, self.counts
         vp = in_vp.astype(np.int8)
+        idx = np.arange(len(t))
         step = max(1, CASE_BLOCK // len(t))
         for start in range(0, len(t), step):
             u1 = slice(start, start + step)
-            third = self.rep_pos[combine(-1, t[u1, None], 2, t[None, :], self.params)]
+            third = combine(-1, idx[u1, None], 2, idx[None, :], self.params)
             base = counts[0] * ((c[u1, None] * c[None, :]) * c[third])
             lhs = counts[vp[u1, None] + vp[None, :] + vp[third]] * (
                 (a[u1, None] * a[None, :]) * a[third]
@@ -216,7 +219,7 @@ def case_counts(w_size: int, t_size: int) -> np.ndarray:
 def audit_cases(
     fw: DensityFunction,
     g: DensityFunction,
-    dec: sub.CosetDecomposition,
+    rows: np.ndarray,
     in_vp: np.ndarray,
     s_cols: np.ndarray,
     epsilon: float,
@@ -229,7 +232,8 @@ def audit_cases(
     outside it equality.  Both allow CHECK_TOL * max(1, |T3(f_W)|): off V'
     the two sums differ by the rounding of c/beta, which grows with |W|^2.
 
-    f_W must be a constant c_r on each coset row, and g the constant a_r on
+    `rows` is W's coset layout from `subspace.coset_decomposition`.  f_W
+    must be a constant c_r on each coset row, and g the constant a_r on
     W off V' and on the T columns (not `s_cols`) of a V' row, with 0 on its
     S columns; anything else raises RuntimeError.  Every nonzero product of
     a case with j rows in V' is then the same float x = (a_i a_j) a_k over
@@ -243,7 +247,6 @@ def audit_cases(
     """
     params = fw.params
     p = params.p
-    rows = dec.rows
     t = rows[:, 0]
     c = fw.values[t]
     a = g.values[rows[:, np.argmin(s_cols)]]  # each row's value on T
@@ -254,7 +257,6 @@ def audit_cases(
     w_size = rows.shape[1]
     table = CaseTable(
         t=t.copy(),  # not a view that keeps `rows` alive
-        rep_pos=dec.rep_pos,
         params=params,
         c=c,
         a=a,
@@ -295,10 +297,9 @@ def construct_g(
             f"dim(W) = {w_space.dim} < ell = {ell}: the spectrum is too rich for "
             f"epsilon = {epsilon}; raise delta or epsilon"
         )
-    dec = sub.coset_decomposition(w_space)
-    rows = dec.rows
-    means = sub.coset_means(f, rows)
-    fw = DensityFunction(params, means[dec.rep_pos])
+    fw = sub.average_over_cosets(f, w_space)
+    rows = sub.coset_decomposition(w_space)
+    means = fw.values[rows[:, 0]]
     in_vp = select_v_prime(means, epsilon)
     v_prime = rows[in_vp, 0].tolist()
 
@@ -317,7 +318,7 @@ def construct_g(
     g_vals = np.array(fw.values)
     g_vals[rows[in_vp]] = np.where(s_cols, 0.0, np.minimum(scaled, 1.0)[:, None])
     g = DensityFunction(params, g_vals)
-    checks = audit_cases(fw, g, dec, in_vp, s_cols, epsilon)
+    checks = audit_cases(fw, g, rows, in_vp, s_cols, epsilon)
 
     t3_f, t3_fw, t3_g = fourier.triple_counts(
         np.stack([f.values, fw.values, g.values]), params

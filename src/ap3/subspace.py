@@ -140,25 +140,6 @@ def orthogonal_complement(v: Subspace) -> Subspace:
     return Subspace(params, basis, pivots)
 
 
-class CosetDecomposition:
-    """A subspace W with the canonical transversal U (+) W = F_p^n.
-
-    Transversal representatives have zeros in all pivot coordinates of W's
-    basis; they form the subspace spanned by the non-pivot coordinate axes,
-    in ascending index order, and are column 0 of `rows`.  Row i is the
-    coset rows[i, 0] + W, with column c holding rows[i, 0] + sum_j c_j b_j
-    for the little-endian base-p digits c_j of c and W's echelon rows b_j.
-    So every row is an affine copy of F_p^(dim W) in the same coordinates.
-    The representative of element m is rows[rep_pos[m], 0], and the members
-    of its coset are rows[rep_pos[m]].
-    """
-
-    def __init__(self, subspace: Subspace, rows: np.ndarray, rep_pos: np.ndarray) -> None:
-        self.subspace = subspace
-        self.rows = rows  # (|T|, |W|) element indices, one coset per row
-        self.rep_pos = rep_pos  # element index -> its coset's row
-
-
 def _span_digits(bases: np.ndarray, k: int, p: int) -> np.ndarray:
     """(N, p^dim) coordinate k of sum_j c_j b_j over the (N, dim, n) bases,
     for every coefficient vector c in little-endian order (c_0 fastest)."""
@@ -173,7 +154,9 @@ def coset_rows(bases: np.ndarray, pivots: tuple[int, ...], params: GroupParams) 
     """(N, |T|, |W|) coset layouts of N subspaces W with the same echelon
     pivot columns, from their (N, dim, n) echelon bases.
 
-    Layout s is the `rows` of `coset_decomposition` for the s-th basis.  All
+    Layout s is what `coset_decomposition` returns for the s-th basis: row
+    i is the coset of the transversal element whose non-pivot coordinates,
+    in ascending order, hold the little-endian base-p digits of i.  All
     N subspaces share the pivot-free transversal T, so the digits of
     t + sum_j c_j b_j are accumulated one coordinate at a time for all of
     them together: a pivot coordinate holds c_j, and the free coordinate
@@ -197,17 +180,30 @@ def coset_rows(bases: np.ndarray, pivots: tuple[int, ...], params: GroupParams) 
     return rows
 
 
-def coset_decomposition(w: Subspace) -> CosetDecomposition:
+def coset_decomposition(w: Subspace) -> np.ndarray:
+    """W's read-only (|T|, |W|) coset layout over the canonical transversal
+    U (+) W = F_p^n.
+
+    Transversal representatives have zeros in all pivot coordinates of W's
+    basis; they form the subspace spanned by the non-pivot coordinate axes
+    and are column 0.  Row i is the coset rows[i, 0] + W, whose
+    representative has the little-endian base-p digits of i on the
+    non-pivot axes in ascending order.  So row indices, all below p^k for
+    k = codim W, are the coordinates of the quotient F_p^n / W = F_p^k
+    with zero digits above k, and `combine` on F_p^n of row indices is the
+    row of the same combination of representatives.  Column c holds
+    rows[i, 0] + sum_j c_j b_j for the little-endian base-p digits c_j of c
+    and W's echelon rows b_j, so every row is an affine copy of
+    F_p^(dim W) in the same coordinates.
+    """
     rows = coset_rows(w.basis[None], w.pivots, w.params)[0]
     rows.setflags(write=False)
-    rep_pos = np.empty(w.params.size, dtype=np.int64)
-    rep_pos[rows] = np.arange(len(rows))[:, None]
-    return CosetDecomposition(w, rows, rep_pos)
+    return rows
 
 
 def coset_means(f: DensityFunction, rows: np.ndarray) -> np.ndarray:
-    """Mean of f on each row of the (|T|, |W|) coset layout `rows` (a
-    decomposition's `rows`), in row order.
+    """Mean of f on each row of the (|T|, |W|) coset layout `rows` (as
+    `coset_decomposition` returns it), in row order.
 
     Rows are gathered a block of at most FSUM_BLOCK_ELEMENTS values at a
     time, so only one block's values and Python floats exist at once.  A
@@ -229,7 +225,7 @@ def coset_means(f: DensityFunction, rows: np.ndarray) -> np.ndarray:
 
 def average_over_cosets(f: DensityFunction, w: Subspace) -> DensityFunction:
     """f_W(m) = |W|^-1 sum_{w in W} f(m+w), constant on each coset of W."""
-    rows = coset_rows(w.basis[None], w.pivots, w.params)[0]
+    rows = coset_decomposition(w)
     values = np.empty(f.params.size)
     values[rows] = coset_means(f, rows)[:, None]
     return DensityFunction(f.params, values)

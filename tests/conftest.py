@@ -37,6 +37,14 @@ def all_subspaces(params: GroupParams, dim: int):
             yield sub.Subspace(params, basis, pivots)
 
 
+def row_of(rows: np.ndarray) -> np.ndarray:
+    """Element index -> its row in the (|T|, |W|) coset layout `rows` of
+    `subspace.coset_decomposition`: the oracle element-to-row map."""
+    pos = np.empty(rows.size, dtype=np.int64)
+    pos[rows] = np.arange(len(rows))[:, None]
+    return pos
+
+
 CASE_COLUMNS = ("reps", "all_in_v_prime", "lhs", "rhs", "base", "passed")
 
 

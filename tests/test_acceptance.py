@@ -16,7 +16,7 @@ from ap3 import apcount, fourier, improve, rounding, search
 from ap3 import subspace as sub
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
 
-from conftest import all_subspaces, chunked_t3, lambda3, spectral_lambda3, subprocess_env
+from conftest import all_subspaces, chunked_t3, lambda3, row_of, spectral_lambda3, subprocess_env
 
 GRIDS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
@@ -147,8 +147,8 @@ def test_criterion_05_coset_decomposition_sum():
     for params, w in cases:
         h_mask = rng.random(params.size) < 0.5
         total_direct = fourier.count_raw(PointSet.from_mask(params, h_mask))
-        dec = sub.coset_decomposition(w)
-        rows = dec.rows
+        rows = sub.coset_decomposition(w)
+        pos = row_of(rows)
         # parts[i] is h restricted to coset i.
         parts = [PointSet(params, tuple(row[h_mask[row]].tolist())) for row in rows]
         # Every coset triple (u1, u2, 2u2 - u1), counted on the all-ones
@@ -157,7 +157,7 @@ def test_criterion_05_coset_decomposition_sum():
         u1, u2 = rows[:, 0, None], rows[None, :, 0]
         u3 = combine(-1, u1, 2, u2, params)
         first, middle = np.indices(u3.shape)
-        triples = zip(first.ravel(), middle.ravel(), dec.rep_pos[u3].ravel())
+        triples = zip(first.ravel(), middle.ravel(), pos[u3].ravel())
         total = sum(apcount.t3_restricted(ones, *(parts[i] for i in t)) for t in triples)
         ok &= total == total_direct
     verdict(5, "coset-decomposition count, 50 cases incl. self-orthogonal W", ok)

@@ -275,7 +275,7 @@ class TestCosetDecompositionOfCounts:
             h = random_indicator(params, rng)
             gens = [list(rng.integers(0, p, size=n))]
             w = sub.span(params, gens)
-            rows = sub.coset_decomposition(w).rows
+            rows = sub.coset_decomposition(w)
             transversal = rows[:, 0].tolist()
             cosets = {int(row[0]): PointSet(params, tuple(row.tolist())) for row in rows}
             total = 0.0
@@ -415,7 +415,7 @@ def old_varnavides_estimate(s, m_dim, samples=0, seed=None, exhaustive=False):
     coset_params = GroupParams(params.p, m_dim)
     total = dense = cosets = 0
     for a in subgroups:
-        rows = sub.coset_decomposition(a).rows
+        rows = sub.coset_decomposition(a)
         in_s = s_mask[rows]
         sizes = in_s.sum(axis=1)
         raw = triple_counts(in_s, coset_params)

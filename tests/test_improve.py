@@ -31,17 +31,18 @@ with open(SCHEMA_PATH) as fh:
 
 
 def audit_inputs(f, report):
-    """(f_W, decomposition, V' mask, S columns) as construct_g passes them
+    """(f_W, coset rows, V' mask, S columns) as construct_g passes them
     to audit_cases."""
-    dec = sub.coset_decomposition(report.W)
-    in_vp = np.isin(dec.rows[:, 0], report.V_prime)
-    s_cols = np.isin(dec.rows[0], sub.canonical_codim_subspace(report.W, report.ell).elements())
-    return sub.average_over_cosets(f, report.W), dec, in_vp, s_cols
+    rows = sub.coset_decomposition(report.W)
+    in_vp = np.isin(rows[:, 0], report.V_prime)
+    s_cols = np.isin(rows[0], sub.canonical_codim_subspace(report.W, report.ell).elements())
+    return sub.average_over_cosets(f, report.W), rows, in_vp, s_cols
 
 
-def coset_sets(params, dec):
-    """Each coset row of dec as a PointSet, keyed by its representative."""
-    return {int(row[0]): PointSet(params, tuple(row.tolist())) for row in dec.rows}
+def coset_sets(params, rows):
+    """Each coset row of the layout as a PointSet, keyed by its
+    representative."""
+    return {int(row[0]): PointSet(params, tuple(row.tolist())) for row in rows}
 
 
 class TestConfig:
@@ -225,25 +226,25 @@ class TestConstructG:
             w = sub.span(params, [list(rng.integers(0, p, size=n)) for _ in range(n - 1)])
             if w.dim == 0:
                 continue
-            dec = sub.coset_decomposition(w)
+            rows = sub.coset_decomposition(w)
             ell = int(rng.integers(1, w.dim + 1))
-            s_cols = np.isin(dec.rows[0], sub.canonical_codim_subspace(w, ell).elements())
-            c = rng.uniform(0.05, 1.0, size=len(dec.rows)) * (rng.random(len(dec.rows)) < 0.8)
-            in_vp = rng.random(len(dec.rows)) < 0.6
+            s_cols = np.isin(rows[0], sub.canonical_codim_subspace(w, ell).elements())
+            c = rng.uniform(0.05, 1.0, size=len(rows)) * (rng.random(len(rows)) < 0.8)
+            in_vp = rng.random(len(rows)) < 0.6
             fw_vals = np.empty(params.size)
-            fw_vals[dec.rows] = c[:, None]
+            fw_vals[rows] = c[:, None]
             g_vals = np.array(fw_vals)
             a = rng.uniform(0.05, 1.0, size=(int(in_vp.sum()), 1))
-            g_vals[dec.rows[in_vp]] = np.where(s_cols, 0.0, a)
+            g_vals[rows[in_vp]] = np.where(s_cols, 0.0, a)
             fw, g = DensityFunction(params, fw_vals), DensityFunction(params, g_vals)
-            table = audit_cases(fw, g, dec, in_vp, s_cols, 1.0)
+            table = audit_cases(fw, g, rows, in_vp, s_cols, 1.0)
             cases = case_columns(table)
-            cosets = coset_sets(params, dec)
+            cosets = coset_sets(params, rows)
             for reps, base, lhs in zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist()):
                 u1, u2, u3 = (cosets[r] for r in reps)
                 assert base == apcount.t3_restricted(fw, u1, u2, u3)
                 assert lhs == apcount.t3_restricted(g, u1, u2, u3)
-            v_prime = PointSet(params, tuple(dec.rows[in_vp, 0].tolist()))
+            v_prime = PointSet(params, tuple(rows[in_vp, 0].tolist()))
             inside = np.count_nonzero(cases.all_in_v_prime)
             assert inside == table.t3_inside == fourier.count_raw(v_prime)
             assert table.all_passed == cases.passed.all()
@@ -251,19 +252,19 @@ class TestConstructG:
     def test_closed_form_rejects_mixed_rows(self):
         f = planted_density(3, 6, 2, 0)
         g, report = construct_g(f, 1.0, 0.004)
-        fw, dec, in_vp, s_cols = audit_inputs(f, report)
-        assert audit_cases(fw, g, dec, in_vp, s_cols, 1.0).all_passed
+        fw, rows, in_vp, s_cols = audit_inputs(f, report)
+        assert audit_cases(fw, g, rows, in_vp, s_cols, 1.0).all_passed
         off, on = np.flatnonzero(~in_vp)[0], np.flatnonzero(in_vp)[0]
         t_col = np.flatnonzero(~s_cols)[0]
         # A mixed row off V', a V' row nonzero on S (column 0 is 0 in S), a
         # V' row with two values on T, and a mixed f_W row.
         for func, row, col in [(g, off, 1), (g, on, 0), (g, on, t_col), (fw, off, 1)]:
             vals = np.array(func.values)
-            vals[dec.rows[row, col]] = 0.5 * vals[dec.rows[row, col]] + 0.01
+            vals[rows[row, col]] = 0.5 * vals[rows[row, col]] + 0.01
             bad = DensityFunction(f.params, vals)
             args = (fw, bad) if func is g else (bad, g)
             with pytest.raises(RuntimeError, match="not the constant pattern"):
-                audit_cases(*args, dec, in_vp, s_cols, 1.0)
+                audit_cases(*args, rows, in_vp, s_cols, 1.0)
 
     @pytest.mark.parametrize("p,n,eps", [(3, 4, 1.0), (3, 4, 0.5), (5, 3, 1.0), (7, 3, 0.3)])
     def test_cases_equal_restricted_counts(self, p, n, eps, rng):
@@ -282,9 +283,9 @@ class TestConstructG:
         cases = case_columns(report.per_case_checks)
         assert cases.all_in_v_prime.any()
         fw = sub.average_over_cosets(f, report.W)
-        dec = sub.coset_decomposition(report.W)
-        cosets = coset_sets(params, dec)
-        assert len(cases.reps) == len(dec.rows) ** 2
+        rows = sub.coset_decomposition(report.W)
+        cosets = coset_sets(params, rows)
+        assert len(cases.reps) == len(rows) ** 2
         for reps, base, lhs in zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist()):
             u1, u2, u3 = (cosets[r] for r in reps)
             assert base == apcount.t3_restricted(fw, u1, u2, u3)
@@ -334,14 +335,14 @@ class TestAuditAtScale:
         f = planted_density(3, 6, 2, 0)
         g, report = construct_g(f, 1.0, self.DELTA)
         assert report.per_case_checks.all_passed
-        fw, dec, in_vp, s_cols = audit_inputs(f, report)
+        fw, rows, in_vp, s_cols = audit_inputs(f, report)
         i = int(np.flatnonzero(~in_vp)[0])
         raised = np.array(g.values)
-        raised[dec.rows[i]] *= 1.0 + 1e-6
-        table = audit_cases(fw, DensityFunction(f.params, raised), dec, in_vp, s_cols, 1.0)
+        raised[rows[i]] *= 1.0 + 1e-6
+        table = audit_cases(fw, DensityFunction(f.params, raised), rows, in_vp, s_cols, 1.0)
         assert not table.all_passed
         checks = case_columns(table)
-        rep = dec.rows[i, 0]
+        rep = rows[i, 0]
         touched = (checks.reps == rep).any(axis=1)
         assert touched.any() and not checks.passed[touched].any()
         assert checks.passed[~touched].all()
@@ -353,8 +354,8 @@ class TestAuditAtScale:
         g, report = construct_g(f, 1.0, self.DELTA)
         assert report.W.dim == 6
         fw = sub.average_over_cosets(f, report.W)
-        dec = sub.coset_decomposition(report.W)
-        cosets = coset_sets(f.params, dec)
+        rows = sub.coset_decomposition(report.W)
+        cosets = coset_sets(f.params, rows)
         cases = case_columns(report.per_case_checks)
         inside = np.flatnonzero(cases.all_in_v_prime)
         others = np.flatnonzero(~cases.all_in_v_prime)
@@ -372,10 +373,10 @@ class TestAuditAtScale:
         # and the writer formatted whole columns.
         f = planted_density(3, 8, 5, 0)
         g, report = construct_g(f, 1.0, self.DELTA)
-        fw, dec, in_vp, s_cols = audit_inputs(f, report)
+        fw, rows, in_vp, s_cols = audit_inputs(f, report)
         tracemalloc.start()
         try:
-            table = audit_cases(fw, g, dec, in_vp, s_cols, 1.0)
+            table = audit_cases(fw, g, rows, in_vp, s_cols, 1.0)
             audit_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             with open(os.devnull, "w") as fh:
@@ -391,7 +392,7 @@ class TestAuditAtScale:
         # and the written report holds only plain JSON values.
         f = planted_density(3, 4, 2, 0)
         g, report = construct_g(f, 1.0, self.DELTA)
-        t = sub.coset_decomposition(report.W).rows[:, 0].tolist()
+        t = sub.coset_decomposition(report.W)[:, 0].tolist()
         cases = case_columns(report.per_case_checks)
         assert len(cases.reps) == len(t) ** 2
         for k, (u1, u2, u3) in enumerate(cases.reps.tolist()):

@@ -24,7 +24,7 @@ from ap3.subspace import (
     trivial_space,
 )
 
-from conftest import all_subspaces, digit_table, digits_to_index, random_density
+from conftest import all_subspaces, digit_table, digits_to_index, random_density, row_of
 
 
 def brute_span(params, generators):
@@ -120,16 +120,16 @@ class TestIntersect:
 class TestCosetDecomposition:
     def test_complementary_coordinate(self):
         params = GroupParams(3, 2)
-        dec = coset_decomposition(span(params, [[0, 1]]))
-        assert dec.rows[:, 0].tolist() == [0, 1, 2]  # digits (0,0),(1,0),(2,0)
+        rows = coset_decomposition(span(params, [[0, 1]]))
+        assert rows[:, 0].tolist() == [0, 1, 2]  # digits (0,0),(1,0),(2,0)
 
     def test_full_space(self):
         params = GroupParams(3, 2)
-        assert coset_decomposition(full_space(params)).rows[:, 0].tolist() == [0]
+        assert coset_decomposition(full_space(params))[:, 0].tolist() == [0]
 
     def test_trivial_space(self):
         params = GroupParams(3, 2)
-        assert coset_decomposition(trivial_space(params)).rows[:, 0].tolist() == list(range(9))
+        assert coset_decomposition(trivial_space(params))[:, 0].tolist() == list(range(9))
 
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
     def test_unique_decomposition(self, p, n, rng):
@@ -137,12 +137,13 @@ class TestCosetDecomposition:
         for _ in range(5):
             gens = [list(rng.integers(0, p, size=n)) for _ in range(2)]
             w = span(params, gens)
-            dec = coset_decomposition(w)
+            rows = coset_decomposition(w)
+            pos = row_of(rows)
             members = set(int(i) for i in w.elements())
-            transversal = set(dec.rows[:, 0].tolist())
+            transversal = set(rows[:, 0].tolist())
             assert len(transversal) * len(members) == params.size
             for m in range(params.size):
-                rep = int(dec.rows[dec.rep_pos[m], 0])
+                rep = int(rows[pos[m], 0])
                 assert rep in transversal
                 assert int(combine(1, m, -1, rep, params)) in members
 
@@ -162,8 +163,8 @@ class TestCosetDecomposition:
             spaces = [span(params, gens)]
         digits = digit_table(p, n)
         for w in spaces:
-            dec = coset_decomposition(w)
-            rows = dec.rows
+            rows = coset_decomposition(w)
+            pos = row_of(rows)
             assert rows.shape == (p ** (n - w.dim), p**w.dim)
             assert sorted(rows.ravel().tolist()) == list(range(params.size))
             transversal = rows[:, 0].tolist()
@@ -180,8 +181,8 @@ class TestCosetDecomposition:
                 s = canonical_codim_subspace(w, ell).elements()
                 assert np.array_equal(np.isin(rows[0], s), np.arange(p**w.dim) % p**ell == 0)
             for i, rep in enumerate(transversal):
-                assert np.all(dec.rep_pos[rows[i]] == i)
-                assert rows[dec.rep_pos[rows[i]], 0].tolist() == [rep] * len(rows[i])
+                assert np.all(pos[rows[i]] == i)
+                assert rows[pos[rows[i]], 0].tolist() == [rep] * len(rows[i])
             # rows[i][c1], rows[j][c2], rows[third][2c2 - c1] is a 3-AP,
             # checked in digits: first + last = 2 * middle.
             c = digit_table(p, w.dim)
@@ -191,18 +192,40 @@ class TestCosetDecomposition:
                     u3 = digits_to_index((2 * digits[u2] - digits[u1]) % p, params)
                     first = digits[rows[i]][:, None, :]
                     middle = digits[rows[j]][None, :, :]
-                    last = digits[rows[dec.rep_pos[u3]][c3]]
+                    last = digits[rows[pos[u3]][c3]]
                     assert np.all((first + last - 2 * middle) % p == 0)
+
+    @pytest.mark.parametrize("p,n", [(3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
+    def test_row_index_is_quotient_coordinate(self, p, n):
+        # Over every subspace W: row i's representative holds i's base-p
+        # digits on W's non-pivot axes, in order, and 0 on the pivots, so
+        # combine on F_p^n of row indices i and j is the row of the same
+        # combination of their representatives.
+        params = GroupParams(p, n)
+        digits = digit_table(p, n)
+        for dim in range(n + 1):
+            for w in all_subspaces(params, dim):
+                rows = coset_decomposition(w)
+                assert not rows.flags.writeable
+                free = [k for k in range(n) if k not in w.pivots]
+                t_digits = digits[rows[:, 0]]
+                assert np.array_equal(t_digits[:, free], digit_table(p, len(free)))
+                assert not t_digits[:, list(w.pivots)].any()
+                i = np.arange(len(rows))
+                third = combine(-1, i[:, None], 2, i[None, :], params)
+                rep3 = combine(-1, rows[:, 0, None], 2, rows[None, :, 0], params)
+                assert np.array_equal(row_of(rows)[rep3], third)
 
     def test_self_orthogonal_transversal_is_valid(self):
         # With W = span{(1,2)} in F_5^2, V = W so "v + W, v in V" fails;
         # the pivot-free transversal still decomposes the group.
         params = GroupParams(5, 2)
         w = span(params, [[1, 2]])
-        dec = coset_decomposition(w)
+        rows = coset_decomposition(w)
+        pos = row_of(rows)
         seen = set()
-        for rep in dec.rows[:, 0]:
-            for x in np.sort(dec.rows[dec.rep_pos[rep]]):
+        for rep in rows[:, 0]:
+            for x in np.sort(rows[pos[rep]]):
                 assert x not in seen
                 seen.add(int(x))
         assert seen == set(range(25))
@@ -264,13 +287,14 @@ class TestAverageOverCosets:
     def test_coset_means_in_transversal_order(self, rng):
         params = GroupParams(3, 3)
         vals = np.array(random_density(params, rng).values)
-        dec = coset_decomposition(span(params, [[1, 2, 0]]))
-        vals[dec.rows[1]] = 0.1  # a constant coset keeps its value exactly
-        means = coset_means(DensityFunction(params, vals), dec.rows)
+        rows = coset_decomposition(span(params, [[1, 2, 0]]))
+        pos = row_of(rows)
+        vals[rows[1]] = 0.1  # a constant coset keeps its value exactly
+        means = coset_means(DensityFunction(params, vals), rows)
         assert means[1] == 0.1 != math.fsum([0.1] * 3) / 3
         for i in (0, 2):
-            rep = dec.rows[i, 0]
-            assert means[i] == math.fsum(vals[np.sort(dec.rows[dec.rep_pos[rep]])]) / 3
+            rep = rows[i, 0]
+            assert means[i] == math.fsum(vals[np.sort(rows[pos[rep]])]) / 3
 
 
     @pytest.mark.parametrize("block", [1, 2, 7, 5000])
@@ -280,12 +304,12 @@ class TestAverageOverCosets:
         monkeypatch.setattr(subspace, "FSUM_BLOCK_ELEMENTS", block)
         params = GroupParams(3, 4)
         for gens in ([[1, 2, 0, 1]], [[1, 0, 0, 2], [0, 0, 1, 1]]):
-            dec = coset_decomposition(span(params, gens))
+            rows = coset_decomposition(span(params, gens))
             vals = np.array(random_density(params, rng).values)
-            vals[dec.rows[::3]] = 0.1
-            means = coset_means(DensityFunction(params, vals), dec.rows)
-            width = dec.rows.shape[1]
-            for i, row in enumerate(dec.rows):
+            vals[rows[::3]] = 0.1
+            means = coset_means(DensityFunction(params, vals), rows)
+            width = rows.shape[1]
+            for i, row in enumerate(rows):
                 if i % 3 == 0:
                     assert means[i] == 0.1
                 else:
@@ -403,26 +427,27 @@ class TestBlocks:
                 for basis, layout in zip(bases, rows):
                     w = subspace.Subspace(params, basis, pivots)
                     assert np.array_equal(layout, old_coset_rows(w))
-                    assert np.array_equal(coset_decomposition(w).rows, layout)
+                    assert np.array_equal(coset_decomposition(w), layout)
                     assert np.array_equal(w.elements(), np.sort(layout[0]))
 
     @pytest.mark.parametrize("dim", [0, 1, 5, 9])
     def test_decomposition_peak_memory(self, dim):
         # The layout is built one coordinate at a time: no (|T|, |W|, n) or
-        # (|W|, n) digit table, and no per-coset copy beside rows and
-        # rep_pos, so the traced peak stays within 5 rows arrays.  With
-        # dim 0 (|T| = p^n) a tuple of representatives would add 4.5 more.
+        # (|W|, n) digit table, no element-to-row table and no per-coset
+        # copy beside rows, so the traced peak stays within 2.5 rows arrays
+        # (1.28-2.0; 2.0-3.0 with an element-to-row table).  With dim 0
+        # (|T| = p^n) a tuple of representatives would add 4.5 more.
         params = GroupParams(3, 10)
         eye = np.eye(10, dtype=np.int64)
         w = span(params, (eye + np.roll(eye, 1, axis=1))[10 - dim :])
         assert w.dim == dim
         tracemalloc.start()
         try:
-            dec = coset_decomposition(w)
+            rows = coset_decomposition(w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * dec.rows.nbytes
+        assert peak <= 2.5 * rows.nbytes
 
 
 class TestStructure:
@@ -439,10 +464,11 @@ class TestStructure:
         # two cosets of a line in F_3^2 are matched exactly at codim 1
         params = GroupParams(3, 2)
         w = subspace.span(params, [[0, 1]])
-        dec = subspace.coset_decomposition(w)
+        rows = subspace.coset_decomposition(w)
+        pos = row_of(rows)
         members = []
-        for rep in dec.rows[:2, 0]:
-            members.extend(int(i) for i in np.sort(dec.rows[dec.rep_pos[rep]]))
+        for rep in rows[:2, 0]:
+            members.extend(int(i) for i in np.sort(rows[pos[rep]]))
         rep = structure_report(PointSet(params, tuple(sorted(members))), max_codim=1)
         assert rep.best_positive_dim.symmetric_difference == 0
         assert rep.best_positive_dim.W == w
@@ -478,15 +504,16 @@ def old_structure_report(s, max_codim):
         dim = n - codim
         w_size = params.p**dim
         for w in all_subspaces(params, dim):
-            dec = subspace.coset_decomposition(w)
-            inter = np.zeros(len(dec.rows), dtype=np.int64)
+            rows = subspace.coset_decomposition(w)
+            pos = row_of(rows)
+            inter = np.zeros(len(rows), dtype=np.int64)
             if len(s_members):
-                np.add.at(inter, dec.rep_pos[s_members], 1)
+                np.add.at(inter, pos[s_members], 1)
             chosen = 2 * inter > w_size
             sd = int(np.sum(np.where(chosen, w_size - inter, inter)))
             row = SimpleNamespace(
                 W=w,
-                A_reps=tuple(int(rep) for rep, c in zip(dec.rows[:, 0], chosen) if c),
+                A_reps=tuple(int(rep) for rep, c in zip(rows[:, 0], chosen) if c),
                 symmetric_difference=sd,
                 normalized=sd / params.size,
             )
@@ -506,9 +533,10 @@ def old_structure_report(s, max_codim):
 
 def difference_of(s, w):
     """|S delta (A + W)| for the majority-vote A of one subspace W."""
-    dec = subspace.coset_decomposition(w)
-    inter = np.bincount(dec.rep_pos[list(s.members)], minlength=len(dec.rows))
-    return int(np.minimum(inter, dec.rows.shape[1] - inter).sum())
+    rows = subspace.coset_decomposition(w)
+    pos = row_of(rows)
+    inter = np.bincount(pos[list(s.members)], minlength=len(rows))
+    return int(np.minimum(inter, rows.shape[1] - inter).sum())
 
 
 SCAN_GROUPS = [(3, 4), (5, 3), (7, 2)]
