@@ -3,6 +3,11 @@ uniform file I/O, JSON reports, and a manifest per run.
 
 Exit codes: 0 success, 1 domain error (bad group, malformed, missing or
 unreadable file, or out of memory), 2 usage error (bad flags or flag values).
+A flag value invalid for every input (a negative --seed, --samples with
+--exhaustive) is a usage error at parse time, before any input is read; one
+invalid only for this input (varnavides --m-dim above n) is a domain error,
+and so is a bad group (search --p 4). Subspace specs (--subspace, --monitor)
+are the exception: parsed against the input's group, their errors exit 2.
 """
 
 from __future__ import annotations
@@ -55,29 +60,30 @@ HASH_CHUNK = 2**16
 
 
 class UsageError(Exception):
-    """Bad flag value; maps to exit code 2."""
+    """A subspace spec that is malformed or does not fit the input's group; exit 2."""
 
 
-def _finite_float(text: str) -> float:
-    """argparse type: a finite float (nan and inf are usage errors)."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
+def _bounded(kind, ok, rule: str):
+    """argparse type: a `kind` (int or float) value for which `ok` holds;
+    any other value is a usage error that names `rule`."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} {rule}")
+        return value
+
+    return parse
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is negative")
-    return value
+# nan fails every comparison, so the float types reject it with inf.
+_non_negative_int = _bounded(int, lambda v: v >= 0, "is negative")
+_positive_int = _bounded(int, lambda v: v >= 1, "is below 1")
+_positive_float = _bounded(float, lambda v: 0.0 < v < math.inf, "is not a finite positive number")
+_unit_float = _bounded(float, lambda v: 0.0 < v <= 1.0, "is not in (0, 1]")
 
 
 def _parse_subspace(spec: str, params: GroupParams) -> Subspace:
@@ -157,16 +163,15 @@ def _file_sha256(path: str) -> str:
 
 
 def _resolve_seed(args) -> int | None:
-    """The seed a run draws from, so that its manifest records it: --seed
-    when given; else 0 for rounding (`round`, `improve --indicator`), a
+    """The seed a run draws from, so that its manifest records it: None for
+    a run that draws nothing, whatever --seed says; else --seed when given,
+    and without it 0 for rounding (`round`, `improve --indicator`) and a
     fresh 63-bit draw from os.urandom for local `search` and sampled
-    `varnavides`, and None for a run that draws nothing."""
-    if args.seed is not None:
-        return args.seed
+    `varnavides`."""
     if args.command == "round" or (args.command == "improve" and args.indicator):
-        return 0
+        return 0 if args.seed is None else args.seed
     if args.command in ("search", "varnavides") and not args.exhaustive:
-        return int.from_bytes(os.urandom(8), "little") >> 1
+        return int.from_bytes(os.urandom(8), "little") >> 1 if args.seed is None else args.seed
     return None
 
 
@@ -210,8 +215,6 @@ def cmd_count(args) -> int:
 def cmd_spectrum(args) -> int:
     from . import fourier
 
-    if args.delta <= 0:
-        raise UsageError("--delta must be positive")
     f = load_density(args.input)
     _write_manifest(args, [args.input])
     coeffs, params = fourier.dft_forward(f), f.params
@@ -242,15 +245,9 @@ def cmd_average(args) -> int:
 def cmd_improve(args) -> int:
     from . import improve
 
-    if not 0.0 < args.epsilon <= 1.0:
-        raise UsageError(f"--epsilon must be in (0,1], got {args.epsilon}")
-    if args.delta is not None and args.delta <= 0:
-        raise UsageError("--delta must be positive")
-    if args.c_p <= 0:
-        raise UsageError("--c-p must be positive")
     f = load_density(args.input)
     _write_manifest(args, [args.input])
-    g, report = improve.construct_g(f, args.epsilon, args.delta, args.c_p)
+    g, report = improve.construct_g(f, args.epsilon, args.delta)
     payload = vars(report)
     if args.indicator:
         from . import rounding
@@ -282,8 +279,6 @@ def cmd_round(args) -> int:
 def cmd_search(args) -> int:
     from . import search
 
-    if not 0.0 < args.alpha <= 1.0:
-        raise UsageError(f"--alpha must be in (0,1], got {args.alpha}")
     params = GroupParams(args.p, args.n)
     _write_manifest(args, [])
     if args.exhaustive:
@@ -312,8 +307,6 @@ def cmd_structure(args) -> int:
 def cmd_varnavides(args) -> int:
     from . import apcount
 
-    if not args.exhaustive and args.samples < 1:
-        raise UsageError("--samples must be >= 1 unless --exhaustive")
     s = load_set(args.input)
     _write_manifest(args, [args.input])
     report = apcount.varnavides_estimate(
@@ -350,49 +343,52 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ap3",
         description="Three-term arithmetic progression counts on F_p^n",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=_non_negative_int, default=None)
-    common.add_argument("--output-dir", default=".")
-    common.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS, default="WARNING")
+    # Nested flag sets: every subcommand takes --log-level, each that writes
+    # files --output-dir, and each that can draw random numbers --seed.
+    logs = argparse.ArgumentParser(add_help=False)
+    logs.add_argument("--log-level", type=str.upper, choices=LOG_LEVELS, default="WARNING")
+    files = argparse.ArgumentParser(add_help=False, parents=[logs])
+    files.add_argument("--output-dir", default=".")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[files])
+    seeded.add_argument("--seed", type=_non_negative_int, default=None)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("count", parents=[common], help="triple counts of a density or set")
+    sp = subs.add_parser("count", parents=[files], help="triple counts of a density or set")
     sp.add_argument("--input", required=True)
     sp.set_defaults(func=cmd_count)
 
-    sp = subs.add_parser("spectrum", parents=[common], help="export large Fourier coefficients")
+    sp = subs.add_parser("spectrum", parents=[files], help="export large Fourier coefficients")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--delta", type=_finite_float, required=True)
+    sp.add_argument("--delta", type=_positive_float, required=True)
     sp.add_argument("--output", default=None)
     sp.set_defaults(func=cmd_spectrum)
 
-    sp = subs.add_parser("average", parents=[common], help="coset-average a density")
+    sp = subs.add_parser("average", parents=[files], help="coset-average a density")
     sp.add_argument("--input", required=True)
     sp.add_argument("--subspace", required=True, help="generators, e.g. '1,0;0,1'")
     sp.add_argument("--output", default="averaged.apf")
     sp.set_defaults(func=cmd_average)
 
-    sp = subs.add_parser("improve", parents=[common], help="run the decrease pipeline")
+    sp = subs.add_parser("improve", parents=[seeded], help="run the decrease pipeline")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--epsilon", type=_finite_float, required=True)
-    sp.add_argument("--delta", type=_finite_float, default=None)
-    sp.add_argument("--c-p", dest="c_p", type=_finite_float, default=1.0)
+    sp.add_argument("--epsilon", type=_unit_float, required=True)
+    sp.add_argument("--delta", type=_positive_float, default=None)
     sp.add_argument("--indicator", action="store_true")
     sp.add_argument("--output", default="g.apf")
     sp.add_argument("--report", default="improve_report.json")
     sp.set_defaults(func=cmd_improve)
 
-    sp = subs.add_parser("round", parents=[common], help="randomized rounding to an indicator")
+    sp = subs.add_parser("round", parents=[seeded], help="randomized rounding to an indicator")
     sp.add_argument("--input", required=True)
     sp.add_argument("--monitor", action="append", default=[])
     sp.add_argument("--output", default="rounded.apf")
     sp.add_argument("--report", default="round_report.json")
     sp.set_defaults(func=cmd_round)
 
-    sp = subs.add_parser("search", parents=[common], help="minimize the triple count")
+    sp = subs.add_parser("search", parents=[seeded], help="minimize the triple count")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--alpha", type=_finite_float, required=True)
+    sp.add_argument("--alpha", type=_unit_float, required=True)
     sp.add_argument("--exhaustive", action="store_true")
     sp.add_argument("--restarts", type=_non_negative_int, default=50)
     sp.add_argument("--iters", type=_non_negative_int, default=1000)
@@ -400,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--report", default="search_result.json")
     sp.set_defaults(func=cmd_search)
 
-    sp = subs.add_parser("structure", parents=[common], help="coset-structure diagnostic")
+    sp = subs.add_parser("structure", parents=[files], help="coset-structure diagnostic")
     sp.add_argument("--input", required=True)
     sp.add_argument("--max-codim", dest="max_codim", type=_non_negative_int, required=True)
     sp.add_argument("--report", default="structure_report.json")
@@ -408,24 +404,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser(
         "varnavides",
-        parents=[common],
+        parents=[seeded],
         help="subgroup-averaged count: a lower bound if exhaustive, else an estimate",
     )
     sp.add_argument("--input", required=True)
-    sp.add_argument("--m-dim", dest="m_dim", type=int, required=True)
-    sp.add_argument(
+    sp.add_argument("--m-dim", dest="m_dim", type=_positive_int, required=True)
+    how = sp.add_mutually_exclusive_group()
+    how.add_argument(
         "--samples",
-        type=int,
+        type=_positive_int,
         default=100,
         help="subgroups to sample; the result estimates the bound and can exceed T3'(S)",
     )
-    sp.add_argument(
+    how.add_argument(
         "--exhaustive", action="store_true", help="average over every subgroup: a certified bound"
     )
     sp.add_argument("--report", default="varnavides_report.json")
     sp.set_defaults(func=cmd_varnavides)
 
-    sp = subs.add_parser("selfcheck", parents=[common], help="run the built-in identity suite")
+    sp = subs.add_parser("selfcheck", parents=[logs], help="run the built-in identity suite")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_selfcheck)
 

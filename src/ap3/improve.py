@@ -152,14 +152,13 @@ def _json_texts(x: np.ndarray) -> np.ndarray:
     return text[pos]
 
 
-def delta_from_epsilon(epsilon: float, p: int, c_p: float) -> float:
-    """(eps^6 / 2^13 p^2) * exp(-16 c_p log(p) / eps); raises ValueError
-    where that underflows to 0.0 (a subnormal result is returned)."""
+def delta_from_epsilon(epsilon: float, p: int) -> float:
+    """The paper's delta = (eps^6 / 2^13 p^2) * exp(-16 c_p log(p) / eps)
+    with its constant c_p = 1; raises ValueError where that underflows to
+    0.0 (a subnormal result is returned)."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0,1], got {epsilon}")
-    if c_p <= 0.0:
-        raise ValueError(f"c_p must be positive, got {c_p}")
-    delta = (epsilon**6 / (2**13 * p**2)) * math.exp(-16.0 * c_p * math.log(p) / epsilon)
+    delta = (epsilon**6 / (2**13 * p**2)) * math.exp(-16.0 * math.log(p) / epsilon)
     if delta == 0.0:
         raise ValueError(f"default delta underflows at epsilon = {epsilon}, p = {p}: pass --delta")
     return delta
@@ -273,19 +272,19 @@ def audit_cases(
 
 
 def construct_g(
-    f: DensityFunction, epsilon: float, delta: float | None = None, c_p: float = 1.0
+    f: DensityFunction, epsilon: float, delta: float | None = None
 ) -> tuple[DensityFunction, SimpleNamespace]:
     """Build g from f per the spectral pipeline and audit every inequality;
     the report has the fields of `improve_report` in reports.schema.json.
 
-    delta defaults to delta_from_epsilon(epsilon, p, c_p); c_p is used only
-    for that default.
+    delta defaults to delta_from_epsilon(epsilon, p), the paper's value
+    with c_p = 1.
     """
     params = f.params
     p = params.p
     ell = choose_ell(epsilon, p)
     if delta is None:
-        delta = delta_from_epsilon(epsilon, p, c_p)
+        delta = delta_from_epsilon(epsilon, p)
     if ell > params.n:
         raise ValueError(
             f"n = {params.n} < ell = {ell}: S has codimension ell in W, and no W in "

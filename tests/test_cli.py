@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -448,6 +449,45 @@ class TestCommonFlags:
         assert "lambda3=0.125" in capsys.readouterr().out
 
 
+class TestOptionSurface:
+    # Every (subcommand, flag) pair the parser accepts; a flag that no
+    # command body reads does not belong here.
+    FLAGS = {
+        "count": {"--log-level", "--output-dir", "--input"},
+        "spectrum": {"--log-level", "--output-dir", "--input", "--delta", "--output"},
+        "average": {"--log-level", "--output-dir", "--input", "--subspace", "--output"},
+        "improve": {
+            "--log-level", "--output-dir", "--seed", "--input", "--epsilon", "--delta",
+            "--indicator", "--output", "--report",
+        },
+        "round": {
+            "--log-level", "--output-dir", "--seed", "--input", "--monitor", "--output",
+            "--report",
+        },
+        "search": {
+            "--log-level", "--output-dir", "--seed", "--p", "--n", "--alpha", "--exhaustive",
+            "--restarts", "--iters", "--witness", "--report",
+        },
+        "structure": {"--log-level", "--output-dir", "--input", "--max-codim", "--report"},
+        "varnavides": {
+            "--log-level", "--output-dir", "--seed", "--input", "--m-dim", "--samples",
+            "--exhaustive", "--report",
+        },
+        "selfcheck": {"--log-level", "--json"},
+    }
+
+    def test_each_subcommand_takes_only_its_flags(self):
+        (subs,) = [
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        surface = {
+            name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, sp in subs.choices.items()
+        }
+        assert surface == self.FLAGS
+        assert sum(map(len, surface.values())) == 55
+
+
 class TestNumericFlags:
     @pytest.mark.parametrize(
         "argv",
@@ -455,21 +495,37 @@ class TestNumericFlags:
             ["spectrum", "--delta", "nan"],
             ["improve", "--epsilon", "1.0", "--delta", "nan"],
             ["improve", "--epsilon", "nan"],
-            ["improve", "--epsilon", "1.0", "--c-p", "nan"],
             ["search", "--p", "3", "--n", "2", "--alpha", "inf"],
             ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--restarts", "-1"],
             ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--iters", "-3"],
             ["structure", "--max-codim", "-1"],
+            ["improve", "--epsilon", "0"],
+            ["improve", "--epsilon", "1.5"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "0"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "2"],
+            ["spectrum", "--delta", "0"],
+            ["improve", "--epsilon", "1.0", "--delta", "0"],
+            ["varnavides", "--m-dim", "1", "--samples", "0"],
+            ["varnavides", "--m-dim", "0"],
+            ["varnavides", "--m-dim", "1", "--samples", "3", "--exhaustive"],
         ],
         ids=[
             "spectrum-delta",
             "improve-delta",
             "epsilon",
-            "c-p",
             "alpha",
             "restarts",
             "iters",
             "max-codim",
+            "epsilon-zero",
+            "epsilon-above-one",
+            "alpha-zero",
+            "alpha-above-one",
+            "spectrum-delta-zero",
+            "improve-delta-zero",
+            "samples-zero",
+            "m-dim-zero",
+            "samples-with-exhaustive",
         ],
     )
     def test_rejected_at_parse_time(self, half_density, tmp_path, capsys, argv):
@@ -482,30 +538,20 @@ class TestNumericFlags:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["count", "--input", "IN"],
-            ["spectrum", "--input", "IN", "--delta", "0.1"],
-            ["average", "--input", "IN", "--subspace", "0,1"],
             ["improve", "--input", "IN", "--epsilon", "1.0"],
             ["improve", "--input", "IN", "--epsilon", "1.0", "--indicator"],
             ["round", "--input", "IN"],
             ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--restarts", "1"],
-            ["structure", "--input", "SET", "--max-codim", "1"],
             ["varnavides", "--input", "SET", "--m-dim", "1"],
             ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],
-            ["selfcheck"],
         ],
         ids=[
-            "count",
-            "spectrum",
-            "average",
             "improve",
             "improve-indicator",
             "round",
             "search",
-            "structure",
             "varnavides-sampled",
             "varnavides-exhaustive",
-            "selfcheck",
         ],
     )
     def test_negative_seed_rejected(self, half_density, cap_set, tmp_path, capsys, argv):
@@ -513,6 +559,36 @@ class TestNumericFlags:
         argv = [inputs.get(a, a) for a in argv] + ["--seed", "-1"]
         assert run(argv, tmp_path) == 2
         assert "argument --seed: '-1' is negative" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--input", "IN", "--output-dir", "OUT", "--seed", "-1"],
+            ["spectrum", "--input", "IN", "--delta", "0.1", "--output-dir", "OUT", "--seed", "-1"],
+            ["average", "--input", "IN", "--subspace", "0,1", "--output-dir", "OUT", "--seed", "-1"],
+            ["structure", "--input", "SET", "--max-codim", "1", "--output-dir", "OUT", "--seed", "-1"],
+            ["selfcheck", "--seed", "-1"],
+            ["selfcheck", "--output-dir", "OUT"],
+            ["improve", "--input", "IN", "--epsilon", "1.0", "--output-dir", "OUT", "--c-p", "nan"],
+        ],
+        ids=[
+            "count-seed",
+            "spectrum-seed",
+            "average-seed",
+            "structure-seed",
+            "selfcheck-seed",
+            "selfcheck-output-dir",
+            "c-p",
+        ],
+    )
+    def test_flag_not_taken(self, half_density, cap_set, tmp_path, capsys, argv):
+        # A subcommand that never draws takes no --seed, one that writes no
+        # file no --output-dir, and the default delta has no --c-p knob.
+        out = str(tmp_path / "out")
+        argv = [{"IN": half_density, "SET": cap_set, "OUT": out}.get(a, a) for a in argv]
+        assert dispatch(argv) == 2
+        assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_zero_iters_accepted(self, tmp_path):
@@ -549,7 +625,8 @@ class TestImportBudget:
         whether numpy.fft is loaded)."""
         inputs = {"IN": half_density, "SET": cap_set}
         argv = [inputs.get(a, a) for a in argv]
-        argv += ["--output-dir", str(tmp_path / "out")]
+        if argv[0] != "selfcheck":  # which writes no files, so takes no --output-dir
+            argv += ["--output-dir", str(tmp_path / "out")]
         proc = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, *argv],
             env=subprocess_env(), capture_output=True, text=True, check=True, timeout=60,
@@ -923,6 +1000,9 @@ class TestRecordedSeed:
             ["improve", "--input", "HALF", "--epsilon", "1.0"],
             ["search", "--p", "3", "--n", "2", "--alpha", "0.444", "--exhaustive"],
             ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],
+            ["improve", "--input", "HALF", "--epsilon", "1.0", "--seed", "5"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "0.444", "--exhaustive", "--seed", "5"],
+            ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive", "--seed", "5"],
         ],
     )
     def test_run_that_draws_nothing_records_none(self, half_density, cap_set, tmp_path, argv):
@@ -1003,6 +1083,12 @@ class TestVarnavides:
             tmp_path,
         ) == 2
 
+    def test_m_dim_above_n_is_domain_error(self, cap_set, tmp_path, capsys):
+        # Whether --m-dim fits depends on the input's n, so it is checked
+        # after the input is read.
+        assert run(["varnavides", "--input", cap_set, "--m-dim", "3"], tmp_path) == 1
+        assert capsys.readouterr().err == "ap3: error: m_dim=3 out of range [1, 2]\n"
+
     def test_bad_samples_before_missing_input(self, tmp_path, capsys):
         # A usage error is reported before the input is read.
         missing = str(tmp_path / "no.aps")
@@ -1011,13 +1097,13 @@ class TestVarnavides:
 
 
 class TestSelfcheck:
-    def test_passes(self, tmp_path, capsys):
-        assert run(["selfcheck"], tmp_path) == 0
+    def test_passes(self, capsys):
+        assert dispatch(["selfcheck"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
-    def test_json_payload(self, tmp_path, capsys):
-        assert run(["selfcheck", "--json"], tmp_path) == 0
+    def test_json_payload(self, capsys):
+        assert dispatch(["selfcheck", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         validate(payload, "selfcheck_report")
         assert all(c["passed"] for c in payload["checks"])
