@@ -3,11 +3,11 @@ uniform file I/O, JSON reports, and a manifest per run.
 
 Exit codes: 0 success, 1 domain error (bad group, malformed, missing or
 unreadable file, or out of memory), 2 usage error (bad flags or flag values).
-A flag value invalid for every input (a negative --seed, --samples with
---exhaustive) is a usage error at parse time, before any input is read; one
-invalid only for this input (varnavides --m-dim above n) is a domain error,
-and so is a bad group (search --p 4). Subspace specs (--subspace, --monitor)
-are the exception: parsed against the input's group, their errors exit 2.
+A flag value invalid for every input (a negative --seed or generator digit,
+--samples with --exhaustive, a flag the chosen mode does not read) is a
+usage error at parse time, before any input is read; one invalid only for
+this input (varnavides --m-dim above n, a generator not in F_p^n) is a
+domain error, and so is a bad group (search --p 4).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import os
 import sys
 import time
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -48,19 +47,12 @@ from .gfspace import (
     save_set,
 )
 
-if TYPE_CHECKING:
-    from .subspace import Subspace
-
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 # Bytes of an input file hashed at a time: below glibc's default 128 KiB
 # mmap threshold, since freeing a larger buffer raises that threshold for
 # the rest of the job and so its later peak RSS.
 HASH_CHUNK = 2**16
-
-
-class UsageError(Exception):
-    """A subspace spec that is malformed or does not fit the input's group; exit 2."""
 
 
 def _bounded(kind, ok, rule: str):
@@ -86,30 +78,17 @@ _positive_float = _bounded(float, lambda v: 0.0 < v < math.inf, "is not a finite
 _unit_float = _bounded(float, lambda v: 0.0 < v <= 1.0, "is not in (0, 1]")
 
 
-def _parse_subspace(spec: str, params: GroupParams) -> Subspace:
-    """Parse generators like '1,2;0,1' (digit vectors separated by ';'),
-    each of n digits in [0, p)."""
-    from . import subspace as sub
-
+def _generators(spec: str) -> list[list[int]]:
+    """argparse type: subspace generators like '1,2;0,1', digit vectors
+    separated by ';', each digit a non-negative integer.  `subspace.span`
+    checks them against the input's group."""
     gens = []
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
+    for part in filter(str.strip, spec.split(";")):
         try:
-            digits = [int(x) for x in part.split(",")]
-        except ValueError as exc:
-            raise UsageError(f"bad subspace generator {part!r}: {exc}") from exc
-        if len(digits) != params.n:
-            raise UsageError(
-                f"generator {part!r} has {len(digits)} digits, expected {params.n}"
-            )
-        if not all(0 <= d < params.p for d in digits):
-            raise UsageError(
-                f"generator {part!r} has a digit outside [0, {params.p}) (p = {params.p})"
-            )
-        gens.append(digits)
-    return sub.span(params, gens)
+            gens.append([_non_negative_int(x) for x in part.split(",")])
+        except argparse.ArgumentTypeError as exc:
+            raise argparse.ArgumentTypeError(f"generator {part.strip()!r}: {exc}") from None
+    return gens
 
 
 def _json_value(obj):
@@ -162,16 +141,33 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _unread_flag(args) -> str | None:
+    """The usage error for a flag that the chosen mode does not read: --seed
+    on a run that draws nothing, and --restarts and --iters on exhaustive
+    search.  They default to None, so an explicit default value counts."""
+    if args.command == "improve" and not args.indicator:
+        mode, unread = "without argument --indicator", ("seed",)
+    elif args.command in ("search", "varnavides") and args.exhaustive:
+        mode, unread = "with argument --exhaustive", ("seed", "restarts", "iters")
+    else:
+        return None
+    for dest in unread:
+        if getattr(args, dest, None) is not None:
+            return f"argument --{dest}: not allowed {mode}"
+    return None
+
+
 def _resolve_seed(args) -> int | None:
-    """The seed a run draws from, so that its manifest records it: None for
-    a run that draws nothing, whatever --seed says; else --seed when given,
-    and without it 0 for rounding (`round`, `improve --indicator`) and a
-    fresh 63-bit draw from os.urandom for local `search` and sampled
-    `varnavides`."""
+    """The seed a run draws from, so that its manifest records it: --seed
+    when given, and without it 0 for rounding (`round`, `improve
+    --indicator`), a fresh 63-bit draw from os.urandom for local `search`
+    and sampled `varnavides`, and None for a run that draws nothing."""
+    if getattr(args, "seed", None) is not None:
+        return args.seed
     if args.command == "round" or (args.command == "improve" and args.indicator):
-        return 0 if args.seed is None else args.seed
+        return 0
     if args.command in ("search", "varnavides") and not args.exhaustive:
-        return int.from_bytes(os.urandom(8), "little") >> 1 if args.seed is None else args.seed
+        return int.from_bytes(os.urandom(8), "little") >> 1
     return None
 
 
@@ -235,7 +231,7 @@ def cmd_average(args) -> int:
     from . import subspace as sub
 
     f = load_density(args.input)
-    w = _parse_subspace(args.subspace, f.params)
+    w = sub.span(f.params, args.subspace)
     _write_manifest(args, [args.input])
     fw = sub.average_over_cosets(f, w)
     save_density(fw, _out(args, args.output))
@@ -264,10 +260,10 @@ def cmd_improve(args) -> int:
 
 
 def cmd_round(args) -> int:
-    from . import rounding
+    from . import rounding, subspace as sub
 
     j = load_density(args.input)
-    monitored = [_parse_subspace(spec, j.params) for spec in args.monitor]
+    monitored = [sub.span(j.params, gens) for gens in args.monitor]
     _write_manifest(args, [args.input])
     j2, report = rounding.round_to_indicator(j, args.seed, monitored=monitored)
     save_density(j2, _out(args, args.output))
@@ -284,9 +280,9 @@ def cmd_search(args) -> int:
     if args.exhaustive:
         result = search.exhaustive_min(params, args.alpha)
     else:
-        result = search.local_min(
-            params, args.alpha, args.restarts, args.iters, args.seed
-        )
+        restarts = 50 if args.restarts is None else args.restarts
+        iters = 1000 if args.iters is None else args.iters
+        result = search.local_min(params, args.alpha, restarts, iters, args.seed)
     save_set(result.best_set, _out(args, args.witness))
     _write_json(result, _out(args, args.report))
     print(f"count={result.count} lambda3={result.lambda3}")
@@ -365,7 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("average", parents=[files], help="coset-average a density")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--subspace", required=True, help="generators, e.g. '1,0;0,1'")
+    sp.add_argument(
+        "--subspace", type=_generators, required=True, help="generators, e.g. '1,0;0,1'"
+    )
     sp.add_argument("--output", default="averaged.apf")
     sp.set_defaults(func=cmd_average)
 
@@ -380,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("round", parents=[seeded], help="randomized rounding to an indicator")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--monitor", action="append", default=[])
+    sp.add_argument("--monitor", type=_generators, action="append", default=[])
     sp.add_argument("--output", default="rounded.apf")
     sp.add_argument("--report", default="round_report.json")
     sp.set_defaults(func=cmd_round)
@@ -390,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--alpha", type=_unit_float, required=True)
     sp.add_argument("--exhaustive", action="store_true")
-    sp.add_argument("--restarts", type=_non_negative_int, default=50)
-    sp.add_argument("--iters", type=_non_negative_int, default=1000)
+    sp.add_argument("--restarts", type=_positive_int, help="local search only (default 50)")
+    sp.add_argument("--iters", type=_non_negative_int, help="local search only (default 1000)")
     sp.add_argument("--witness", default="witness.aps")
     sp.add_argument("--report", default="search_result.json")
     sp.set_defaults(func=cmd_search)
@@ -426,6 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_selfcheck)
 
+    # A flag that the chosen mode does not read is the subcommand's usage error.
+    for sp in subs.choices.values():
+        sp.set_defaults(parser=sp)
     return parser
 
 
@@ -433,6 +434,8 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if unread := _unread_flag(args):
+            args.parser.error(unread)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     args._argv = list(argv)
@@ -443,9 +446,6 @@ def dispatch(argv: list[str]) -> int:
         logging.basicConfig(level=args.log_level)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"ap3: usage error: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"ap3: file not found: {exc.filename}", file=sys.stderr)
         return 1

@@ -324,24 +324,25 @@ def save_density(f: DensityFunction, path: str) -> None:
 
 
 def load_set(path: str) -> PointSet:
+    """Load an .aps file; an error names its first bad line and field."""
     lines = _read_lines(path)
     if not lines:
         raise FileFormatError(f"{path}:1: empty file")
     params = _parse_header(lines[0], path)
-    tokens = " ".join(lines[1:]).split()
     members = []
     last = -1
-    for col, tok in enumerate(tokens, start=1):
-        try:
-            i = int(tok)
-        except ValueError as exc:
-            raise FileFormatError(f"{path}:2: field {col}: bad index {tok!r}") from exc
-        if not 0 <= i < params.size:
-            raise FileFormatError(f"{path}:2: field {col}: index {i} out of range")
-        if i <= last:
-            raise FileFormatError(f"{path}:2: field {col}: indices must be ascending")
-        members.append(i)
-        last = i
+    for lineno, line in enumerate(lines[1:], start=2):
+        for col, tok in enumerate(line.split(), start=1):
+            try:
+                i = int(tok)
+            except ValueError as exc:
+                raise FileFormatError(f"{path}:{lineno}: field {col}: bad index {tok!r}") from exc
+            if not 0 <= i < params.size:
+                raise FileFormatError(f"{path}:{lineno}: field {col}: index {i} out of range")
+            if i <= last:
+                raise FileFormatError(f"{path}:{lineno}: field {col}: indices must be ascending")
+            members.append(i)
+            last = i
     return PointSet(params, tuple(members))
 
 

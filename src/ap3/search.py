@@ -23,6 +23,24 @@ def size_floor(alpha: float, size: int) -> int:
     return max(1, math.ceil(alpha * size - 1e-9))
 
 
+def _search_result(
+    best: PointSet, count: int, method: str, restarts: int, iterations: int, seed: int | None
+) -> SimpleNamespace:
+    """A `search_result` of reports.schema.json for the best set found and
+    its raw triple count."""
+    lambda3 = Fraction(count, best.params.size**2)
+    return SimpleNamespace(
+        best_set=best,
+        count=count,
+        lambda3=lambda3,
+        lambda3_float=float(lambda3),
+        method=method,
+        restarts=restarts,
+        iterations=iterations,
+        seed=seed,
+    )
+
+
 def exhaustive_min(params: GroupParams, alpha: float) -> SimpleNamespace:
     """Global minimum of the raw triple count over all S with |S| >= floor,
     as a `search_result` of reports.schema.json.
@@ -48,17 +66,7 @@ def exhaustive_min(params: GroupParams, alpha: float) -> SimpleNamespace:
     k = len(best)
     if best_count + comp_count != n_pts**2 - 3 * k * n_pts + 3 * k**2:
         raise RuntimeError("complementation identity failed in exhaustive_min")
-    lambda3 = Fraction(best_count, n_pts**2)
-    return SimpleNamespace(
-        best_set=best,
-        count=best_count,
-        lambda3=lambda3,
-        lambda3_float=float(lambda3),
-        method="exhaustive",
-        restarts=0,
-        iterations=0,
-        seed=None,
-    )
+    return _search_result(best, best_count, "exhaustive", 0, 0, None)
 
 
 def _participation(x: np.ndarray, params: GroupParams) -> tuple[np.ndarray, np.ndarray]:
@@ -139,6 +147,8 @@ def local_min(
 
     Every move is scored from the participation counts of the current
     set; the recount after the move must agree with its score."""
+    if restarts < 1:
+        raise ValueError(f"restarts={restarts} must be >= 1")
     n_pts = params.size
     floor = size_floor(alpha, n_pts)
     rng = seeded_rng(seed)
@@ -146,7 +156,7 @@ def local_min(
     best_members = None
     best_count = None
     total_iters = 0
-    for _ in range(max(1, restarts)):
+    for _ in range(restarts):
         x = np.zeros(n_pts, dtype=bool)
         x[rng.sample(range(n_pts), floor)] = True
         m, e = _participation(x, params)
@@ -167,14 +177,4 @@ def local_min(
         ):
             best_count, best_members = cur_count, current
     best = PointSet(params, best_members)
-    lambda3 = Fraction(best_count, n_pts**2)
-    return SimpleNamespace(
-        best_set=best,
-        count=best_count,
-        lambda3=lambda3,
-        lambda3_float=float(lambda3),
-        method="local",
-        restarts=max(1, restarts),
-        iterations=total_iters,
-        seed=seed,
-    )
+    return _search_result(best, best_count, "local", restarts, total_iters, seed)

@@ -100,25 +100,27 @@ class Subspace:
         return f"dim {self.dim}; basis: {rows}" if self.dim else "dim 0; basis:"
 
 
-def trivial_space(params: GroupParams) -> Subspace:
-    return Subspace(params, np.zeros((0, params.n), dtype=np.int64), ())
-
-
 def full_space(params: GroupParams) -> Subspace:
     return Subspace(params, np.eye(params.n, dtype=np.int64), tuple(range(params.n)))
 
 
 def span(params: GroupParams, generators: Iterable) -> Subspace:
-    """GF(p) span of the given generators (element indices or digit rows)."""
+    """GF(p) span of the given generators: element indices, or digit rows
+    of n digits each in [0, p), never reduced mod p.  Any other generator
+    raises ValueError."""
+    p, n = params.p, params.n
     rows = []
     for g in generators:
         if isinstance(g, (int, np.integer)):
-            rows.append(index_to_digits(int(g), params))
-        else:
-            rows.append([int(x) for x in g])
-    if not rows:
-        return trivial_space(params)
-    basis, pivots = rref_mod_p(np.array(rows, dtype=np.int64), params.p)
+            g = index_to_digits(int(g), params)
+        row = [int(x) for x in g]
+        if len(row) != n or not all(0 <= d < p for d in row):
+            raise ValueError(
+                f"generator ({','.join(map(str, row))}) is not in F_{p}^{n}: "
+                f"it needs {n} digits, each in [0, {p})"
+            )
+        rows.append(row)
+    basis, pivots = rref_mod_p(np.array(rows, dtype=np.int64).reshape(-1, n), p)
     return Subspace(params, basis, pivots)
 
 
@@ -126,10 +128,6 @@ def orthogonal_complement(v: Subspace) -> Subspace:
     """Null space of the basis matrix under the standard dot product mod p."""
     params = v.params
     p, n = params.p, params.n
-    if v.dim == 0:
-        return full_space(params)
-    if v.dim == n:
-        return trivial_space(params)
     free = [c for c in range(n) if c not in v.pivots]
     null_rows = np.zeros((len(free), n), dtype=np.int64)
     for r, c in enumerate(free):

@@ -497,6 +497,7 @@ class TestNumericFlags:
             ["improve", "--epsilon", "nan"],
             ["search", "--p", "3", "--n", "2", "--alpha", "inf"],
             ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--restarts", "-1"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--restarts", "0"],
             ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--iters", "-3"],
             ["structure", "--max-codim", "-1"],
             ["improve", "--epsilon", "0"],
@@ -515,6 +516,7 @@ class TestNumericFlags:
             "epsilon",
             "alpha",
             "restarts",
+            "restarts-zero",
             "iters",
             "max-codim",
             "epsilon-zero",
@@ -593,7 +595,7 @@ class TestNumericFlags:
 
     def test_zero_iters_accepted(self, tmp_path):
         assert run(
-            ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--restarts", "0", "--iters", "0"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "0.5", "--restarts", "1", "--iters", "0"],
             tmp_path,
         ) == 0
 
@@ -821,18 +823,34 @@ class TestAverage:
         f = load_density(str(src))
         assert abs(fw.expectation() - f.expectation()) < 1e-12
 
-    def test_bad_generator(self, half_density, tmp_path):
-        assert run(
-            ["average", "--input", half_density, "--subspace", "1,x"], tmp_path
-        ) == 2
+    def test_bad_generator(self, half_density, tmp_path, capsys):
+        # Parsed before the input is read, so a missing input is not reported.
+        for source in [half_density, str(tmp_path / "missing.apf")]:
+            assert run(["average", "--input", source, "--subspace", "1,x"], tmp_path) == 2
+            err = capsys.readouterr().err
+            assert "argument --subspace: generator '1,x': invalid int value: 'x'" in err
+            assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("spec, bad", [("3,3", "3,3"), ("1,0;4,-1", "4,-1"), ("0,-1", "0,-1")])
+    @pytest.mark.parametrize(
+        "spec, bad", [("3,3", "3,3"), ("1,0;4,2", "4,2"), ("1,2,0", "1,2,0"), ("1", "1")]
+    )
     def test_digit_outside_range(self, half_density, tmp_path, capsys, spec, bad):
         # A digit is never reduced mod p: 3,3 would be 0 on F_3^2.
-        assert run(["average", "--input", half_density, "--subspace", spec], tmp_path) == 2
+        assert run(["average", "--input", half_density, "--subspace", spec], tmp_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"ap3: error: generator ({bad}) is not in F_3^2: it needs 2 digits, each in [0, 3)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec, bad", [("1,0;4,-1", "4,-1"), ("0,-1", "0,-1")])
+    def test_negative_digit_is_usage_error(self, half_density, tmp_path, capsys, spec, bad):
+        argv = ["average", "--input", half_density, f"--subspace={spec}"]
+        assert run(argv, tmp_path) == 2
         err = capsys.readouterr().err
-        assert err == f"ap3: usage error: generator '{bad}' has a digit outside [0, 3) (p = 3)\n"
-        assert not (tmp_path / "out" / "averaged.apf").exists()
+        assert err.endswith(f"error: argument --subspace: generator '{bad}': '-1' is negative\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestImprove:
@@ -932,17 +950,28 @@ class TestRound:
         validate(report, "rounding_report")
         assert report["seed"] == 9
 
-    @pytest.mark.parametrize("monitor", ["1,0,0;0,5,0", "-1,0,0"])
+    @pytest.mark.parametrize("monitor", ["1,0,0;0,5,0", "0,1"])
     def test_monitor_digit_outside_range(self, tmp_path, rng, capsys, monitor):
         params = GroupParams(5, 3)
         src = tmp_path / "j.apf"
         save_density(DensityFunction(params, rng.random(params.size)), str(src))
         argv = ["round", "--input", str(src), "--monitor", "1,1,1", f"--monitor={monitor}"]
-        assert run(argv, tmp_path) == 2
+        assert run(argv, tmp_path) == 1
         bad = monitor.split(";")[-1]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"ap3: error: generator ({bad}) is not in F_5^3: it needs 3 digits, each in [0, 5)\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_monitor_negative_digit_is_usage_error(self, tmp_path, capsys):
+        # The input is never read: its group does not decide a negative digit.
+        argv = ["round", "--input", str(tmp_path / "missing.apf"), "--monitor=-1,0,0"]
+        assert run(argv, tmp_path) == 2
         err = capsys.readouterr().err
-        assert err == f"ap3: usage error: generator '{bad}' has a digit outside [0, 5) (p = 5)\n"
-        assert not (tmp_path / "out" / "rounded.apf").exists()
+        assert err.endswith("error: argument --monitor: generator '-1,0,0': '-1' is negative\n")
+        assert not (tmp_path / "out").exists()
 
     def test_replay(self, tmp_path, rng):
         params = GroupParams(3, 3)
@@ -1000,9 +1029,6 @@ class TestRecordedSeed:
             ["improve", "--input", "HALF", "--epsilon", "1.0"],
             ["search", "--p", "3", "--n", "2", "--alpha", "0.444", "--exhaustive"],
             ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],
-            ["improve", "--input", "HALF", "--epsilon", "1.0", "--seed", "5"],
-            ["search", "--p", "3", "--n", "2", "--alpha", "0.444", "--exhaustive", "--seed", "5"],
-            ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive", "--seed", "5"],
         ],
     )
     def test_run_that_draws_nothing_records_none(self, half_density, cap_set, tmp_path, argv):
@@ -1010,6 +1036,45 @@ class TestRecordedSeed:
         assert run([inputs.get(a, a) for a in argv], tmp_path) == 0
         manifest = json.loads((tmp_path / "out" / f"{argv[0]}_manifest.json").read_text())
         assert manifest["seed"] is None
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["improve", "--input", "IN", "--epsilon", "1.0", "--seed", "5"],
+             "argument --seed: not allowed without argument --indicator"),
+            (["search", "--exhaustive", "--seed", "5"],
+             "argument --seed: not allowed with argument --exhaustive"),
+            (["search", "--exhaustive", "--restarts", "7"],
+             "argument --restarts: not allowed with argument --exhaustive"),
+            (["search", "--restarts", "50", "--exhaustive"],
+             "argument --restarts: not allowed with argument --exhaustive"),
+            (["search", "--exhaustive", "--rest", "7"],
+             "argument --restarts: not allowed with argument --exhaustive"),
+            (["search", "--exhaustive", "--iters", "3"],
+             "argument --iters: not allowed with argument --exhaustive"),
+            (["varnavides", "--input", "IN", "--m-dim", "1", "--exhaustive", "--seed", "4"],
+             "argument --seed: not allowed with argument --exhaustive"),
+        ],
+        ids=[
+            "improve-seed",
+            "search-exhaustive-seed",
+            "search-exhaustive-restarts",
+            "search-exhaustive-default-restarts",
+            "search-exhaustive-abbreviated-restarts",
+            "search-exhaustive-iters",
+            "varnavides-exhaustive-seed",
+        ],
+    )
+    def test_flag_the_mode_does_not_read_is_rejected(self, tmp_path, capsys, argv, error):
+        # A usage error at parse time: the input, missing here, is never read.
+        if argv[0] == "search":
+            argv = argv[:1] + ["--p", "3", "--n", "2", "--alpha", "0.444"] + argv[1:]
+        argv = [str(tmp_path / "missing") if a == "IN" else a for a in argv]
+        assert run(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"ap3 {argv[0]}: error: {error}\n")
+        assert err.count("error:") == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestSearch:

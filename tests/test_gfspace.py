@@ -466,3 +466,20 @@ class TestFiles:
         path.write_text("3 2\n3 0\n")
         with pytest.raises(FileFormatError, match="ascending"):
             load_set(str(path))
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("3 2\n0 1\n2 x\n", ":3: field 2: bad index 'x'"),
+            ("3 2\n0 5\n3 8\n", ":3: field 1: indices must be ascending"),
+            ("3 2\n0\n1 2\n\n4 9\n", ":5: field 2: index 9 out of range"),
+            ("3 2\n0\n1\n9\n", ":4: field 1: index 9 out of range"),
+        ],
+        ids=["bad-token-line-3", "descending-across-lines", "after-blank-line", "range-line-4"],
+    )
+    def test_set_error_names_line_and_field(self, tmp_path, text, where):
+        path = tmp_path / "s.aps"
+        path.write_text(text)
+        with pytest.raises(FileFormatError) as exc:
+            load_set(str(path))
+        assert str(exc.value) == f"{path}{where}"

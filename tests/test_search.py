@@ -137,6 +137,10 @@ class TestLocal:
         with pytest.raises(ValueError, match="seed -3"):
             local_min(GroupParams(3, 2), 4 / 9, restarts=5, iters=20, seed=-3)
 
+    def test_rejects_zero_restarts(self):
+        with pytest.raises(ValueError, match="restarts=0"):
+            local_min(GroupParams(3, 2), 4 / 9, restarts=0, iters=20, seed=3)
+
     def test_respects_floor(self):
         params = GroupParams(3, 2)
         r = local_min(params, 5 / 9, restarts=3, iters=10, seed=1)

@@ -21,7 +21,6 @@ from ap3.subspace import (
     span,
     structure_report,
     subspace_blocks,
-    trivial_space,
 )
 
 from conftest import all_subspaces, digit_table, digits_to_index, random_density, row_of
@@ -72,6 +71,24 @@ class TestSpan:
         s2 = span(params, [[1, 3, 1], [0, 2, 2]])
         assert s1 == s2
 
+    @pytest.mark.parametrize(
+        "gen, shown",
+        [([1, 2], "1,2"), ([1, 0, 0, 1], "1,0,0,1"), ([0, 3, 1], "0,3,1"), ([1, -1, 0], "1,-1,0")],
+        ids=["too-short", "too-long", "digit-p", "negative-digit"],
+    )
+    def test_rejects_a_row_outside_the_group(self, gen, shown):
+        # A digit is never reduced mod p: (0,3,1) would be (0,0,1) on F_3^3.
+        with pytest.raises(ValueError) as exc:
+            span(GroupParams(3, 3), [[1, 0, 0], gen])
+        assert str(exc.value) == (
+            f"generator ({shown}) is not in F_3^3: it needs 3 digits, each in [0, 3)"
+        )
+
+    def test_numpy_integers(self):
+        params = GroupParams(5, 2)
+        s = span(params, [np.int64(7), np.array([0, 1], dtype=np.int32)])
+        assert s == span(params, [[2, 1], [0, 1]]) == full_space(params)
+
 
 class TestOrthogonalComplement:
     def test_axes(self):
@@ -92,7 +109,7 @@ class TestOrthogonalComplement:
 
     def test_trivial(self):
         params = GroupParams(3, 2)
-        assert orthogonal_complement(trivial_space(params)).dim == 2
+        assert orthogonal_complement(span(params, [])).dim == 2
         assert orthogonal_complement(full_space(params)).dim == 0
 
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
@@ -129,7 +146,7 @@ class TestCosetDecomposition:
 
     def test_trivial_space(self):
         params = GroupParams(3, 2)
-        assert coset_decomposition(trivial_space(params))[:, 0].tolist() == list(range(9))
+        assert coset_decomposition(span(params, []))[:, 0].tolist() == list(range(9))
 
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
     def test_unique_decomposition(self, p, n, rng):
@@ -241,7 +258,7 @@ class TestAverageOverCosets:
     def test_trivial_space(self, rng):
         params = GroupParams(3, 2)
         f = random_density(params, rng)
-        fw = average_over_cosets(f, trivial_space(params))
+        fw = average_over_cosets(f, span(params, []))
         assert np.array_equal(fw.values, f.values)
 
     def test_direct_coset_sums(self):
