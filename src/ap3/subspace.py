@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from types import SimpleNamespace
 from typing import Iterable, Iterator
 
@@ -104,19 +105,35 @@ def full_space(params: GroupParams) -> Subspace:
     return Subspace(params, np.eye(params.n, dtype=np.int64), tuple(range(params.n)))
 
 
+def _integer(x) -> int | None:
+    """x as an int, or None for a bool or any value `operator.index`
+    refuses, such as a float or a str."""
+    if isinstance(x, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
 def span(params: GroupParams, generators: Iterable) -> Subspace:
     """GF(p) span of the given generators: element indices, or digit rows
-    of n digits each in [0, p), never reduced mod p.  Any other generator
-    raises ValueError."""
+    of n digits each in [0, p), never reduced mod p.  Indices and digits
+    are integers, not bools or floats.  Any other generator raises
+    ValueError."""
     p, n = params.p, params.n
     rows = []
     for g in generators:
-        if isinstance(g, (int, np.integer)):
-            g = index_to_digits(int(g), params)
-        row = [int(x) for x in g]
-        if len(row) != n or not all(0 <= d < p for d in row):
+        if (i := _integer(g)) is not None:
+            g = index_to_digits(i, params)
+        try:
+            g = list(g)
+        except TypeError:  # neither an index nor a row, such as 1.5 or True
+            g = [g]
+        row = [_integer(x) for x in g]
+        if len(row) != n or not all(d is not None and 0 <= d < p for d in row):
             raise ValueError(
-                f"generator ({','.join(map(str, row))}) is not in F_{p}^{n}: "
+                f"generator ({','.join(map(str, g))}) is not in F_{p}^{n}: "
                 f"it needs {n} digits, each in [0, {p})"
             )
         rows.append(row)

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -58,6 +59,10 @@ def cap_set(tmp_path):
 
 def run(args, tmp_path):
     return dispatch(args + ["--output-dir", str(tmp_path / "out")])
+
+
+# The `ap3` console script's call (pyproject: ap3.cli:main), for `python -c`.
+PROGRAM = "import sys; from ap3.cli import main; sys.exit(main())"
 
 
 class HandTable:
@@ -693,6 +698,72 @@ class TestImportBudget:
         assert banned == ["logging"]
 
 
+class TestProgramPath:
+    """`main()` with no argv is the `ap3` program: it freezes the garbage
+    collector, then runs as `dispatch(sys.argv[1:])` does, byte for byte.
+    `main(argv)` and `dispatch`, called in-process, never freeze."""
+
+    def program(self, argv, cwd, stdout=subprocess.PIPE):
+        return subprocess.run(
+            [sys.executable, "-c", PROGRAM, *argv], env=dict(subprocess_env(), COLUMNS="100"),
+            cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["count", "--input", "IN", "--output-dir", "out"], 0),
+            (["count", "--input", "missing.apf", "--output-dir", "out"], 1),
+            (["count", "--input", "IN", "--bogus"], 2),
+            (["--help"], 0),
+        ],
+        ids=["count", "missing-input", "unknown-flag", "help"],
+    )
+    def test_matches_dispatch(self, argv, code, half_density, tmp_path, capsys, monkeypatch):
+        argv = [half_density if a == "IN" else a for a in argv]
+        (tmp_path / "program").mkdir()
+        (tmp_path / "library").mkdir()
+        proc = self.program(argv, tmp_path / "program")
+        monkeypatch.chdir(tmp_path / "library")
+        monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to the terminal
+        assert dispatch(argv) == proc.returncode == code
+        got = capsys.readouterr()
+        assert (proc.stdout, proc.stderr) == (got.out, got.err)
+
+    def test_program_freezes(self, tmp_path):
+        script = (
+            "import gc, sys\n"
+            "from ap3.cli import main\n"
+            "before = gc.get_freeze_count()\n"
+            "sys.argv = ['ap3', '--help']\n"
+            "code = main()\n"
+            "print(before, gc.get_freeze_count(), code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=subprocess_env(), capture_output=True, text=True, check=True, timeout=60,
+        )
+        before, after, code = map(int, proc.stdout.split()[-3:])
+        assert (before, code) == (0, 0) and after > 0
+
+    def test_library_calls_do_not_freeze(self, half_density, tmp_path):
+        argv = ["count", "--input", half_density, "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == dispatch(argv) == 0
+        assert cli.main(["--bogus"]) == 2
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout(self, half_density, tmp_path):
+        # A report that cannot be written is a domain error, as it was
+        # before the program froze the collector.
+        with open("/dev/full", "w") as full:
+            proc = self.program(
+                ["count", "--input", half_density, "--output-dir", "out"], tmp_path, stdout=full
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "ap3: error: [Errno 28] No space left on device\n"
+
+
 class TestMemoryBudget:
     """Like TestImportBudget for memory: the 3^10 spectrum and average jobs
     and a count on Z_4001 peak within MARGIN_MB of `ap3 --help`, and a
@@ -720,11 +791,10 @@ class TestMemoryBudget:
         "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL)\n"
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
-    ENTRY = "import sys; from ap3.cli import main; sys.exit(main(sys.argv[1:]))"
 
     def peak_mb(self, argv, cwd):
         """Least peak RSS of three runs, which sheds the host's noise."""
-        cmd = [sys.executable, "-c", self.LAUNCH, sys.executable, "-c", self.ENTRY, *argv]
+        cmd = [sys.executable, "-c", self.LAUNCH, sys.executable, "-c", PROGRAM, *argv]
         runs = [
             subprocess.run(
                 cmd, env=subprocess_env(), cwd=cwd, capture_output=True, text=True,

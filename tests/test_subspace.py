@@ -84,6 +84,19 @@ class TestSpan:
             f"generator ({shown}) is not in F_3^3: it needs 3 digits, each in [0, 3)"
         )
 
+    @pytest.mark.parametrize(
+        "gen, shown",
+        [([1.7, 0], "1.7,0"), (True, "True"), ([np.float64(1.0), 0], "1.0,0")],
+        ids=["float-digit", "bool-index", "numpy-float-digit"],
+    )
+    def test_rejects_a_non_integer(self, gen, shown):
+        # A float digit is not truncated, and a bool is not an index.
+        with pytest.raises(ValueError) as exc:
+            span(GroupParams(3, 2), [gen])
+        assert str(exc.value) == (
+            f"generator ({shown}) is not in F_3^2: it needs 2 digits, each in [0, 3)"
+        )
+
     def test_numpy_integers(self):
         params = GroupParams(5, 2)
         s = span(params, [np.int64(7), np.array([0, 1], dtype=np.int32)])
