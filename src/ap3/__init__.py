@@ -1,25 +1,7 @@
 """Tools for counting, analyzing, and minimizing three-term arithmetic
-progressions of density functions on F_p^n."""
+progressions of density functions on F_p^n.
+
+Importing the package loads nothing else: the density and set types and
+their file I/O are in `ap3.gfspace`."""
 
 __version__ = "0.1.0"
-
-from .gfspace import (
-    DensityFunction,
-    GroupParams,
-    PointSet,
-    load_density,
-    load_set,
-    save_density,
-    save_set,
-)
-
-__all__ = [
-    "DensityFunction",
-    "GroupParams",
-    "PointSet",
-    "load_density",
-    "load_set",
-    "save_density",
-    "save_set",
-    "__version__",
-]

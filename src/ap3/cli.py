@@ -9,10 +9,17 @@ usage error at parse time, before any input is read; one invalid only for
 this input (varnavides --m-dim above n, a generator not in F_p^n) is a
 domain error, and so is a bad group (search --p 4).
 
-The `ap3` program (`main()` with no argv) freezes the garbage collector
-before it runs the subcommand, so the collections at interpreter shutdown
-skip the objects that imports created; `main(argv)` and `dispatch`, called
-as a library, do not freeze.
+A run has two steps, `parse` and `run`. Parsing loads neither numpy nor
+`gfspace`, so `--help` and every usage error finish without them; `run`
+and the subcommand it calls import what the subcommand uses.
+
+The `ap3` program (`main()` with no argv) imports numpy and `gfspace`
+after a successful parse and then freezes the garbage collector before it
+runs the subcommand, so the collections at interpreter shutdown skip the
+objects that those imports created. It flushes stdout before it returns,
+so output that cannot be written is a domain error whether or not stdout
+is buffered. `main(argv)` and `dispatch`, called as a library, do not
+freeze or flush.
 """
 
 from __future__ import annotations
@@ -27,8 +34,6 @@ import sys
 import time
 from types import SimpleNamespace
 
-import numpy as np
-
 # The interpreter's built-in SHA-256, where it has one, spares every job
 # loading OpenSSL's libcrypto through hashlib (CPython's random.py does the
 # same for SHA-512).
@@ -40,18 +45,9 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-# Each subcommand imports the pipeline modules it runs, so a job loads
-# only those.
+# Each subcommand imports the modules it runs, numpy and `gfspace`
+# included, so a job loads only those, and parsing loads none.
 from . import __version__
-from .gfspace import (
-    FileFormatError,
-    GroupParams,
-    PointSet,
-    load_density,
-    load_set,
-    save_density,
-    save_set,
-)
 
 LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
@@ -102,6 +98,8 @@ def _json_value(obj):
     look in JSON: a report (a SimpleNamespace) as its fields, a PointSet as
     its members, a Subspace as its `describe()` text and a Fraction as its
     str."""
+    from .gfspace import PointSet
+
     if isinstance(obj, PointSet):
         return list(obj.members)
     # numpy's ints are Integral, so they stay an error rather than a str.
@@ -201,6 +199,7 @@ def _out(args, name: str) -> str:
 
 def cmd_count(args) -> int:
     from . import fourier
+    from .gfspace import load_density
 
     f = load_density(args.input)
     _write_manifest(args, [args.input])
@@ -210,12 +209,13 @@ def cmd_count(args) -> int:
     print(f"lambda3={raw / f.params.size**2:.17g}")
     print(f"t3_raw={float(raw):.17g}")
     if f.is_indicator:
-        print(f"t3_nontrivial={raw - int(np.count_nonzero(f.values))}")
+        print(f"t3_nontrivial={raw - int(x.sum())}")
     return 0
 
 
 def cmd_spectrum(args) -> int:
     from . import fourier
+    from .gfspace import load_density
 
     f = load_density(args.input)
     _write_manifest(args, [args.input])
@@ -235,6 +235,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_average(args) -> int:
     from . import subspace as sub
+    from .gfspace import load_density, save_density
 
     f = load_density(args.input)
     w = sub.span(f.params, args.subspace)
@@ -246,6 +247,7 @@ def cmd_average(args) -> int:
 
 def cmd_improve(args) -> int:
     from . import improve
+    from .gfspace import load_density, save_density
 
     f = load_density(args.input)
     _write_manifest(args, [args.input])
@@ -267,6 +269,7 @@ def cmd_improve(args) -> int:
 
 def cmd_round(args) -> int:
     from . import rounding, subspace as sub
+    from .gfspace import load_density, save_density
 
     j = load_density(args.input)
     monitored = [sub.span(j.params, gens) for gens in args.monitor]
@@ -280,6 +283,7 @@ def cmd_round(args) -> int:
 
 def cmd_search(args) -> int:
     from . import search
+    from .gfspace import GroupParams, save_set
 
     params = GroupParams(args.p, args.n)
     _write_manifest(args, [])
@@ -297,6 +301,7 @@ def cmd_search(args) -> int:
 
 def cmd_structure(args) -> int:
     from . import subspace as sub
+    from .gfspace import load_set
 
     s = load_set(args.input)
     _write_manifest(args, [args.input])
@@ -308,6 +313,7 @@ def cmd_structure(args) -> int:
 
 def cmd_varnavides(args) -> int:
     from . import apcount
+    from .gfspace import load_set
 
     s = load_set(args.input)
     _write_manifest(args, [args.input])
@@ -340,8 +346,15 @@ def cmd_selfcheck(args) -> int:
 # Parser and dispatch
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own, except that an OSError is raised, not dropped: help
+        # written to a full stdout would exit 0 with nothing written.
+        (file or sys.stdout or sys.stderr).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ap3",
         description="Three-term arithmetic progression counts on F_p^n",
     )
@@ -436,16 +449,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
+def parse(argv: list[str]) -> argparse.Namespace | int:
+    """The first step of a run: argv parsed and checked, or the exit code of
+    a run that ends here (0 after help, 1 if help cannot be written, 2 on a
+    usage error).  Loads neither numpy nor `gfspace`."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if unread := _unread_flag(args):
             args.parser.error(unread)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    except OSError as exc:  # help that cannot be written
+        print(f"ap3: error: {exc}", file=sys.stderr)
+        return 1
     args._argv = list(argv)
     args.seed = _resolve_seed(args)
+    return args
+
+
+def run(args: argparse.Namespace) -> int:
+    """The second step: run the subcommand that `parse` chose; its exit code."""
+    from .gfspace import FileFormatError
+
     if args.log_level != "WARNING":  # logging's default; nothing in ap3 logs
         import logging
 
@@ -463,13 +488,36 @@ def dispatch(argv: list[str]) -> int:
         return 1
 
 
+def dispatch(argv: list[str]) -> int:
+    args = parse(argv)
+    return args if isinstance(args, int) else run(args)
+
+
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        # The program's own run: shutdown would otherwise spend ~20 ms
-        # collecting the objects that numpy and ap3 imports left tracked.
+    if argv is not None:
+        return dispatch(list(argv))
+    # The program's own run.  Shutdown would otherwise spend ~20 ms
+    # collecting the objects that the numpy and gfspace imports leave
+    # tracked, so it freezes them, after parsing so that `--help` and
+    # usage errors import neither.
+    args = parse(sys.argv[1:])
+    if isinstance(args, int):
+        code = args
+    else:
+        from . import gfspace  # noqa: F401 - it imports numpy; every subcommand uses both
+
         gc.freeze()
-        argv = sys.argv[1:]
-    return dispatch(list(argv))
+        code = run(args)
+    try:
+        if sys.stdout is not None:  # None when the program starts with it closed
+            sys.stdout.flush()
+    except OSError as exc:
+        # Point stdout at /dev/null, or shutdown flushes the unwritten
+        # output again and exits 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"ap3: error: {exc}", file=sys.stderr)
+        return 1
+    return code
 
 
 if __name__ == "__main__":

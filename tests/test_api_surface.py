@@ -9,7 +9,9 @@ import ap3
 SRC = pathlib.Path(ap3.__file__).parent
 
 # Public names that nothing in src/ uses, each with the reason it stays.
-ALLOWED = {}
+ALLOWED = {
+    "print_help": "cli's parser overrides argparse's method, which the --help action calls",
+}
 
 
 def test_every_public_definition_is_used_in_src():
