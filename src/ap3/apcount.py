@@ -106,7 +106,7 @@ def varnavides_estimate(
     if exhaustive:
         subgroups = sub.count_subspaces(params, m_dim)
         for pivots, bases in sub.subspace_blocks(params, m_dim):
-            sizes = s_mask[sub.coset_rows(bases, pivots, params)].sum(axis=-1)
+            sizes = s_mask[next(sub.coset_rows(bases, pivots, params))].sum(axis=-1)
             dense += _dense_cosets(sizes, coset_size, s_mask, len(s))
             cosets += sizes.size
         t3 = fourier.count_raw(s) - len(s)

@@ -18,13 +18,15 @@ after a successful parse and then freezes the garbage collector before it
 runs the subcommand, so the collections at interpreter shutdown skip the
 objects that those imports created. It flushes stdout before it returns,
 so output that cannot be written is a domain error whether or not stdout
-is buffered. `main(argv)` and `dispatch`, called as a library, do not
-freeze or flush.
+is buffered, and a job started with stdout closed fails its first write
+as it would on a full stdout (help still falls back to stderr).
+`main(argv)` and `dispatch`, called as a library, do not freeze or flush.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import json
 import math
@@ -353,6 +355,18 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout or sys.stderr).write(self.format_help())
 
 
+class _ClosedStdout:
+    """sys.stdout for a job started with stdout closed, where Python sets
+    it to None and print() would drop the report: every write fails as a
+    write to a closed descriptor does."""
+
+    def write(self, text: str) -> int:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self) -> None:
+        pass
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ap3",
@@ -507,9 +521,11 @@ def main(argv: list[str] | None = None) -> int:
         from . import gfspace  # noqa: F401 - it imports numpy; every subcommand uses both
 
         gc.freeze()
+        if sys.stdout is None:  # the program started with stdout closed
+            sys.stdout = _ClosedStdout()
         code = run(args)
     try:
-        if sys.stdout is not None:  # None when the program starts with it closed
+        if sys.stdout is not None:  # still None after help or a usage error
             sys.stdout.flush()
     except OSError as exc:
         # Point stdout at /dev/null, or shutdown flushes the unwritten

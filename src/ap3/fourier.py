@@ -1,5 +1,6 @@
-"""Character transform over F_p^n, Parseval, large-spectrum extraction,
-and the convolutions `pair_counts` behind every triple count.
+"""Character transform over F_p^n, Parseval, large-spectrum extraction
+and its export, and the convolutions `pair_counts` behind every triple
+count.
 
 Convention: fhat(a) = sum_m f(m) * omega^(a.m) with omega = exp(2*pi*i/p)
 and a.m the standard dot product mod p.  The inverse carries the p^-n
@@ -150,14 +151,17 @@ def spectrum_export_lines(coeffs: np.ndarray, a: PointSet) -> list[str]:
     Both members of a conjugate pair b, -b print the lower-index
     coefficient, conjugated for the other member (fhat(-b) = conj fhat(b)
     for a real f).  Their magnitudes are then bit-equal, so the index, not
-    last-bit noise, orders the pair.
+    last-bit noise, orders the pair.  A holds at most delta^-2 frequencies
+    (Parseval), so Python orders them: no step of a spectrum job runs
+    numpy's sort, np.minimum, np.where or np.conj.
     """
-    members = np.array(a.members, dtype=np.int64)
-    lower = np.minimum(members, combine(-1, members, 0, 0, a.params))
+    members = a.members
+    negs = combine(-1, members, 0, 0, a.params).tolist()
+    lower = [b if b < c else c for b, c in zip(members, negs)]
     vals = coeffs[lower]
-    vals = np.where(lower == members, vals, np.conj(vals))
-    order = np.lexsort((members, -np.abs(vals)))
-    return [
-        f"{i} {v.real:.17g} {v.imag:.17g}"
-        for i, v in zip(members[order].tolist(), vals[order].tolist())
-    ]
+    # The upper member of a pair prints the conjugate: its imaginary part negated.
+    ims = [x if b == c else -x for b, c, x in zip(members, lower, vals.imag.tolist())]
+    lines = list(map("%d %.17g %.17g".__mod__, zip(members, vals.real.tolist(), ims)))
+    # The sort is stable, so equal magnitudes keep ascending index.
+    mags = np.abs(vals).tolist()
+    return [lines[i] for i in sorted(range(len(lines)), key=mags.__getitem__, reverse=True)]

@@ -296,9 +296,13 @@ def construct_g(
             f"dim(W) = {w_space.dim} < ell = {ell}: the spectrum is too rich for "
             f"epsilon = {epsilon}; raise delta or epsilon"
         )
-    fw = sub.average_over_cosets(f, w_space)
+    # f_W's coset means, as `average_over_cosets` takes them, from the
+    # layout that the audit needs anyway.
     rows = sub.coset_decomposition(w_space)
-    means = fw.values[rows[:, 0]]
+    means = sub.coset_means(f, rows)
+    fw_vals = np.empty(params.size)
+    fw_vals[rows] = means[:, None]
+    fw = DensityFunction(params, fw_vals)
     in_vp = select_v_prime(means, epsilon)
     v_prime = rows[in_vp, 0].tolist()
 

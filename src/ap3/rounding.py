@@ -79,9 +79,9 @@ def round_to_indicator(
     bound = 0.0
     n = j.params.n
     for w in monitored:
-        rows = sub.coset_decomposition(w)
-        dev = np.abs(sub.coset_means(j2, rows) - sub.coset_means(j, rows)).max()
-        max_dev = max(max_dev, float(dev))
+        for rows in sub.coset_blocks(w):
+            dev = np.abs(sub.coset_means(j2, rows) - sub.coset_means(j, rows)).max()
+            max_dev = max(max_dev, float(dev))
         w_size = j.params.p**w.dim
         bound = max(bound, hoeffding_bound_raw(w_size, 1.0 / n**2))
 

@@ -2,6 +2,11 @@
 coset averaging, canonical sub-subspace selection, and the coset-structure
 diagnostic for candidate minimizers.
 
+One builder, `coset_rows`, lays out every coset layout, whole
+(`coset_decomposition`, the structure scan) or a block of rows at a time
+(`coset_blocks`): coset averaging and the rounding monitor walk the
+blocks, so they hold one block, never a p^n layout.
+
 Coset representatives are NOT taken from the orthogonal complement: over
 GF(p) a subspace can meet its own complement (self-orthogonal vectors,
 e.g. (1,2) in F_5^2), so "v + W, v in V" need not be a transversal.  We
@@ -25,9 +30,9 @@ from .gfspace import DensityFunction, GroupParams, PointSet, index_to_digits
 # out as cosets; a block always holds at least one subspace.
 BLOCK_ELEMENTS = 2**14
 
-# Most row entries one `coset_means` block gathers and turns into Python
-# floats.
-FSUM_BLOCK_ELEMENTS = 2**13
+# Most coset-layout entries that one `coset_blocks` block holds, and that
+# one `coset_means` block gathers and turns into Python floats.
+COSET_BLOCK_ELEMENTS = 2**12
 
 # Most subspaces `structure_report` may enumerate.
 DEFAULT_MAX_SUBSPACES = 20000
@@ -88,11 +93,7 @@ class Subspace:
 
     def elements(self) -> np.ndarray:
         """Sorted indices of all p^dim members."""
-        p = self.params.p
-        idx = np.zeros(p**self.dim, dtype=np.int64)
-        for k in range(self.params.n):
-            idx += _span_digits(self.basis[None], k, p)[0] * p**k
-        return np.sort(idx)
+        return np.sort(next(coset_rows(self.basis[None], self.pivots, self.params, 1))[0, 0])
 
     def describe(self) -> str:
         rows = "; ".join(
@@ -155,44 +156,54 @@ def orthogonal_complement(v: Subspace) -> Subspace:
     return Subspace(params, basis, pivots)
 
 
-def _span_digits(bases: np.ndarray, k: int, p: int) -> np.ndarray:
-    """(N, p^dim) coordinate k of sum_j c_j b_j over the (N, dim, n) bases,
-    for every coefficient vector c in little-endian order (c_0 fastest)."""
-    digits = np.zeros((len(bases), 1), dtype=np.int64)
+def _span_sums(coeffs: np.ndarray, p: int) -> np.ndarray:
+    """(N, p^dim) sums sum_j c_j coeffs[:, j], not reduced mod p, over the
+    (N, dim) coeffs, for every c in little-endian order (c_0 fastest)."""
+    sums = np.zeros((len(coeffs), 1), dtype=np.int64)
     steps = np.arange(p, dtype=np.int64)[:, None]
-    for j in range(bases.shape[1]):
-        digits = (steps * bases[:, j, k, None, None] + digits[:, None, :]).reshape(len(bases), -1)
-    return digits % p
+    for j in range(coeffs.shape[1]):
+        sums = (steps * coeffs[:, j, None, None] + sums[:, None, :]).reshape(len(coeffs), -1)
+    return sums
 
 
-def coset_rows(bases: np.ndarray, pivots: tuple[int, ...], params: GroupParams) -> np.ndarray:
-    """(N, |T|, |W|) coset layouts of N subspaces W with the same echelon
-    pivot columns, from their (N, dim, n) echelon bases.
+def coset_rows(
+    bases: np.ndarray, pivots: tuple[int, ...], params: GroupParams, max_rows: int | None = None
+) -> Iterator[np.ndarray]:
+    """The (N, |T|, |W|) coset layouts of N subspaces W with the same echelon
+    pivot columns, from their (N, dim, n) echelon bases, as consecutive
+    blocks of at most max_rows rows (default: one block), each built when
+    asked for.  Layout s is `coset_decomposition` of the s-th basis.
 
-    Layout s is what `coset_decomposition` returns for the s-th basis: row
-    i is the coset of the transversal element whose non-pivot coordinates,
-    in ascending order, hold the little-endian base-p digits of i.  All
-    N subspaces share the pivot-free transversal T, so the digits of
-    t + sum_j c_j b_j are accumulated one coordinate at a time for all of
-    them together: a pivot coordinate holds c_j, and the free coordinate
-    carrying digit r of the transversal index adds (t_r + w_k) mod p on each
-    of the p slices of that digit.
+    Column c holds w = sum_j c_j b_j, whose pivot coordinates are the c_j;
+    on the free coordinate k = free[r] the entry's digit is (t_r + w_k)
+    mod p for digit t_r of the row index.  A block is one or more runs of
+    p^low consecutive rows: the first run, laid out once in place, a
+    coordinate and a digit value at a time, plus what the digits from
+    `low` up add in each run.
     """
-    p, n = params.p, params.n
-    bases = np.asarray(bases, dtype=np.int64)
-    free = [k for k in range(n) if k not in pivots]
-    count = len(bases)
-    rows = np.zeros((count, p ** len(free), p ** len(pivots)), dtype=np.int64)
-    for k in range(n):
-        w_digits = _span_digits(bases, k, p)
-        if k in pivots:
-            rows += (w_digits * p**k)[:, None, :]
-            continue
-        r = free.index(k)
-        by_digit = rows.reshape(count, p ** (len(free) - r - 1), p, p**r, -1)
+    p, free = params.p, [k for k in range(params.n) if k not in pivots]
+    low = len(free)
+    while max_rows and p**low > max_rows:
+        low -= 1
+    rows = np.zeros((len(bases), p**low, p ** len(pivots)), dtype=np.int64)
+    for k in pivots:
+        rows += (_span_sums(bases[:, :, k], p) * p**k)[:, None]
+    for r, k in enumerate(free[:low]):
+        w_k = _span_sums(bases[:, :, k], p)
+        by_digit = rows.reshape(len(bases), p ** (low - r - 1), p, p**r, -1)
         for t in range(p):
-            by_digit[:, :, t] += ((w_digits + t) % p * p**k)[:, None, None, :]
-    return rows
+            by_digit[:, :, t] += ((w_k + t) % p * p**k)[:, None, None]
+    if low == len(free):
+        yield rows
+        return
+    high = [_span_sums(bases[:, :, k], p) for k in free[low:]]
+    step = max_rows // p**low
+    for q in range(0, p ** len(high), step):
+        digits = np.arange(q, p ** len(high))[:step, None]
+        block = 0
+        for i, w_k in enumerate(high):
+            block = block + (w_k[:, None] + digits // p**i) % p * p ** free[low + i]
+        yield (rows[:, None] + block[:, :, None]).reshape(len(bases), -1, rows.shape[2])
 
 
 def coset_decomposition(w: Subspace) -> np.ndarray:
@@ -211,23 +222,32 @@ def coset_decomposition(w: Subspace) -> np.ndarray:
     and W's echelon rows b_j, so every row is an affine copy of
     F_p^(dim W) in the same coordinates.
     """
-    rows = coset_rows(w.basis[None], w.pivots, w.params)[0]
+    rows = next(coset_rows(w.basis[None], w.pivots, w.params))[0]
     rows.setflags(write=False)
     return rows
 
 
+def coset_blocks(w: Subspace) -> Iterator[np.ndarray]:
+    """`coset_decomposition`'s rows in order, as blocks of at most
+    COSET_BLOCK_ELEMENTS entries (at least one row), each built when asked
+    for, so a caller holds one block, never the p^n layout."""
+    max_rows = max(1, COSET_BLOCK_ELEMENTS // w.params.p**w.dim)
+    for block in coset_rows(w.basis[None], w.pivots, w.params, max_rows):
+        yield block[0]
+
+
 def coset_means(f: DensityFunction, rows: np.ndarray) -> np.ndarray:
     """Mean of f on each row of the (|T|, |W|) coset layout `rows` (as
-    `coset_decomposition` returns it), in row order.
+    `coset_decomposition` returns it, or a block of it), in row order.
 
-    Rows are gathered a block of at most FSUM_BLOCK_ELEMENTS values at a
+    Rows are gathered a block of at most COSET_BLOCK_ELEMENTS values at a
     time, so only one block's values and Python floats exist at once.  A
     row that is already constant keeps its value bit-for-bit; mixed rows
     are fsummed.
     """
     width = rows.shape[1]
     means = np.empty(len(rows))
-    step = max(1, FSUM_BLOCK_ELEMENTS // width)
+    step = max(1, COSET_BLOCK_ELEMENTS // width)
     for start in range(0, len(rows), step):
         vals = f.values[rows[start : start + step]]
         block = means[start : start + step]
@@ -239,10 +259,12 @@ def coset_means(f: DensityFunction, rows: np.ndarray) -> np.ndarray:
 
 
 def average_over_cosets(f: DensityFunction, w: Subspace) -> DensityFunction:
-    """f_W(m) = |W|^-1 sum_{w in W} f(m+w), constant on each coset of W."""
-    rows = coset_decomposition(w)
+    """f_W(m) = |W|^-1 sum_{w in W} f(m+w), constant on each coset of W:
+    the coset means of `coset_means`, laid out and written a block of
+    cosets at a time, so that no p^n layout exists."""
     values = np.empty(f.params.size)
-    values[rows] = coset_means(f, rows)[:, None]
+    for rows in coset_blocks(w):
+        values[rows] = coset_means(f, rows)[:, None]
     return DensityFunction(f.params, values)
 
 
@@ -323,7 +345,7 @@ def structure_report(s: PointSet, max_codim: int) -> SimpleNamespace:
         for pivots, bases in subspace_blocks(params, dim):
             # A block's layouts scored at once; a row is built only for the
             # first strict improvement, so the earliest minimizer wins.
-            rows = coset_rows(bases, pivots, params)
+            rows = next(coset_rows(bases, pivots, params))
             inter = s_mask[rows].sum(axis=-1)
             sds = np.minimum(inter, w_size - inter).sum(axis=-1)
             i = int(np.argmin(sds))

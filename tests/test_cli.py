@@ -738,14 +738,14 @@ class TestProgramPath:
     `dispatch(sys.argv[1:])` does, byte for byte, and flushes stdout.
     `main(argv)` and `dispatch`, called in-process, never freeze."""
 
-    def program(self, argv, cwd, stdout=subprocess.PIPE, unbuffered=True):
+    def program(self, argv, cwd, stdout=subprocess.PIPE, unbuffered=True, **kwargs):
         env = dict(subprocess_env(), COLUMNS="100")
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         return subprocess.run(
             [sys.executable, "-c", PROGRAM, *argv], env=env,
-            cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+            cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60, **kwargs,
         )
 
     @pytest.mark.parametrize(
@@ -822,6 +822,32 @@ class TestProgramPath:
             (1, "ap3: error: [Errno 28] No space left on device\n")
         }
 
+    def closed_stdout(self, argv, cwd):
+        """(exit code, stderr) of the program started with stdout closed,
+        with PYTHONUNBUFFERED set and unset."""
+        runs = set()
+        for unbuffered in (True, False):
+            proc = self.program(
+                argv, cwd, unbuffered=unbuffered, preexec_fn=lambda: os.close(1)
+            )
+            runs.add((proc.returncode, proc.stderr))
+        return runs
+
+    def test_closed_stdout(self, half_density, tmp_path):
+        # Python sets sys.stdout to None, where print() would drop the
+        # report and exit 0; the job fails like one on a full stdout.
+        argv = ["count", "--input", half_density, "--output-dir", "out"]
+        assert self.closed_stdout(argv, tmp_path) == {
+            (1, "ap3: error: [Errno 9] Bad file descriptor\n")
+        }
+        assert (tmp_path / "out" / "count_manifest.json").exists()
+
+    def test_closed_stdout_help(self, tmp_path):
+        # Help falls back to stderr and exits 0.
+        help_text = self.program(["--help"], tmp_path).stdout
+        assert help_text.startswith("usage: ap3")
+        assert self.closed_stdout(["--help"], tmp_path) == {(0, help_text)}
+
 
 class TestMemoryBudget:
     """Like TestImportBudget for memory: the 3^10 spectrum and average jobs
@@ -830,9 +856,11 @@ class TestMemoryBudget:
     start-up is `ap3 --help` after `import ap3.gfspace`, which loads numpy:
     `ap3 --help` alone loads neither.  Measured
     on a 2-core x86-64 VM (Python 3.11.7, numpy 2.4.6), a job over
-    that start-up: spectrum +2.3-2.6 MB, average +2.3-2.7 MB and the Z_4001
-    count (`fourier.triple_counts` on the set's mask) +1.1-1.5 MB with
-    in-place FFTs and blocked coset means.  The
+    that start-up: spectrum +1.9-2.2 MB, average +2.0-2.1 MB and the Z_4001
+    count (`fourier.triple_counts` on the set's mask) +1.0-1.2 MB with
+    in-place FFTs, averaging that lays out one block of cosets at a time
+    and a spectrum export sorted in Python (average +2.5-2.6 and spectrum
+    +2.1-2.4 MB with the whole coset layout and numpy's lexsort).  The
     count was +367 MB when each transform multiplied by a dense p x p
     character matrix, and spectrum +4.0 MB with an FFT that is not in
     place; spectrum +4.3 and average +3.2 MB when a transform held up to

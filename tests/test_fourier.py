@@ -193,6 +193,56 @@ class TestExport:
                         assert got == lines
 
 
+def lexsort_export_lines(coeffs, a):
+    """The numpy formulation that the Python sort replaced: the oracle."""
+    members = np.array(a.members, dtype=np.int64)
+    lower = np.minimum(members, combine(-1, members, 0, 0, a.params))
+    vals = coeffs[lower]
+    vals = np.where(lower == members, vals, np.conj(vals))
+    order = np.lexsort((members, -np.abs(vals)))
+    return [
+        f"{i} {v.real:.17g} {v.imag:.17g}"
+        for i, v in zip(members[order].tolist(), vals[order].tolist())
+    ]
+
+
+class TestExportOracle:
+    """spectrum_export_lines against the lexsort formulation, line for line."""
+
+    def test_empty(self):
+        params = GroupParams(3, 4)
+        coeffs = np.arange(params.size, dtype=np.complex128)
+        assert spectrum_export_lines(coeffs, PointSet(params, ())) == []
+        assert lexsort_export_lines(coeffs, PointSet(params, ())) == []
+
+    @pytest.mark.parametrize("p, n", [(3, 4), (5, 3), (7, 2)])
+    def test_pairs_and_equal_magnitudes(self, p, n, rng):
+        # Few distinct magnitudes, so ties span many pairs; real and signed
+        # zero parts exercise the conjugate's -0.0.
+        params = GroupParams(p, n)
+        pool = np.array([1, -1, 1j, -1j, 0.6 + 0.8j, 0.8 - 0.6j, 0.5, -0.0, 0j, 2 - 0.0j])
+        coeffs = pool[rng.integers(0, len(pool), params.size)]
+        everything = PointSet(params, tuple(range(params.size)))
+        half = PointSet.from_mask(params, rng.random(params.size) < 0.5)
+        for a in (everything, half):
+            assert spectrum_export_lines(coeffs, a) == lexsort_export_lines(coeffs, a)
+
+    def test_thousands_of_members(self, rng):
+        params = GroupParams(3, 9)
+        coeffs = rng.normal(size=params.size) + 1j * rng.normal(size=params.size)
+        coeffs[rng.integers(0, params.size, 500)] = 0.25 - 0.5j  # equal magnitudes
+        a = PointSet.from_mask(params, rng.random(params.size) < 0.3)
+        assert len(a) > 5000
+        assert spectrum_export_lines(coeffs, a) == lexsort_export_lines(coeffs, a)
+
+    def test_large_spectrum_of_a_density(self, rng):
+        params = GroupParams(7, 3)
+        coeffs = dft_forward(random_density(params, rng))
+        a = large_spectrum(coeffs, 0.005, params)
+        assert len(a) > 100
+        assert spectrum_export_lines(coeffs, a) == lexsort_export_lines(coeffs, a)
+
+
 class TestExactTransform:
     @pytest.mark.parametrize("p,n", [(3, 3), (5, 2), (7, 2)])
     def test_convolution_matches_definition(self, p, n, rng):
