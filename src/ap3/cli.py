@@ -13,13 +13,17 @@ A run has two steps, `parse` and `run`. Parsing loads neither numpy nor
 `gfspace`, so `--help` and every usage error finish without them; `run`
 and the subcommand it calls import what the subcommand uses.
 
-The `ap3` program (`main()` with no argv) imports numpy and `gfspace`
-after a successful parse and then freezes the garbage collector before it
-runs the subcommand, so the collections at interpreter shutdown skip the
-objects that those imports created. It flushes stdout before it returns,
-so output that cannot be written is a domain error whether or not stdout
-is buffered, and a job started with stdout closed fails its first write
-as it would on a full stdout (help still falls back to stderr).
+The `ap3` program (`main()` with no argv), after a successful parse,
+compiles every ap3 module the subcommand runs, then executes them,
+`gfspace` and so numpy first, and freezes the garbage collector before it
+runs the subcommand. Compiling first keeps the modules' compile memory
+off the top of numpy's, which lowers a job's peak RSS where there is no
+bytecode cache; the freeze lets the collections at interpreter shutdown
+skip the objects that the imports created. It flushes stdout before it
+returns, so output that cannot be written is a domain error whether or
+not stdout is buffered, and a job started with stdout closed fails its
+first write as it would on a full stdout (help still falls back to
+stderr).
 `main(argv)` and `dispatch`, called as a library, do not freeze or flush.
 """
 
@@ -384,13 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("count", parents=[files], help="triple counts of a density or set")
     sp.add_argument("--input", required=True)
-    sp.set_defaults(func=cmd_count)
+    sp.set_defaults(func=cmd_count, modules=("gfspace", "fourier"))
 
     sp = subs.add_parser("spectrum", parents=[files], help="export large Fourier coefficients")
     sp.add_argument("--input", required=True)
     sp.add_argument("--delta", type=_positive_float, required=True)
     sp.add_argument("--output", default=None)
-    sp.set_defaults(func=cmd_spectrum)
+    sp.set_defaults(func=cmd_spectrum, modules=("gfspace", "fourier"))
 
     sp = subs.add_parser("average", parents=[files], help="coset-average a density")
     sp.add_argument("--input", required=True)
@@ -398,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--subspace", type=_generators, required=True, help="generators, e.g. '1,0;0,1'"
     )
     sp.add_argument("--output", default="averaged.apf")
-    sp.set_defaults(func=cmd_average)
+    sp.set_defaults(func=cmd_average, modules=("gfspace", "subspace"))
 
     sp = subs.add_parser("improve", parents=[seeded], help="run the decrease pipeline")
     sp.add_argument("--input", required=True)
@@ -407,14 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--indicator", action="store_true")
     sp.add_argument("--output", default="g.apf")
     sp.add_argument("--report", default="improve_report.json")
-    sp.set_defaults(func=cmd_improve)
+    sp.set_defaults(func=cmd_improve, modules=("gfspace", "fourier", "subspace", "improve"))
 
     sp = subs.add_parser("round", parents=[seeded], help="randomized rounding to an indicator")
     sp.add_argument("--input", required=True)
     sp.add_argument("--monitor", type=_generators, action="append", default=[])
     sp.add_argument("--output", default="rounded.apf")
     sp.add_argument("--report", default="round_report.json")
-    sp.set_defaults(func=cmd_round)
+    sp.set_defaults(func=cmd_round, modules=("gfspace", "fourier", "subspace", "rounding"))
 
     sp = subs.add_parser("search", parents=[seeded], help="minimize the triple count")
     sp.add_argument("--p", type=int, required=True)
@@ -425,13 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--iters", type=_non_negative_int, help="local search only (default 1000)")
     sp.add_argument("--witness", default="witness.aps")
     sp.add_argument("--report", default="search_result.json")
-    sp.set_defaults(func=cmd_search)
+    sp.set_defaults(func=cmd_search, modules=("gfspace", "fourier", "search"))
 
     sp = subs.add_parser("structure", parents=[files], help="coset-structure diagnostic")
     sp.add_argument("--input", required=True)
     sp.add_argument("--max-codim", dest="max_codim", type=_non_negative_int, required=True)
     sp.add_argument("--report", default="structure_report.json")
-    sp.set_defaults(func=cmd_structure)
+    sp.set_defaults(func=cmd_structure, modules=("gfspace", "subspace"))
 
     sp = subs.add_parser(
         "varnavides",
@@ -451,11 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--exhaustive", action="store_true", help="average over every subgroup: a certified bound"
     )
     sp.add_argument("--report", default="varnavides_report.json")
-    sp.set_defaults(func=cmd_varnavides)
+    sp.set_defaults(func=cmd_varnavides, modules=("gfspace", "fourier", "subspace", "apcount"))
 
     sp = subs.add_parser("selfcheck", parents=[logs], help="run the built-in identity suite")
     sp.add_argument("--json", action="store_true")
-    sp.set_defaults(func=cmd_selfcheck)
+    sp.set_defaults(
+        func=cmd_selfcheck,
+        modules=("gfspace", "fourier", "subspace", "apcount", "improve", "selfcheck"),
+    )
 
     # A flag that the chosen mode does not read is the subcommand's usage error.
     for sp in subs.choices.values():
@@ -507,19 +514,45 @@ def dispatch(argv: list[str]) -> int:
     return args if isinstance(args, int) else run(args)
 
 
+def _load_modules(args) -> None:
+    """Import the ap3 modules that the job runs in two passes over them, in
+    the dependency order of the subcommand's `modules`: compile each, then
+    execute each.  The first body run is `gfspace`'s, which imports numpy,
+    so no module compiles on top of numpy's memory.  A module already in
+    sys.modules is left as it is, and one whose body raises is removed from
+    it, as `import` does."""
+    import importlib.util
+
+    names = [f"{__package__}.{name}" for name in args.modules]
+    if args.command == "improve" and args.indicator:
+        names.append(f"{__package__}.rounding")
+    specs = [importlib.util.find_spec(name) for name in names if name not in sys.modules]
+    # get_code reads a valid bytecode cache where there is one.
+    codes = [(spec, spec.loader.get_code(spec.name)) for spec in specs]
+    package = sys.modules[__package__]
+    for spec, code in codes:
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module
+        try:
+            exec(code, vars(module))
+        except BaseException:
+            del sys.modules[spec.name]
+            raise
+        setattr(package, spec.name.rpartition(".")[2], module)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is not None:
         return dispatch(list(argv))
-    # The program's own run.  Shutdown would otherwise spend ~20 ms
-    # collecting the objects that the numpy and gfspace imports leave
-    # tracked, so it freezes them, after parsing so that `--help` and
-    # usage errors import neither.
+    # The program's own run.  It loads the job's modules, compiled before
+    # numpy loads, and then freezes the objects they leave tracked, which
+    # shutdown would otherwise spend ~20 ms collecting; all after parsing,
+    # so that `--help` and usage errors load none of them.
     args = parse(sys.argv[1:])
     if isinstance(args, int):
         code = args
     else:
-        from . import gfspace  # noqa: F401 - it imports numpy; every subcommand uses both
-
+        _load_modules(args)
         gc.freeze()
         if sys.stdout is None:  # the program started with stdout closed
             sys.stdout = _ClosedStdout()

@@ -733,8 +733,9 @@ class TestImportBudget:
 
 
 class TestProgramPath:
-    """`main()` with no argv is the `ap3` program: after parsing it imports
-    numpy and `gfspace` and freezes the garbage collector, then runs as
+    """`main()` with no argv is the `ap3` program: after parsing it compiles
+    the ap3 modules that the job runs, then executes them (`gfspace`, which
+    imports numpy, first) and freezes the garbage collector, then runs as
     `dispatch(sys.argv[1:])` does, byte for byte, and flushes stdout.
     `main(argv)` and `dispatch`, called in-process, never freeze."""
 
@@ -769,10 +770,105 @@ class TestProgramPath:
         got = capsys.readouterr()
         assert (proc.stdout, proc.stderr) == (got.out, got.err)
 
+    # Records, in order, each ap3 source file compiled and the first import
+    # of numpy, and prints them with the ap3 files that the job loaded.
+    AUDITED = (
+        "import atexit, json, sys\n"
+        "events = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'compile' and isinstance(args[1], str) and 'ap3' in args[1]:\n"
+        "        events.append(args[1])\n"
+        "    elif event == 'import' and args[0] == 'numpy':\n"
+        "        events.append('numpy')\n"
+        "sys.addaudithook(hook)\n"
+        "loaded = lambda: [m.__file__ for n, m in sys.modules.items() if n.split('.')[0] == 'ap3']\n"
+        "atexit.register(lambda: print(json.dumps([events, loaded()])))\n"
+    ) + PROGRAM
+
+    @pytest.fixture(scope="class")
+    def no_ap3_cache(self, tmp_path_factory):
+        """An environment in which ap3 finds no bytecode cache and writes
+        none.  The cache directory holds numpy's and the standard library's
+        bytecode, not ap3's, so that the jobs do not spend ~0.5 s each
+        compiling numpy."""
+        cache = tmp_path_factory.mktemp("pycache")
+        env = dict(subprocess_env(), PYTHONPYCACHEPREFIX=str(cache))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        warm = "import argparse, fractions, json, numpy.fft"
+        subprocess.run([sys.executable, "-c", warm], env=env, check=True, timeout=120)
+        return dict(env, PYTHONDONTWRITEBYTECODE="1")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--input", "IN"],
+            ["spectrum", "--input", "IN", "--delta", "0.1"],
+            ["average", "--input", "IN", "--subspace", "0,1"],
+            ["improve", "--input", "IN", "--epsilon", "1.0"],
+            ["improve", "--input", "IN", "--epsilon", "1.0", "--indicator"],
+            ["round", "--input", "IN", "--monitor", "1,0"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "0.3", "--restarts", "1"],
+            ["search", "--p", "3", "--n", "2", "--alpha", "0.3", "--exhaustive"],
+            ["structure", "--input", "SET", "--max-codim", "1"],
+            ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],
+            ["varnavides", "--input", "SET", "--m-dim", "1", "--samples", "3"],
+            ["selfcheck"],
+        ],
+        ids=[
+            "count", "spectrum", "average", "improve", "improve-indicator", "round-monitor",
+            "search-local", "search-exhaustive", "structure", "varnavides-exhaustive",
+            "varnavides-sampled", "selfcheck",
+        ],
+    )
+    def test_compiles_before_numpy(self, argv, half_density, cap_set, tmp_path, no_ap3_cache):
+        # Without a bytecode cache, as on a host that writes none, every ap3
+        # module the job loads compiles once, and all of them before numpy
+        # loads, so no compile adds to the memory that numpy holds.
+        inputs = {"IN": half_density, "SET": cap_set}
+        argv = [inputs.get(a, a) for a in argv]
+        if argv[0] != "selfcheck":
+            argv += ["--output-dir", "out"]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.AUDITED, *argv], env=no_ap3_cache, cwd=tmp_path,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        events, loaded = json.loads(proc.stdout.splitlines()[-1])
+        ap3_dir = os.path.dirname(cli.__file__)
+        compiled = [e for e in events if e != "numpy" and os.path.dirname(e) == ap3_dir]
+        assert sorted(compiled) == sorted(loaded) and len(loaded) > 3
+        assert events.count("numpy") == 1 and events[-1] == "numpy", events
+
+    @pytest.mark.parametrize("name", ["ap3.gfspace", "ap3.fourier"])
+    def test_keeps_imported_modules(self, name, tmp_path):
+        # A caller that imported some of ap3 before main() keeps those
+        # module objects: the program loads only what is not yet loaded.
+        script = (
+            "import atexit, importlib, sys\n"
+            f"importlib.import_module({name!r})\n"
+            "ap3 = lambda: {n: m for n, m in sys.modules.items() if n.split('.')[0] == 'ap3'}\n"
+            "before = ap3()\n"
+            "same = lambda: all(ap3()[n] is m for n, m in before.items())\n"
+            "parent = lambda: all(getattr(before['ap3'], n[4:]) is m for n, m in ap3().items()\n"
+            "                     if n.count('.') == 1)\n"
+            "atexit.register(lambda: print(sorted(before), same(), parent()))\n"
+        ) + PROGRAM
+        (tmp_path / "bad.apf").write_text("garbage\n")
+        argv = ["average", "--input", "bad.apf", "--subspace", "1,0", "--output-dir", "out"]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=subprocess_env(), cwd=tmp_path,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "ap3: error: bad.apf:1: header must be 'p n', got 'garbage'\n"
+        assert name in proc.stdout and proc.stdout.endswith(" True True\n"), proc.stdout
+
     def test_program_freezes(self, half_density, tmp_path):
-        # The freeze follows the numpy and gfspace imports, so a count job
-        # leaves only the objects it made itself tracked and unfrozen: 394
-        # on Python 3.11 with numpy 2.4, and 9187 with the freeze before them.
+        # The freeze follows the imports of the job's modules, numpy among
+        # them, so a count job leaves only the objects it made itself tracked
+        # and unfrozen: 145 on Python 3.11 with numpy 2.4, 395 when only numpy
+        # and gfspace loaded before the freeze, and 9113 with the freeze
+        # before every import.
         script = (
             "import gc, sys\n"
             "from ap3.cli import main\n"
@@ -855,9 +951,11 @@ class TestMemoryBudget:
     job pays, and a planted improve job within IMPROVE_MARGIN_MB.  That
     start-up is `ap3 --help` after `import ap3.gfspace`, which loads numpy:
     `ap3 --help` alone loads neither.  Measured
-    on a 2-core x86-64 VM (Python 3.11.7, numpy 2.4.6), a job over
-    that start-up: spectrum +1.9-2.2 MB, average +2.0-2.1 MB and the Z_4001
-    count (`fourier.triple_counts` on the set's mask) +1.0-1.2 MB with
+    on a 2-core x86-64 VM (Python 3.11.7, numpy 2.4.6, no bytecode cache),
+    a job over that start-up: spectrum +1.4-1.6 MB, average +0.9-1.1 MB
+    and the Z_4001 count (`fourier.triple_counts` on the set's mask)
+    +0.3-0.6 MB with the job's modules compiled before numpy loads
+    (+1.9-2.2, +1.8-2.0 and +0.9-1.0 MB with each compiled after it),
     in-place FFTs, averaging that lays out one block of cosets at a time
     and a spectrum export sorted in Python (average +2.5-2.6 and spectrum
     +2.1-2.4 MB with the whole coset layout and numpy's lexsort).  The
@@ -869,9 +967,10 @@ class TestMemoryBudget:
 
     MARGIN_MB = 2.9
     # `ap3 improve` on planted 3^8 with k = 5 audits |T|^2 = 59049 cases:
-    # +3.0-3.1 MB over the start-up with the case table computed a block at a
-    # time, +13.1-13.5 MB when it held every case as arrays and the report
-    # was formatted a whole column at a time.
+    # +2.1-2.4 MB over the start-up with its modules compiled before numpy
+    # loads (+2.9-3.0 MB compiled after it) and the case table computed a
+    # block at a time, +13.1-13.5 MB when it held every case as arrays and
+    # the report was formatted a whole column at a time.
     IMPROVE_MARGIN_MB = 4.0
     # Jobs start from this small process, not from pytest: on Linux a
     # child's ru_maxrss counts the memory of the process it was forked from.
