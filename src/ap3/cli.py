@@ -24,7 +24,8 @@ returns, so output that cannot be written is a domain error whether or
 not stdout is buffered, and a job started with stdout closed fails its
 first write as it would on a full stdout (help still falls back to
 stderr).
-`main(argv)` and `dispatch`, called as a library, do not freeze or flush.
+`main(argv)`, the library entry point, runs the same two steps and does
+not freeze or flush.
 """
 
 from __future__ import annotations
@@ -318,12 +319,12 @@ def cmd_structure(args) -> int:
 
 
 def cmd_varnavides(args) -> int:
-    from . import apcount
+    from . import subspace as sub
     from .gfspace import load_set
 
     s = load_set(args.input)
     _write_manifest(args, [args.input])
-    report = apcount.varnavides_estimate(
+    report = sub.varnavides_estimate(
         s, args.m_dim, samples=args.samples, seed=args.seed, exhaustive=args.exhaustive
     )
     _write_json(report, _out(args, args.report))
@@ -349,7 +350,7 @@ def cmd_selfcheck(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Parser and dispatch
+# Parser and entry point
 
 
 class _Parser(argparse.ArgumentParser):
@@ -455,13 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--exhaustive", action="store_true", help="average over every subgroup: a certified bound"
     )
     sp.add_argument("--report", default="varnavides_report.json")
-    sp.set_defaults(func=cmd_varnavides, modules=("gfspace", "fourier", "subspace", "apcount"))
+    sp.set_defaults(func=cmd_varnavides, modules=("gfspace", "fourier", "subspace"))
 
     sp = subs.add_parser("selfcheck", parents=[logs], help="run the built-in identity suite")
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(
         func=cmd_selfcheck,
-        modules=("gfspace", "fourier", "subspace", "apcount", "improve", "selfcheck"),
+        modules=("gfspace", "fourier", "subspace", "improve", "selfcheck"),
     )
 
     # A flag that the chosen mode does not read is the subcommand's usage error.
@@ -509,11 +510,6 @@ def run(args: argparse.Namespace) -> int:
         return 1
 
 
-def dispatch(argv: list[str]) -> int:
-    args = parse(argv)
-    return args if isinstance(args, int) else run(args)
-
-
 def _load_modules(args) -> None:
     """Import the ap3 modules that the job runs in two passes over them, in
     the dependency order of the subcommand's `modules`: compile each, then
@@ -543,7 +539,8 @@ def _load_modules(args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     if argv is not None:
-        return dispatch(list(argv))
+        args = parse(list(argv))
+        return args if isinstance(args, int) else run(args)
     # The program's own run.  It loads the job's modules, compiled before
     # numpy loads, and then freezes the objects they leave tracked, which
     # shutdown would otherwise spend ~20 ms collecting; all after parsing,

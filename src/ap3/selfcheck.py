@@ -1,17 +1,39 @@
 """Selfcheck: the built-in identity suite on small instances, run by
-`ap3 selfcheck`.  Only that subcommand imports this module."""
+`ap3 selfcheck`, and `t3_restricted`, the pair-enumeration oracle that the
+suite and the tests check counts against.  No other ap3 module imports
+this one."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from . import apcount, fourier, improve
+from . import fourier, improve
 from . import subspace as sub
-from .gfspace import DensityFunction, GroupParams, PointSet, scale_map
+from .gfspace import DensityFunction, GroupParams, PointSet, combine, scale_map
+
+
+def t3_restricted(f: DensityFunction, u: PointSet, v: PointSet, w: PointSet) -> float:
+    """T3(f|U,V,W) = sum over m in U, m+d in V, m+2d in W of the product.
+
+    Computed over the free pair (y, z) = (m+d, m+2d) with m = 2y - z.
+    """
+    params = f.params
+    if u.params != params or v.params != params or w.params != params:
+        raise ValueError("mismatched group parameters")
+    if not u.members or not v.members or not w.members:
+        return 0.0
+    y = np.array(v.members, dtype=np.int64)
+    z = np.array(w.members, dtype=np.int64)
+    x = combine(2, y[:, None], -1, z[None, :], params)
+    keep = u.mask()[x]
+    vals = f.values
+    terms = vals[x] * vals[y][:, None] * vals[z][None, :] * keep
+    return math.fsum(terms.ravel())
 
 
 def _random_density(params: GroupParams, rng: random.Random) -> DensityFunction:
@@ -53,7 +75,7 @@ def selfcheck_checks() -> list[dict]:
         # density; and the one count on an indicator's float values against
         # its exact count of the mask.
         full = PointSet(params, tuple(range(params.size)))
-        direct = apcount.t3_restricted(f, full, full, full) / params.size**2
+        direct = t3_restricted(f, full, full, full) / params.size**2
         spectral = np.sum(coeffs**2 * coeffs[scale_map(p, n, p - 2)]) / params.size**3
         diff = abs(spectral - direct)
         record(f"lambda3_identity_p{p}_n{n}", diff < 1e-9, f"diff={diff:.3g}")
@@ -99,7 +121,7 @@ def selfcheck_checks() -> list[dict]:
             counts = improve.case_counts(params.size, params.size - s_size)
             for rows in itertools.product((w_set, t_set), repeat=3):
                 j = sum(r is t_set for r in rows)
-                ok &= apcount.t3_restricted(ones, *rows) == counts[j]
+                ok &= t3_restricted(ones, *rows) == counts[j]
         record(f"closed_forms_p{p}_n{n}", ok)
 
     # Coset-averaging spectrum support.

@@ -12,9 +12,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ap3 import apcount, fourier, improve, rounding, search
+from ap3 import fourier, improve, rounding, search
 from ap3 import subspace as sub
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
+from ap3.selfcheck import t3_restricted
 
 from conftest import all_subspaces, chunked_t3, lambda3, row_of, spectral_lambda3, subprocess_env
 
@@ -158,7 +159,7 @@ def test_criterion_05_coset_decomposition_sum():
         u3 = combine(-1, u1, 2, u2, params)
         first, middle = np.indices(u3.shape)
         triples = zip(first.ravel(), middle.ravel(), pos[u3].ravel())
-        total = sum(apcount.t3_restricted(ones, *(parts[i] for i in t)) for t in triples)
+        total = sum(t3_restricted(ones, *(parts[i] for i in t)) for t in triples)
         ok &= total == total_direct
     verdict(5, "coset-decomposition count, 50 cases incl. self-orthogonal W", ok)
 
@@ -263,9 +264,9 @@ def test_criterion_10_varnavides_bound():
     ok = True
     for _ in range(100):
         s = PointSet.from_mask(params, rng.random(9) < rng.random())
-        rep = apcount.varnavides_estimate(s, 1, exhaustive=True)
+        rep = sub.varnavides_estimate(s, 1, exhaustive=True)
         ok &= rep.certified_lower_bound_exact <= fourier.count_raw(s) - len(s)
-    full = apcount.varnavides_estimate(
+    full = sub.varnavides_estimate(
         PointSet(params, tuple(range(9))), 1, exhaustive=True
     )
     ok &= full.dense_coset_fraction == 1.0

@@ -1,3 +1,7 @@
+"""The 3-AP counts of `fourier`, the Varnavides estimator
+`subspace.varnavides_estimate`, and `selfcheck.t3_restricted`, the
+pair-enumeration oracle that the counts are checked against."""
+
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -5,10 +9,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ap3.apcount import t3_restricted, varnavides_estimate
 from ap3.fourier import count_raw, triple_counts
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
 from ap3 import fourier, search, subspace as sub
+from ap3.selfcheck import t3_restricted
+from ap3.subspace import varnavides_estimate
 
 from conftest import (
     all_subspaces,

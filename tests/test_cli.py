@@ -13,8 +13,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ap3 import apcount, cli, fourier, rounding, search, subspace as sub
-from ap3.cli import HASH_CHUNK, _file_sha256, _write_json, dispatch
+from ap3 import cli, fourier, rounding, search, subspace as sub
+from ap3.cli import HASH_CHUNK, _file_sha256, _write_json, main
 from ap3.gfspace import (
     DensityFunction,
     GroupParams,
@@ -58,7 +58,7 @@ def cap_set(tmp_path):
 
 
 def run(args, tmp_path):
-    return dispatch(args + ["--output-dir", str(tmp_path / "out")])
+    return main(args + ["--output-dir", str(tmp_path / "out")])
 
 
 # The `ap3` console script's call (pyproject: ap3.cli:main), for `python -c`.
@@ -150,7 +150,7 @@ class TestWriteJson:
             search.exhaustive_min(GroupParams(3, 2), 0.444),
             search.local_min(params, 0.3, 2, 4, 5),
             sub.structure_report(cap, 1),
-            apcount.varnavides_estimate(cap, 1, exhaustive=True),
+            sub.varnavides_estimate(cap, 1, exhaustive=True),
         ]
         for payload in payloads:
             self.check(payload, tmp_path)
@@ -321,9 +321,9 @@ def golden_report(name):
     if name == "structure_max_codim":
         return sub.structure_report(cap, 2)  # the best W is {0}
     if name == "varnavides_exhaustive":
-        return apcount.varnavides_estimate(cap, 1, exhaustive=True)
+        return sub.varnavides_estimate(cap, 1, exhaustive=True)
     s = PointSet(p33, (0, 1, 3, 4, 9, 13, 26))
-    return apcount.varnavides_estimate(s, 2, samples=5, seed=1)
+    return sub.varnavides_estimate(s, 2, samples=5, seed=1)
 
 
 class TestReportGoldens:
@@ -594,7 +594,7 @@ class TestNumericFlags:
         # file no --output-dir, and the default delta has no --c-p knob.
         out = str(tmp_path / "out")
         argv = [{"IN": half_density, "SET": cap_set, "OUT": out}.get(a, a) for a in argv]
-        assert dispatch(argv) == 2
+        assert main(argv) == 2
         assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
@@ -615,7 +615,12 @@ class TestImportBudget:
     package imports through secrets and hmac: jobs that draw random numbers
     use the standard library's `random.Random`.  None loads `dataclasses`, whose
     classes each compile their methods at import, nor `logging` unless
-    --log-level is other than its default WARNING."""
+    --log-level is other than its default WARNING.  Only the subcommands
+    that report or check exact fractions (`search`, `varnavides`,
+    `selfcheck`) load `fractions`, which loads `decimal`: 0.3-0.5 MB of
+    peak RSS on top of numpy's."""
+
+    NO_FRACTIONS = ("count", "spectrum", "average", "improve", "round", "structure")
 
     SCRIPT = (
         "import json, sys\n"
@@ -626,12 +631,14 @@ class TestImportBudget:
         "banned = {'numpy.random', 'secrets', '_hashlib', 'logging', 'dataclasses'}\n"
         "banned = sorted(banned & set(sys.modules))\n"
         "fft, numpy = 'numpy.fft' in sys.modules, 'numpy' in sys.modules\n"
-        "print(json.dumps([code, sorted(before), sorted(loaded() - before), banned, fft, numpy]))\n"
+        "fractions = 'fractions' in sys.modules\n"
+        "new = sorted(loaded() - before)\n"
+        "print(json.dumps([code, sorted(before), new, banned, fft, numpy, fractions]))\n"
     )
 
     def job(self, argv, half_density, cap_set, tmp_path):
         """(exit code, ap3 modules loaded by import, by the job, banned,
-        whether numpy.fft is loaded, whether numpy is loaded, stderr)."""
+        whether numpy.fft, numpy and fractions are loaded, stderr)."""
         inputs = {"IN": half_density, "SET": cap_set}
         argv = [inputs.get(a, a) for a in argv]
         if argv[0] != "selfcheck":  # which writes no files, so takes no --output-dir
@@ -662,10 +669,7 @@ class TestImportBudget:
             ),
             (
                 ["selfcheck"],
-                [
-                    "ap3.apcount", "ap3.fourier", "ap3.gfspace", "ap3.improve", "ap3.selfcheck",
-                    "ap3.subspace",
-                ],
+                ["ap3.fourier", "ap3.gfspace", "ap3.improve", "ap3.selfcheck", "ap3.subspace"],
             ),
             (
                 ["search", "--p", "3", "--n", "2", "--alpha", "0.3", "--restarts", "1"],
@@ -677,27 +681,31 @@ class TestImportBudget:
             ),
             (
                 ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],
-                ["ap3.apcount", "ap3.fourier", "ap3.gfspace", "ap3.subspace"],
+                ["ap3.fourier", "ap3.gfspace", "ap3.subspace"],
             ),
             (
                 ["varnavides", "--input", "SET", "--m-dim", "1", "--samples", "3"],
-                ["ap3.apcount", "ap3.fourier", "ap3.gfspace", "ap3.subspace"],
+                ["ap3.fourier", "ap3.gfspace", "ap3.subspace"],
             ),
             (
                 ["varnavides", "--input", "SET", "--m-dim", "1", "--samples", "3", "--seed", "4"],
-                ["ap3.apcount", "ap3.fourier", "ap3.gfspace", "ap3.subspace"],
+                ["ap3.fourier", "ap3.gfspace", "ap3.subspace"],
             ),
             (["--help"], []),
         ],
     )
     def test_modules_loaded(self, half_density, cap_set, tmp_path, argv, added):
-        code, before, new, banned, fft, numpy, _ = self.job(argv, half_density, cap_set, tmp_path)
+        code, before, new, banned, fft, numpy, fractions, _ = self.job(
+            argv, half_density, cap_set, tmp_path
+        )
         assert code == 0
         assert before == ["ap3", "ap3.cli"]
         assert new == added
         assert banned == []
         assert fft == ("ap3.fourier" in added)
         assert numpy == ("ap3.gfspace" in added)
+        if argv[0] in self.NO_FRACTIONS:
+            assert not fractions
 
     @pytest.mark.parametrize(
         "argv, error",
@@ -720,7 +728,7 @@ class TestImportBudget:
         ids=["count-help", "unknown-flag", "epsilon-0", "negative-digit", "unread-seed"],
     )
     def test_parsing_loads_no_numpy(self, half_density, cap_set, tmp_path, argv, error):
-        code, _, new, _, _, numpy, err = self.job(argv, half_density, cap_set, tmp_path)
+        code, _, new, _, _, numpy, _, err = self.job(argv, half_density, cap_set, tmp_path)
         assert (code, new, numpy) == (0 if error is None else 2, [], False)
         assert err.splitlines()[-1:] == ([error] if error else [])
 
@@ -736,8 +744,8 @@ class TestProgramPath:
     """`main()` with no argv is the `ap3` program: after parsing it compiles
     the ap3 modules that the job runs, then executes them (`gfspace`, which
     imports numpy, first) and freezes the garbage collector, then runs as
-    `dispatch(sys.argv[1:])` does, byte for byte, and flushes stdout.
-    `main(argv)` and `dispatch`, called in-process, never freeze."""
+    `main(sys.argv[1:])` does, byte for byte, and flushes stdout.
+    `main(argv)`, called in-process, never freezes."""
 
     def program(self, argv, cwd, stdout=subprocess.PIPE, unbuffered=True, **kwargs):
         env = dict(subprocess_env(), COLUMNS="100")
@@ -766,7 +774,7 @@ class TestProgramPath:
         proc = self.program(argv, tmp_path / "program")
         monkeypatch.chdir(tmp_path / "library")
         monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help to the terminal
-        assert dispatch(argv) == proc.returncode == code
+        assert main(argv) == proc.returncode == code
         got = capsys.readouterr()
         assert (proc.stdout, proc.stderr) == (got.out, got.err)
 
@@ -887,7 +895,7 @@ class TestProgramPath:
 
     def test_library_calls_do_not_freeze(self, half_density, tmp_path):
         argv = ["count", "--input", half_density, "--output-dir", str(tmp_path / "out")]
-        assert cli.main(argv) == dispatch(argv) == 0
+        assert cli.main(argv) == 0
         assert cli.main(["--bogus"]) == 2
         assert gc.get_freeze_count() == 0
 
@@ -1239,7 +1247,7 @@ class TestRound:
         src = tmp_path / "j.apf"
         save_density(DensityFunction(params, rng.random(27)), str(src))
         for sub_dir in ["a", "b"]:
-            dispatch(
+            main(
                 [
                     "round", "--input", str(src), "--seed", "11",
                     "--output-dir", str(tmp_path / sub_dir),
@@ -1270,7 +1278,7 @@ class TestRecordedSeed:
         argv = [inputs.get(a, a) for a in argv]
 
         def once(extra, out):
-            assert dispatch(argv + extra + ["--output-dir", str(out)]) == 0
+            assert main(argv + extra + ["--output-dir", str(out)]) == 0
             seed = json.loads((out / f"{argv[0]}_manifest.json").read_text())["seed"]
             files = {
                 f.name: f.read_bytes() for f in out.iterdir() if not f.name.endswith("_manifest.json")
@@ -1424,12 +1432,12 @@ class TestVarnavides:
 
 class TestSelfcheck:
     def test_passes(self, capsys):
-        assert dispatch(["selfcheck"]) == 0
+        assert main(["selfcheck"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
     def test_json_payload(self, capsys):
-        assert dispatch(["selfcheck", "--json"]) == 0
+        assert main(["selfcheck", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         validate(payload, "selfcheck_report")
         assert all(c["passed"] for c in payload["checks"])

@@ -18,7 +18,8 @@ from ap3.improve import (
     delta_from_epsilon,
     select_v_prime,
 )
-from ap3 import apcount, fourier, subspace as sub
+from ap3 import fourier, subspace as sub
+from ap3.selfcheck import t3_restricted
 from ap3.cli import _write_json
 
 from conftest import case_columns, digit_table, planted_density, random_density
@@ -239,8 +240,8 @@ class TestConstructG:
             cosets = coset_sets(params, rows)
             for reps, base, lhs in zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist()):
                 u1, u2, u3 = (cosets[r] for r in reps)
-                assert base == apcount.t3_restricted(fw, u1, u2, u3)
-                assert lhs == apcount.t3_restricted(g, u1, u2, u3)
+                assert base == t3_restricted(fw, u1, u2, u3)
+                assert lhs == t3_restricted(g, u1, u2, u3)
             v_prime = PointSet(params, tuple(rows[in_vp, 0].tolist()))
             inside = np.count_nonzero(cases.all_in_v_prime)
             assert inside == table.t3_inside == fourier.count_raw(v_prime)
@@ -285,8 +286,8 @@ class TestConstructG:
         assert len(cases.reps) == len(rows) ** 2
         for reps, base, lhs in zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist()):
             u1, u2, u3 = (cosets[r] for r in reps)
-            assert base == apcount.t3_restricted(fw, u1, u2, u3)
-            assert lhs == apcount.t3_restricted(g, u1, u2, u3)
+            assert base == t3_restricted(fw, u1, u2, u3)
+            assert lhs == t3_restricted(g, u1, u2, u3)
 
 
 class TestAuditAtScale:
@@ -360,8 +361,8 @@ class TestAuditAtScale:
         picks = rng.choice(len(others), size=min(8, len(others)), replace=False)
         for k in np.concatenate([inside, others[picks]]):
             u1, u2, u3 = (cosets[r] for r in cases.reps[k].tolist())
-            assert cases.base[k] == apcount.t3_restricted(fw, u1, u2, u3)
-            assert cases.lhs[k] == apcount.t3_restricted(g, u1, u2, u3)
+            assert cases.base[k] == t3_restricted(fw, u1, u2, u3)
+            assert cases.lhs[k] == t3_restricted(g, u1, u2, u3)
 
     def test_table_memory_is_per_block(self):
         # 59049 cases: the audit and the report writer each hold one block
