@@ -211,11 +211,12 @@ def cmd_count(args) -> int:
     f = load_density(args.input)
     _write_manifest(args, [args.input])
     # An indicator is counted as a mask, exactly; any other density as floats.
-    x = f.values > 0.0 if f.is_indicator else f.values
+    indicator = f.is_indicator
+    x = f.values > 0.0 if indicator else f.values
     raw = fourier.triple_counts(x, f.params)[0].item()
     print(f"lambda3={raw / f.params.size**2:.17g}")
     print(f"t3_raw={float(raw):.17g}")
-    if f.is_indicator:
+    if indicator:
         print(f"t3_nontrivial={raw - int(x.sum())}")
     return 0
 

@@ -154,11 +154,11 @@ class DensityFunction:
         vals = np.ascontiguousarray(values, dtype=np.float64)
         if vals.shape != (params.size,):
             raise ValueError(f"expected {params.size} values, got shape {vals.shape}")
-        finite = np.isfinite(vals)
-        if not finite.all():
-            raise ValueError(f"non-finite value at index {int(np.argmin(finite))}")
         lo, hi = vals.min(), vals.max()
-        if lo < -RANGE_SLACK or hi > 1.0 + RANGE_SLACK:
+        if not (-RANGE_SLACK <= lo and hi <= 1.0 + RANGE_SLACK):  # also true for NaN
+            finite = np.isfinite(vals)
+            if not finite.all():
+                raise ValueError(f"non-finite value at index {int(np.argmin(finite))}")
             raise ValueError(f"values outside [0,1]: min={lo!r} max={hi!r}")
         if lo < 0.0 or hi > 1.0:  # -0.0 passes, as np.clip would keep it
             vals = np.clip(vals, 0.0, 1.0)
@@ -178,7 +178,8 @@ class DensityFunction:
 
 
 class PointSet:
-    """A subset of F_p^n as a sorted tuple of element indices."""
+    """A subset of F_p^n as a sorted tuple of element indices.  PointSets
+    compare by identity; compare `params` and `members` for equality."""
 
     def __init__(self, params: GroupParams, members: tuple[int, ...]) -> None:
         members = tuple(sorted({int(i) for i in members}))
@@ -186,14 +187,6 @@ class PointSet:
             if not 0 <= i < params.size:
                 raise ValueError(f"member {i} out of range [0, {params.size})")
         self.params, self.members = params, members
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PointSet):
-            return NotImplemented
-        return (self.params, self.members) == (other.params, other.members)
-
-    def __hash__(self) -> int:
-        return hash((self.params, self.members))
 
     @classmethod
     def from_mask(cls, params: GroupParams, mask: np.ndarray) -> "PointSet":
@@ -287,7 +280,7 @@ def _read_density(fh, path: str) -> tuple[GroupParams, np.ndarray | None]:
             count = end
     except ValueError:  # a bad token, or a non-ASCII byte
         return params, None
-    if count == size and ((values >= 0.0) & (values <= 1.0)).all():  # false for NaN
+    if count == size and 0.0 <= values.min() and values.max() <= 1.0:  # false for NaN
         return params, values
     return params, None
 

@@ -51,9 +51,9 @@ def repair(j0: DensityFunction, target_mean: float) -> DensityFunction:
     """Flip the lowest-index zeros to 1 until the mean reaches target_mean."""
     if target_mean > 1.0 + 1e-12:
         raise ValueError(f"target_mean {target_mean} exceeds 1")
-    vals = np.array(j0.values)
-    if not np.all((vals == 0.0) | (vals == 1.0)):
+    if not j0.is_indicator:
         raise ValueError("repair requires a 0/1-valued input")
+    vals = np.array(j0.values)
     n = j0.params.size
     # ceil with a guard so an exactly-met target never flips a point
     need = max(0, math.ceil(target_mean * n - 1e-9))

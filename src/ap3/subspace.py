@@ -319,6 +319,13 @@ def count_subspaces(params: GroupParams, dim: int) -> int:
     return num // den
 
 
+def _refuse_cyclic(params: GroupParams) -> None:
+    """A per-set subgroup scan has nothing to scan on F_p^1."""
+    if params.n == 1:
+        p = params.p
+        raise ValueError(f"n = 1: F_{p}^1 = Z_{p} has no subspaces except 0 and Z_{p}")
+
+
 def structure_report(s: PointSet, max_codim: int) -> SimpleNamespace:
     """For each subspace W of codimension <= max_codim, choose A by per-coset
     majority vote and measure |S delta (A+W)|; return the minimizing W's row
@@ -330,6 +337,7 @@ def structure_report(s: PointSet, max_codim: int) -> SimpleNamespace:
     """
     params = s.params
     n = params.n
+    _refuse_cyclic(params)
     if not 0 <= max_codim <= n:
         raise ValueError(f"max_codim={max_codim} out of range [0, {n}]")
     budget = sum(count_subspaces(params, n - c) for c in range(max_codim + 1))
@@ -421,6 +429,7 @@ def varnavides_estimate(
 
     params = s.params
     p, n = params.p, params.n
+    _refuse_cyclic(params)
     if not 1 <= m_dim <= n:
         raise ValueError(f"m_dim={m_dim} out of range [1, {n}]")
     if not exhaustive and samples < 1:

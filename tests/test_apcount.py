@@ -347,6 +347,12 @@ class TestVarnavides:
         with pytest.raises(ValueError, match="seed -7"):
             varnavides_estimate(s, 1, samples=3, seed=-7)
 
+    @pytest.mark.parametrize("exhaustive", [True, False])
+    def test_refuses_cyclic_group(self, exhaustive):
+        s = PointSet(GroupParams(7, 1), (0, 1, 3))
+        with pytest.raises(ValueError, match=r"F_7\^1 = Z_7 has no subspaces except 0 and Z_7"):
+            varnavides_estimate(s, 1, samples=1, exhaustive=exhaustive)
+
     def test_rejects_bad_m(self):
         params = GroupParams(3, 2)
         with pytest.raises(ValueError):

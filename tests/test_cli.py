@@ -402,6 +402,29 @@ class TestCount:
         bad.write_text("3 1\n1 7 0\n")
         assert run(["count", "--input", str(bad)], tmp_path) == 1
 
+    @pytest.mark.parametrize(
+        "argv, name, text, error",
+        [
+            (
+                ["count"], "f.apf", "x 1\n0 0 0\n",
+                "f.apf:1: non-integer header field: invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                ["structure", "--max-codim", "1"], "f.aps", "x 2\n0\n",
+                "f.aps:1: non-integer header field: invalid literal for int() with base 10: 'x'",
+            ),
+            (["structure", "--max-codim", "1"], "empty.aps", "", "empty.aps:1: empty file"),
+        ],
+        ids=["apf-header", "aps-header", "empty-aps"],
+    )
+    def test_input_error_is_one_line(self, tmp_path, capsys, monkeypatch, argv, name, text, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(text)
+        assert run([argv[0], "--input", name, *argv[1:]], tmp_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ap3: error: {error}\n"
+
     def test_directory_input(self, tmp_path, capsys):
         assert run(["count", "--input", str(tmp_path)], tmp_path) == 1
         err = capsys.readouterr().err
@@ -957,13 +980,17 @@ class TestMemoryBudget:
     """Like TestImportBudget for memory: the 3^10 spectrum and average jobs
     and a count on Z_4001 peak within MARGIN_MB of the start-up that every
     job pays, and a planted improve job within IMPROVE_MARGIN_MB.  That
-    start-up is `ap3 --help` after `import ap3.gfspace`, which loads numpy:
-    `ap3 --help` alone loads neither.  Measured
-    on a 2-core x86-64 VM (Python 3.11.7, numpy 2.4.6, no bytecode cache),
-    a job over that start-up: spectrum +1.4-1.6 MB, average +0.9-1.1 MB
-    and the Z_4001 count (`fourier.triple_counts` on the set's mask)
-    +0.3-0.6 MB with the job's modules compiled before numpy loads
-    (+1.9-2.2, +1.8-2.0 and +0.9-1.0 MB with each compiled after it),
+    start-up is `ap3 --help` after `import ap3.cli, ap3.gfspace`, which
+    compiles `cli` and then loads numpy, in the order every job does:
+    `ap3 --help` alone loads neither.  Measured on a 2-core x86-64 VM
+    (Python 3.11.7, numpy 2.4.6, no bytecode cache), a job over that
+    start-up: spectrum +2.5-2.6 MB, average +1.8-2.0 MB and the Z_4001
+    count (`fourier.triple_counts` on the set's mask) +1.5-1.7 MB.  The
+    figures that follow are over an older start-up that compiled `cli`
+    after numpy and peaked 0.7 MB higher: spectrum +1.4-1.6 MB, average
+    +0.9-1.1 MB and count +0.3-0.6 MB with the job's modules compiled
+    before numpy loads (+1.9-2.2, +1.8-2.0 and +0.9-1.0 MB with each
+    compiled after it),
     in-place FFTs, averaging that lays out one block of cosets at a time
     and a spectrum export sorted in Python (average +2.5-2.6 and spectrum
     +2.1-2.4 MB with the whole coset layout and numpy's lexsort).  The
@@ -975,10 +1002,11 @@ class TestMemoryBudget:
 
     MARGIN_MB = 2.9
     # `ap3 improve` on planted 3^8 with k = 5 audits |T|^2 = 59049 cases:
-    # +2.1-2.4 MB over the start-up with its modules compiled before numpy
-    # loads (+2.9-3.0 MB compiled after it) and the case table computed a
-    # block at a time, +13.1-13.5 MB when it held every case as arrays and
-    # the report was formatted a whole column at a time.
+    # +3.3-3.5 MB over the start-up.  Over the older start-up: +2.1-2.4 MB
+    # with its modules compiled before numpy loads (+2.9-3.0 MB compiled
+    # after it) and the case table computed a block at a time, +13.1-13.5
+    # MB when it held every case as arrays and the report was formatted a
+    # whole column at a time.
     IMPROVE_MARGIN_MB = 4.0
     # Jobs start from this small process, not from pytest: on Linux a
     # child's ru_maxrss counts the memory of the process it was forked from.
@@ -988,8 +1016,9 @@ class TestMemoryBudget:
         "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
     )
 
-    # The start-up: what `ap3 --help` loaded before it loaded no numpy.
-    STARTUP = "import ap3.gfspace; " + PROGRAM
+    # The start-up: `ap3 --help` after what every job loads, `cli`
+    # compiled before `gfspace` brings in numpy, as a job compiles it.
+    STARTUP = "import ap3.cli, ap3.gfspace; " + PROGRAM
 
     def peak_mb(self, argv, cwd, program=PROGRAM):
         """Least peak RSS of three runs, which sheds the host's noise."""
@@ -1399,6 +1428,24 @@ class TestStructure:
             report = json.load(fh)
         validate(report, "structure_report")
 
+    def test_max_codim_above_n_is_domain_error(self, tmp_path, capsys):
+        # Whether --max-codim fits depends on the input's n, so it is
+        # checked after the input is read.
+        save_set(PointSet(GroupParams(3, 4), (0, 1)), str(tmp_path / "s.aps"))
+        argv = ["structure", "--input", str(tmp_path / "s.aps"), "--max-codim", "9"]
+        assert run(argv, tmp_path) == 1
+        assert capsys.readouterr().err == "ap3: error: max_codim=9 out of range [0, 4]\n"
+
+    def test_cyclic_group_is_domain_error(self, tmp_path, capsys):
+        save_set(PointSet(GroupParams(7, 1), (0, 1, 3)), str(tmp_path / "z7.aps"))
+        argv = ["structure", "--input", str(tmp_path / "z7.aps"), "--max-codim", "1"]
+        assert run(argv, tmp_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "ap3: error: n = 1: F_7^1 = Z_7 has no subspaces except 0 and Z_7\n"
+        )
+
 
 class TestVarnavides:
     def test_exhaustive(self, cap_set, tmp_path, capsys):
@@ -1422,6 +1469,17 @@ class TestVarnavides:
         # after the input is read.
         assert run(["varnavides", "--input", cap_set, "--m-dim", "3"], tmp_path) == 1
         assert capsys.readouterr().err == "ap3: error: m_dim=3 out of range [1, 2]\n"
+
+    @pytest.mark.parametrize("mode", [["--exhaustive"], ["--samples", "3", "--seed", "1"]])
+    def test_cyclic_group_is_domain_error(self, tmp_path, capsys, mode):
+        save_set(PointSet(GroupParams(7, 1), (0, 1, 3)), str(tmp_path / "z7.aps"))
+        argv = ["varnavides", "--input", str(tmp_path / "z7.aps"), "--m-dim", "1", *mode]
+        assert run(argv, tmp_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "ap3: error: n = 1: F_7^1 = Z_7 has no subspaces except 0 and Z_7\n"
+        )
 
     def test_bad_samples_before_missing_input(self, tmp_path, capsys):
         # A usage error is reported before the input is read.

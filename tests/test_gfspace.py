@@ -249,8 +249,7 @@ class TestDensityFunction:
         assert vals.flags.writeable and vals[0] < 0.0
 
     def test_construction_peak_memory(self, rng):
-        # At 3^10 an in-range float64 array is checked, not copied: the
-        # isfinite mask (1/8 of the values) is the only allocation.
+        # At 3^10 an in-range float64 array is checked, not copied.
         vals = rng.random(3**10)
         tracemalloc.start()
         try:
@@ -260,6 +259,42 @@ class TestDensityFunction:
             tracemalloc.stop()
         assert f.values is vals
         assert peak <= 0.25 * vals.nbytes
+
+    def test_in_range_check_allocates_no_array(self, rng):
+        # One min() and one max() check range and finiteness; the isfinite
+        # mask is built only to name the index of a failure.
+        vals = rng.random(3**10)
+        tracemalloc.start()
+        try:
+            DensityFunction(GroupParams(3, 10), vals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8192
+
+    @pytest.mark.parametrize(
+        "vals, message",
+        [
+            ([0.0, np.nan, 1.0], "non-finite value at index 1"),
+            ([2.0, np.nan, 0.0], "non-finite value at index 1"),
+            ([-np.inf, 0.5, 2.0], "non-finite value at index 0"),
+            ([-0.5, 0.5, 1.5], "values outside [0,1]: min=np.float64(-0.5) max=np.float64(1.5)"),
+        ],
+        ids=["nan", "nan-before-range", "inf-before-range", "range"],
+    )
+    def test_validation_messages(self, vals, message):
+        # A non-finite value is named before a value outside [0, 1].
+        with pytest.raises(ValueError) as info:
+            DensityFunction(GroupParams(3, 1), np.array(vals))
+        assert str(info.value) == message
+
+
+class TestPointSet:
+    def test_compares_by_identity(self):
+        params = GroupParams(3, 1)
+        a, b = PointSet(params, (0, 1)), PointSet(params, (1, 0))
+        assert a != b and a == a and len({a, b}) == 2
+        assert (a.params, a.members) == (b.params, b.members)
 
 
 class TestExpectation:
@@ -367,6 +402,7 @@ class TestFiles:
             ("\n3 1\n0 0 0\n", ":1: header must be 'p n', got ''"),
             ("3\x1d1\n0 0 0\n", ":1: header must be 'p n', got '3'"),
             ("3 1\r\n0 0.5\r\n", ": body length 2 != p^n = 3"),
+            ("x 1\n0 0 0\n", ":1: non-integer header field: invalid literal for int() with base 10: 'x'"),
         ],
     )
     def test_header_line_errors(self, tmp_path, text, message):
@@ -399,6 +435,13 @@ class TestFiles:
         path.write_text("")
         with pytest.raises(FileFormatError) as info:
             load_density(str(path))
+        assert str(info.value) == f"{path}:1: empty file"
+
+    def test_empty_set_file(self, tmp_path):
+        path = tmp_path / "f.aps"
+        path.write_text("")
+        with pytest.raises(FileFormatError) as info:
+            load_set(str(path))
         assert str(info.value) == f"{path}:1: empty file"
 
     def test_save_golden_bytes(self, tmp_path):
@@ -474,8 +517,12 @@ class TestFiles:
             ("3 2\n0 5\n3 8\n", ":3: field 1: indices must be ascending"),
             ("3 2\n0\n1 2\n\n4 9\n", ":5: field 2: index 9 out of range"),
             ("3 2\n0\n1\n9\n", ":4: field 1: index 9 out of range"),
+            ("x 2\n0\n", ":1: non-integer header field: invalid literal for int() with base 10: 'x'"),
         ],
-        ids=["bad-token-line-3", "descending-across-lines", "after-blank-line", "range-line-4"],
+        ids=[
+            "bad-token-line-3", "descending-across-lines", "after-blank-line", "range-line-4",
+            "non-integer-header",
+        ],
     )
     def test_set_error_names_line_and_field(self, tmp_path, text, where):
         path = tmp_path / "s.aps"

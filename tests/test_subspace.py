@@ -589,6 +589,10 @@ class TestStructure:
         assert rep.symmetric_difference == 0
         assert rep.W.dim == 0
 
+    def test_refuses_cyclic_group(self):
+        with pytest.raises(ValueError, match=r"F_7\^1 = Z_7 has no subspaces except 0 and Z_7"):
+            structure_report(PointSet(GroupParams(7, 1), (0, 1, 3)), 0)
+
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(subspace, "DEFAULT_MAX_SUBSPACES", 3)
         with pytest.raises(ValueError, match="budget"):
