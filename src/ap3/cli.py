@@ -4,10 +4,11 @@ uniform file I/O, JSON reports, and a manifest per run.
 Exit codes: 0 success, 1 domain error (bad group, malformed, missing or
 unreadable file, or out of memory), 2 usage error (bad flags or flag values).
 A flag value invalid for every input (a negative --seed or generator digit,
---samples with --exhaustive, a flag the chosen mode does not read) is a
-usage error at parse time, before any input is read; one invalid only for
-this input (varnavides --m-dim above n, a generator not in F_p^n) is a
-domain error, and so is a bad group (search --p 4).
+a flag the chosen mode does not read, such as --samples with --exhaustive)
+is a usage error at parse time, before any input is read; one invalid only
+for this input (varnavides --m-dim above n, a generator not in F_p^n, a
+subgroup scan over the budget) is a domain error, and so is a bad group
+(search --p 4).
 
 A run has two steps, `parse` and `run`. Parsing loads neither numpy nor
 `gfspace`, so `--help` and every usage error finish without them; `run`
@@ -153,13 +154,14 @@ def _file_sha256(path: str) -> str:
 
 
 def _unread_flag(args) -> str | None:
-    """The usage error for a flag that the chosen mode does not read: --seed
-    on a run that draws nothing, and --restarts and --iters on exhaustive
-    search.  They default to None, so an explicit default value counts."""
+    """The usage error for a flag that the chosen mode does not read, the
+    one way a mode refuses a flag: --seed on a run that draws nothing, and
+    --restarts, --iters and --samples on an exhaustive run.  They default
+    to None, so an explicit default value counts."""
     if args.command == "improve" and not args.indicator:
         mode, unread = "without argument --indicator", ("seed",)
     elif args.command in ("search", "varnavides") and args.exhaustive:
-        mode, unread = "with argument --exhaustive", ("seed", "restarts", "iters")
+        mode, unread = "with argument --exhaustive", ("seed", "restarts", "iters", "samples")
     else:
         return None
     for dest in unread:
@@ -325,8 +327,9 @@ def cmd_varnavides(args) -> int:
 
     s = load_set(args.input)
     _write_manifest(args, [args.input])
+    samples = 100 if args.samples is None else args.samples
     report = sub.varnavides_estimate(
-        s, args.m_dim, samples=args.samples, seed=args.seed, exhaustive=args.exhaustive
+        s, args.m_dim, samples=samples, seed=args.seed, exhaustive=args.exhaustive
     )
     _write_json(report, _out(args, args.report))
     print(f"certified_lower_bound={report.certified_lower_bound:.17g}")
@@ -446,14 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--input", required=True)
     sp.add_argument("--m-dim", dest="m_dim", type=_positive_int, required=True)
-    how = sp.add_mutually_exclusive_group()
-    how.add_argument(
+    sp.add_argument(
         "--samples",
         type=_positive_int,
-        default=100,
-        help="subgroups to sample; the result estimates the bound and can exceed T3'(S)",
+        help="subgroups to sample (default 100); an estimate that can exceed T3'(S)",
     )
-    how.add_argument(
+    sp.add_argument(
         "--exhaustive", action="store_true", help="average over every subgroup: a certified bound"
     )
     sp.add_argument("--report", default="varnavides_report.json")
@@ -472,6 +473,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(message) -> int:
+    """Write the one-line error `ap3: error: <message>`; exit code 1."""
+    print(f"ap3: error: {message}", file=sys.stderr)
+    return 1
+
+
 def parse(argv: list[str]) -> argparse.Namespace | int:
     """The first step of a run: argv parsed and checked, or the exit code of
     a run that ends here (0 after help, 1 if help cannot be written, 2 on a
@@ -483,8 +490,7 @@ def parse(argv: list[str]) -> argparse.Namespace | int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     except OSError as exc:  # help that cannot be written
-        print(f"ap3: error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     args._argv = list(argv)
     args.seed = _resolve_seed(args)
     return args
@@ -492,8 +498,6 @@ def parse(argv: list[str]) -> argparse.Namespace | int:
 
 def run(args: argparse.Namespace) -> int:
     """The second step: run the subcommand that `parse` chose; its exit code."""
-    from .gfspace import FileFormatError
-
     if args.log_level != "WARNING":  # logging's default; nothing in ap3 logs
         import logging
 
@@ -503,12 +507,10 @@ def run(args: argparse.Namespace) -> int:
     except FileNotFoundError as exc:
         print(f"ap3: file not found: {exc.filename}", file=sys.stderr)
         return 1
-    except (FileFormatError, ValueError, RuntimeError, OSError) as exc:
-        print(f"ap3: error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, RuntimeError, OSError) as exc:  # gfspace's FileFormatError included
+        return _fail(exc)
     except MemoryError as exc:
-        print(f"ap3: error: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return 1
+        return _fail(str(exc) or "out of memory")
 
 
 def _load_modules(args) -> None:
@@ -562,8 +564,7 @@ def main(argv: list[str] | None = None) -> int:
         # Point stdout at /dev/null, or shutdown flushes the unwritten
         # output again and exits 120.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"ap3: error: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc)
     return code
 
 

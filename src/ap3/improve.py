@@ -20,7 +20,6 @@ from . import fourier
 from . import subspace as sub
 
 CHECK_TOL = 1e-9
-MEAN_TOL = 1e-12
 AGGREGATE_REL_TOL = 1e-6
 
 # The text json.dump(indent=2, sort_keys=True) writes around the values of
@@ -200,6 +199,14 @@ def select_v_prime(values: np.ndarray, epsilon: float) -> np.ndarray:
     return (epsilon / 4.0 <= values) & (values <= 1.0 - epsilon / 4.0)
 
 
+def s_columns(w_size: int, p: int, ell: int) -> np.ndarray:
+    """Mask of S's columns in a coset row of W's layout: S, the canonical
+    codim-ell subspace of W, drops W's first ell echelon rows, and column
+    c adds sum_j c_j b_j over those rows b_j, so S is the columns whose
+    ell low base-p digits are 0, c = 0 (mod p^ell)."""
+    return np.arange(w_size) % p**ell == 0
+
+
 def case_counts(w_size: int, t_size: int) -> np.ndarray:
     """N[j] = #{(c1, c2) in W^2: c1, c2 and c3 = 2 c2 - c1 each lie in their
     row's support}, for a case with j of its three rows supported on
@@ -306,20 +313,15 @@ def construct_g(
     in_vp = select_v_prime(means, epsilon)
     v_prime = rows[in_vp, 0].tolist()
 
-    # Column c of a coset row adds sum_j c_j b_j over W's echelon rows b_j,
-    # and S = the canonical codim-ell subspace drops the first ell of them:
-    # S is the columns whose ell low base-p digits are 0, and T = W \ S the rest.
-    s_cols = np.arange(rows.shape[1]) % p**ell == 0
+    s_cols = s_columns(rows.shape[1], p, ell)  # T = W \ S is the rest
     beta = 1.0 - float(p) ** (-ell)
 
     # g agrees with f_W off V'; on a V' coset it is beta^-1 f_W on the
     # T-part of the coset and 0 on the S-part.  f_W <= 1 - eps/4 on V' and
-    # beta >= 1 - eps/4, so g stays in [0,1].
-    scaled = means[in_vp] / beta
-    if np.any(scaled > 1.0 + MEAN_TOL):
-        raise ValueError("scaled coset value exceeds 1; V' selection violated")
+    # beta >= 1 - eps/4, so g stays in [0,1] up to rounding, which
+    # DensityFunction clips.
     g_vals = np.array(fw.values)
-    g_vals[rows[in_vp]] = np.where(s_cols, 0.0, np.minimum(scaled, 1.0)[:, None])
+    g_vals[rows[in_vp]] = np.where(s_cols, 0.0, (means[in_vp] / beta)[:, None])
     g = DensityFunction(params, g_vals)
     checks = audit_cases(fw, g, rows, in_vp, s_cols, epsilon)
 

@@ -101,16 +101,15 @@ def selfcheck_checks() -> list[dict]:
     eb = Fraction(len(s), size)
     record("complementation_exact", e1 + e2 == 1 - 3 * eb + 3 * eb**2)
 
-    # Subspace closed forms at p in {3, 5}.
+    # Subspace closed forms at p in {3, 5}, with S built as the improve
+    # pipeline builds it, on W = F_p^n, whose one coset row is 0..p^n - 1.
     for p, n in [(3, 3), (5, 2)]:
         params = GroupParams(p, n)
-        w = sub.full_space(params)
         ones = DensityFunction.constant(params, 1.0)
         w_set = PointSet(params, tuple(range(params.size)))
         ok = True
         for ell in range(1, n + 1):
-            s_mask = np.zeros(params.size, dtype=bool)
-            s_mask[sub.canonical_codim_subspace(w, ell).elements()] = True
+            s_mask = improve.s_columns(params.size, p, ell)
             t_set = PointSet.from_mask(params, ~s_mask)
             s_size = int(s_mask.sum())
             ok &= fourier.triple_counts(s_mask, params)[0] == s_size**2

@@ -1,7 +1,8 @@
 """GF(p) linear algebra: spans, orthogonal complements, coset layouts,
-coset averaging, canonical sub-subspace selection, and the two per-set
-subgroup scans: the coset-structure diagnostic for candidate minimizers
-and the Varnavides subgroup-averaging estimator.
+coset averaging, and the two per-set subgroup scans: the coset-structure
+diagnostic for candidate minimizers and the Varnavides subgroup-averaging
+estimator.  One guard, `_check_scan`, refuses either scan on F_p^1 and
+over more than DEFAULT_MAX_SUBSPACES subspaces.
 
 One builder, `coset_rows`, lays out every coset layout, whole
 (`coset_decomposition`, the structure scan) or a block of rows at a time
@@ -35,7 +36,7 @@ BLOCK_ELEMENTS = 2**14
 # one `coset_means` block gathers and turns into Python floats.
 COSET_BLOCK_ELEMENTS = 2**12
 
-# Most subspaces `structure_report` may enumerate.
+# Most subspaces that either per-set subgroup scan may enumerate.
 DEFAULT_MAX_SUBSPACES = 20000
 
 
@@ -101,10 +102,6 @@ class Subspace:
             "(" + ",".join(str(int(x)) for x in row) + ")" for row in self.basis
         )
         return f"dim {self.dim}; basis: {rows}" if self.dim else "dim 0; basis:"
-
-
-def full_space(params: GroupParams) -> Subspace:
-    return Subspace(params, np.eye(params.n, dtype=np.int64), tuple(range(params.n)))
 
 
 def _integer(x) -> int | None:
@@ -269,13 +266,6 @@ def average_over_cosets(f: DensityFunction, w: Subspace) -> DensityFunction:
     return DensityFunction(f.params, values)
 
 
-def canonical_codim_subspace(w: Subspace, ell: int) -> Subspace:
-    """Drop the first `ell` echelon rows of W (rows ordered by pivot column)."""
-    if not 0 <= ell <= w.dim:
-        raise ValueError(f"ell={ell} out of range [0, {w.dim}]")
-    return Subspace(w.params, w.basis[ell:], w.pivots[ell:])
-
-
 def subspace_blocks(
     params: GroupParams, dim: int
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
@@ -319,11 +309,21 @@ def count_subspaces(params: GroupParams, dim: int) -> int:
     return num // den
 
 
-def _refuse_cyclic(params: GroupParams) -> None:
-    """A per-set subgroup scan has nothing to scan on F_p^1."""
-    if params.n == 1:
-        p = params.p
+def _check_scan(
+    params: GroupParams, name: str, value: int, low: int, dims: Iterable[int]
+) -> None:
+    """Refuse a per-set subgroup scan, in this order: on F_p^1, which has
+    nothing to scan; with its parameter `name` = value outside [low, n];
+    and over more than DEFAULT_MAX_SUBSPACES subspaces of the dimensions
+    `dims`, which are read only once the range holds."""
+    p, n = params.p, params.n
+    if n == 1:
         raise ValueError(f"n = 1: F_{p}^1 = Z_{p} has no subspaces except 0 and Z_{p}")
+    if not low <= value <= n:
+        raise ValueError(f"{name}={value} out of range [{low}, {n}]")
+    total = sum(count_subspaces(params, dim) for dim in dims)
+    if total > DEFAULT_MAX_SUBSPACES:
+        raise ValueError(f"{total} subspaces to enumerate exceeds budget {DEFAULT_MAX_SUBSPACES}")
 
 
 def structure_report(s: PointSet, max_codim: int) -> SimpleNamespace:
@@ -337,14 +337,7 @@ def structure_report(s: PointSet, max_codim: int) -> SimpleNamespace:
     """
     params = s.params
     n = params.n
-    _refuse_cyclic(params)
-    if not 0 <= max_codim <= n:
-        raise ValueError(f"max_codim={max_codim} out of range [0, {n}]")
-    budget = sum(count_subspaces(params, n - c) for c in range(max_codim + 1))
-    if budget > DEFAULT_MAX_SUBSPACES:
-        raise ValueError(
-            f"{budget} subspaces to enumerate exceeds budget {DEFAULT_MAX_SUBSPACES}"
-        )
+    _check_scan(params, "max_codim", max_codim, 0, range(n - max_codim, n + 1))
 
     s_mask = s.mask()
     best = best_pos = None
@@ -429,9 +422,8 @@ def varnavides_estimate(
 
     params = s.params
     p, n = params.p, params.n
-    _refuse_cyclic(params)
-    if not 1 <= m_dim <= n:
-        raise ValueError(f"m_dim={m_dim} out of range [1, {n}]")
+    # `samples` bounds the sampled scan.
+    _check_scan(params, "m_dim", m_dim, 1, [m_dim] if exhaustive else ())
     if not exhaustive and samples < 1:
         raise ValueError("samples must be >= 1 unless exhaustive")
 

@@ -28,6 +28,19 @@ def digits_to_index(digits, params: GroupParams) -> int:
     return sum(int(d) % p * p**k for k, d in enumerate(digits))
 
 
+def full_space(params: GroupParams) -> sub.Subspace:
+    """F_p^n itself, spanned by the coordinate axes."""
+    return sub.Subspace(params, np.eye(params.n, dtype=np.int64), tuple(range(params.n)))
+
+
+def canonical_codim_subspace(w: sub.Subspace, ell: int) -> sub.Subspace:
+    """Drop the first `ell` echelon rows of W (rows ordered by pivot column):
+    the oracle for the S that `improve.s_columns` picks out of W's layout."""
+    if not 0 <= ell <= w.dim:
+        raise ValueError(f"ell={ell} out of range [0, {w.dim}]")
+    return sub.Subspace(w.params, w.basis[ell:], w.pivots[ell:])
+
+
 def all_subspaces(params: GroupParams, dim: int):
     """Every subspace of the given dimension, one Subspace at a time in the
     order of `subspace_blocks`: the oracle the batched paths are checked

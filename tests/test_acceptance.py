@@ -17,7 +17,15 @@ from ap3 import subspace as sub
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
 from ap3.selfcheck import t3_restricted
 
-from conftest import all_subspaces, chunked_t3, lambda3, row_of, spectral_lambda3, subprocess_env
+from conftest import (
+    all_subspaces,
+    canonical_codim_subspace,
+    chunked_t3,
+    lambda3,
+    row_of,
+    spectral_lambda3,
+    subprocess_env,
+)
 
 GRIDS = [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)]
 
@@ -115,7 +123,7 @@ def test_criterion_04_subspace_closed_forms():
             w_size = int(w_mask.sum())
             for ell in range(1, dim + 1):
                 s_mask = np.zeros(params.size, dtype=bool)
-                s_mask[sub.canonical_codim_subspace(w, ell).elements()] = True
+                s_mask[canonical_codim_subspace(w, ell).elements()] = True
                 t_mask = w_mask & ~s_mask
                 beta = Fraction(int(t_mask.sum()), w_size)
                 ok &= fourier.triple_counts(s_mask, params)[0] == (1 - beta) ** 2 * w_size**2

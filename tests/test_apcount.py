@@ -19,9 +19,11 @@ from conftest import (
     all_subspaces,
     brute_count,
     brute_lambda3,
+    canonical_codim_subspace,
     chunked_t3,
     digit_table,
     digits_to_index,
+    full_space,
     lambda3,
     random_density,
     random_indicator,
@@ -162,8 +164,8 @@ class TestRestricted:
     def test_translated_complement_cosets(self):
         # b_i + T for coset-AP triples: (2 beta^2 - beta)|W|^2
         params = GroupParams(3, 3)
-        w = sub.full_space(params)
-        s_sp = sub.canonical_codim_subspace(w, 1)
+        w = full_space(params)
+        s_sp = canonical_codim_subspace(w, 1)
         s_members = set(int(i) for i in s_sp.elements())
         t = PointSet(params, tuple(i for i in range(params.size) if i not in s_members))
         w_size = params.size
@@ -357,6 +359,22 @@ class TestVarnavides:
         params = GroupParams(3, 2)
         with pytest.raises(ValueError):
             varnavides_estimate(PointSet(params, (0,)), 3, samples=1)
+
+    def test_exhaustive_budget(self, monkeypatch):
+        # F_3^3 has 13 planes: the budget bounds the exhaustive scan only.
+        monkeypatch.setattr(sub, "DEFAULT_MAX_SUBSPACES", 12)
+        s = PointSet(GroupParams(3, 3), (0, 1, 5))
+        with pytest.raises(ValueError, match="^13 subspaces to enumerate exceeds budget 12$"):
+            varnavides_estimate(s, 2, exhaustive=True)
+        assert varnavides_estimate(s, 2, samples=20, seed=1).sampled_subgroups == 20
+
+    def test_errors_in_order(self, monkeypatch):
+        # F_p^1 before the range of m_dim, and the range before the budget.
+        monkeypatch.setattr(sub, "DEFAULT_MAX_SUBSPACES", 0)
+        with pytest.raises(ValueError, match="^n = 1: "):
+            varnavides_estimate(PointSet(GroupParams(7, 1), (0,)), 2, exhaustive=True)
+        with pytest.raises(ValueError, match=r"^m_dim=4 out of range \[1, 3\]$"):
+            varnavides_estimate(PointSet(GroupParams(3, 3), (0,)), 4, exhaustive=True)
 
 
 class TestTransformCount:

@@ -1352,6 +1352,20 @@ class TestRecordedSeed:
              "argument --iters: not allowed with argument --exhaustive"),
             (["varnavides", "--input", "IN", "--m-dim", "1", "--exhaustive", "--seed", "4"],
              "argument --seed: not allowed with argument --exhaustive"),
+            (["improve", "--seed", "5", "--input", "IN", "--epsilon", "1.0"],
+             "argument --seed: not allowed without argument --indicator"),
+            (["search", "--seed", "5", "--exhaustive"],
+             "argument --seed: not allowed with argument --exhaustive"),
+            (["search", "--iters", "3", "--exhaustive"],
+             "argument --iters: not allowed with argument --exhaustive"),
+            (["varnavides", "--input", "IN", "--m-dim", "1", "--seed", "4", "--exhaustive"],
+             "argument --seed: not allowed with argument --exhaustive"),
+            (["varnavides", "--input", "IN", "--m-dim", "1", "--exhaustive", "--samples", "3"],
+             "argument --samples: not allowed with argument --exhaustive"),
+            (["varnavides", "--input", "IN", "--m-dim", "1", "--samples", "3", "--exhaustive"],
+             "argument --samples: not allowed with argument --exhaustive"),
+            (["varnavides", "--input", "IN", "--m-dim", "1", "--samples", "100", "--exhaustive"],
+             "argument --samples: not allowed with argument --exhaustive"),
         ],
         ids=[
             "improve-seed",
@@ -1361,6 +1375,13 @@ class TestRecordedSeed:
             "search-exhaustive-abbreviated-restarts",
             "search-exhaustive-iters",
             "varnavides-exhaustive-seed",
+            "improve-seed-first",
+            "search-seed-exhaustive",
+            "search-iters-exhaustive",
+            "varnavides-seed-exhaustive",
+            "varnavides-exhaustive-samples",
+            "varnavides-samples-exhaustive",
+            "varnavides-default-samples-exhaustive",
         ],
     )
     def test_flag_the_mode_does_not_read_is_rejected(self, tmp_path, capsys, argv, error):
@@ -1373,6 +1394,14 @@ class TestRecordedSeed:
         assert err.endswith(f"ap3 {argv[0]}: error: {error}\n")
         assert err.count("error:") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_modes_refuse_flags_in_one_place(self):
+        # `_unread_flag` refuses every flag a mode does not read; no
+        # parser, top level or subcommand, has a mutually exclusive group.
+        parser = cli.build_parser()
+        (subs,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        for p in [parser, *subs.choices.values()]:
+            assert p._mutually_exclusive_groups == []
 
 
 class TestSearch:
@@ -1486,6 +1515,22 @@ class TestVarnavides:
         missing = str(tmp_path / "no.aps")
         assert run(["varnavides", "--input", missing, "--m-dim", "1", "--samples", "0"], tmp_path) == 2
         assert "--samples" in capsys.readouterr().err
+
+    def test_exhaustive_scan_over_budget_fails_fast(self, tmp_path, capsys):
+        # F_3^8 has 75913222 subspaces of dimension 4: the exhaustive scan
+        # is refused before it starts, as structure's is, and the sampled
+        # one, which --samples bounds, still runs.
+        path = str(tmp_path / "s8.aps")
+        save_set(PointSet(GroupParams(3, 8), tuple(range(0, 3**8, 7))), path)
+        argv = ["varnavides", "--input", path, "--m-dim", "4"]
+        start = time.monotonic()
+        assert run(argv + ["--exhaustive"], tmp_path) == 1
+        assert time.monotonic() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ap3: error: 75913222 subspaces to enumerate exceeds budget 20000\n"
+        assert run(argv + ["--samples", "2", "--seed", "1"], tmp_path) == 0
+        assert capsys.readouterr().out.startswith("certified_lower_bound=")
 
 
 class TestSelfcheck:

@@ -16,13 +16,20 @@ from ap3.improve import (
     choose_ell,
     construct_g,
     delta_from_epsilon,
+    s_columns,
     select_v_prime,
 )
 from ap3 import fourier, subspace as sub
 from ap3.selfcheck import t3_restricted
 from ap3.cli import _write_json
 
-from conftest import case_columns, digit_table, planted_density, random_density
+from conftest import (
+    canonical_codim_subspace,
+    case_columns,
+    digit_table,
+    planted_density,
+    random_density,
+)
 
 SCHEMA_PATH = os.path.join(
     os.path.dirname(__file__), "..", "src", "ap3", "schemas", "reports.schema.json"
@@ -36,7 +43,7 @@ def audit_inputs(f, report):
     to audit_cases."""
     rows = sub.coset_decomposition(report.W)
     in_vp = np.isin(rows[:, 0], report.V_prime)
-    s_cols = np.isin(rows[0], sub.canonical_codim_subspace(report.W, report.ell).elements())
+    s_cols = np.isin(rows[0], canonical_codim_subspace(report.W, report.ell).elements())
     return sub.average_over_cosets(f, report.W), rows, in_vp, s_cols
 
 
@@ -130,6 +137,20 @@ class TestSelectVPrime:
     def test_endpoints_inclusive(self):
         mask = select_v_prime(np.array([0.25, 0.75, 0.1]), 1.0)
         assert mask.tolist() == [True, True, False]
+
+
+class TestSColumns:
+    @pytest.mark.parametrize("p, n", [(3, 3), (5, 2), (3, 4)])
+    def test_is_the_canonical_codim_subspace(self, p, n, rng):
+        # The rule construct_g and selfcheck build S by, against the
+        # subspace it stands for: W without its first ell echelon rows.
+        params = GroupParams(p, n)
+        for _ in range(6):
+            w = sub.span(params, rng.integers(0, p, size=(n - 1, n)).tolist())
+            rows = sub.coset_decomposition(w)
+            for ell in range(w.dim + 1):
+                oracle = np.isin(rows[0], canonical_codim_subspace(w, ell).elements())
+                assert np.array_equal(s_columns(rows.shape[1], p, ell), oracle)
 
 
 class TestConstructG:
@@ -226,7 +247,7 @@ class TestConstructG:
                 continue
             rows = sub.coset_decomposition(w)
             ell = int(rng.integers(1, w.dim + 1))
-            s_cols = np.isin(rows[0], sub.canonical_codim_subspace(w, ell).elements())
+            s_cols = np.isin(rows[0], canonical_codim_subspace(w, ell).elements())
             c = rng.uniform(0.05, 1.0, size=len(rows)) * (rng.random(len(rows)) < 0.8)
             in_vp = rng.random(len(rows)) < 0.6
             fw_vals = np.empty(params.size)

@@ -11,20 +11,26 @@ from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
 from ap3 import fourier, rounding, subspace
 from ap3.subspace import (
     average_over_cosets,
-    canonical_codim_subspace,
     coset_blocks,
     coset_decomposition,
     coset_means,
     coset_rows,
     count_subspaces,
-    full_space,
     orthogonal_complement,
     span,
     structure_report,
     subspace_blocks,
 )
 
-from conftest import all_subspaces, digit_table, digits_to_index, random_density, row_of
+from conftest import (
+    all_subspaces,
+    canonical_codim_subspace,
+    digit_table,
+    digits_to_index,
+    full_space,
+    random_density,
+    row_of,
+)
 
 
 def brute_span(params, generators):
@@ -597,6 +603,15 @@ class TestStructure:
         monkeypatch.setattr(subspace, "DEFAULT_MAX_SUBSPACES", 3)
         with pytest.raises(ValueError, match="budget"):
             structure_report(PointSet(GroupParams(3, 3), (0,)), 2)
+
+    def test_errors_in_order(self, monkeypatch):
+        # F_p^1 before the range of max_codim, and the range before the
+        # budget, which counts nothing for a max_codim out of range.
+        monkeypatch.setattr(subspace, "DEFAULT_MAX_SUBSPACES", 0)
+        with pytest.raises(ValueError, match="^n = 1: "):
+            structure_report(PointSet(GroupParams(7, 1), (0,)), 5)
+        with pytest.raises(ValueError, match=r"^max_codim=1000000000000 out of range \[0, 3\]$"):
+            structure_report(PointSet(GroupParams(3, 3), (0,)), 10**12)
 
     def test_normalization(self):
         params = GroupParams(3, 2)
