@@ -61,7 +61,8 @@ LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 # Bytes of an input file hashed at a time: below glibc's default 128 KiB
 # mmap threshold, since freeing a larger buffer raises that threshold for
-# the rest of the job and so its later peak RSS.
+# the rest of the job and so its later peak RSS.  Not `gfspace.BLOCK`: it
+# counts bytes, not 8-byte entries, and parsing must not import `gfspace`.
 HASH_CHUNK = 2**16
 
 
@@ -391,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=_non_negative_int, default=None)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sp = subs.add_parser("count", parents=[files], help="triple counts of a density or set")
-    sp.add_argument("--input", required=True)
+    sp = subs.add_parser("count", parents=[files], help="triple counts of an .apf density")
+    sp.add_argument("--input", required=True, help="a set goes in as its 0/1 indicator")
     sp.set_defaults(func=cmd_count, modules=("gfspace", "fourier"))
 
     sp = subs.add_parser("spectrum", parents=[files], help="export large Fourier coefficients")
@@ -504,9 +505,6 @@ def run(args: argparse.Namespace) -> int:
         logging.basicConfig(level=args.log_level)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"ap3: file not found: {exc.filename}", file=sys.stderr)
-        return 1
     except (ValueError, RuntimeError, OSError) as exc:  # gfspace's FileFormatError included
         return _fail(exc)
     except MemoryError as exc:

@@ -1,6 +1,8 @@
 """Canonical model of F_p^n: parameters, element arithmetic on indices
-(`combine`), density functions, point sets, the .apf/.aps text formats, and
-the seeded generator every random draw comes from (`seeded_rng`).
+(`combine`), density functions, point sets, the .apf/.aps text formats,
+the seeded generator every random draw comes from (`seeded_rng`), and
+`BLOCK`, which sizes the blocks of `save_density`, `rounding.randomize`,
+`subspace.coset_blocks` and `coset_means`, and `improve.CaseTable.blocks`.
 
 Elements are indexed little-endian base p: index = sum(digit_k * p**k),
 with coordinate 0 the least significant digit.  Every array, file, and
@@ -23,8 +25,11 @@ RANGE_SLACK = 1e-12
 # p^n must stay comfortably inside int64 indexing.
 MAX_SIZE = 2**62
 
-# Values `save_density` formats at once; a multiple of the 8 values a line.
-SAVE_BLOCK = 2**12
+# The 8-byte entries in one block of a chunked loop, read when the loop
+# runs.  32 KiB stays below glibc's 128 KiB mmap threshold: freeing a
+# larger temporary raises that threshold for the rest of the job, and with
+# it the job's later peak RSS.  A multiple of the 8 values of an .apf line.
+BLOCK = 2**12
 
 
 class FileFormatError(ValueError):
@@ -307,8 +312,8 @@ def save_density(f: DensityFunction, path: str) -> None:
     vals = f.values
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{f.params.p} {f.params.n}\n")
-        for start in range(0, len(vals), SAVE_BLOCK):
-            block = vals[start : start + SAVE_BLOCK].tolist()
+        for start in range(0, len(vals), BLOCK):
+            block = vals[start : start + BLOCK].tolist()
             full, rest = divmod(len(block), 8)
             fmt = ("%.17g " * 7 + "%.17g\n") * full
             if rest:

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .gfspace import DensityFunction, combine
-from . import fourier
+from . import fourier, gfspace
 from . import subspace as sub
 
 CHECK_TOL = 1e-9
@@ -39,10 +39,6 @@ _PASSED = np.array(
 _SEP = ",\n        "
 _RHS = '\n      ],\n      "rhs": '
 _TAIL = "\n    }"
-# Cases per block, rounded down to whole u1 rows (at least one): the audit
-# and the report writer hold one block of cases at a time, and larger
-# blocks raise peak RSS for little speed.
-CASE_BLOCK = 512
 
 
 class CaseTable:
@@ -70,7 +66,9 @@ class CaseTable:
         self.t3_inside = None
 
     def blocks(self):
-        """Yield the cases a block of whole u1 rows at a time, each block a
+        """Yield the cases a block of whole u1 rows at a time, at most
+        `gfspace.BLOCK // 8` cases (eight numbers each: three reps, base,
+        lhs, rhs and two flags) unless one row has more, each block a
         namespace of columns: reps (u1, u2 and u3 = 2u2 - u1), all_in_v_prime,
         lhs = T3(g | the three cosets), rhs (the bound: base*(1 - eps^2/16p^2)
         inside V', base outside), base = T3(f_W | the three cosets) and
@@ -78,7 +76,7 @@ class CaseTable:
         t, c, a, in_vp, counts = self.t, self.c, self.a, self.in_vp, self.counts
         vp = in_vp.astype(np.int8)
         idx = np.arange(len(t))
-        step = max(1, CASE_BLOCK // len(t))
+        step = max(1, gfspace.BLOCK // 8 // len(t))
         for start in range(0, len(t), step):
             u1 = slice(start, start + step)
             third = combine(-1, idx[u1, None], 2, idx[None, :], self.params)

@@ -18,26 +18,21 @@ from typing import Sequence
 import numpy as np
 
 from .gfspace import DensityFunction, seeded_rng
-from . import fourier
+from . import fourier, gfspace
 from . import subspace as sub
-
-# Words `randomize` draws at a time, so that the Python int and bytes of a
-# draw are 32 KiB each, whatever p^n: below glibc's 128 KiB mmap threshold,
-# which freeing a larger temporary raises for the rest of the job, and with
-# it the job's later peak RSS.  CPython's getrandbits fills 32 bits at a
-# time, least significant first, so the blocks join into the stream of one
-# getrandbits(64 * p^n) call.
-DRAW_BLOCK = 2**12
 
 
 def randomize(j: DensityFunction, seed: int | None) -> DensityFunction:
     """Independent Bernoulli(j(m)) draws; 0/1-valued, reproducible per seed
-    (seed=None seeds from os.urandom), each block compared as it is drawn."""
+    (seed=None seeds from os.urandom), drawn and compared `gfspace.BLOCK`
+    words at a time.  CPython's getrandbits fills 32 bits at a time, least
+    significant first, so the blocks join into the stream of one
+    getrandbits(64 * p^n) call."""
     rng = seeded_rng(seed)
-    size = j.params.size
+    size, block = j.params.size, gfspace.BLOCK
     out = np.empty(size, dtype=bool)
-    for start in range(0, size, DRAW_BLOCK):
-        k = min(DRAW_BLOCK, size - start)
+    for start in range(0, size, block):
+        k = min(block, size - start)
         words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
         vals, hit = j.values[start : start + k], out[start : start + k]
         # draw/2^64 < j(m); handled exactly at j = 0 and j = 1.

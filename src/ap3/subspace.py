@@ -6,8 +6,8 @@ over more than DEFAULT_MAX_SUBSPACES subspaces.
 
 One builder, `coset_rows`, lays out every coset layout, whole
 (`coset_decomposition`, the structure scan) or a block of rows at a time
-(`coset_blocks`): coset averaging and the rounding monitor walk the
-blocks, so they hold one block, never a p^n layout.
+(`coset_blocks`, of `gfspace.BLOCK` entries): coset averaging and the
+rounding monitor walk the blocks, holding one, never a p^n layout.
 
 Coset representatives are NOT taken from the orthogonal complement: over
 GF(p) a subspace can meet its own complement (self-orthogonal vectors,
@@ -26,15 +26,15 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import gfspace
 from .gfspace import DensityFunction, GroupParams, PointSet, index_to_digits, seeded_rng
 
 # Most group elements, N * p^n, that one block of `subspace_blocks` lays
-# out as cosets; a block always holds at least one subspace.
+# out as cosets; a block always holds at least one subspace.  Not
+# `gfspace.BLOCK`: the subgroup scans pay a cost per block.  `structure` at
+# 3^5 and 3^6 and exhaustive `varnavides` at 3^5, m = 2 took 17.7, 18.6 and
+# 15.7 ms at 2^12, against 9.7, 8.0 and 8.5 ms at 2^14.
 BLOCK_ELEMENTS = 2**14
-
-# Most coset-layout entries that one `coset_blocks` block holds, and that
-# one `coset_means` block gathers and turns into Python floats.
-COSET_BLOCK_ELEMENTS = 2**12
 
 # Most subspaces that either per-set subgroup scan may enumerate.
 DEFAULT_MAX_SUBSPACES = 20000
@@ -227,9 +227,9 @@ def coset_decomposition(w: Subspace) -> np.ndarray:
 
 def coset_blocks(w: Subspace) -> Iterator[np.ndarray]:
     """`coset_decomposition`'s rows in order, as blocks of at most
-    COSET_BLOCK_ELEMENTS entries (at least one row), each built when asked
-    for, so a caller holds one block, never the p^n layout."""
-    max_rows = max(1, COSET_BLOCK_ELEMENTS // w.params.p**w.dim)
+    `gfspace.BLOCK` entries (at least one row), each built when asked for,
+    so a caller holds one block, never the p^n layout."""
+    max_rows = max(1, gfspace.BLOCK // w.params.p**w.dim)
     for block in coset_rows(w.basis[None], w.pivots, w.params, max_rows):
         yield block[0]
 
@@ -238,14 +238,14 @@ def coset_means(f: DensityFunction, rows: np.ndarray) -> np.ndarray:
     """Mean of f on each row of the (|T|, |W|) coset layout `rows` (as
     `coset_decomposition` returns it, or a block of it), in row order.
 
-    Rows are gathered a block of at most COSET_BLOCK_ELEMENTS values at a
+    Rows are gathered a block of at most `gfspace.BLOCK` values at a
     time, so only one block's values and Python floats exist at once.  A
     row that is already constant keeps its value bit-for-bit; mixed rows
     are fsummed.
     """
     width = rows.shape[1]
     means = np.empty(len(rows))
-    step = max(1, COSET_BLOCK_ELEMENTS // width)
+    step = max(1, gfspace.BLOCK // width)
     for start in range(0, len(rows), step):
         vals = f.values[rows[start : start + step]]
         block = means[start : start + step]

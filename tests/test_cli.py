@@ -16,6 +16,7 @@ import pytest
 from ap3 import cli, fourier, rounding, search, subspace as sub
 from ap3.cli import HASH_CHUNK, _file_sha256, _write_json, main
 from ap3.gfspace import (
+    BLOCK,
     DensityFunction,
     GroupParams,
     PointSet,
@@ -24,7 +25,7 @@ from ap3.gfspace import (
     save_density,
     save_set,
 )
-from ap3.improve import CASE_BLOCK, construct_g, write_case_blocks
+from ap3.improve import construct_g, write_case_blocks
 
 from conftest import CASE_COLUMNS, case_columns, planted_density, subprocess_env
 
@@ -122,11 +123,11 @@ class TestWriteJson:
     )
     def test_planted_improve_report(self, tmp_path, p, n, k, indicator, blocks, last):
         # The last two tables span several blocks of whole u1 rows (6 and 4
-        # rows of CASE_BLOCK = 512) and end in a partial block.
+        # rows of BLOCK // 8 = 512 cases) and end in a partial block.
         g, report = construct_g(planted_density(p, n, k, 0), 1.0, 0.004)
         sizes = [len(b.passed) for b in report.per_case_checks.blocks()]
         assert (len(sizes), sizes[-1], sum(sizes)) == (blocks, last, p ** (2 * k))
-        assert max(sizes) <= max(CASE_BLOCK, p**k)
+        assert max(sizes) <= max(BLOCK // 8, p**k)
         payload = report
         if indicator:
             _, rounded = rounding.round_to_indicator(g, 3, monitored=[report.W])
@@ -156,12 +157,12 @@ class TestWriteJson:
             self.check(payload, tmp_path)
 
     @pytest.mark.parametrize(
-        "m", [0, 1, CASE_BLOCK, CASE_BLOCK + 1, 3 * CASE_BLOCK + 7]
+        "m", [0, 1, BLOCK // 8, BLOCK // 8 + 1, 3 * BLOCK // 8 + 7]
     )
     def test_hand_built_tables(self, tmp_path, rng, m):
         # Repeated floats, as in real audits, plus the values whose json
         # text differs from a plain repr or that float equality would merge;
-        # blocks of CASE_BLOCK cases and a partial last block, or ragged
+        # blocks of BLOCK // 8 cases and a partial last block, or ragged
         # blocks with an empty one inside.
         special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-7, 0.1 + 0.2]
         pool = np.array(special + rng.random(7).tolist())
@@ -175,7 +176,7 @@ class TestWriteJson:
             base=base,
             passed=rng.random(m) < 0.5,
         )
-        even = [min(CASE_BLOCK, m - start) for start in range(0, m, CASE_BLOCK)] or [0]
+        even = [min(BLOCK // 8, m - start) for start in range(0, m, BLOCK // 8)] or [0]
         ragged = [m // 3, 0, m - m // 3 - 1, 1] if m > 1 else [0, m]
         for sizes in (even, ragged):
             cases = HandTable(np.array(sizes), **columns)
@@ -387,7 +388,11 @@ class TestCount:
         assert lines[1:] == [f"t3_raw={raw}", f"t3_nontrivial={raw - k}"]
 
     def test_missing_file(self, tmp_path, capsys):
-        assert run(["count", "--input", str(tmp_path / "no.apf")], tmp_path) == 1
+        path = str(tmp_path / "no.apf")
+        assert run(["count", "--input", path], tmp_path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ap3: error: [Errno 2] No such file or directory: {path!r}\n"
 
     def test_nan_value(self, tmp_path, capsys):
         bad = tmp_path / "nan.apf"

@@ -1,4 +1,7 @@
+import collections
+import io
 import math
+import random
 import time
 import tracemalloc
 
@@ -6,8 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ap3 import gfspace, rounding, subspace
 from ap3.gfspace import (
-    SAVE_BLOCK,
+    BLOCK,
     DensityFunction,
     FileFormatError,
     GroupParams,
@@ -22,8 +26,11 @@ from ap3.gfspace import (
     save_set,
     scale_map,
 )
+from ap3.improve import construct_g, write_case_blocks
+from ap3.rounding import randomize
+from ap3.subspace import average_over_cosets, coset_blocks, span
 
-from conftest import digit_table, digits_to_index
+from conftest import digit_table, digits_to_index, planted_density
 
 
 class TestGroupParams:
@@ -455,12 +462,12 @@ class TestFiles:
         )
 
     def test_save_blocks_match_whole_array_format(self, tmp_path, rng):
-        # 3^9 = 19683 values: neither a multiple of SAVE_BLOCK nor of 8.
+        # 3^9 = 19683 values: neither a multiple of BLOCK nor of 8.
         params = GroupParams(3, 9)
         vals = rng.random(params.size)
         vals[:6] = [0.0, 1.0, 5e-324, 1 / 3, 0.1 + 0.2, 0.5]
         vals[-3:] = [5e-324, 0.1 + 0.2, 0.0]
-        assert params.size % SAVE_BLOCK and params.size % 8
+        assert params.size % BLOCK and params.size % 8
         path = tmp_path / "f.apf"
         save_density(DensityFunction(params, vals), str(path))
         whole = vals.tolist()
@@ -530,3 +537,65 @@ class TestFiles:
         with pytest.raises(FileFormatError) as exc:
             load_set(str(path))
         assert str(exc.value) == f"{path}{where}"
+
+
+class TestBlock:
+    def test_every_chunked_loop_reads_block_when_it_runs(self, tmp_path, monkeypatch):
+        # One density of 81 values: saved 8 values a line, drawn a word a
+        # value, averaged over the 27 cosets of a line, and improved into
+        # 81 cases (9 rows of 9).  At BLOCK = 8 each loop runs several
+        # blocks where it ran one, and its output keeps every byte.
+        f = planted_density(3, 4, 2, 0)
+        w = span(f.params, [[1, 2, 0, 1]])
+        table = construct_g(f, 1.0, 0.004)[1].per_case_checks
+        blocks = collections.Counter()
+
+        def counting_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            write = fh.write
+
+            def counted(text):
+                blocks["save"] += 1  # the header, then one write a block
+                return write(text)
+
+            fh.write = counted
+            return fh
+
+        class Draws(random.Random):
+            def getrandbits(self, k):
+                blocks["draws"] += 1
+                return super().getrandbits(k)
+
+        def cosets(w):
+            for rows in coset_blocks(w):
+                blocks["cosets"] += 1
+                yield rows
+
+        class Cases(io.StringIO):
+            def write(self, text):
+                blocks["cases"] += 1  # one write a block, then the closing "]"
+                return super().write(text)
+
+        monkeypatch.setattr(gfspace, "open", counting_open, raising=False)
+        monkeypatch.setattr(rounding, "seeded_rng", Draws)
+        monkeypatch.setattr(subspace, "coset_blocks", cosets)
+
+        def run(path):
+            blocks.clear()
+            save_density(f, str(path))
+            cases = Cases()
+            write_case_blocks(cases, table.blocks())
+            out = (
+                path.read_bytes(),
+                randomize(f, 5).values.tobytes(),
+                average_over_cosets(f, w).values.tobytes(),
+                cases.getvalue(),
+            )
+            return out, dict(blocks)
+
+        default, ran = run(tmp_path / "default.apf")
+        assert ran == {"save": 2, "draws": 1, "cosets": 1, "cases": 2}
+        monkeypatch.setattr(gfspace, "BLOCK", 8)
+        patched, ran = run(tmp_path / "patched.apf")
+        assert ran == {"save": 1 + 11, "draws": 11, "cosets": 14, "cases": 9 + 1}
+        assert patched == default

@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ap3 import rounding
-from ap3.gfspace import DensityFunction, GroupParams
+from ap3 import gfspace
+from ap3.gfspace import BLOCK, DensityFunction, GroupParams
 from ap3.rounding import (
-    DRAW_BLOCK,
     hoeffding_bound_raw,
     randomize,
     repair,
@@ -57,13 +56,13 @@ class TestRandomize:
 
     @pytest.mark.parametrize(
         "p, n, block",
-        [(3, 8, 3**8 + 1), (3, 8, 3**8), (3, 8, 3**8 - 1), (3, 10, DRAW_BLOCK)],
+        [(3, 8, 3**8 + 1), (3, 8, 3**8), (3, 8, 3**8 - 1), (3, 10, BLOCK)],
         ids=["one-short-block", "one-block", "block-and-one", "3^10"],
     )
     def test_blocks_join_into_one_call(self, monkeypatch, rng, p, n, block):
         # The draws are 2^12 words at a time; sizes one below, at and one
         # above a block are reached by resizing the block.
-        monkeypatch.setattr(rounding, "DRAW_BLOCK", block)
+        monkeypatch.setattr(gfspace, "BLOCK", block)
         f = random_density(GroupParams(p, n), rng)
         want = one_call_draws(f.params.size, 31).astype(np.float64) < f.values * 2.0**64
         assert np.array_equal(randomize(f, 31).values, want)

@@ -8,7 +8,7 @@ import pytest
 
 from ap3.cli import _write_json
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
-from ap3 import fourier, rounding, subspace
+from ap3 import fourier, gfspace, rounding, subspace
 from ap3.subspace import (
     average_over_cosets,
     coset_blocks,
@@ -338,7 +338,7 @@ class TestAverageOverCosets:
     def test_coset_means_blocks_match_per_row_fsum(self, block, rng, monkeypatch):
         # Mixed rows summed a block at a time give the per-row fsum bit for
         # bit; constant rows keep their value.
-        monkeypatch.setattr(subspace, "COSET_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(gfspace, "BLOCK", block)
         params = GroupParams(3, 4)
         for gens in ([[1, 2, 0, 1]], [[1, 0, 0, 2], [0, 0, 1, 1]]):
             rows = coset_decomposition(span(params, gens))
@@ -377,10 +377,10 @@ class TestCosetBlocks:
     @pytest.mark.parametrize("block", [1, 5, 13, 40, None])
     def test_blocks_match_full_layout(self, p, n, block, rng, monkeypatch):
         if block is not None:
-            monkeypatch.setattr(subspace, "COSET_BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(gfspace, "BLOCK", block)
         params = GroupParams(p, n)
         for dim in range(n + 1):
-            max_rows = max(1, subspace.COSET_BLOCK_ELEMENTS // p**dim)
+            max_rows = max(1, gfspace.BLOCK // p**dim)
             for w in all_subspaces(params, dim):
                 rows = coset_decomposition(w)
                 blocks = list(coset_blocks(w))
@@ -396,7 +396,7 @@ class TestCosetBlocks:
     @pytest.mark.parametrize("block", [1, 5, 13, None])
     def test_monitor_matches_full_layout(self, p, n, block, rng, monkeypatch):
         if block is not None:
-            monkeypatch.setattr(subspace, "COSET_BLOCK_ELEMENTS", block)
+            monkeypatch.setattr(gfspace, "BLOCK", block)
         params = GroupParams(p, n)
         j = random_density(params, rng)
         j2, _ = rounding.round_to_indicator(j, 3)
@@ -423,7 +423,7 @@ class TestCosetBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= fw.values.nbytes + 64 * subspace.COSET_BLOCK_ELEMENTS
+        assert peak <= fw.values.nbytes + 64 * gfspace.BLOCK
 
 
 class TestCanonicalCodim:

@@ -1,0 +1,85 @@
+"""Check that two ap3 source trees give the same outputs on every benchmark job.
+
+Usage (from the repository root):
+
+    python3 tools/same_outputs.py PARENT_SRC CHANGE_SRC --seeds 101 7
+
+PARENT_SRC and CHANGE_SRC are directories that hold the `ap3` package, such
+as the `src/` of two checkouts.  For each seed, each workload's inputs are
+made once with `benchmarks/workloads.py`, and every job runs on both trees,
+started as `benchmarks/measure.py` starts it: the `ap3` console script's call,
+with the tree on PYTHONPATH and the job's output directory as its working
+directory.  A job differs when its exit code, stdout, stderr or any file it
+writes differs; the output directory is replaced by one placeholder in all of
+them, since the manifests record it.  Each differing job is named, and the
+exit code is then 1; it is 0 when every job matches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+
+import measure  # noqa: E402
+import workloads  # noqa: E402
+
+
+def run_job(src: str, job, out: str) -> dict[str, bytes]:
+    """The exit code, stdout, stderr and written files of one job run on
+    the tree at `src`, keyed by name, with `out` replaced everywhere."""
+    os.makedirs(out)
+    argv = measure.ap3_argv(job.command, [*job.args, "--output-dir", out])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(argv, cwd=out, env=env, capture_output=True)
+    result = {"exit code": b"%d" % proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    for folder, _, names in os.walk(out):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as fh:
+                result[os.path.relpath(path, out)] = fh.read()
+    placeholder = os.fsencode(out)
+    return {key: value.replace(placeholder, b"<output-dir>") for key, value in result.items()}
+
+
+def differences(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]:
+    """The names whose bytes differ, or that only one run has."""
+    return sorted(key for key in parent.keys() | change.keys() if parent.get(key) != change.get(key))
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", metavar="PARENT_SRC")
+    parser.add_argument("change_src", metavar="CHANGE_SRC")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args(argv)
+    trees = {"parent": os.path.abspath(args.parent_src), "change": os.path.abspath(args.change_src)}
+    for src in trees.values():
+        if not os.path.isfile(os.path.join(src, "ap3", "cli.py")):
+            parser.error(f"no ap3 package under {src}")
+
+    jobs = differing = 0
+    with tempfile.TemporaryDirectory(prefix="same_outputs-") as work:
+        for seed in args.seeds:
+            for workload in workloads.WORKLOADS:
+                inputs = os.path.join(work, f"{workload}-{seed}")
+                for i, job in enumerate(workloads.build(workload, seed, inputs)):
+                    runs = [
+                        run_job(src, job, os.path.join(work, tree, f"{workload}-{seed}-{i}"))
+                        for tree, src in trees.items()
+                    ]
+                    jobs += 1
+                    if diff := differences(*runs):
+                        differing += 1
+                        print(f"DIFFERS {workload} seed {seed} job {i} ({job.label}): {', '.join(diff)}")
+    print(f"{differing} of {jobs} jobs differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
