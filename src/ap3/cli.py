@@ -446,17 +446,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp = subs.add_parser(
         "varnavides",
         parents=[seeded],
-        help="subgroup-averaged count: a lower bound if exhaustive, else an estimate",
+        help="Varnavides lower bound on T3'(S) from averaging over subgroups",
     )
     sp.add_argument("--input", required=True)
     sp.add_argument("--m-dim", dest="m_dim", type=_positive_int, required=True)
     sp.add_argument(
         "--samples",
         type=_positive_int,
-        help="subgroups to sample (default 100); an estimate that can exceed T3'(S)",
+        help="subgroups to sample for the dense-coset share (default 100)",
     )
     sp.add_argument(
-        "--exhaustive", action="store_true", help="average over every subgroup: a certified bound"
+        "--exhaustive", action="store_true", help="scan every subgroup for the dense-coset share"
     )
     sp.add_argument("--report", default="varnavides_report.json")
     sp.set_defaults(func=cmd_varnavides, modules=("gfspace", "fourier", "subspace"))

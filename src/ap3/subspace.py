@@ -1,7 +1,7 @@
 """GF(p) linear algebra: spans, orthogonal complements, coset layouts,
 coset averaging, and the two per-set subgroup scans: the coset-structure
 diagnostic for candidate minimizers and the Varnavides subgroup-averaging
-estimator.  One guard, `_check_scan`, refuses either scan on F_p^1 and
+bound.  One guard, `_check_scan`, refuses either scan on F_p^1 and
 over more than DEFAULT_MAX_SUBSPACES subspaces.
 
 One builder, `coset_rows`, lays out every coset layout, whole
@@ -391,28 +391,24 @@ def varnavides_estimate(
     seed: int | None = None,
     exhaustive: bool = False,
 ) -> SimpleNamespace:
-    """Average the nontrivial per-coset counts over subgroups of dimension
-    m_dim, scaled by p^(n-m), as a `varnavides_report` of
+    """The Varnavides subgroup-averaging bound for subgroups of dimension
+    m_dim, with the share of dense cosets, as a `varnavides_report` of
     reports.schema.json.
 
-    With exhaustive=True the average runs over every subgroup, and it is
-    the exact lower bound (p^m - 1) p^(n-m) / (p^n - 1) * T3'(S) <= T3'(S):
-    a nontrivial 3-AP with difference d lies in one coset of each subgroup
-    that contains d, and those are the fraction (p^m - 1) / (p^n - 1) of
-    all subgroups.  So the bound is computed from one count of S, and the
-    subgroups are scanned only for the coset sizes behind
-    dense_coset_fraction.
+    Averaged over every m-dim subgroup, the nontrivial per-coset counts
+    scaled by p^(n-m) are exactly the lower bound
+    (p^m - 1) p^(n-m) / (p^n - 1) * T3'(S) <= T3'(S): a nontrivial 3-AP
+    with difference d lies in one coset of each subgroup that contains d,
+    and those are the fraction (p^m - 1) / (p^n - 1) of all subgroups.
+    Both modes compute this bound from one count of S.
 
-    Otherwise subgroups are sampled uniformly (via uniform ordered
-    independent generator tuples, resampled on dependence) and their
-    cosets counted: each coset row is an affine copy of F_p^m, and affine
-    maps preserve 3-APs, so one batched count on F_p^m covers a subgroup's
-    cosets.  The result is an estimate, not a certified bound: it can
-    exceed T3'(S), although the field keeps the name
-    certified_lower_bound.
-
-    Both modes run one scan over (pivots, bases) blocks: every subgroup
-    from `subspace_blocks`, or each sampled subgroup as a block of one.
+    The subgroups are scanned only for the coset sizes behind
+    dense_coset_fraction: with exhaustive=True every subgroup, in blocks
+    from `subspace_blocks`; otherwise `samples` subgroups drawn uniformly
+    (via uniform ordered independent generator tuples, resampled on
+    dependence), each a block of one.  A uniform subgroup holds each
+    d != 0 with probability (p^m - 1) / (p^n - 1), so the bound is the
+    expected sampled average, reported without its sampling error.
     """
     # Neither is imported at module level: `average`, `structure`,
     # `improve` and `round` jobs load `subspace` but run no estimator.
@@ -438,26 +434,16 @@ def varnavides_estimate(
 
     s_mask = s.mask()
     coset_size = p**m_dim
-    coset_params = GroupParams(p, m_dim)
-    total = dense = cosets = 0
+    dense = cosets = 0
     for pivots, bases in subspace_blocks(params, m_dim) if exhaustive else sampled_blocks():
-        in_s = s_mask[next(coset_rows(bases, pivots, params))]
-        sizes = in_s.sum(axis=-1)
+        sizes = s_mask[next(coset_rows(bases, pivots, params))].sum(axis=-1)
         dense += _dense_cosets(sizes, coset_size, s_mask, len(s))
         cosets += sizes.size
-        if not exhaustive:
-            raw = fourier.triple_counts(in_s.reshape(-1, coset_size), coset_params)
-            total += int(raw.sum() - sizes.sum())
-    if exhaustive:
-        subgroups = count_subspaces(params, m_dim)
-        t3 = fourier.count_raw(s) - len(s)
-        bound = Fraction(t3 * (coset_size - 1) * p ** (n - m_dim), params.size - 1)
-    else:
-        subgroups = samples
-        bound = Fraction(total, samples) * p ** (n - m_dim)
+    t3 = fourier.count_raw(s) - len(s)
+    bound = Fraction(t3 * (coset_size - 1) * p ** (n - m_dim), params.size - 1)
     return SimpleNamespace(
         m_dim=m_dim,
-        sampled_subgroups=subgroups,
+        sampled_subgroups=count_subspaces(params, m_dim) if exhaustive else samples,
         dense_coset_fraction=dense / cosets,
         certified_lower_bound=float(bound),
         certified_lower_bound_exact=bound,

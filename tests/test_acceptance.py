@@ -270,15 +270,18 @@ def test_criterion_10_varnavides_bound():
     rng = fresh_rng(10)
     params = GroupParams(3, 2)
     ok = True
-    for _ in range(100):
+    for seed in range(100):
         s = PointSet.from_mask(params, rng.random(9) < rng.random())
+        t3 = fourier.count_raw(s) - len(s)
         rep = sub.varnavides_estimate(s, 1, exhaustive=True)
-        ok &= rep.certified_lower_bound_exact <= fourier.count_raw(s) - len(s)
+        ok &= rep.certified_lower_bound_exact <= t3
+        rep = sub.varnavides_estimate(s, 1, samples=1, seed=seed)
+        ok &= rep.certified_lower_bound_exact <= t3
     full = sub.varnavides_estimate(
         PointSet(params, tuple(range(9))), 1, exhaustive=True
     )
     ok &= full.dense_coset_fraction == 1.0
-    verdict(10, "exhaustive subgroup-average bound <= T3' for 100 sets", ok)
+    verdict(10, "exhaustive and one-sample subgroup-average bounds <= T3' for 100 sets", ok)
 
 
 def test_criterion_11_selfcheck_gate(monkeypatch):

@@ -336,6 +336,34 @@ class TestVarnavides:
             )
             assert rep.certified_lower_bound_exact == expected
 
+    @pytest.mark.parametrize(
+        "p,n,m_dim", [(3, 4, 1), (3, 4, 2), (3, 4, 3), (5, 3, 2), (7, 2, 1)]
+    )
+    def test_sampled_bound_is_closed_form(self, p, n, m_dim, rng):
+        # A uniform subgroup holds each d != 0 with probability
+        # (p^m - 1) / (p^n - 1), so the sampled mode reports the expected
+        # average: the exhaustive bound, whatever subgroups it draws.
+        params = GroupParams(p, n)
+        sets = [PointSet.from_mask(params, rng.random(params.size) < 0.4) for _ in range(2)]
+        if (p, n, m_dim) == (3, 4, 1):
+            # T3'(S) = 114.  One drawn subgroup's coset counts, scaled by
+            # p^(n-m), exceed it for 96 of seeds 0..199 (1, 2 and 8 too).
+            r = random.Random(0)
+            sets.append(PointSet.from_mask(params, np.array([r.random() < 0.4 for _ in range(81)])))
+            assert t3_nontrivial(sets[-1]) == 114
+        for s in sets:
+            expected = Fraction(
+                t3_nontrivial(s) * p ** (n - m_dim) * (p**m_dim - 1), p**n - 1
+            )
+            rep = varnavides_estimate(s, m_dim, exhaustive=True)
+            assert rep.certified_lower_bound_exact == expected
+            assert expected <= t3_nontrivial(s)
+            for seed in (0, 1, 2, 8):
+                for samples in (1, 3):
+                    rep = varnavides_estimate(s, m_dim, samples=samples, seed=seed)
+                    assert rep.certified_lower_bound_exact == expected
+                    assert rep.certified_lower_bound == float(expected)
+
     def test_sampling_reproducible(self, rng):
         params = GroupParams(3, 3)
         s = PointSet.from_mask(params, rng.random(27) < 0.5)
@@ -478,8 +506,14 @@ class TestBatchedVarnavides:
             for m_dim in range(1, n + 1):
                 got = varnavides_estimate(s, m_dim, exhaustive=True)
                 assert got == old_varnavides_estimate(s, m_dim, exhaustive=True)
+                # The sampled scan draws the loop's subgroups; its bound is
+                # the exhaustive closed form, not the loop's sampled average.
                 got = varnavides_estimate(s, m_dim, samples=5, seed=m_dim)
-                assert got == old_varnavides_estimate(s, m_dim, samples=5, seed=m_dim)
+                old = old_varnavides_estimate(s, m_dim, samples=5, seed=m_dim)
+                exact = Fraction(t3_nontrivial(s) * p ** (n - m_dim) * (p**m_dim - 1), p**n - 1)
+                old.certified_lower_bound_exact = exact
+                old.certified_lower_bound = float(exact)
+                assert got == old
 
     @pytest.mark.parametrize("m_dim", [1, 2, 3])
     def test_exhaustive_matches_per_subgroup_loop_5_4(self, m_dim):
@@ -491,8 +525,8 @@ class TestBatchedVarnavides:
 
     @pytest.mark.parametrize("p, n, m_dim", [(3, 4, 1), (3, 4, 3), (5, 3, 2), (7, 2, 2)])
     def test_exhaustive_counts_once(self, p, n, m_dim, rng, monkeypatch):
-        # The exhaustive bound is arithmetic on T3'(S): one count of one
-        # mask, however many subgroups and cosets there are.
+        # The bound is arithmetic on T3'(S) in both modes: one count of
+        # one mask, however many subgroups and cosets there are.
         calls = []
         pair_counts = fourier.pair_counts
 
@@ -504,4 +538,7 @@ class TestBatchedVarnavides:
         params = GroupParams(p, n)
         s = PointSet.from_mask(params, rng.random(params.size) < 0.4)
         varnavides_estimate(s, m_dim, exhaustive=True)
+        assert calls == [1]
+        del calls[:]
+        varnavides_estimate(s, m_dim, samples=4, seed=3)
         assert calls == [1]

@@ -294,8 +294,8 @@ GOLDEN_REPORTS = {
 """,
     "varnavides_sampled": """{
   "alpha": 0.25925925925925924,
-  "certified_lower_bound": 14.4,
-  "certified_lower_bound_exact": "72/5",
+  "certified_lower_bound": 11.076923076923077,
+  "certified_lower_bound_exact": "144/13",
   "dense_coset_fraction": 0.6,
   "exhaustive": false,
   "m_dim": 2,
