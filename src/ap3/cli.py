@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", required=True)
     sp.add_argument("--max-codim", dest="max_codim", type=_non_negative_int, required=True)
     sp.add_argument("--report", default="structure_report.json")
-    sp.set_defaults(func=cmd_structure, modules=("gfspace", "subspace"))
+    sp.set_defaults(func=cmd_structure, modules=("gfspace", "fourier", "subspace"))
 
     sp = subs.add_parser(
         "varnavides",

@@ -4,10 +4,13 @@ diagnostic for candidate minimizers and the Varnavides subgroup-averaging
 bound.  One guard, `_check_scan`, refuses either scan on F_p^1 and
 over more than DEFAULT_MAX_SUBSPACES subspaces.
 
-One builder, `coset_rows`, lays out every coset layout, whole
-(`coset_decomposition`, the structure scan) or a block of rows at a time
-(`coset_blocks`, of `gfspace.BLOCK` entries): coset averaging and the
-rounding monitor walk the blocks, holding one, never a p^n layout.
+One builder, `coset_rows`, lays out the cosets of one subspace W, whole
+(`coset_decomposition`) or a block of rows at a time (`coset_blocks`, of
+`gfspace.BLOCK` entries): coset averaging and the rounding monitor walk
+the blocks, holding one, never a p^n layout.
+
+Both scans read the coset sizes |S ∩ (t+W)| from S's coefficients on
+V = W^⊥ (`coset_sizes`): one transform of S plus p^codim W per subspace.
 
 Coset representatives are NOT taken from the orthogonal complement: over
 GF(p) a subspace can meet its own complement (self-orthogonal vectors,
@@ -29,14 +32,9 @@ import numpy as np
 from . import gfspace
 from .gfspace import DensityFunction, GroupParams, PointSet, index_to_digits, seeded_rng
 
-# Most group elements, N * p^n, that one block of `subspace_blocks` lays
-# out as cosets; a block always holds at least one subspace.  Not
-# `gfspace.BLOCK`: the subgroup scans pay a cost per block.  `structure` at
-# 3^5 and 3^6 and exhaustive `varnavides` at 3^5, m = 2 took 17.7, 18.6 and
-# 15.7 ms at 2^12, against 9.7, 8.0 and 8.5 ms at 2^14.
-BLOCK_ELEMENTS = 2**14
-
-# Most subspaces that either per-set subgroup scan may enumerate.
+# Most subspaces that either per-set subgroup scan may enumerate.  It
+# counts subspaces, though a scanned subspace V costs p^dim V: a budget
+# on the sum of p^dim V would match the cost.
 DEFAULT_MAX_SUBSPACES = 20000
 
 
@@ -95,7 +93,7 @@ class Subspace:
 
     def elements(self) -> np.ndarray:
         """Sorted indices of all p^dim members."""
-        return np.sort(next(coset_rows(self.basis[None], self.pivots, self.params, 1))[0, 0])
+        return np.sort(next(coset_rows(self.basis, self.pivots, self.params, 1))[0])
 
     def describe(self) -> str:
         rows = "; ".join(
@@ -155,22 +153,24 @@ def orthogonal_complement(v: Subspace) -> Subspace:
 
 
 def _span_sums(coeffs: np.ndarray, p: int) -> np.ndarray:
-    """(N, p^dim) sums sum_j c_j coeffs[:, j], not reduced mod p, over the
-    (N, dim) coeffs, for every c in little-endian order (c_0 fastest)."""
-    sums = np.zeros((len(coeffs), 1), dtype=np.int64)
+    """(..., p^dim) sums sum_j c_j coeffs[..., j], not reduced mod p, over
+    the (..., dim) coeffs, for every c in little-endian order (c_0
+    fastest)."""
+    lead = coeffs.shape[:-1]
+    sums = np.zeros(lead + (1,), dtype=np.int64)
     steps = np.arange(p, dtype=np.int64)[:, None]
-    for j in range(coeffs.shape[1]):
-        sums = (steps * coeffs[:, j, None, None] + sums[:, None, :]).reshape(len(coeffs), -1)
+    for j in range(coeffs.shape[-1]):
+        sums = (steps * coeffs[..., j, None, None] + sums[..., None, :]).reshape(lead + (-1,))
     return sums
 
 
 def coset_rows(
-    bases: np.ndarray, pivots: tuple[int, ...], params: GroupParams, max_rows: int | None = None
+    basis: np.ndarray, pivots: tuple[int, ...], params: GroupParams, max_rows: int | None = None
 ) -> Iterator[np.ndarray]:
-    """The (N, |T|, |W|) coset layouts of N subspaces W with the same echelon
-    pivot columns, from their (N, dim, n) echelon bases, as consecutive
-    blocks of at most max_rows rows (default: one block), each built when
-    asked for.  Layout s is `coset_decomposition` of the s-th basis.
+    """The (|T|, |W|) coset layout of the subspace W with the (dim, n)
+    echelon basis and pivot columns given, as consecutive blocks of at most
+    max_rows rows (default: one block), each built when asked for: the
+    rows of `coset_decomposition`.
 
     Column c holds w = sum_j c_j b_j, whose pivot coordinates are the c_j;
     on the free coordinate k = free[r] the entry's digit is (t_r + w_k)
@@ -183,25 +183,25 @@ def coset_rows(
     low = len(free)
     while max_rows and p**low > max_rows:
         low -= 1
-    rows = np.zeros((len(bases), p**low, p ** len(pivots)), dtype=np.int64)
+    rows = np.zeros((p**low, p ** len(pivots)), dtype=np.int64)
     for k in pivots:
-        rows += (_span_sums(bases[:, :, k], p) * p**k)[:, None]
+        rows += _span_sums(basis[:, k], p) * p**k
     for r, k in enumerate(free[:low]):
-        w_k = _span_sums(bases[:, :, k], p)
-        by_digit = rows.reshape(len(bases), p ** (low - r - 1), p, p**r, -1)
+        w_k = _span_sums(basis[:, k], p)
+        by_digit = rows.reshape(p ** (low - r - 1), p, p**r, -1)
         for t in range(p):
-            by_digit[:, :, t] += ((w_k + t) % p * p**k)[:, None, None]
+            by_digit[:, t] += (w_k + t) % p * p**k
     if low == len(free):
         yield rows
         return
-    high = [_span_sums(bases[:, :, k], p) for k in free[low:]]
+    high = [_span_sums(basis[:, k], p) for k in free[low:]]
     step = max_rows // p**low
     for q in range(0, p ** len(high), step):
         digits = np.arange(q, p ** len(high))[:step, None]
         block = 0
         for i, w_k in enumerate(high):
-            block = block + (w_k[:, None] + digits // p**i) % p * p ** free[low + i]
-        yield (rows[:, None] + block[:, :, None]).reshape(len(bases), -1, rows.shape[2])
+            block = block + (w_k + digits // p**i) % p * p ** free[low + i]
+        yield (rows + block[:, None]).reshape(-1, rows.shape[1])
 
 
 def coset_decomposition(w: Subspace) -> np.ndarray:
@@ -220,7 +220,7 @@ def coset_decomposition(w: Subspace) -> np.ndarray:
     and W's echelon rows b_j, so every row is an affine copy of
     F_p^(dim W) in the same coordinates.
     """
-    rows = next(coset_rows(w.basis[None], w.pivots, w.params))[0]
+    rows = next(coset_rows(w.basis, w.pivots, w.params))
     rows.setflags(write=False)
     return rows
 
@@ -230,8 +230,7 @@ def coset_blocks(w: Subspace) -> Iterator[np.ndarray]:
     `gfspace.BLOCK` entries (at least one row), each built when asked for,
     so a caller holds one block, never the p^n layout."""
     max_rows = max(1, gfspace.BLOCK // w.params.p**w.dim)
-    for block in coset_rows(w.basis[None], w.pivots, w.params, max_rows):
-        yield block[0]
+    yield from coset_rows(w.basis, w.pivots, w.params, max_rows)
 
 
 def coset_means(f: DensityFunction, rows: np.ndarray) -> np.ndarray:
@@ -271,12 +270,13 @@ def subspace_blocks(
 ) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """All subspaces of the given dimension as blocks (pivots, (N, dim, n)
     canonical echelon bases) that share their pivot columns, pivot tuples in
-    lex order.  N * p^n stays within BLOCK_ELEMENTS unless a single
-    subspace exceeds it."""
+    lex order.  N * p^dim stays within `gfspace.BLOCK` unless a single
+    subspace exceeds it: `coset_sizes` of a block holds N * p^dim
+    numbers."""
     p, n = params.p, params.n
     if not 0 <= dim <= n:
         raise ValueError(f"dim={dim} out of range [0, {n}]")
-    per_block = max(1, BLOCK_ELEMENTS // params.size)
+    per_block = max(1, gfspace.BLOCK // p**dim)
     for pivots in itertools.combinations(range(n), dim):
         # Entries right of a pivot and outside the pivot columns are free,
         # counted in base p with the last entry fastest.
@@ -297,6 +297,44 @@ def subspace_blocks(
                 bases[:, i, c] = code % p
                 code //= p
             yield pivots, bases
+
+
+def coset_sizes(s_hat: np.ndarray, params: GroupParams, bases: np.ndarray) -> np.ndarray:
+    """The (N, p^k) int64 sizes |S ∩ (t+W)| of the cosets of W = V^⊥ for
+    N k-dim subspaces V, from their (N, k, n) bases B (a block of
+    `subspace_blocks`) and S's coefficients s_hat (`fourier.dft_forward`
+    of its indicator).  Entry u of row i is the coset of every t with
+    B_i t = u, for u read as a little-endian index of F_p^k.
+
+    Since [B m = u] = p^-k sum_c omega^(c.(B m - u)) over c in F_p^k, the
+    size is p^-k sum_c omega^(-c.u) s_hat(c B): s_hat gathered at the p^k
+    points c B of V, then one p^k inverse transform (`fftn`, norm="forward")
+    per subspace.
+
+    As in `fourier.pair_counts`, the floats are rounded to integers.  A
+    gathered coefficient is off by at most the forward transform's error,
+    of the order eps log2(p^n) sqrt(p^n |S|) <= eps log2(p^n) p^n
+    (eps = 2^-53), and the p^k transform averages those errors: 1e-10 at
+    3^10, nearing 1/4 only near p^n = 10^13, far beyond the memory of any
+    job.  Measured on 30% sets, it is 0 at 3^10 and 3^12 and at most
+    2.3e-13 at 5^6 and 7^5.  As a run-time check, a float more than 1/4
+    from its integer raises RuntimeError.
+    """
+    from numpy.fft import fftn  # here, not at the top: `average` loads no numpy.fft
+
+    p, k = params.p, bases.shape[1]
+    points = np.zeros((len(bases), p**k), dtype=np.int64)
+    for j in range(params.n):
+        points += _span_sums(bases[:, :, j], p) % p * p**j
+    grid = s_hat[points].reshape((-1,) + (p,) * k)
+    sizes = fftn(grid, axes=tuple(range(1, k + 1)), norm="forward", out=grid)
+    sizes = sizes.real.reshape(len(bases), -1)
+    counts = np.rint(sizes, out=np.empty(sizes.shape, dtype=np.int64), casting="unsafe")
+    sizes -= counts
+    residue = max(sizes.max(initial=0.0), -sizes.min(initial=0.0))
+    if residue > 0.25:
+        raise RuntimeError(f"coset sizes failed: a size lies {residue:.3g} from an integer")
+    return counts
 
 
 def count_subspaces(params: GroupParams, dim: int) -> int:
@@ -334,31 +372,37 @@ def structure_report(s: PointSet, max_codim: int) -> SimpleNamespace:
     W = {0} (codim n) trivially achieves difference 0, so the best W of
     positive dimension, which codimension 0 (dim W = n >= 1) always
     supplies, is reported alongside the overall minimizer.
+
+    Each W is scored from `coset_sizes` of V = W^⊥, codims ascending and
+    then in `subspace_blocks(params, codim)` order of V; the first
+    minimizer in that order wins a tie.  Only a new best W's cosets are
+    laid out, to read its A.
     """
+    from . import fourier  # here, not at the top: `average` loads no numpy.fft
+
     params = s.params
     n = params.n
     _check_scan(params, "max_codim", max_codim, 0, range(n - max_codim, n + 1))
 
     s_mask = s.mask()
+    s_hat = fourier.dft_forward(s.density())
     best = best_pos = None
     for codim in range(max_codim + 1):
-        dim = n - codim
-        w_size = params.p**dim
-        for pivots, bases in subspace_blocks(params, dim):
-            # A block's layouts scored at once; a row is built only for the
-            # first strict improvement, so the earliest minimizer wins.
-            rows = next(coset_rows(bases, pivots, params))
-            inter = s_mask[rows].sum(axis=-1)
-            sds = np.minimum(inter, w_size - inter).sum(axis=-1)
+        w_size = params.p ** (n - codim)
+        for pivots, bases in subspace_blocks(params, codim):
+            sizes = coset_sizes(s_hat, params, bases)
+            sds = np.minimum(sizes, w_size - sizes).sum(axis=-1)
             i = int(np.argmin(sds))
             sd = int(sds[i])
             new_best = best is None or sd < best.symmetric_difference
-            new_pos = dim >= 1 and (best_pos is None or sd < best_pos.symmetric_difference)
+            new_pos = codim < n and (best_pos is None or sd < best_pos.symmetric_difference)
             if not (new_best or new_pos):
                 continue
+            w = orthogonal_complement(Subspace(params, bases[i], pivots))
+            rows = coset_decomposition(w)
             row = SimpleNamespace(
-                W=Subspace(params, bases[i], pivots),
-                A_reps=tuple(rows[i, 2 * inter[i] > w_size, 0].tolist()),
+                W=w,
+                A_reps=tuple(rows[2 * s_mask[rows].sum(axis=1) > w_size, 0].tolist()),
                 symmetric_difference=sd,
                 normalized=sd / params.size,
             )
@@ -371,7 +415,7 @@ def structure_report(s: PointSet, max_codim: int) -> SimpleNamespace:
     )
 
 
-def _dense_cosets(sizes: np.ndarray, coset_size: int, s_mask: np.ndarray, s_size: int) -> int:
+def _dense_cosets(sizes: np.ndarray, coset_size: int, size: int, s_size: int) -> int:
     """How many cosets t + A hold at least alpha |A| / 2 points of S, with
     alpha = |S| / p^n, from their sizes |S ∩ (t + A)|.
 
@@ -380,7 +424,7 @@ def _dense_cosets(sizes: np.ndarray, coset_size: int, s_mask: np.ndarray, s_size
     on the others.  A comparison would run a numpy loop that nothing else
     in a varnavides job runs, and paging in its code adds 0.13 MB to the
     job's peak RSS (numpy 2.4, x86-64 Linux)."""
-    c = -(-s_size * coset_size // (2 * s_mask.size))
+    c = -(-s_size * coset_size // (2 * size))
     return int(((sizes + (coset_size + 1 - c)) // (coset_size + 1)).sum())
 
 
@@ -402,16 +446,19 @@ def varnavides_estimate(
     and those are the fraction (p^m - 1) / (p^n - 1) of all subgroups.
     Both modes compute this bound from one count of S.
 
-    The subgroups are scanned only for the coset sizes behind
-    dense_coset_fraction: with exhaustive=True every subgroup, in blocks
-    from `subspace_blocks`; otherwise `samples` subgroups drawn uniformly
-    (via uniform ordered independent generator tuples, resampled on
-    dependence), each a block of one.  A uniform subgroup holds each
-    d != 0 with probability (p^m - 1) / (p^n - 1), so the bound is the
-    expected sampled average, reported without its sampling error.
+    The subgroups A are scanned only for the coset sizes behind
+    dense_coset_fraction, read by `coset_sizes` from one transform of S
+    through each A's annihilator A^⊥, at p^(n-m) per subgroup: with
+    exhaustive=True every subgroup, as the A^⊥ in blocks from
+    `subspace_blocks(params, n - m)`; otherwise `samples` subgroups drawn
+    uniformly (via uniform ordered independent generator tuples,
+    resampled on dependence), each A^⊥ a block of one.  A uniform
+    subgroup holds each d != 0 with probability (p^m - 1) / (p^n - 1), so
+    the bound is the expected sampled average, reported without its
+    sampling error.
     """
-    # Neither is imported at module level: `average`, `structure`,
-    # `improve` and `round` jobs load `subspace` but run no estimator.
+    # Neither is imported at module level: `average`, `improve` and
+    # `round` jobs load `subspace` but run no scan.
     from fractions import Fraction
 
     from . import fourier
@@ -430,14 +477,15 @@ def varnavides_estimate(
                 a = span(params, [rng.randrange(params.size) for _ in range(m_dim)])
                 if a.dim == m_dim:
                     break
-            yield a.pivots, a.basis[None]
+            v = orthogonal_complement(a)
+            yield v.pivots, v.basis[None]
 
-    s_mask = s.mask()
+    s_hat = fourier.dft_forward(s.density())
     coset_size = p**m_dim
     dense = cosets = 0
-    for pivots, bases in subspace_blocks(params, m_dim) if exhaustive else sampled_blocks():
-        sizes = s_mask[next(coset_rows(bases, pivots, params))].sum(axis=-1)
-        dense += _dense_cosets(sizes, coset_size, s_mask, len(s))
+    for _, bases in subspace_blocks(params, n - m_dim) if exhaustive else sampled_blocks():
+        sizes = coset_sizes(s_hat, params, bases)
+        dense += _dense_cosets(sizes, coset_size, params.size, len(s))
         cosets += sizes.size
     t3 = fourier.count_raw(s) - len(s)
     bound = Fraction(t3 * (coset_size - 1) * p ** (n - m_dim), params.size - 1)

@@ -11,7 +11,7 @@ import pytest
 
 from ap3.fourier import count_raw, triple_counts
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
-from ap3 import fourier, search, subspace as sub
+from ap3 import fourier, gfspace, search, subspace as sub
 from ap3.selfcheck import t3_restricted
 from ap3.subspace import varnavides_estimate
 
@@ -498,12 +498,13 @@ class TestBatchedVarnavides:
     @pytest.mark.parametrize("per_block", [1, 2, None])
     def test_matches_per_subgroup_loop(self, p, n, per_block, rng, monkeypatch):
         params = GroupParams(p, n)
-        if per_block is not None:
-            monkeypatch.setattr(sub, "BLOCK_ELEMENTS", per_block * params.size)
         sets = [PointSet(params, ()), PointSet(params, tuple(range(params.size)))]
         sets += [PointSet.from_mask(params, rng.random(params.size) < d) for d in (0.3, 0.6)]
         for s in sets:
             for m_dim in range(1, n + 1):
+                if per_block is not None:
+                    # per_block annihilators A^⊥, of dim n - m, a block.
+                    monkeypatch.setattr(gfspace, "BLOCK", per_block * p ** (n - m_dim))
                 got = varnavides_estimate(s, m_dim, exhaustive=True)
                 assert got == old_varnavides_estimate(s, m_dim, exhaustive=True)
                 # The sampled scan draws the loop's subgroups; its bound is

@@ -237,15 +237,15 @@ GOLDEN_REPORTS = {
     "structure": """{
   "A_reps": [
     0,
-    3
+    1
   ],
-  "W": "dim 1; basis: (1,0)",
+  "W": "dim 1; basis: (0,1)",
   "best_positive_dim": {
     "A_reps": [
       0,
-      3
+      1
     ],
-    "W": "dim 1; basis: (1,0)",
+    "W": "dim 1; basis: (0,1)",
     "normalized": 0.2222222222222222,
     "symmetric_difference": 2
   },
@@ -268,9 +268,9 @@ GOLDEN_REPORTS = {
   "best_positive_dim": {
     "A_reps": [
       0,
-      3
+      1
     ],
-    "W": "dim 1; basis: (1,0)",
+    "W": "dim 1; basis: (0,1)",
     "normalized": 0.2222222222222222,
     "symmetric_difference": 2
   },
@@ -636,9 +636,9 @@ class TestNumericFlags:
 class TestImportBudget:
     """A job loads only the ap3 modules its subcommand runs: `import ap3.cli`
     loads no numpy, and `--help` and a usage error load nothing more, so
-    they finish without numpy.  `average` and `structure` transform nothing
-    and load no `ap3.fourier`, and so no `numpy.fft`, which `import numpy`
-    leaves unloaded.
+    they finish without numpy.  `average` transforms nothing and loads no
+    `ap3.fourier`, and so no `numpy.fft`, which `import numpy` leaves
+    unloaded.
     None loads numpy's random package or OpenSSL (`_hashlib`), which that
     package imports through secrets and hmac: jobs that draw random numbers
     use the standard library's `random.Random`.  None loads `dataclasses`, whose
@@ -705,7 +705,7 @@ class TestImportBudget:
             ),
             (
                 ["structure", "--input", "SET", "--max-codim", "1"],
-                ["ap3.gfspace", "ap3.subspace"],
+                ["ap3.fourier", "ap3.gfspace", "ap3.subspace"],
             ),
             (
                 ["varnavides", "--input", "SET", "--m-dim", "1", "--exhaustive"],

@@ -15,6 +15,7 @@ from ap3.subspace import (
     coset_decomposition,
     coset_means,
     coset_rows,
+    coset_sizes,
     count_subspaces,
     orthogonal_complement,
     span,
@@ -507,9 +508,9 @@ class TestBlocks:
     def test_blocks_flatten_to_old_order(self, p, n, per_block, monkeypatch):
         # Two subspaces a block divides no group size p^k; None keeps the cap.
         params = GroupParams(p, n)
-        if per_block is not None:
-            monkeypatch.setattr(subspace, "BLOCK_ELEMENTS", per_block * params.size)
         for dim in range(n + 1):
+            if per_block is not None:
+                monkeypatch.setattr(gfspace, "BLOCK", per_block * p**dim)
             old = list(old_all_subspaces(params, dim))
             got = []
             for pivots, bases in subspace_blocks(params, dim):
@@ -528,18 +529,18 @@ class TestBlocks:
     @pytest.mark.parametrize("p, n", BLOCK_GROUPS)
     def test_coset_rows_match_digit_layout(self, p, n, monkeypatch):
         params = GroupParams(p, n)
-        monkeypatch.setattr(subspace, "BLOCK_ELEMENTS", 3 * params.size)
         for dim in range(n + 1):
+            monkeypatch.setattr(gfspace, "BLOCK", 3 * p**dim)
             for pivots, bases in subspace_blocks(params, dim):
-                rows = next(coset_rows(bases, pivots, params))
-                assert rows.shape == (len(bases), p ** (n - dim), p**dim)
-                assert rows.dtype == np.int64
-                for max_rows in range(1, len(rows[0]) + 2):
-                    # Blocks of every size, batched too, join into the layout.
-                    blocks = list(coset_rows(bases, pivots, params, max_rows))
-                    assert all(b.shape[1] <= max_rows for b in blocks)
-                    assert np.array_equal(np.concatenate(blocks, axis=1), rows)
-                for basis, layout in zip(bases, rows):
+                for basis in bases:
+                    layout = next(coset_rows(basis, pivots, params))
+                    assert layout.shape == (p ** (n - dim), p**dim)
+                    assert layout.dtype == np.int64
+                    for max_rows in range(1, len(layout) + 2):
+                        # Blocks of every size join into the layout.
+                        blocks = list(coset_rows(basis, pivots, params, max_rows))
+                        assert all(len(b) <= max_rows for b in blocks)
+                        assert np.array_equal(np.concatenate(blocks), layout)
                     w = subspace.Subspace(params, basis, pivots)
                     assert np.array_equal(layout, old_coset_rows(w))
                     assert np.array_equal(coset_decomposition(w), layout)
@@ -563,6 +564,51 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * rows.nbytes
+
+
+class TestCosetSizes:
+    """coset_sizes against direct counts over W's coset layout."""
+
+    @pytest.mark.parametrize("p, n", BLOCK_GROUPS)
+    @pytest.mark.parametrize("block", [1, 5, gfspace.BLOCK])
+    def test_matches_direct_counts(self, p, n, block, rng, monkeypatch):
+        monkeypatch.setattr(gfspace, "BLOCK", block)
+        params = GroupParams(p, n)
+        digits = digit_table(p, n)
+        for density in (0.0, 0.4, 1.0):
+            s = PointSet.from_mask(params, rng.random(params.size) < density)
+            s_hat, s_mask = fourier.dft_forward(s.density()), s.mask()
+            for k in range(n + 1):
+                scanned = 0
+                for pivots, bases in subspace_blocks(params, k):
+                    sizes = coset_sizes(s_hat, params, bases)
+                    assert sizes.shape == (len(bases), p**k) and sizes.dtype == np.int64
+                    for basis, row in zip(bases, sizes):
+                        rows = coset_decomposition(
+                            orthogonal_complement(subspace.Subspace(params, basis, pivots))
+                        )
+                        # Each row's label u = B t, t its representative.
+                        labels = (digits[rows[:, 0]] @ basis.T) % p @ p ** np.arange(k)
+                        assert sorted(labels.tolist()) == list(range(p**k))
+                        assert np.array_equal(row[labels], s_mask[rows].sum(axis=-1))
+                    scanned += len(bases)
+                assert scanned == count_subspaces(params, k)
+
+    def test_whole_space_is_one_coset(self, rng):
+        params = GroupParams(5, 3)
+        s = PointSet.from_mask(params, rng.random(params.size) < 0.3)
+        bases = np.zeros((1, 0, 3), dtype=np.int64)
+        sizes = coset_sizes(fourier.dft_forward(s.density()), params, bases)
+        assert sizes.tolist() == [[len(s)]]
+
+    def test_perturbed_transform_raises(self, rng):
+        params = GroupParams(3, 4)
+        s = PointSet.from_mask(params, rng.random(params.size) < 0.5)
+        s_hat = fourier.dft_forward(s.density()).copy()
+        s_hat[0] += 0.3
+        bases = np.zeros((1, 0, 4), dtype=np.int64)
+        with pytest.raises(RuntimeError, match="lies 0.3 from an integer"):
+            coset_sizes(s_hat, params, bases)
 
 
 class TestStructure:
@@ -623,7 +669,8 @@ class TestStructure:
 
 
 def old_structure_report(s, max_codim):
-    """The per-subspace loop that the batched scan replaced."""
+    """The per-subspace loop that the batched scan replaced, in the scan's
+    order: each W as its annihilator, W = V^⊥ for V in enumeration order."""
     params = s.params
     n = params.n
     s_members = np.array(s.members, dtype=np.int64)
@@ -631,7 +678,7 @@ def old_structure_report(s, max_codim):
     for codim in range(max_codim + 1):
         dim = n - codim
         w_size = params.p**dim
-        for w in all_subspaces(params, dim):
+        for w in map(orthogonal_complement, all_subspaces(params, codim)):
             rows = subspace.coset_decomposition(w)
             pos = row_of(rows)
             inter = np.zeros(len(rows), dtype=np.int64)
@@ -687,10 +734,11 @@ class TestBatchedStructure:
     @pytest.mark.parametrize("per_block", [1, 2, None])
     def test_matches_per_subspace_loop(self, p, n, per_block, rng, monkeypatch, tmp_path):
         params = GroupParams(p, n)
-        if per_block is not None:
-            monkeypatch.setattr(subspace, "BLOCK_ELEMENTS", per_block * params.size)
         for s in self._sets(params, rng):
             for max_codim in range(n + 1):
+                if per_block is not None:
+                    # per_block subspaces a block at the largest codim.
+                    monkeypatch.setattr(gfspace, "BLOCK", per_block * p**max_codim)
                 got = structure_report(s, max_codim)
                 want = old_structure_report(s, max_codim)
                 assert got == want
@@ -699,28 +747,32 @@ class TestBatchedStructure:
                 assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
     def test_tied_minimizers_first_wins(self, monkeypatch):
-        # S = V1 u V2 for the planes V1 = <e0, e1> and V2 = <e0, e1 + e2> of
-        # F_3^4: both leave difference 6, and V1 comes first.  The default
-        # cap puts them in one block, two subspaces a block in two.
+        # S = V1 u V2 for the planes V1 = <e0, e2> and V2 = <e0, e1 + e2> of
+        # F_3^4: both leave difference 6.  A plane is scanned as its
+        # annihilator, V1^⊥ = <e1, e3> and V2^⊥ = <e1 + 2e2, e3>: the first
+        # and third subspaces with pivots (1, 3), so V1 comes first.  The
+        # default cap puts them in one block, two subspaces a block in two.
         params = GroupParams(3, 4)
-        v1 = subspace.span(params, [[1, 0, 0, 0], [0, 1, 0, 0]])
+        v1 = subspace.span(params, [[1, 0, 0, 0], [0, 0, 1, 0]])
         v2 = subspace.span(params, [[1, 0, 0, 0], [0, 1, 1, 0]])
         s = PointSet(params, tuple({*v1.elements().tolist(), *v2.elements().tolist()}))
-        planes = [(w, difference_of(s, w)) for w in all_subspaces(params, 2)]
+        planes = [
+            (w, difference_of(s, w))
+            for w in map(orthogonal_complement, all_subspaces(params, 2))
+        ]
         best = min(sd for _, sd in planes)
         assert best == 6 and [w for w, sd in planes if sd == best] == [v1, v2]
         for per_block in (None, 2):
             if per_block is not None:
-                monkeypatch.setattr(subspace, "BLOCK_ELEMENTS", per_block * params.size)
+                monkeypatch.setattr(gfspace, "BLOCK", per_block * params.p**2)
             rep = structure_report(s, 2)
             assert rep.best_positive_dim.W == v1
             assert rep.best_positive_dim.symmetric_difference == 6
             assert rep == old_structure_report(s, 2)
 
     def test_peak_memory_at_3_6(self):
-        # Layouts are built one block at a time: a block cap four times
-        # BLOCK_ELEMENTS (89 of the 364 hyperplanes of F_3^6 at once)
-        # exceeds this bound.
+        # The scan holds S's transform, one block of coset sizes and the
+        # layout of one new best W, never a layout per scanned subspace.
         params = GroupParams(3, 6)
         s = PointSet.from_mask(params, np.random.default_rng(5).random(params.size) < 0.3)
         tracemalloc.start()
