@@ -12,20 +12,19 @@ A triple is (m, m+d, m+2d); it is trivial when d = 0.  Raw counts T3
 include trivial triples, the primed count T3' = T3 - |S| excludes them.
 `triple_counts` is the one count of sets and densities alike.
 
-Exact counts use the same complex transform: a convolution of two masks is
-an integer, so its float value rounds to it whenever the float error is
-below 1/2 (Percival, "Rapid multiplication modulo the sum and difference
-of highly composite numbers", Math. Comp. 2003).  `pair_counts` states the
-a priori bound, and checks at run time that every float lies within 1/4 of
-its integer.
+Exact counts, of pairs in S^2 (`pair_counts`) and of points per coset
+(`subspace.coset_sizes`), are the floats of a transform rounded by the
+one rule `exact_counts`, which states Percival's a priori bound and checks
+at run time that every float lies within 1/4 of its integer.
 
-Every transform is numpy's FFT, in O(p^n log p^n) for any p (Bluestein's
-algorithm, 1970, for a large prime length), run in place with `out=` on a
-private complex128 copy of its input.  `ifftn` with norm="forward" is the
-unscaled sum with omega^(+a.m), so it is the forward transform, and
-`fftn` with norm="forward" the inverse.  An index's digits are the axes of
-a (p,)*n grid, and a.m treats every digit alike, so the grid needs no
-transpose.
+Every transform, of F_p^n or of the p^k coset sizes of a subspace, is
+`forward` or `inverse`: numpy's FFT, in O(p^k log p^k) for any p
+(Bluestein's algorithm, 1970, for a large prime length), run in place
+with `out=` on a private complex128 array.  `ifftn` with norm="forward"
+is the unscaled sum with omega^(+a.m), so it is the forward transform,
+and `fftn` with norm="forward" the inverse.  An index's digits are the
+axes of a (p,)*k grid, and a.m treats every digit alike, so the grid
+needs no transpose.
 """
 
 from __future__ import annotations
@@ -39,6 +38,50 @@ IMAG_TOL = 1e-9
 ROUNDTRIP_IMAG_TOL = 1e-10
 
 
+def forward(x: np.ndarray, p: int, k: int) -> np.ndarray:
+    """The transforms over F_p^k of the rows of x, a (batch, p^k) array or
+    one row, as a (batch, p^k) complex128 array: x itself, transformed in
+    place, if it is a complex128 array, which its caller gives up, and
+    otherwise a complex128 copy of x."""
+    return _transform(ifftn, x, p, k)
+
+
+def inverse(x: np.ndarray, p: int, k: int) -> np.ndarray:
+    """The inverse transforms of the rows of x, as `forward` takes them."""
+    return _transform(fftn, x, p, k)
+
+
+def _transform(fft, x: np.ndarray, p: int, k: int) -> np.ndarray:
+    grid = np.asarray(x, dtype=np.complex128).reshape((-1,) + (p,) * k)
+    return fft(grid, axes=tuple(range(1, k + 1)), norm="forward", out=grid).reshape(-1, p**k)
+
+
+def exact_counts(floats: np.ndarray) -> np.ndarray:
+    """The int64 integers nearest the floats of a transform that are exact
+    counts; `floats` is left holding each one's residue.
+
+    Rounding is exact while every float error stays below 1/2.  Percival's
+    bound ("Rapid multiplication modulo the sum and difference of highly
+    composite numbers", Math. Comp. 2003) for an FFT convolution of a mask
+    S on F_p^n is of the order u log2(p^n) |S| (u = 2^-53), and for S's
+    coefficients u log2(p^n) sqrt(p^n |S|), whose errors a p^k inverse
+    transform averages.  Both are at most u log2(p^n) p^n: 1e-10 at 3^10,
+    5e-12 on Z_4001 and 2e-10 on Z_100003, nearing 1/4 only beyond
+    p^n = 10^13, far beyond the memory of any job.  Measured on 30% masks,
+    the convolutions' error is 0 at 3^10, 3^12 and 3^13 and at most
+    1.2e-12 at 5^6 and 7^5 (6.8e-12 on Z_4001 and 2.6e-10 on Z_100003 on
+    full sets), and the coset sizes' 0 at 3^10 and 3^12 and at most
+    2.3e-13 at 5^6 and 7^5.  As a run-time check, a float more than 1/4
+    from its integer raises RuntimeError.
+    """
+    counts = np.rint(floats, out=np.empty(floats.shape, dtype=np.int64), casting="unsafe")
+    floats -= counts
+    residue = max(floats.max(initial=0.0), -floats.min(initial=0.0))
+    if residue > 0.25:
+        raise RuntimeError(f"exact count failed: a value lies {residue:.3g} from an integer")
+    return counts
+
+
 def pair_counts(
     x: np.ndarray, params: GroupParams, forms: tuple[tuple[int, int], ...] = ((1, 1),)
 ) -> np.ndarray:
@@ -48,40 +91,20 @@ def pair_counts(
     the self-convolution x * x.
 
     x's dtype decides the result.  Boolean masks give int64 rows of counts
-    #{(y, z) in S^2: a y + b z = v}; float64 density rows give the float64
-    convolutions, never rounded.
+    #{(y, z) in S^2: a y + b z = v}, rounded by `exact_counts`; float64
+    density rows give the float64 convolutions, never rounded.
 
     R's transform is t(a k) t(b k), t the transform of x, so a row takes
-    one forward transform and each output row one inverse.  The floats of
-    a mask are then rounded to the nearest integer.
-
-    Rounding is exact while every float error stays below 1/2.  Percival's
-    bound for an FFT convolution is of the order u log2(p^n) ||x||_2^2
-    (u = 2^-53), and ||x||_2^2 = |S| <= p^n: 1e-10 at 3^10, 5e-12 on
-    Z_4001 and 2e-10 on Z_100003.  Measured, it is 0 at 3^10, 3^12 and
-    3^13, at most 1.2e-12 at 5^6 and 7^5 on 30% masks, and on full sets
-    6.8e-12 on Z_4001 and 2.6e-10 on Z_100003.  It nears 1/4 only far
-    beyond the memory of any job.  As a run-time check, a float more than
-    1/4 from its integer raises RuntimeError.
+    one forward transform and each output row one inverse.
     """
     p, n = params.p, params.n
-    grid, axes = (-1,) + (p,) * n, tuple(range(1, n + 1))
-    t = x.reshape(grid).astype(np.complex128)
-    t = ifftn(t, axes=axes, norm="forward", out=t).reshape(-1, params.size)
+    t = forward(x, p, n)
     if forms == ((1, 1),):
         t *= t  # in place: a count holds only t and its result full-size
     else:
         t = np.stack([t[:, scale_map(p, n, a)] * t[:, scale_map(p, n, b)] for a, b in forms])
-    t = t.reshape(grid)
-    conv = fftn(t, axes=axes, norm="forward", out=t).reshape(-1, params.size).real
-    if x.dtype != bool:
-        return conv
-    counts = np.rint(conv, out=np.empty(conv.shape, dtype=np.int64), casting="unsafe")
-    conv -= counts
-    residue = max(conv.max(initial=0.0), -conv.min(initial=0.0))
-    if residue > 0.25:
-        raise RuntimeError(f"exact count failed: a convolution lies {residue:.3g} from an integer")
-    return counts
+    conv = inverse(t, p, n).real
+    return exact_counts(conv) if x.dtype == bool else conv
 
 
 def triple_counts(x: np.ndarray, params: GroupParams) -> np.ndarray:
@@ -110,8 +133,7 @@ def count_raw(s: PointSet) -> int:
 def dft_forward(f: DensityFunction) -> np.ndarray:
     """The coefficients fhat(a) in canonical order, as a read-only complex128
     array: one in-place FFT of a copy of f's values, O(p^n log p^n)."""
-    arr = f.values.astype(np.complex128).reshape((f.params.p,) * f.params.n)
-    coeffs = ifftn(arr, norm="forward", out=arr).reshape(-1)
+    coeffs = forward(f.values, f.params.p, f.params.n)[0]
     coeffs.setflags(write=False)
     return coeffs
 
@@ -123,8 +145,7 @@ def dft_inverse(c: np.ndarray, params: GroupParams) -> DensityFunction:
     scale = max(1.0, float(np.abs(c).max()))
     if np.abs(c[scale_map(p, n, p - 1)] - np.conj(c)).max() > IMAG_TOL * scale:
         raise ValueError("spectrum violates conjugate symmetry; no real preimage")
-    arr = np.array(c, dtype=np.complex128).reshape((p,) * n)
-    flat = fftn(arr, norm="forward", out=arr).reshape(-1)
+    flat = inverse(c.astype(np.complex128), p, n)[0]
     if np.abs(flat.imag).max() > ROUNDTRIP_IMAG_TOL * scale:
         raise ValueError("imaginary residue above tolerance in inverse transform")
     return DensityFunction(params, flat.real)

@@ -170,23 +170,15 @@ def build_W(f: DensityFunction, delta: float):
 
 
 def choose_ell(epsilon: float, p: int) -> int:
-    """The unique ell >= 1 with 4/eps <= p^ell < 4p/eps.
-
-    eps * p^ell is compared in floats; once p^ell is past the float range,
-    which needs eps < 4p / 2^1024, it is compared exactly.
-    """
+    """The unique ell >= 1 with 4/eps <= p^ell < 4p/eps, compared exactly:
+    a float eps * p^ell can round up to 4.0 just below the boundary."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0,1], got {epsilon}")
     num, den = epsilon.as_integer_ratio()
     ell = 1
-    while True:
-        try:
-            if epsilon * p**ell >= 4.0:
-                return ell
-        except OverflowError:
-            if num * p**ell >= 4 * den:
-                return ell
+    while num * p**ell < 4 * den:
         ell += 1
+    return ell
 
 
 def select_v_prime(values: np.ndarray, epsilon: float) -> np.ndarray:

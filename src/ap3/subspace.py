@@ -10,7 +10,8 @@ One builder, `coset_rows`, lays out the cosets of one subspace W, whole
 the blocks, holding one, never a p^n layout.
 
 Both scans read the coset sizes |S ∩ (t+W)| from S's coefficients on
-V = W^⊥ (`coset_sizes`): one transform of S plus p^codim W per subspace.
+V = W^⊥ (`coset_sizes`): one transform of S plus p^codim W per subspace,
+rounded by the one rule of exact counts, `fourier.exact_counts`.
 
 Coset representatives are NOT taken from the orthogonal complement: over
 GF(p) a subspace can meet its own complement (self-orthogonal vectors,
@@ -308,33 +309,16 @@ def coset_sizes(s_hat: np.ndarray, params: GroupParams, bases: np.ndarray) -> np
 
     Since [B m = u] = p^-k sum_c omega^(c.(B m - u)) over c in F_p^k, the
     size is p^-k sum_c omega^(-c.u) s_hat(c B): s_hat gathered at the p^k
-    points c B of V, then one p^k inverse transform (`fftn`, norm="forward")
-    per subspace.
-
-    As in `fourier.pair_counts`, the floats are rounded to integers.  A
-    gathered coefficient is off by at most the forward transform's error,
-    of the order eps log2(p^n) sqrt(p^n |S|) <= eps log2(p^n) p^n
-    (eps = 2^-53), and the p^k transform averages those errors: 1e-10 at
-    3^10, nearing 1/4 only near p^n = 10^13, far beyond the memory of any
-    job.  Measured on 30% sets, it is 0 at 3^10 and 3^12 and at most
-    2.3e-13 at 5^6 and 7^5.  As a run-time check, a float more than 1/4
-    from its integer raises RuntimeError.
+    points c B of V, then one p^k `fourier.inverse` per subspace, rounded
+    to integers by `fourier.exact_counts`.
     """
-    from numpy.fft import fftn  # here, not at the top: `average` loads no numpy.fft
+    from . import fourier  # here, not at the top: `average` loads no fourier
 
     p, k = params.p, bases.shape[1]
     points = np.zeros((len(bases), p**k), dtype=np.int64)
     for j in range(params.n):
         points += _span_sums(bases[:, :, j], p) % p * p**j
-    grid = s_hat[points].reshape((-1,) + (p,) * k)
-    sizes = fftn(grid, axes=tuple(range(1, k + 1)), norm="forward", out=grid)
-    sizes = sizes.real.reshape(len(bases), -1)
-    counts = np.rint(sizes, out=np.empty(sizes.shape, dtype=np.int64), casting="unsafe")
-    sizes -= counts
-    residue = max(sizes.max(initial=0.0), -sizes.min(initial=0.0))
-    if residue > 0.25:
-        raise RuntimeError(f"coset sizes failed: a size lies {residue:.3g} from an integer")
-    return counts
+    return fourier.exact_counts(fourier.inverse(s_hat[points], p, k).real)
 
 
 def count_subspaces(params: GroupParams, dim: int) -> int:
@@ -378,7 +362,7 @@ def structure_report(s: PointSet, max_codim: int) -> SimpleNamespace:
     minimizer in that order wins a tie.  Only a new best W's cosets are
     laid out, to read its A.
     """
-    from . import fourier  # here, not at the top: `average` loads no numpy.fft
+    from . import fourier  # here, not at the top: `average` loads no fourier
 
     params = s.params
     n = params.n

@@ -97,12 +97,23 @@ class TestDelta:
 
 class TestChooseEll:
     @pytest.mark.parametrize(
-        "eps,p,expected", [(1.0, 3, 2), (0.5, 3, 2), (1.0, 5, 1), (0.5, 5, 2), (0.05, 3, 4)]
+        "eps,p,expected",
+        [
+            (1.0, 3, 2),
+            (0.5, 3, 2),
+            (1.0, 5, 1),
+            (0.5, 5, 2),
+            (0.05, 3, 4),
+            # Just above 4/9 and 4/7: eps * p^ell in floats rounds up to
+            # 4.0 one ell too early.
+            (0.4444444444444444, 3, 3),
+            (0.5714285714285714, 7, 2),
+        ],
     )
     def test_values(self, eps, p, expected):
         ell = choose_ell(eps, p)
         assert ell == expected
-        assert 4.0 / eps <= p**ell < 4.0 * p / eps
+        assert 4 / Fraction(eps) <= p**ell < 4 * p / Fraction(eps)
 
     @pytest.mark.parametrize("eps", [3e-308, 1e-310, 5e-324])
     @pytest.mark.parametrize("p", [3, 7, 101])

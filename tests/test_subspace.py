@@ -6,8 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from ap3.cli import _write_json
-from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
+from ap3.cli import _write_json, main
+from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine, save_set
 from ap3 import fourier, gfspace, rounding, subspace
 from ap3.subspace import (
     average_over_cosets,
@@ -609,6 +609,27 @@ class TestCosetSizes:
         bases = np.zeros((1, 0, 4), dtype=np.int64)
         with pytest.raises(RuntimeError, match="lies 0.3 from an integer"):
             coset_sizes(s_hat, params, bases)
+
+    def test_structure_job_exits_on_a_failed_residue_check(self, monkeypatch, rng, tmp_path, capsys):
+        # The coset sizes' inverse transform is fourier's, so an inverse
+        # that is off by 0.3 in every output fails the scan's exact counts.
+        fftn = fourier.fftn
+
+        def offset(*args, **kwargs):
+            out = fftn(*args, **kwargs)
+            out += 0.3
+            return out
+
+        params = GroupParams(3, 3)
+        path = str(tmp_path / "set.aps")
+        save_set(PointSet.from_mask(params, rng.random(params.size) < 0.5), path)
+        monkeypatch.setattr(fourier, "fftn", offset)
+        argv = ["structure", "--input", path, "--max-codim", "1", "--output-dir", str(tmp_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ap3: error: exact count failed")
 
 
 class TestStructure:
