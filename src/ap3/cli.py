@@ -218,7 +218,7 @@ def cmd_count(args) -> int:
     x = f.values > 0.0 if indicator else f.values
     raw = fourier.triple_counts(x, f.params)[0].item()
     print(f"lambda3={raw / f.params.size**2:.17g}")
-    print(f"t3_raw={float(raw):.17g}")
+    print(f"t3_raw={raw}" if indicator else f"t3_raw={raw:.17g}")
     if indicator:
         print(f"t3_nontrivial={raw - int(x.sum())}")
     return 0

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .gfspace import DensityFunction, combine
+from .gfspace import DensityFunction, GroupParams, PointSet, combine
 from . import fourier, gfspace
 from . import subspace as sub
 
@@ -50,8 +50,7 @@ class CaseTable:
     entries exists.  Row indices are coordinates on the quotient by W (see
     `subspace.coset_decomposition`), so the row of u3 = 2u2 - u1 is
     `combine` of the row indices of u1 and u2, with no element-to-row
-    map.  `audit_cases` sets `all_passed` and `t3_inside` (the number of
-    cases with all three rows in V') from one sweep.
+    map.  `audit_cases` sets `all_passed` from one sweep.
     """
 
     def __init__(self, t, params, c, a, in_vp, counts, factor) -> None:
@@ -63,7 +62,6 @@ class CaseTable:
         self.counts = counts  # case_counts(|W|, |T|)
         self.factor = factor  # 1 - eps^2/16p^2
         self.all_passed = None
-        self.t3_inside = None
 
     def blocks(self):
         """Yield the cases a block of whole u1 rows at a time, at most
@@ -237,9 +235,8 @@ def audit_cases(
     rounded N[j] x, which is float(N[j]) * x for N[j] < 2^53.
 
     The returned table computes the cases a block at a time; its
-    `all_passed` (every case passed) and `t3_inside` (the cases with all
-    three rows in V', which are the 3-APs of V' reps) come from one sweep
-    over the blocks here.
+    `all_passed` (every case passed) comes from one sweep over the blocks
+    here, which only decides.
     """
     params = fw.params
     p = params.p
@@ -260,11 +257,7 @@ def audit_cases(
         counts=case_counts(w_size, w_size - int(np.count_nonzero(s_cols))),
         factor=1.0 - epsilon**2 / (16.0 * p**2),
     )
-    passed, inside = True, 0
-    for block in table.blocks():
-        passed &= bool(block.passed.all())
-        inside += int(np.count_nonzero(block.all_in_v_prime))
-    table.all_passed, table.t3_inside = passed, inside
+    table.all_passed = all(block.passed.all() for block in table.blocks())
     return table
 
 
@@ -327,8 +320,10 @@ def construct_g(
     # (B B^T) c = 0: dim(V cap W) = dim V - rank(B B^T mod p).
     gram_rank = len(sub.rref_mod_p(v_space.basis @ v_space.basis.T, p)[1])
 
-    # The transversal is a subspace, so the inside cases are the 3-APs of V'.
-    t3_vp = checks.t3_inside
+    # Row indices are coordinates on the quotient F_p^n / W, so T3 of the
+    # V' reps is a count there; W = F_p^n leaves one point, row 0 of F_p^1.
+    quotient = GroupParams(p, max(1, params.n - w_space.dim))
+    t3_vp = fourier.count_raw(PointSet(quotient, np.flatnonzero(in_vp).tolist()))
     w_size = rows.shape[1]
     norm = float(params.size) ** 2
     agg_rhs = t3_fw - (epsilon**5 / (1024.0 * p**2)) * w_size**2 * t3_vp

@@ -430,9 +430,10 @@ def varnavides_estimate(
     and those are the fraction (p^m - 1) / (p^n - 1) of all subgroups.
     Both modes compute this bound from one count of S.
 
-    The subgroups A are scanned only for the coset sizes behind
-    dense_coset_fraction, read by `coset_sizes` from one transform of S
-    through each A's annihilator A^⊥, at p^(n-m) per subgroup: with
+    The subgroups A are scanned only to decide which cosets are dense for
+    dense_coset_fraction, whose denominator is the closed form
+    sampled_subgroups * p^(n-m).  The coset sizes come from `coset_sizes`,
+    one transform of S read through each A's annihilator A^⊥: with
     exhaustive=True every subgroup, as the A^⊥ in blocks from
     `subspace_blocks(params, n - m)`; otherwise `samples` subgroups drawn
     uniformly (via uniform ordered independent generator tuples,
@@ -466,17 +467,16 @@ def varnavides_estimate(
 
     s_hat = fourier.dft_forward(s.density())
     coset_size = p**m_dim
-    dense = cosets = 0
+    dense = 0
     for _, bases in subspace_blocks(params, n - m_dim) if exhaustive else sampled_blocks():
-        sizes = coset_sizes(s_hat, params, bases)
-        dense += _dense_cosets(sizes, coset_size, params.size, len(s))
-        cosets += sizes.size
+        dense += _dense_cosets(coset_sizes(s_hat, params, bases), coset_size, params.size, len(s))
     t3 = fourier.count_raw(s) - len(s)
     bound = Fraction(t3 * (coset_size - 1) * p ** (n - m_dim), params.size - 1)
+    subgroups = count_subspaces(params, m_dim) if exhaustive else samples
     return SimpleNamespace(
         m_dim=m_dim,
-        sampled_subgroups=count_subspaces(params, m_dim) if exhaustive else samples,
-        dense_coset_fraction=dense / cosets,
+        sampled_subgroups=subgroups,
+        dense_coset_fraction=dense / (subgroups * p ** (n - m_dim)),
         certified_lower_bound=float(bound),
         certified_lower_bound_exact=bound,
         alpha=len(s) / params.size,

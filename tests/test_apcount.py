@@ -189,6 +189,13 @@ class TestRestricted:
             sets = (PointSet.from_mask(params, x[i]) for x in (u, v, w))
             assert t3_restricted(ones, *sets) == brute_count(u[i], v[i], w[i], p, n)
 
+    def test_rejects_mixed_groups(self):
+        f = DensityFunction.constant(GroupParams(3, 2), 1.0)
+        u, other = PointSet(f.params, (0,)), PointSet(GroupParams(3, 1), (0,))
+        with pytest.raises(ValueError) as info:
+            t3_restricted(f, u, u, other)
+        assert str(info.value) == "mismatched group parameters"
+
     def test_matches_unrestricted(self, rng):
         params = GroupParams(3, 2)
         f = random_density(params, rng)
@@ -387,6 +394,11 @@ class TestVarnavides:
         params = GroupParams(3, 2)
         with pytest.raises(ValueError):
             varnavides_estimate(PointSet(params, (0,)), 3, samples=1)
+
+    def test_sampled_needs_samples(self):
+        with pytest.raises(ValueError) as info:
+            varnavides_estimate(PointSet(GroupParams(3, 2), (0,)), 1)
+        assert str(info.value) == "samples must be >= 1 unless exhaustive"
 
     def test_exhaustive_budget(self, monkeypatch):
         # F_3^3 has 13 planes: the budget bounds the exhaustive scan only.

@@ -387,6 +387,16 @@ class TestCount:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1:] == [f"t3_raw={raw}", f"t3_nontrivial={raw - k}"]
 
+    def test_indicator_count_above_2_53_prints_exactly(self, monkeypatch, tmp_path, capsys):
+        # A float t3_raw would read 2^53 and contradict t3_nontrivial.
+        params = GroupParams(3, 2)
+        path = tmp_path / "ind.apf"
+        save_density(PointSet(params, (0, 1)).density(), str(path))
+        monkeypatch.setattr(fourier, "triple_counts", lambda x, params: np.array([2**53 + 1]))
+        assert run(["count", "--input", str(path)], tmp_path) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == ["t3_raw=9007199254740993", "t3_nontrivial=9007199254740991"]
+
     def test_missing_file(self, tmp_path, capsys):
         path = str(tmp_path / "no.apf")
         assert run(["count", "--input", path], tmp_path) == 1

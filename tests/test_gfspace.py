@@ -303,6 +303,11 @@ class TestPointSet:
         assert a != b and a == a and len({a, b}) == 2
         assert (a.params, a.members) == (b.params, b.members)
 
+    def test_rejects_a_member_out_of_range(self):
+        with pytest.raises(ValueError) as info:
+            PointSet(GroupParams(3, 1), (3,))
+        assert str(info.value) == "member 3 out of range [0, 3)"
+
 
 class TestExpectation:
     def test_constant(self):

@@ -276,7 +276,7 @@ class TestConstructG:
                 assert lhs == t3_restricted(g, u1, u2, u3)
             v_prime = PointSet(params, tuple(rows[in_vp, 0].tolist()))
             inside = np.count_nonzero(cases.all_in_v_prime)
-            assert inside == table.t3_inside == fourier.count_raw(v_prime)
+            assert inside == fourier.count_raw(v_prime)
             assert table.all_passed == cases.passed.all()
 
     def test_closed_form_rejects_mixed_rows(self):
@@ -414,7 +414,8 @@ class TestAuditAtScale:
             write_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.all_passed and table.t3_inside == report.t3_v_prime_reps
+        inside = np.count_nonzero(case_columns(table).all_in_v_prime)
+        assert table.all_passed and inside == report.t3_v_prime_reps
         assert max(audit_peak, write_peak) <= 2**20, (audit_peak, write_peak)
 
     def test_case_table_order_and_report_types(self, tmp_path):

@@ -115,6 +115,12 @@ class TestRepair:
         out = repair(f, 1 / 3)
         assert out.values.sum() == 3.0
 
+    def test_rejects_a_target_above_1(self):
+        f = DensityFunction(GroupParams(3, 1), np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ValueError) as info:
+            repair(f, 1.5)
+        assert str(info.value) == "target_mean 1.5 exceeds 1"
+
     def test_rejects_nonindicator(self):
         f = DensityFunction(GroupParams(3, 1), np.array([0.5, 0.0, 0.0]))
         with pytest.raises(ValueError, match="0/1"):

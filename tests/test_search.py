@@ -1,9 +1,12 @@
+import re
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ap3 import fourier, search
+from ap3.cli import main
 from ap3.fourier import count_raw
 from ap3.gfspace import GroupParams, PointSet, combine
 from ap3.search import (
@@ -117,6 +120,24 @@ class TestExhaustive:
         with pytest.raises(ValueError, match="exceeds"):
             exhaustive_min(GroupParams(3, 3), 0.5)
 
+    @staticmethod
+    def miscount_complements(monkeypatch):
+        real = fourier.count_raw
+        monkeypatch.setattr(fourier, "count_raw", lambda s: real(s) + 1)
+
+    def test_complementation_check_fires(self, monkeypatch):
+        self.miscount_complements(monkeypatch)
+        with pytest.raises(RuntimeError, match="^complementation identity failed in exhaustive_min$"):
+            exhaustive_min(GroupParams(3, 2), 4 / 9)
+
+    def test_complementation_check_fails_the_job(self, monkeypatch, tmp_path, capsys):
+        self.miscount_complements(monkeypatch)
+        argv = ["search", "--p", "3", "--n", "2", "--alpha", "0.4", "--exhaustive"]
+        assert main(argv + ["--output-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ap3: error: complementation identity failed in exhaustive_min\n"
+
 
 class TestLocal:
     def test_reproducible(self):
@@ -145,6 +166,23 @@ class TestLocal:
         params = GroupParams(3, 2)
         r = local_min(params, 5 / 9, restarts=3, iters=10, seed=1)
         assert len(r.best_set) >= 5
+
+    def test_recount_check_fires(self, monkeypatch):
+        # From its second call, after the first move, M is one too high at
+        # every point, so the recount exceeds the move's score by |S| = 11.
+        real, calls = search._participation, []
+
+        def inflated(x, params):
+            m, e = real(x, params)
+            calls.append(x)
+            return (m + 1, e) if len(calls) > 1 else (m, e)
+
+        monkeypatch.setattr(search, "_participation", inflated)
+        with pytest.raises(RuntimeError) as info:
+            local_min(GroupParams(3, 3), 0.4, 2, 10, 1)
+        found = re.fullmatch(r"move scored (\d+) but recounts to (\d+)", str(info.value))
+        scored, recounted = map(int, found.groups())
+        assert recounted - scored == 11 and len(calls) == 2
 
     @pytest.mark.parametrize("p,n,alpha,restarts,iters,seed,members,count,moves", LOCAL_GOLDEN)
     def test_golden(self, p, n, alpha, restarts, iters, seed, members, count, moves):

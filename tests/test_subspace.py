@@ -18,6 +18,7 @@ from ap3.subspace import (
     coset_sizes,
     count_subspaces,
     orthogonal_complement,
+    rref_mod_p,
     span,
     structure_report,
     subspace_blocks,
@@ -447,6 +448,18 @@ class TestCanonicalCodim:
         params = GroupParams(3, 2)
         with pytest.raises(ValueError):
             canonical_codim_subspace(span(params, [[1, 0]]), 2)
+
+
+class TestGuards:
+    def test_rref_rejects_a_1d_input(self):
+        with pytest.raises(ValueError) as info:
+            rref_mod_p(np.array([1, 2]), 3)
+        assert str(info.value) == "expected a 2-D matrix"
+
+    def test_subspace_blocks_rejects_a_dim_above_n(self):
+        with pytest.raises(ValueError) as info:
+            next(subspace_blocks(GroupParams(3, 2), 3))
+        assert str(info.value) == "dim=3 out of range [0, 2]"
 
 
 class TestEnumeration:
