@@ -32,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.fft import fftn, ifftn
 
+from . import gfspace
 from .gfspace import DensityFunction, GroupParams, PointSet, combine, scale_map
 
 IMAG_TOL = 1e-9
@@ -153,16 +154,23 @@ def dft_inverse(c: np.ndarray, params: GroupParams) -> DensityFunction:
 
 def large_spectrum(coeffs: np.ndarray, delta: float, params: GroupParams) -> PointSet:
     """All frequencies a with |fhat(a)| strictly above delta * p^n, for the
-    coefficients of an f mapping into [0, 1]."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    a = np.nonzero(np.abs(coeffs) > float(delta) * params.size)[0]
+    coefficients of an f mapping into [0, 1]; delta must lie in (0, inf).
+
+    The comparison runs `gfspace.BLOCK` coefficients at a time, so beside
+    its input and the members of A it holds one block of magnitudes."""
+    if not 0.0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
+    cutoff = float(delta) * params.size
     # Parseval: at most delta^-2 survivors for f mapping into [0,1].  Below
     # delta = 1e-154, delta^-2 overflows a float, and no |A| <= p^n exceeds it.
     limit = delta**-2 if delta >= 1e-154 else np.inf
-    if len(a) > limit + 1e-9:
-        raise ValueError(f"|A| = {len(a)} exceeds delta^-2 = {limit:.6g}: Parseval violated")
-    return PointSet(params, tuple(int(i) for i in a))
+    block, members = gfspace.BLOCK, []
+    for start in range(0, len(coeffs), block):
+        hits = np.flatnonzero(np.abs(coeffs[start : start + block]) > cutoff)
+        members += (hits + start).tolist()
+    if len(members) > limit + 1e-9:
+        raise ValueError(f"|A| = {len(members)} exceeds delta^-2 = {limit:.6g}: Parseval violated")
+    return PointSet(params, tuple(members))
 
 
 def spectrum_export_lines(coeffs: np.ndarray, a: PointSet) -> list[str]:

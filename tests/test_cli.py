@@ -999,8 +999,10 @@ class TestMemoryBudget:
     compiles `cli` and then loads numpy, in the order every job does:
     `ap3 --help` alone loads neither.  Measured on a 2-core x86-64 VM
     (Python 3.11.7, numpy 2.4.6, no bytecode cache), a job over that
-    start-up: spectrum +2.5-2.6 MB, average +1.8-2.0 MB and the Z_4001
-    count (`fourier.triple_counts` on the set's mask) +1.5-1.7 MB.  The
+    start-up: spectrum +2.2-2.4 MB with the large spectrum compared a
+    block at a time (+2.4-2.7 MB with a full-size |fhat|), average
+    +1.9-2.0 MB and the Z_4001 count (`fourier.triple_counts` on the
+    set's mask) +1.5-1.6 MB.  The
     figures that follow are over an older start-up that compiled `cli`
     after numpy and peaked 0.7 MB higher: spectrum +1.4-1.6 MB, average
     +0.9-1.1 MB and count +0.3-0.6 MB with the job's modules compiled

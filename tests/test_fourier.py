@@ -1,9 +1,11 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ap3 import fourier
+from ap3 import fourier, gfspace
 from ap3.cli import main
 from ap3.fourier import (
     dft_forward,
@@ -155,6 +157,66 @@ class TestLargeSpectrum:
             for _ in range(5):
                 f = random_density(params, rng)
                 assert len(spectrum_of(f, delta)) <= delta**-2
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -0.25])
+    def test_rejects_a_delta_outside_0_inf(self, delta):
+        f = DensityFunction.constant(GroupParams(3, 3), 0.5)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            spectrum_of(f, delta)
+
+
+class TestLargeSpectrumBlocks:
+    """The block-at-a-time comparison against the whole-array rule."""
+
+    DELTA = 0.01
+
+    @staticmethod
+    def coefficients(params, cutoff, rng):
+        # About 2% of the magnitudes lie above the cutoff; a few entries sit
+        # exactly at it (not in A: the rule is strict) or one ulp above it.
+        c = cutoff * 0.35 * (rng.normal(size=params.size) + 1j * rng.normal(size=params.size))
+        at = rng.choice(params.size, 40, replace=False)
+        c[at[:10]] = cutoff
+        c[at[10:20]] = -1j * cutoff
+        c[at[20:30]] = np.nextafter(cutoff, np.inf)
+        c[at[30:]] = -np.nextafter(cutoff, np.inf) * 1j
+        return c
+
+    @pytest.mark.parametrize("p, n", [(3, 10), (5, 6), (100003, 1)])
+    @pytest.mark.parametrize("block", [7, gfspace.BLOCK])
+    def test_matches_the_whole_array_rule(self, p, n, block, monkeypatch, rng):
+        params = GroupParams(p, n)
+        c = self.coefficients(params, self.DELTA * p**n, rng)
+        want = np.flatnonzero(np.abs(c) > self.DELTA * p**n).tolist()
+        assert params.size % block and 100 < len(want) < self.DELTA**-2
+        monkeypatch.setattr(gfspace, "BLOCK", block)
+        assert list(large_spectrum(c, self.DELTA, params).members) == want
+
+    @pytest.mark.parametrize("p, n", [(3, 10), (100003, 1)])
+    def test_parseval_refusal_counts_every_block(self, p, n, monkeypatch, rng):
+        params = GroupParams(p, n)
+        delta = 0.1  # delta^-2 = 100
+        c = self.coefficients(params, self.DELTA * p**n, rng) * (delta / self.DELTA)
+        want = np.count_nonzero(np.abs(c) > delta * p**n)
+        assert want > 5 * delta**-2
+        monkeypatch.setattr(gfspace, "BLOCK", 7)
+        with pytest.raises(ValueError, match=re.escape(f"|A| = {want} exceeds delta^-2 = 100:")):
+            large_spectrum(c, delta, params)
+
+    def test_traces_a_block_not_the_array(self, rng):
+        # A whole-array |fhat| at 3^10 is 0.47 MB; a block of magnitudes,
+        # its mask and its hits stay far below 4 * BLOCK * 16 bytes.
+        params = GroupParams(3, 10)
+        c = rng.normal(size=params.size) + 1j * rng.normal(size=params.size)
+        c[[0, 5, params.size - 1]] = params.size
+        tracemalloc.start()
+        try:
+            a = large_spectrum(c, 0.5, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.members == (0, 5, params.size - 1)
+        assert peak < 4 * gfspace.BLOCK * 16, peak
 
 
 class TestExport:

@@ -63,8 +63,10 @@ class TestConfig:
                     construct_g(self.F, eps, delta)
 
     def test_rejects_bad_overrides(self):
-        with pytest.raises(ValueError, match="delta must be positive"):
-            construct_g(self.F, 0.5, delta=0.0)
+        # A NaN delta once passed and gave A = {}, so W = F_p^n.
+        for delta in [0.0, -1.0, math.nan, math.inf]:
+            with pytest.raises(ValueError, match="delta must be positive and finite"):
+                construct_g(self.F, 0.5, delta=delta)
 
 
 class TestDelta:
