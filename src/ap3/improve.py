@@ -103,9 +103,11 @@ class CaseTable:
 def write_case_blocks(fh, blocks) -> None:
     """Write the cases of `blocks` (namespaces of columns, as
     `CaseTable.blocks` yields them) as json.dump(indent=2, sort_keys=True)
-    writes their list of per-case dicts as a top-level value of a report,
-    one write per block."""
-    first = True
+    writes their list of per-case dicts as a top-level value of a report.
+    Each block's values are formatted at once and written in slices of at
+    most `gfspace.BLOCK // 64` cases, so that no text of a whole block, nor
+    its encoded copy, is held."""
+    first, step = True, max(1, gfspace.BLOCK // 64)
     for b in blocks:
         m = len(b.passed)
         if m == 0:
@@ -126,7 +128,8 @@ def write_case_blocks(fh, blocks) -> None:
         if first:
             pieces[0, 0] = "[" + pieces[0, 0][1:]
             first = False
-        fh.write("".join(pieces.ravel().tolist()))
+        for start in range(0, m, step):
+            fh.write("".join(pieces[start : start + step].ravel().tolist()))
     fh.write("[]" if first else "\n  ]")
 
 

@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from ap3 import cli, fourier, rounding, search, subspace as sub
+from ap3 import cli, fourier, gfspace, rounding, search, subspace as sub
 from ap3.cli import HASH_CHUNK, _file_sha256, _write_json, main
 from ap3.gfspace import (
     BLOCK,
@@ -181,6 +181,37 @@ class TestWriteJson:
         for sizes in (even, ragged):
             cases = HandTable(np.array(sizes), **columns)
             self.check({"z": {"a": [1, "x\ny"]}, "per_case_checks": cases, "a": 0.5}, tmp_path)
+
+    # BLOCK = 448 writes slices of 7 cases, which end inside every block and
+    # leave a partial slice at the end of each.
+
+    @pytest.mark.parametrize("m", [BLOCK // 8, 3 * BLOCK // 8 + 7])
+    def test_hand_built_tables_in_slices(self, tmp_path, rng, monkeypatch, m):
+        monkeypatch.setattr(gfspace, "BLOCK", 64 * 7)
+        self.test_hand_built_tables(tmp_path, rng, m)
+
+    def test_planted_report_in_slices(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(gfspace, "BLOCK", 64 * 7)
+        _, report = construct_g(planted_density(3, 6, 4, 0), 1.0, 0.004)
+        self.check(report, tmp_path)
+
+    def test_writes_at_most_a_slice(self):
+        # Each write holds at most BLOCK // 64 cases, so no text of a whole
+        # block of BLOCK // 8 cases is made; the last write closes the list.
+        sizes = [BLOCK // 8, 0, 3 * BLOCK // 64 + 5]
+        m = sum(sizes)
+        columns = dict(
+            reps=np.zeros((m, 3), dtype=np.int64),
+            all_in_v_prime=np.zeros(m, dtype=bool),
+            lhs=np.zeros(m),
+            rhs=np.zeros(m),
+            base=np.zeros(m),
+            passed=np.ones(m, dtype=bool),
+        )
+        writes = []
+        write_case_blocks(SimpleNamespace(write=writes.append), HandTable(sizes, **columns).blocks())
+        step = BLOCK // 64
+        assert [text.count('"passed"') for text in writes] == [step] * 8 + [step] * 3 + [5, 0]
 
 
 # Pinned bytes of small seeded reports of every type: any change to how a
@@ -782,8 +813,10 @@ class TestProgramPath:
     """`main()` with no argv is the `ap3` program: after parsing it compiles
     the ap3 modules that the job runs, then executes them (`gfspace`, which
     imports numpy, first) and freezes the garbage collector, then runs as
-    `main(sys.argv[1:])` does, byte for byte, and flushes stdout.
-    `main(argv)`, called in-process, never freezes."""
+    `main(sys.argv[1:])` does, byte for byte, and flushes stdout.  A run
+    that parsing ends (help, a usage error) freezes the collector too, so
+    the program freezes on every exit path.  `main(argv)`, called
+    in-process, never freezes."""
 
     def program(self, argv, cwd, stdout=subprocess.PIPE, unbuffered=True, **kwargs):
         env = dict(subprocess_env(), COLUMNS="100")
@@ -931,10 +964,36 @@ class TestProgramPath:
         assert (before, code) == (0, 0)
         assert frozen > 10_000 and unfrozen < 2000, (frozen, unfrozen)
 
-    def test_library_calls_do_not_freeze(self, half_density, tmp_path):
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0), (["count", "--help"], 0), (["count", "--bogus"], 2)],
+        ids=["help", "count-help", "unknown-flag"],
+    )
+    def test_program_freezes_when_parsing_ends(self, argv, code, tmp_path):
+        # A run that parsing ends freezes what site, argparse and cli made,
+        # which shutdown would otherwise collect: about 12.5k objects on
+        # Python 3.11.
+        script = (
+            "import gc, sys\n"
+            "from ap3.cli import main\n"
+            "code = main()\n"
+            "print(gc.get_freeze_count(), code)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv], env=subprocess_env(), cwd=tmp_path,
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        frozen, got = map(int, proc.stdout.split()[-2:])
+        assert got == code
+        assert frozen > 5000, frozen
+
+    def test_library_calls_do_not_freeze(self, half_density, tmp_path, capsys):
         argv = ["count", "--input", half_density, "--output-dir", str(tmp_path / "out")]
         assert cli.main(argv) == 0
         assert cli.main(["--bogus"]) == 2
+        capsys.readouterr()
+        assert cli.main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ap3")
         assert gc.get_freeze_count() == 0
 
     def full_stdout(self, argv, cwd):

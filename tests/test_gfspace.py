@@ -548,8 +548,9 @@ class TestBlock:
     def test_every_chunked_loop_reads_block_when_it_runs(self, tmp_path, monkeypatch):
         # One density of 81 values: saved 8 values a line, drawn a word a
         # value, averaged over the 27 cosets of a line, and improved into
-        # 81 cases (9 rows of 9).  At BLOCK = 8 each loop runs several
-        # blocks where it ran one, and its output keeps every byte.
+        # 81 cases (9 rows of 9), written 64 cases a write.  At BLOCK = 8
+        # each loop runs several blocks where it ran one, the cases go out a
+        # row a block and one case a write, and the output keeps every byte.
         f = planted_density(3, 4, 2, 0)
         w = span(f.params, [[1, 2, 0, 1]])
         table = construct_g(f, 1.0, 0.004)[1].per_case_checks
@@ -578,7 +579,7 @@ class TestBlock:
 
         class Cases(io.StringIO):
             def write(self, text):
-                blocks["cases"] += 1  # one write a block, then the closing "]"
+                blocks["cases"] += 1  # one write a slice, then the closing "]"
                 return super().write(text)
 
         monkeypatch.setattr(gfspace, "open", counting_open, raising=False)
@@ -599,8 +600,8 @@ class TestBlock:
             return out, dict(blocks)
 
         default, ran = run(tmp_path / "default.apf")
-        assert ran == {"save": 2, "draws": 1, "cosets": 1, "cases": 2}
+        assert ran == {"save": 2, "draws": 1, "cosets": 1, "cases": 2 + 1}
         monkeypatch.setattr(gfspace, "BLOCK", 8)
         patched, ran = run(tmp_path / "patched.apf")
-        assert ran == {"save": 1 + 11, "draws": 11, "cosets": 14, "cases": 9 + 1}
+        assert ran == {"save": 1 + 11, "draws": 11, "cosets": 14, "cases": 9 * 9 + 1}
         assert patched == default

@@ -11,8 +11,14 @@ started as `benchmarks/measure.py` starts it: the `ap3` console script's call,
 with the tree on PYTHONPATH and the job's output directory as its working
 directory.  A job differs when its exit code, stdout, stderr or any file it
 writes differs; the output directory is replaced by one placeholder in all of
-them, since the manifests record it.  Each differing job is named, and the
-exit code is then 1; it is 0 when every job matches.
+them, since the manifests record it.
+
+Both trees also run the start-up that the benchmark's `setup_s` times and
+the other runs that parsing ends: `ap3 --help`, `ap3 <command> --help` for
+every subcommand and one usage error, with COLUMNS=100 (argparse wraps help
+to the terminal).  Such a run differs when its exit code, stdout or stderr
+differs.  Each differing job or run is named, and the exit code is then 1;
+it is 0 when every one matches.
 """
 
 from __future__ import annotations
@@ -29,15 +35,30 @@ sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
 import measure  # noqa: E402
 import workloads  # noqa: E402
 
+COMMANDS = (
+    "count", "spectrum", "average", "improve", "round", "search", "structure", "varnavides",
+    "selfcheck",
+)
+# Runs that parsing ends, as (command, args) of `measure.ap3_argv`.
+PARSE_RUNS = [
+    ("--help", []),
+    *((command, ["--help"]) for command in COMMANDS),
+    ("count", ["--bogus"]),
+]
+
+
+def run_program(src: str, argv: list[str], cwd: str, **env: str) -> dict[str, bytes]:
+    """The exit code, stdout and stderr of `argv` run on the tree at `src`."""
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True)
+    return {"exit code": b"%d" % proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+
 
 def run_job(src: str, job, out: str) -> dict[str, bytes]:
     """The exit code, stdout, stderr and written files of one job run on
     the tree at `src`, keyed by name, with `out` replaced everywhere."""
     os.makedirs(out)
-    argv = measure.ap3_argv(job.command, [*job.args, "--output-dir", out])
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(argv, cwd=out, env=env, capture_output=True)
-    result = {"exit code": b"%d" % proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
+    result = run_program(src, measure.ap3_argv(job.command, [*job.args, "--output-dir", out]), out)
     for folder, _, names in os.walk(out):
         for name in names:
             path = os.path.join(folder, name)
@@ -63,8 +84,14 @@ def main(argv: list[str] | None = None) -> int:
         if not os.path.isfile(os.path.join(src, "ap3", "cli.py")):
             parser.error(f"no ap3 package under {src}")
 
-    jobs = differing = 0
+    jobs = differing = parse_differing = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as work:
+        for command, rest in PARSE_RUNS:
+            argv = measure.ap3_argv(command, rest)
+            runs = [run_program(src, argv, work, COLUMNS="100") for src in trees.values()]
+            if diff := differences(*runs):
+                parse_differing += 1
+                print(f"DIFFERS ap3 {' '.join([command, *rest])}: {', '.join(diff)}")
         for seed in args.seeds:
             for workload in workloads.WORKLOADS:
                 inputs = os.path.join(work, f"{workload}-{seed}")
@@ -77,8 +104,11 @@ def main(argv: list[str] | None = None) -> int:
                     if diff := differences(*runs):
                         differing += 1
                         print(f"DIFFERS {workload} seed {seed} job {i} ({job.label}): {', '.join(diff)}")
-    print(f"{differing} of {jobs} jobs differ")
-    return 1 if differing else 0
+    print(
+        f"{differing} of {jobs} jobs differ; "
+        f"{parse_differing} of {len(PARSE_RUNS)} help and usage runs differ"
+    )
+    return 1 if differing or parse_differing else 0
 
 
 if __name__ == "__main__":
