@@ -3,6 +3,12 @@ epsilon, build W from the large spectrum, locate the non-indicator
 cosets, and construct a function g with E(g) = E(f) and a certified
 per-case decrease of the restricted triple counts.
 
+f_W is constant on each coset of W, and g is fixed by each coset's mean,
+by whether the coset lies in V' and by ell, so every count of f_W and g
+is a count on the quotient Q = F_p^n / W = F_p^(codim W), whose
+coordinates are the coset rows' indices.  f_W exists only as its coset
+means; only T3(f) and g's values, which are written, are full-size.
+
 At desk scale the headline decrease budget Delta is astronomically small
 (about 3e-13 already at epsilon = 1, p = 3), so the report certifies the
 epsilon-scale intermediate inequalities, which are the testable content.
@@ -47,15 +53,16 @@ class CaseTable:
 
     The table holds O(|T|) row data, and `blocks` computes the |T|^2 cases
     from it a block of whole u1 rows at a time, so no array of |T|^2
-    entries exists.  Row indices are coordinates on the quotient by W (see
-    `subspace.coset_decomposition`), so the row of u3 = 2u2 - u1 is
-    `combine` of the row indices of u1 and u2, with no element-to-row
+    entries exists.  Row indices are coordinates on the quotient
+    Q = F_p^n / W (see `subspace.coset_decomposition`), and the table's
+    group is Q, so the row of u3 = 2u2 - u1 is `combine` on Q of the row
+    indices of u1 and u2: codim W digit passes, with no element-to-row
     map.  `audit_cases` sets `all_passed` from one sweep.
     """
 
-    def __init__(self, t, params, c, a, in_vp, counts, factor) -> None:
+    def __init__(self, t, quotient, c, a, in_vp, counts, factor) -> None:
         self.t = t  # the reps, in row order
-        self.params = params
+        self.quotient = quotient
         self.c = c  # f_W on each row
         self.a = a  # g on each row's T columns
         self.in_vp = in_vp
@@ -77,7 +84,7 @@ class CaseTable:
         step = max(1, gfspace.BLOCK // 8 // len(t))
         for start in range(0, len(t), step):
             u1 = slice(start, start + step)
-            third = combine(-1, idx[u1, None], 2, idx[None, :], self.params)
+            third = combine(-1, idx[u1, None], 2, idx[None, :], self.quotient)
             base = counts[0] * ((c[u1, None] * c[None, :]) * c[third])
             lhs = counts[vp[u1, None] + vp[None, :] + vp[third]] * (
                 (a[u1, None] * a[None, :]) * a[third]
@@ -214,12 +221,7 @@ def case_counts(w_size: int, t_size: int) -> np.ndarray:
 
 
 def audit_cases(
-    fw: DensityFunction,
-    g: DensityFunction,
-    rows: np.ndarray,
-    in_vp: np.ndarray,
-    s_cols: np.ndarray,
-    epsilon: float,
+    quotient: GroupParams, t, c, a, in_vp, w_size: int, t_size: int, epsilon: float
 ) -> CaseTable:
     """Check T3(g) against T3(f_W) on every coset-AP triple of reps.
 
@@ -229,11 +231,13 @@ def audit_cases(
     outside it equality.  Both allow CHECK_TOL * max(1, |T3(f_W)|): off V'
     the two sums differ by the rounding of c/beta, which grows with |W|^2.
 
-    `rows` is W's coset layout from `subspace.coset_decomposition`.  f_W
-    must be a constant c_r on each coset row, and g the constant a_r on
-    W off V' and on the T columns (not `s_cols`) of a V' row, with 0 on its
-    S columns; anything else raises RuntimeError.  Every nonzero product of
-    a case with j rows in V' is then the same float x = (a_i a_j) a_k over
+    The arguments are row data in the row order of
+    `subspace.coset_decomposition`, whose row indices are coordinates on
+    the quotient Q = F_p^n / W: the reps t, f_W's value c and g's value a
+    on T in each row, and the V' mask.  g is a on a whole row off V', and
+    a on T with 0 on S in a V' row, as `construct_g` lays it out (the
+    tests check that layout at full size).  Every nonzero product of a
+    case with j rows in V' is then the same float x = (a_i a_j) a_k over
     N[j] = case_counts(|W|, |T|) pairs, so its fsum is the correctly
     rounded N[j] x, which is float(N[j]) * x for N[j] < 2^53.
 
@@ -241,25 +245,8 @@ def audit_cases(
     `all_passed` (every case passed) comes from one sweep over the blocks
     here, which only decides.
     """
-    params = fw.params
-    p = params.p
-    t = rows[:, 0]
-    c = fw.values[t]
-    a = g.values[rows[:, np.argmin(s_cols)]]  # each row's value on T
-    built = np.where(in_vp[:, None] & s_cols, 0.0, a[:, None])
-    if not (np.all(fw.values[rows] == c[:, None]) and np.array_equal(g.values[rows], built)):
-        raise RuntimeError("a coset row is not the constant pattern g is built from")
-
-    w_size = rows.shape[1]
-    table = CaseTable(
-        t=t.copy(),  # not a view that keeps `rows` alive
-        params=params,
-        c=c,
-        a=a,
-        in_vp=in_vp,
-        counts=case_counts(w_size, w_size - int(np.count_nonzero(s_cols))),
-        factor=1.0 - epsilon**2 / (16.0 * p**2),
-    )
+    factor = 1.0 - epsilon**2 / (16.0 * quotient.p**2)
+    table = CaseTable(t, quotient, c, a, in_vp, case_counts(w_size, t_size), factor)
     table.all_passed = all(block.passed.all() for block in table.blocks())
     return table
 
@@ -272,6 +259,14 @@ def construct_g(
 
     delta defaults to delta_from_epsilon(epsilon, p), the paper's value
     with c_p = 1.
+
+    T3(f) is the one count at full size.  On Q = F_p^n / W, with c the
+    coset means of f (f_W's value on each row), each case's ratio of g's
+    count to f_W's is exactly 1 unless all three of its rows lie in V',
+    where it is 1 - 1/(p^ell - 1)^2 (see `case_counts`), so
+    T3(f_W) = |W|^2 T3_Q(c), T3(g) = T3(f_W) - |W|^2/(p^ell - 1)^2
+    T3_Q(c 1_V'), both from one float count, and T3(V' reps) = T3_Q(1_V')
+    exactly.
     """
     params = f.params
     p = params.p
@@ -289,14 +284,10 @@ def construct_g(
             f"dim(W) = {w_space.dim} < ell = {ell}: the spectrum is too rich for "
             f"epsilon = {epsilon}; raise delta or epsilon"
         )
-    # f_W's coset means, as `average_over_cosets` takes them, from the
-    # layout that the audit needs anyway.
+    t3_f = float(fourier.triple_counts(f.values, params)[0])  # the one p^n count
     rows = sub.coset_decomposition(w_space)
-    means = sub.coset_means(f, rows)
-    fw_vals = np.empty(params.size)
-    fw_vals[rows] = means[:, None]
-    fw = DensityFunction(params, fw_vals)
-    in_vp = select_v_prime(means, epsilon)
+    c = sub.coset_means(f, rows)  # f_W on each row
+    in_vp = select_v_prime(c, epsilon)
     v_prime = rows[in_vp, 0].tolist()
 
     s_cols = s_columns(rows.shape[1], p, ell)  # T = W \ S is the rest
@@ -306,16 +297,27 @@ def construct_g(
     # T-part of the coset and 0 on the S-part.  f_W <= 1 - eps/4 on V' and
     # beta >= 1 - eps/4, so g stays in [0,1] up to rounding, which
     # DensityFunction clips.
-    g_vals = np.array(fw.values)
-    g_vals[rows[in_vp]] = np.where(s_cols, 0.0, (means[in_vp] / beta)[:, None])
+    g_vals = np.empty(params.size)
+    g_vals[rows] = c[:, None]
+    g_vals[rows[in_vp]] = np.where(s_cols, 0.0, (c[in_vp] / beta)[:, None])
     g = DensityFunction(params, g_vals)
-    checks = audit_cases(fw, g, rows, in_vp, s_cols, epsilon)
 
-    t3_f, t3_fw, t3_g = fourier.triple_counts(
-        np.stack([f.values, fw.values, g.values]), params
-    ).tolist()
+    # Row indices are coordinates on Q, with zero digits above codim W;
+    # W = F_p^n leaves one point, row 0 of F_p^1.
+    quotient = GroupParams(p, max(1, params.n - w_space.dim))
+    w_size, t_size = rows.shape[1], int(np.count_nonzero(~s_cols))
+    a = g.values[rows[:, np.argmin(s_cols)]]  # each row's value on T
+    # The reps are copied, not a view that keeps `rows` alive.
+    checks = audit_cases(quotient, rows[:, 0].copy(), c, a, in_vp, w_size, t_size, epsilon)
 
-    hyp_val = math.fsum(np.abs(f.values - fw.values)) / params.size
+    on_q = np.zeros((2, quotient.size))
+    on_q[:, : len(c)] = c, np.where(in_vp, c, 0.0)
+    t3_c, t3_c_vp = fourier.triple_counts(on_q, quotient).tolist()
+    t3_fw = w_size**2 * t3_c
+    t3_g = t3_fw - w_size**2 / (p**ell - 1) ** 2 * t3_c_vp
+    t3_vp = fourier.count_raw(PointSet(quotient, np.flatnonzero(in_vp).tolist()))
+
+    hyp_val = math.fsum(np.abs(f.values[rows] - c[:, None]).ravel()) / params.size
     hyp = hyp_val > epsilon
     v_prime_ok = (not hyp) or (2 * len(v_prime) > epsilon * len(rows))
 
@@ -323,11 +325,6 @@ def construct_g(
     # (B B^T) c = 0: dim(V cap W) = dim V - rank(B B^T mod p).
     gram_rank = len(sub.rref_mod_p(v_space.basis @ v_space.basis.T, p)[1])
 
-    # Row indices are coordinates on the quotient F_p^n / W, so T3 of the
-    # V' reps is a count there; W = F_p^n leaves one point, row 0 of F_p^1.
-    quotient = GroupParams(p, max(1, params.n - w_space.dim))
-    t3_vp = fourier.count_raw(PointSet(quotient, np.flatnonzero(in_vp).tolist()))
-    w_size = rows.shape[1]
     norm = float(params.size) ** 2
     agg_rhs = t3_fw - (epsilon**5 / (1024.0 * p**2)) * w_size**2 * t3_vp
     agg_ok = t3_g <= agg_rhs + AGGREGATE_REL_TOL * max(1.0, abs(t3_fw))

@@ -38,19 +38,30 @@ with open(SCHEMA_PATH) as fh:
     REPORT_SCHEMA = json.load(fh)
 
 
-def audit_inputs(f, report):
-    """(f_W, coset rows, V' mask, S columns) as construct_g passes them
-    to audit_cases."""
+def audit_inputs(f, g, report):
+    """(Q, reps, f_W's row values, g's row values on T, V' mask, |W|, |T|)
+    as construct_g passes them to audit_cases, rebuilt from the report."""
     rows = sub.coset_decomposition(report.W)
     in_vp = np.isin(rows[:, 0], report.V_prime)
     s_cols = np.isin(rows[0], canonical_codim_subspace(report.W, report.ell).elements())
-    return sub.average_over_cosets(f, report.W), rows, in_vp, s_cols
+    quotient = GroupParams(f.params.p, max(1, f.params.n - report.W.dim))
+    a = g.values[rows[:, np.flatnonzero(~s_cols)[0]]]
+    w_size, t_size = rows.shape[1], int(np.count_nonzero(~s_cols))
+    return quotient, rows[:, 0], sub.coset_means(f, rows), a, in_vp, w_size, t_size
 
 
 def coset_sets(params, rows):
     """Each coset row of the layout as a PointSet, keyed by its
     representative."""
     return {int(row[0]): PointSet(params, tuple(row.tolist())) for row in rows}
+
+
+def planted_set(p, n, k, seed):
+    """A set drawn point by point with planted_density(p, n, k, seed) as
+    its probabilities, from a seeded stream."""
+    f = planted_density(p, n, k, seed)
+    draws = np.random.default_rng(seed + 1).random(f.params.size)
+    return PointSet.from_mask(f.params, draws < f.values)
 
 
 class TestConfig:
@@ -263,13 +274,16 @@ class TestConstructG:
             s_cols = np.isin(rows[0], canonical_codim_subspace(w, ell).elements())
             c = rng.uniform(0.05, 1.0, size=len(rows)) * (rng.random(len(rows)) < 0.8)
             in_vp = rng.random(len(rows)) < 0.6
+            a = np.array(c)
+            a[in_vp] = rng.uniform(0.05, 1.0, size=int(in_vp.sum()))
             fw_vals = np.empty(params.size)
             fw_vals[rows] = c[:, None]
             g_vals = np.array(fw_vals)
-            a = rng.uniform(0.05, 1.0, size=(int(in_vp.sum()), 1))
-            g_vals[rows[in_vp]] = np.where(s_cols, 0.0, a)
+            g_vals[rows[in_vp]] = np.where(s_cols, 0.0, a[in_vp, None])
             fw, g = DensityFunction(params, fw_vals), DensityFunction(params, g_vals)
-            table = audit_cases(fw, g, rows, in_vp, s_cols, 1.0)
+            quotient = GroupParams(p, n - w.dim)
+            t_size = int(np.count_nonzero(~s_cols))
+            table = audit_cases(quotient, rows[:, 0], c, a, in_vp, rows.shape[1], t_size, 1.0)
             cases = case_columns(table)
             cosets = coset_sets(params, rows)
             for reps, base, lhs in zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist()):
@@ -281,22 +295,38 @@ class TestConstructG:
             assert inside == fourier.count_raw(v_prime)
             assert table.all_passed == cases.passed.all()
 
-    def test_closed_form_rejects_mixed_rows(self):
-        f = planted_density(3, 6, 2, 0)
-        g, report = construct_g(f, 1.0, 0.004)
-        fw, rows, in_vp, s_cols = audit_inputs(f, report)
-        assert audit_cases(fw, g, rows, in_vp, s_cols, 1.0).all_passed
-        off, on = np.flatnonzero(~in_vp)[0], np.flatnonzero(in_vp)[0]
-        t_col = np.flatnonzero(~s_cols)[0]
-        # A mixed row off V', a V' row nonzero on S (column 0 is 0 in S), a
-        # V' row with two values on T, and a mixed f_W row.
-        for func, row, col in [(g, off, 1), (g, on, 0), (g, on, t_col), (fw, off, 1)]:
-            vals = np.array(func.values)
-            vals[rows[row, col]] = 0.5 * vals[rows[row, col]] + 0.01
-            bad = DensityFunction(f.params, vals)
-            args = (fw, bad) if func is g else (bad, g)
-            with pytest.raises(RuntimeError, match="not the constant pattern"):
-                audit_cases(*args, rows, in_vp, s_cols, 1.0)
+    @pytest.mark.parametrize(
+        "make, eps, delta",
+        [
+            (lambda: planted_density(3, 8, 5, 0), 1.0, 0.004),
+            (lambda: planted_density(5, 5, 3, 0), 1.0, 0.004),
+            (lambda: planted_density(7, 4, 2, 0), 1.0, 0.004),
+            (lambda: planted_set(3, 8, 2, 0).density(), 0.3, 0.03),
+            (lambda: DensityFunction.constant(GroupParams(3, 2), 0.5), 1.0, None),
+        ],
+        ids=["planted-3-8", "planted-5-5", "planted-7-4", "set-3-8", "constant-on-W-everything"],
+    )
+    def test_layout_and_quotient_counts(self, make, eps, delta):
+        # construct_g never builds f_W: rebuild it at full size and check
+        # (a) the layout g is built from, (b) the quotient counts against
+        # full-size counts of f_W and g, and (c) E|f - f_W| exactly.
+        f = make()
+        g, report = construct_g(f, eps, delta)
+        fw = sub.average_over_cosets(f, report.W)
+        rows = sub.coset_decomposition(report.W)
+        in_vp = np.isin(rows[:, 0], report.V_prime)
+        s_cols = np.isin(rows[0], canonical_codim_subspace(report.W, report.ell).elements())
+        built = np.array(fw.values)
+        built[rows[in_vp]] = np.where(s_cols, 0.0, fw.values[rows[in_vp]] / report.beta)
+        assert np.array_equal(g.values, DensityFunction(f.params, built).values)
+        norm = float(f.params.size) ** 2
+        t3_fw, t3_g = fourier.triple_counts(np.stack([fw.values, g.values]), f.params) / norm
+        assert report.lambda3_fW == pytest.approx(t3_fw, rel=1e-14, abs=0)
+        assert report.lambda3_g == pytest.approx(t3_g, rel=1e-14, abs=0)
+        assert report.hypothesis_value == math.fsum(np.abs(f.values - fw.values)) / f.params.size
+        assert report.per_case_checks.all_passed and report.aggregate_ok
+        if report.W.dim == f.params.n:
+            assert report.lambda3_g == pytest.approx(63 / 512, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("p,n,eps", [(3, 4, 1.0), (3, 4, 0.5), (5, 3, 1.0), (7, 3, 0.3)])
     def test_cases_equal_restricted_counts(self, p, n, eps, rng):
@@ -338,6 +368,21 @@ class TestAuditAtScale:
         assert np.any(np.abs(cases.lhs - cases.base)[outside] > 1e-9)
         assert report.per_case_checks.all_passed and cases.passed.all()
 
+    def test_construct_g_holds_no_full_size_f_w(self):
+        # Only f is counted at full size, before g and the coset layout
+        # exist; f_W and g are counted on the quotient F_3^2.  Traced peaks
+        # 1.9 MB, or 3.3 MB on the first call, which also builds the cached
+        # scale map of F_3^10, against 8.5 and 9.0 MB when f_W was laid out
+        # at full size and f, f_W and g were counted as one batch.
+        f = planted_density(3, 10, 2, 2)
+        tracemalloc.start()
+        try:
+            construct_g(f, 1.0, self.DELTA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
+
     @pytest.mark.parametrize(
         "p,n,k,eps",
         [
@@ -367,14 +412,14 @@ class TestAuditAtScale:
         f = planted_density(3, 6, 2, 0)
         g, report = construct_g(f, 1.0, self.DELTA)
         assert report.per_case_checks.all_passed
-        fw, rows, in_vp, s_cols = audit_inputs(f, report)
+        quotient, t, c, a, in_vp, w_size, t_size = audit_inputs(f, g, report)
         i = int(np.flatnonzero(~in_vp)[0])
-        raised = np.array(g.values)
-        raised[rows[i]] *= 1.0 + 1e-6
-        table = audit_cases(fw, DensityFunction(f.params, raised), rows, in_vp, s_cols, 1.0)
+        raised = np.array(a)
+        raised[i] *= 1.0 + 1e-6
+        table = audit_cases(quotient, t, c, raised, in_vp, w_size, t_size, 1.0)
         assert not table.all_passed
         checks = case_columns(table)
-        rep = rows[i, 0]
+        rep = t[i]
         touched = (checks.reps == rep).any(axis=1)
         assert touched.any() and not checks.passed[touched].any()
         assert checks.passed[~touched].all()
@@ -405,10 +450,10 @@ class TestAuditAtScale:
         # and the writer formatted whole columns.
         f = planted_density(3, 8, 5, 0)
         g, report = construct_g(f, 1.0, self.DELTA)
-        fw, rows, in_vp, s_cols = audit_inputs(f, report)
+        inputs = audit_inputs(f, g, report)
         tracemalloc.start()
         try:
-            table = audit_cases(fw, g, rows, in_vp, s_cols, 1.0)
+            table = audit_cases(*inputs, 1.0)
             audit_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             with open(os.devnull, "w") as fh:

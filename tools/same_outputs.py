@@ -11,7 +11,10 @@ started as `benchmarks/measure.py` starts it: the `ap3` console script's call,
 with the tree on PYTHONPATH and the job's output directory as its working
 directory.  A job differs when its exit code, stdout, stderr or any file it
 writes differs; the output directory is replaced by one placeholder in all of
-them, since the manifests record it.
+them, since the manifests record it.  A differing JSON file that holds an
+object is named with its top-level keys whose values differ, as
+`improve_report.json[lambda3_fW, lambda3_g]`, and a differing stdout with
+its differing `key=` fields, as `stdout[lambda3_g]`.
 
 Both trees also run the start-up that the benchmark's `setup_s` times and
 the other runs that parsing ends: `ap3 --help`, `ap3 <command> --help` for
@@ -24,6 +27,7 @@ it is 0 when every one matches.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -69,8 +73,40 @@ def run_job(src: str, job, out: str) -> dict[str, bytes]:
 
 
 def differences(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]:
-    """The names whose bytes differ, or that only one run has."""
-    return sorted(key for key in parent.keys() | change.keys() if parent.get(key) != change.get(key))
+    """The names whose bytes differ, or that only one run has, each with
+    the fields of `differing_fields` in brackets when it names any."""
+    names = []
+    for key in sorted(parent.keys() | change.keys()):
+        old, new = parent.get(key), change.get(key)
+        if old == new:
+            continue
+        fields = differing_fields(key, old, new) if old is not None and new is not None else []
+        names.append(f"{key}[{', '.join(fields)}]" if fields else key)
+    return names
+
+
+def differing_fields(name: str, old: bytes, new: bytes) -> list[str]:
+    """The top-level keys whose values differ, or that only one side has,
+    of a `.json` file that both runs wrote as an object, or the `key=`
+    fields of stdout; [] for any other output."""
+    if name == "stdout":
+        sides = [
+            dict(tok.split("=", 1) for tok in text.decode(errors="replace").split() if "=" in tok)
+            for text in (old, new)
+        ]
+    elif name.endswith(".json"):
+        try:
+            sides = [json.loads(text) for text in (old, new)]
+        except ValueError:
+            return []
+        if not all(isinstance(side, dict) for side in sides):
+            return []
+    else:
+        return []
+    a, b = sides
+    # Compared as text, so that NaN equals NaN and 1 differs from 1.0.
+    same = {k for k in a.keys() & b.keys() if json.dumps(a[k]) == json.dumps(b[k])}
+    return sorted((a.keys() | b.keys()) - same)
 
 
 def main(argv: list[str] | None = None) -> int:
