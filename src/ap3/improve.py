@@ -28,23 +28,15 @@ from . import subspace as sub
 CHECK_TOL = 1e-9
 AGGREGATE_REL_TOL = 1e-6
 
-# The text json.dump(indent=2, sort_keys=True) writes around the values of
-# one case in a list that is a top-level value of a report (keys sorted,
-# the case dict at depth 2), with its two bools filled in: a case is
-# _HEAD[all_in_v_prime], base, _LHS, lhs, _PASSED[passed], u1, _SEP, u2,
-# _SEP, u3, _RHS, rhs, _TAIL, and a comma starts every case but the first.
-_HEAD = np.array(
-    [',\n    {\n      "all_in_v_prime": %s,\n      "base": ' % b for b in ("false", "true")],
-    dtype=object,
+# The text json.dump(indent=2, sort_keys=True) writes for one case of a
+# list that is a top-level value of a report (keys sorted, the case dict at
+# depth 2): all_in_v_prime, base, lhs, passed, the three reps and rhs.
+_CASE = (
+    '\n    {\n      "all_in_v_prime": %s,\n      "base": %s,\n      "lhs": %s,'
+    '\n      "passed": %s,\n      "reps": [\n        %d,\n        %d,\n        %d'
+    '\n      ],\n      "rhs": %s\n    }'
 )
-_LHS = ',\n      "lhs": '
-_PASSED = np.array(
-    [',\n      "passed": %s,\n      "reps": [\n        ' % b for b in ("false", "true")],
-    dtype=object,
-)
-_SEP = ",\n        "
-_RHS = '\n      ],\n      "rhs": '
-_TAIL = "\n    }"
+_BOOL = ("false", "true")
 
 
 class CaseTable:
@@ -111,50 +103,36 @@ def write_case_blocks(fh, blocks) -> None:
     """Write the cases of `blocks` (namespaces of columns, as
     `CaseTable.blocks` yields them) as json.dump(indent=2, sort_keys=True)
     writes their list of per-case dicts as a top-level value of a report.
-    Each block's values are formatted at once and written in slices of at
-    most `gfspace.BLOCK // 64` cases, so that no text of a whole block, nor
-    its encoded copy, is held."""
-    first, step = True, max(1, gfspace.BLOCK // 64)
+    Each case fills the `_CASE` template, and the cases are written in
+    slices of at most `gfspace.BLOCK // 64`, so that no text of a whole
+    block, nor its encoded copy, is held."""
+    lead, step = "[", max(1, gfspace.BLOCK // 64)
     for b in blocks:
-        m = len(b.passed)
-        if m == 0:
-            continue
-        floats = _json_texts(np.concatenate([b.base, b.lhs, b.rhs])).reshape(3, m)
-        reps = _json_texts(b.reps.ravel()).reshape(m, 3)
-        pieces = np.empty((m, 13), dtype=object)
-        pieces[:, 0] = _HEAD[b.all_in_v_prime.view(np.uint8)]
-        pieces[:, 1] = floats[0]
-        pieces[:, 2] = _LHS
-        pieces[:, 3] = floats[1]
-        pieces[:, 4] = _PASSED[b.passed.view(np.uint8)]
-        pieces[:, 5:10:2] = reps
-        pieces[:, 6:10:2] = _SEP
-        pieces[:, 10] = _RHS
-        pieces[:, 11] = floats[2]
-        pieces[:, 12] = _TAIL
-        if first:
-            pieces[0, 0] = "[" + pieces[0, 0][1:]
-            first = False
-        for start in range(0, m, step):
-            fh.write("".join(pieces[start : start + step].ravel().tolist()))
-    fh.write("[]" if first else "\n  ]")
+        columns = (b.all_in_v_prime, b.base, b.lhs, b.passed, b.reps, b.rhs)
+        for start in range(0, len(b.passed), step):
+            cases = zip(*(col[start : start + step].tolist() for col in columns))
+            text = ",".join(
+                _CASE % (
+                    _BOOL[inside], _json_float(base), _json_float(lhs),
+                    _BOOL[passed], *reps, _json_float(rhs),
+                )
+                for inside, base, lhs, passed, reps, rhs in cases
+            )
+            fh.write(lead + text)
+            lead = ","
+    fh.write("[]" if lead == "[" else "\n  ]")
 
 
-def _json_texts(x: np.ndarray) -> np.ndarray:
-    """What json writes for each value of 1-D x, int64 or float64, as an
-    object array of str that formats each distinct bit pattern once.
-
-    Distinct values are taken on the bits, not by float equality, which
-    keeps -0.0 apart from 0.0.
-    """
-    bits, pos = np.unique(x.view(np.uint64), return_inverse=True)
-    vals = bits.view(x.dtype)
-    text = np.array(list(map(repr, vals.tolist())), dtype=object)
-    if x.dtype.kind == "f":
-        text[np.isnan(vals)] = "NaN"
-        text[vals == np.inf] = "Infinity"
-        text[vals == -np.inf] = "-Infinity"
-    return text[pos]
+def _json_float(x: float) -> str:
+    """What json writes for the float x: its repr, or NaN, Infinity or
+    -Infinity."""
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def delta_from_epsilon(epsilon: float, p: int) -> float:

@@ -78,7 +78,7 @@ def round_to_indicator(
             dev = np.abs(sub.coset_means(j2, rows) - sub.coset_means(j, rows)).max()
             max_dev = max(max_dev, float(dev))
         w_size = j.params.p**w.dim
-        bound = max(bound, hoeffding_bound_raw(w_size, 1.0 / n**2))
+        bound = max(bound, hoeffding_bound(w_size, n))
 
     t3_before, t3_after = fourier.triple_counts(np.stack([j.values, j2.values]), j.params).tolist()
     norm = float(j.params.size) ** 2
@@ -95,7 +95,6 @@ def round_to_indicator(
     return j2, report
 
 
-def hoeffding_bound_raw(w_size: int, inv_n_sq: float) -> float:
-    """2 exp(-|W| inv_n_sq / 2) clamped to [0, 1]: with inv_n_sq = 1/n^2,
-    the proof's per-subspace tail 2 exp(-|W| / 2n^2)."""
-    return min(1.0, 2.0 * math.exp(-w_size * inv_n_sq / 2.0))
+def hoeffding_bound(w_size: int, n: int) -> float:
+    """The proof's per-subspace tail 2 exp(-|W| / 2n^2), clamped to [0, 1]."""
+    return min(1.0, 2.0 * math.exp(-w_size * (1.0 / n**2) / 2.0))

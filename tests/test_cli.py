@@ -1078,8 +1078,9 @@ class TestMemoryBudget:
 
     MARGIN_MB = 2.9
     # `ap3 improve` on planted 3^8 with k = 5 audits |T|^2 = 59049 cases:
-    # +3.1-3.2 MB over the start-up with f_W's and g's counts on the
-    # quotient, +3.2-3.3 MB (once read +3.3-3.5) while f_W was laid out and
+    # +2.6-2.8 MB over the start-up with each case written from one text
+    # template, +3.1-3.3 MB while each block's values were deduped with
+    # np.unique, +3.2-3.3 MB (once read +3.3-3.5) while f_W was laid out and
     # counted at full size.  Over the older start-up: +2.1-2.4 MB
     # with its modules compiled before numpy loads (+2.9-3.0 MB compiled
     # after it) and the case table computed a block at a time, +13.1-13.5
