@@ -3,7 +3,8 @@
 the seeded generator every random draw comes from (`seeded_rng`), and
 `BLOCK`, which sizes the blocks of `save_density`, `rounding.randomize`,
 `subspace.coset_blocks`, `coset_means` and `subspace_blocks`,
-`improve.CaseTable.blocks` and `fourier.large_spectrum`.
+`improve.CaseTable.blocks`, `improve.write_case_blocks` (slices of
+`BLOCK // 64` cases) and `fourier.large_spectrum`.
 
 Elements are indexed little-endian base p: index = sum(digit_k * p**k),
 with coordinate 0 the least significant digit.  Every array, file, and

@@ -26,7 +26,6 @@ from . import fourier, gfspace
 from . import subspace as sub
 
 CHECK_TOL = 1e-9
-AGGREGATE_REL_TOL = 1e-6
 
 # The text json.dump(indent=2, sort_keys=True) writes for one case of a
 # list that is a top-level value of a report (keys sorted, the case dict at
@@ -41,26 +40,43 @@ _BOOL = ("false", "true")
 
 class CaseTable:
     """Every coset-AP triple of transversal reps and its inequality status,
-    in row-major (u1, u2) order.
+    in row-major (u1, u2) order, with `all_passed` (every case passed)
+    decided from one sweep over the blocks.
+
+    The arguments are row data in the row order of
+    `subspace.coset_decomposition`, whose row indices are coordinates on
+    the quotient Q = F_p^n / W: the reps t, f_W's value c and g's value a
+    on T in each row, the V' mask, |W| and |T|.  g is a on a whole row off
+    V', and a on T with 0 on S in a V' row, as `construct_g` lays it out
+    (the tests check that layout at full size).  Every nonzero product of
+    a case with j rows in V' is then the same float x = (a_i a_j) a_k over
+    N[j] = case_counts(|W|, |T|) pairs, so its fsum is the correctly
+    rounded N[j] x, which is float(N[j]) * x for N[j] < 2^53.
+
+    The transversal is itself a subspace, so u3 = 2u2 - u1 is again a rep,
+    and with m = u1 + c1, m + d = u2 + c2 in W coordinates, m + 2d = u3 + c3
+    with c3 = 2c2 - c1.  Its row is `combine` on Q of the row indices of
+    u1 and u2: codim W digit passes, with no element-to-row map.  Inside
+    V' the bound is T3(f_W)(1 - eps^2/16p^2), outside it equality.  Both
+    allow CHECK_TOL * max(1, |T3(f_W)|): off V' the two sums differ by the
+    rounding of c/beta, which grows with |W|^2.
 
     The table holds O(|T|) row data, and `blocks` computes the |T|^2 cases
     from it a block of whole u1 rows at a time, so no array of |T|^2
-    entries exists.  Row indices are coordinates on the quotient
-    Q = F_p^n / W (see `subspace.coset_decomposition`), and the table's
-    group is Q, so the row of u3 = 2u2 - u1 is `combine` on Q of the row
-    indices of u1 and u2: codim W digit passes, with no element-to-row
-    map.  `audit_cases` sets `all_passed` from one sweep.
+    entries exists.
     """
 
-    def __init__(self, t, quotient, c, a, in_vp, counts, factor) -> None:
+    def __init__(
+        self, quotient: GroupParams, t, c, a, in_vp, w_size: int, t_size: int, epsilon: float
+    ) -> None:
         self.t = t  # the reps, in row order
         self.quotient = quotient
         self.c = c  # f_W on each row
         self.a = a  # g on each row's T columns
         self.in_vp = in_vp
-        self.counts = counts  # case_counts(|W|, |T|)
-        self.factor = factor  # 1 - eps^2/16p^2
-        self.all_passed = None
+        self.counts = case_counts(w_size, t_size)
+        self.factor = 1.0 - epsilon**2 / (16.0 * quotient.p**2)
+        self.all_passed = all(block.passed.all() for block in self.blocks())
 
     def blocks(self):
         """Yield the cases a block of whole u1 rows at a time, at most
@@ -69,7 +85,7 @@ class CaseTable:
         namespace of columns: reps (u1, u2 and u3 = 2u2 - u1), all_in_v_prime,
         lhs = T3(g | the three cosets), rhs (the bound: base*(1 - eps^2/16p^2)
         inside V', base outside), base = T3(f_W | the three cosets) and
-        passed, with the formulas and tolerance `audit_cases` states."""
+        passed, with the formulas and tolerance the class states."""
         t, c, a, in_vp, counts = self.t, self.c, self.a, self.in_vp, self.counts
         vp = in_vp.astype(np.int8)
         idx = np.arange(len(t))
@@ -198,37 +214,6 @@ def case_counts(w_size: int, t_size: int) -> np.ndarray:
     )
 
 
-def audit_cases(
-    quotient: GroupParams, t, c, a, in_vp, w_size: int, t_size: int, epsilon: float
-) -> CaseTable:
-    """Check T3(g) against T3(f_W) on every coset-AP triple of reps.
-
-    The transversal is itself a subspace, so u3 = 2u2 - u1 is again a rep,
-    and with m = u1 + c1, m + d = u2 + c2 in W coordinates, m + 2d = u3 + c3
-    with c3 = 2c2 - c1.  Inside V' the bound is T3(f_W)(1 - eps^2/16p^2),
-    outside it equality.  Both allow CHECK_TOL * max(1, |T3(f_W)|): off V'
-    the two sums differ by the rounding of c/beta, which grows with |W|^2.
-
-    The arguments are row data in the row order of
-    `subspace.coset_decomposition`, whose row indices are coordinates on
-    the quotient Q = F_p^n / W: the reps t, f_W's value c and g's value a
-    on T in each row, and the V' mask.  g is a on a whole row off V', and
-    a on T with 0 on S in a V' row, as `construct_g` lays it out (the
-    tests check that layout at full size).  Every nonzero product of a
-    case with j rows in V' is then the same float x = (a_i a_j) a_k over
-    N[j] = case_counts(|W|, |T|) pairs, so its fsum is the correctly
-    rounded N[j] x, which is float(N[j]) * x for N[j] < 2^53.
-
-    The returned table computes the cases a block at a time; its
-    `all_passed` (every case passed) comes from one sweep over the blocks
-    here, which only decides.
-    """
-    factor = 1.0 - epsilon**2 / (16.0 * quotient.p**2)
-    table = CaseTable(t, quotient, c, a, in_vp, case_counts(w_size, t_size), factor)
-    table.all_passed = all(block.passed.all() for block in table.blocks())
-    return table
-
-
 def construct_g(
     f: DensityFunction, epsilon: float, delta: float | None = None
 ) -> tuple[DensityFunction, SimpleNamespace]:
@@ -244,7 +229,9 @@ def construct_g(
     where it is 1 - 1/(p^ell - 1)^2 (see `case_counts`), so
     T3(f_W) = |W|^2 T3_Q(c), T3(g) = T3(f_W) - |W|^2/(p^ell - 1)^2
     T3_Q(c 1_V'), both from one float count, and T3(V' reps) = T3_Q(1_V')
-    exactly.
+    exactly.  `aggregate_ok` compares the two decrements themselves, with
+    no tolerance: g's, |W|^2/(p^ell - 1)^2 T3_Q(c 1_V'), against the
+    bound's, (eps^5/1024p^2)|W|^2 T3(V' reps).
     """
     params = f.params
     p = params.p
@@ -284,16 +271,18 @@ def construct_g(
     # W = F_p^n leaves one point, row 0 of F_p^1.
     quotient = GroupParams(p, max(1, params.n - w_space.dim))
     w_size, t_size = rows.shape[1], int(np.count_nonzero(~s_cols))
-    a = g.values[rows[:, np.argmin(s_cols)]]  # each row's value on T
+    a = g.values[rows[:, 1]]  # each row's value on T: 1 != 0 (mod p^ell)
     # The reps are copied, not a view that keeps `rows` alive.
-    checks = audit_cases(quotient, rows[:, 0].copy(), c, a, in_vp, w_size, t_size, epsilon)
+    checks = CaseTable(quotient, rows[:, 0].copy(), c, a, in_vp, w_size, t_size, epsilon)
 
     on_q = np.zeros((2, quotient.size))
     on_q[:, : len(c)] = c, np.where(in_vp, c, 0.0)
     t3_c, t3_c_vp = fourier.triple_counts(on_q, quotient).tolist()
     t3_fw = w_size**2 * t3_c
-    t3_g = t3_fw - w_size**2 / (p**ell - 1) ** 2 * t3_c_vp
+    dec_g = w_size**2 / (p**ell - 1) ** 2 * t3_c_vp
+    t3_g = t3_fw - dec_g
     t3_vp = fourier.count_raw(PointSet(quotient, np.flatnonzero(in_vp).tolist()))
+    dec_bound = (epsilon**5 / (1024.0 * p**2)) * w_size**2 * t3_vp
 
     hyp_val = math.fsum(np.abs(f.values[rows] - c[:, None]).ravel()) / params.size
     hyp = hyp_val > epsilon
@@ -304,8 +293,6 @@ def construct_g(
     gram_rank = len(sub.rref_mod_p(v_space.basis @ v_space.basis.T, p)[1])
 
     norm = float(params.size) ** 2
-    agg_rhs = t3_fw - (epsilon**5 / (1024.0 * p**2)) * w_size**2 * t3_vp
-    agg_ok = t3_g <= agg_rhs + AGGREGATE_REL_TOL * max(1.0, abs(t3_fw))
 
     report = SimpleNamespace(
         A=a_set,
@@ -325,8 +312,8 @@ def construct_g(
         v_prime_bound_ok=v_prime_ok,
         per_case_checks=checks,
         aggregate_lhs=t3_g,  # T3(g), raw
-        aggregate_rhs=agg_rhs,  # T3(f_W) - (eps^5/1024p^2)|W|^2 T3(V' reps), raw
+        aggregate_rhs=t3_fw - dec_bound,  # T3(f_W) - (eps^5/1024p^2)|W|^2 T3(V' reps), raw
         t3_v_prime_reps=t3_vp,
-        aggregate_ok=agg_ok,
+        aggregate_ok=dec_g >= dec_bound,
     )
     return g, report

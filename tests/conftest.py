@@ -79,6 +79,20 @@ def subprocess_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, path]) if path else src)
 
 
+def pytest_configure(config):
+    """Refuse a run whose PYTHONPATH names an ap3 other than the one the
+    tests import: pyproject's `pythonpath = ["src"]` puts this checkout's
+    src first, so such a run would silently test this checkout."""
+    here = os.path.dirname(os.path.realpath(ap3.__file__))
+    for entry in filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep)):
+        other = os.path.realpath(os.path.join(entry, "ap3"))
+        if other != here and os.path.isfile(os.path.join(other, "__init__.py")):
+            raise pytest.UsageError(
+                f"PYTHONPATH names ap3 at {other}, but the tests import {here}: "
+                "run the tests from a full copy of that tree's checkout"
+            )
+
+
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.PCG64(12345))

@@ -12,7 +12,7 @@ import pytest
 
 from ap3.gfspace import DensityFunction, GroupParams, PointSet, combine
 from ap3.improve import (
-    audit_cases,
+    CaseTable,
     build_W,
     choose_ell,
     construct_g,
@@ -41,7 +41,7 @@ with open(SCHEMA_PATH) as fh:
 
 def audit_inputs(f, g, report):
     """(Q, reps, f_W's row values, g's row values on T, V' mask, |W|, |T|)
-    as construct_g passes them to audit_cases, rebuilt from the report."""
+    as construct_g passes them to CaseTable, rebuilt from the report."""
     rows = sub.coset_decomposition(report.W)
     in_vp = np.isin(rows[:, 0], report.V_prime)
     s_cols = np.isin(rows[0], canonical_codim_subspace(report.W, report.ell).elements())
@@ -284,7 +284,7 @@ class TestConstructG:
             fw, g = DensityFunction(params, fw_vals), DensityFunction(params, g_vals)
             quotient = GroupParams(p, n - w.dim)
             t_size = int(np.count_nonzero(~s_cols))
-            table = audit_cases(quotient, rows[:, 0], c, a, in_vp, rows.shape[1], t_size, 1.0)
+            table = CaseTable(quotient, rows[:, 0], c, a, in_vp, rows.shape[1], t_size, 1.0)
             cases = case_columns(table)
             cosets = coset_sets(params, rows)
             for reps, base, lhs in zip(cases.reps.tolist(), cases.base.tolist(), cases.lhs.tolist()):
@@ -310,7 +310,8 @@ class TestConstructG:
     def test_layout_and_quotient_counts(self, make, eps, delta):
         # construct_g never builds f_W: rebuild it at full size and check
         # (a) the layout g is built from, (b) the quotient counts against
-        # full-size counts of f_W and g, and (c) E|f - f_W| exactly.
+        # full-size counts of f_W and g, (c) E|f - f_W| exactly and (d)
+        # aggregate_ok against those counts.
         f = make()
         g, report = construct_g(f, eps, delta)
         fw = sub.average_over_cosets(f, report.W)
@@ -321,13 +322,30 @@ class TestConstructG:
         built[rows[in_vp]] = np.where(s_cols, 0.0, fw.values[rows[in_vp]] / report.beta)
         assert np.array_equal(g.values, DensityFunction(f.params, built).values)
         norm = float(f.params.size) ** 2
-        t3_fw, t3_g = fourier.triple_counts(np.stack([fw.values, g.values]), f.params) / norm
-        assert report.lambda3_fW == pytest.approx(t3_fw, rel=1e-14, abs=0)
-        assert report.lambda3_g == pytest.approx(t3_g, rel=1e-14, abs=0)
+        raw_fw, raw_g = fourier.triple_counts(np.stack([fw.values, g.values]), f.params)
+        assert report.lambda3_fW == pytest.approx(raw_fw / norm, rel=1e-14, abs=0)
+        assert report.lambda3_g == pytest.approx(raw_g / norm, rel=1e-14, abs=0)
+        # (d) the aggregate verdict is the paper's decrement, read at full size
+        p, w_size = f.params.p, rows.shape[1]
+        bound = (eps**5 / (1024 * p**2)) * w_size**2 * report.t3_v_prime_reps
+        assert report.aggregate_ok == (raw_fw - raw_g >= bound)
         assert report.hypothesis_value == math.fsum(np.abs(f.values - fw.values)) / f.params.size
         assert report.per_case_checks.all_passed and report.aggregate_ok
         if report.W.dim == f.params.n:
             assert report.lambda3_g == pytest.approx(63 / 512, rel=1e-14, abs=0)
+
+    def test_too_deep_ell_fails_both_verdicts(self, monkeypatch):
+        # With ell forced from 3 to 7, g's decrement |W|^2/(p^ell - 1)^2
+        # T3_Q(c 1_V') is about 0.23 times the bound's, and each inside
+        # case keeps 1 - 1/(3^7 - 1)^2 of its count, above the bound's
+        # 1 - eps^2/16p^2.  A tolerance of 1e-6 |T3(f_W)| on the aggregate
+        # exceeded the whole gap here and passed it.
+        monkeypatch.setattr("ap3.improve.choose_ell", lambda eps, p: choose_ell(eps, p) + 4)
+        g, report = construct_g(planted_density(3, 10, 2, 0), 0.25, 0.004)
+        assert report.ell == 7 and report.W.dim == 8
+        assert report.aggregate_lhs > report.aggregate_rhs
+        assert not report.aggregate_ok
+        assert not report.per_case_checks.all_passed
 
     @pytest.mark.parametrize("p,n,eps", [(3, 4, 1.0), (3, 4, 0.5), (5, 3, 1.0), (7, 3, 0.3)])
     def test_cases_equal_restricted_counts(self, p, n, eps, rng):
@@ -417,7 +435,7 @@ class TestAuditAtScale:
         i = int(np.flatnonzero(~in_vp)[0])
         raised = np.array(a)
         raised[i] *= 1.0 + 1e-6
-        table = audit_cases(quotient, t, c, raised, in_vp, w_size, t_size, 1.0)
+        table = CaseTable(quotient, t, c, raised, in_vp, w_size, t_size, 1.0)
         assert not table.all_passed
         checks = case_columns(table)
         rep = t[i]
@@ -455,7 +473,7 @@ class TestAuditAtScale:
         inputs = audit_inputs(f, g, report)
         tracemalloc.start()
         try:
-            table = audit_cases(*inputs, 1.0)
+            table = CaseTable(*inputs, 1.0)
             audit_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             with open(os.devnull, "w") as fh:
