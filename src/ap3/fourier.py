@@ -35,10 +35,6 @@ from numpy.fft import fftn, ifftn
 from . import gfspace
 from .gfspace import DensityFunction, GroupParams, PointSet, combine, scale_map
 
-IMAG_TOL = 1e-9
-ROUNDTRIP_IMAG_TOL = 1e-10
-
-
 def forward(x: np.ndarray, p: int, k: int) -> np.ndarray:
     """The transforms over F_p^k of the rows of x, a (batch, p^k) array or
     one row, as a (batch, p^k) complex128 array: x itself, transformed in
@@ -137,19 +133,6 @@ def dft_forward(f: DensityFunction) -> np.ndarray:
     coeffs = forward(f.values, f.params.p, f.params.n)[0]
     coeffs.setflags(write=False)
     return coeffs
-
-
-def dft_inverse(c: np.ndarray, params: GroupParams) -> DensityFunction:
-    """Inverse transform of the coefficients c; requires conjugate symmetry
-    (a real preimage)."""
-    p, n = params.p, params.n
-    scale = max(1.0, float(np.abs(c).max()))
-    if np.abs(c[scale_map(p, n, p - 1)] - np.conj(c)).max() > IMAG_TOL * scale:
-        raise ValueError("spectrum violates conjugate symmetry; no real preimage")
-    flat = inverse(c.astype(np.complex128), p, n)[0]
-    if np.abs(flat.imag).max() > ROUNDTRIP_IMAG_TOL * scale:
-        raise ValueError("imaginary residue above tolerance in inverse transform")
-    return DensityFunction(params, flat.real)
 
 
 def large_spectrum(coeffs: np.ndarray, delta: float, params: GroupParams) -> PointSet:

@@ -1641,3 +1641,30 @@ class TestSelfcheck:
         checks = selfcheck.selfcheck_checks()
         by_name = {c["name"]: c["passed"] for c in checks}
         assert by_name["transform_phase"] is False
+
+    def test_check_names(self):
+        from ap3 import selfcheck
+
+        sizes = ["p3_n2", "p5_n2", "p3_n3"]
+        identities = ["roundtrip", "parseval", "lambda3_identity", "lambda3_exact"]
+        assert [c["name"] for c in selfcheck.selfcheck_checks()] == [
+            "transform_phase",
+            *(f"{check}_{size}" for size in sizes for check in identities),
+            "complementation_float",
+            "complementation_exact",
+            "closed_forms_p3_n3",
+            "closed_forms_p5_n2",
+            "coset_average_support",
+            "pipeline_worked_example",
+        ]
+
+    def test_inverse_sign_mutation_detected(self, monkeypatch):
+        # conjugating the inverse's argument flips its phase to omega^(+a.m),
+        # which maps a real f to m -> f(-m); every round trip must catch it.
+        # (Conjugating its result would not: the preimage is real.)
+        from ap3 import selfcheck
+
+        orig = fourier.inverse
+        monkeypatch.setattr(fourier, "inverse", lambda x, p, k: orig(np.conj(x), p, k))
+        roundtrips = [c for c in selfcheck.selfcheck_checks() if c["name"].startswith("roundtrip_")]
+        assert len(roundtrips) == 3 and not any(c["passed"] for c in roundtrips)

@@ -20,8 +20,14 @@ Both trees also run the start-up that the benchmark's `setup_s` times and
 the other runs that parsing ends: `ap3 --help`, `ap3 <command> --help` for
 every subcommand and one usage error, with COLUMNS=100 (argparse wraps help
 to the terminal).  Such a run differs when its exit code, stdout or stderr
-differs.  Each differing job or run is named, and the exit code is then 1;
-it is 0 when every one matches.
+differs.
+
+Two subcommands that no workload runs are compared too: for each seed, one
+`ap3 round` job on the seed's first `improve-audit` density, with that
+seed and e_0 as its one `--monitor` generator, compared as a job; and one
+`ap3 selfcheck` run, compared as a parse run once the time in its closing
+`N/N passed in Xs` line is masked.  Each differing job or run is named,
+and the exit code is then 1; it is 0 when every one matches.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -58,11 +65,11 @@ def run_program(src: str, argv: list[str], cwd: str, **env: str) -> dict[str, by
     return {"exit code": b"%d" % proc.returncode, "stdout": proc.stdout, "stderr": proc.stderr}
 
 
-def run_job(src: str, job, out: str) -> dict[str, bytes]:
+def run_job(src: str, command: str, args: list[str], out: str) -> dict[str, bytes]:
     """The exit code, stdout, stderr and written files of one job run on
     the tree at `src`, keyed by name, with `out` replaced everywhere."""
     os.makedirs(out)
-    result = run_program(src, measure.ap3_argv(job.command, [*job.args, "--output-dir", out]), out)
+    result = run_program(src, measure.ap3_argv(command, [*args, "--output-dir", out]), out)
     for folder, _, names in os.walk(out):
         for name in names:
             path = os.path.join(folder, name)
@@ -70,6 +77,24 @@ def run_job(src: str, job, out: str) -> dict[str, bytes]:
                 result[os.path.relpath(path, out)] = fh.read()
     placeholder = os.fsencode(out)
     return {key: value.replace(placeholder, b"<output-dir>") for key, value in result.items()}
+
+
+def round_args(seed: int, jobs: list) -> list[str]:
+    """`ap3 round`'s arguments on the first of an `improve-audit` seed's
+    jobs: its density, the seed and e_0 of F_p^n as one monitored span."""
+    args = jobs[0].args
+    density = args[args.index("--input") + 1]
+    with open(density, encoding="ascii") as fh:
+        n = int(fh.readline().split()[1])
+    e0 = ",".join(["1"] + ["0"] * (n - 1))
+    return ["--input", density, "--seed", str(seed), "--monitor", e0]
+
+
+def selfcheck_run(src: str, cwd: str) -> dict[str, bytes]:
+    """`ap3 selfcheck` on the tree at `src`, its time masked."""
+    result = run_program(src, measure.ap3_argv("selfcheck", []), cwd)
+    result["stdout"] = re.sub(rb"passed in [0-9.]+s", b"passed in <time>s", result["stdout"])
+    return result
 
 
 def differences(parent: dict[str, bytes], change: dict[str, bytes]) -> list[str]:
@@ -120,31 +145,43 @@ def main(argv: list[str] | None = None) -> int:
         if not os.path.isfile(os.path.join(src, "ap3", "cli.py")):
             parser.error(f"no ap3 package under {src}")
 
-    jobs = differing = parse_differing = 0
+    jobs = differing = parse_differing = round_differing = selfcheck_differing = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as work:
+
+        def job_differences(command: str, args: list[str], name: str) -> list[str]:
+            return differences(
+                *(run_job(src, command, args, os.path.join(work, tree, name)) for tree, src in trees.items())
+            )
+
         for command, rest in PARSE_RUNS:
             argv = measure.ap3_argv(command, rest)
             runs = [run_program(src, argv, work, COLUMNS="100") for src in trees.values()]
             if diff := differences(*runs):
                 parse_differing += 1
                 print(f"DIFFERS ap3 {' '.join([command, *rest])}: {', '.join(diff)}")
+        if diff := differences(*(selfcheck_run(src, work) for src in trees.values())):
+            selfcheck_differing = 1
+            print(f"DIFFERS ap3 selfcheck: {', '.join(diff)}")
         for seed in args.seeds:
             for workload in workloads.WORKLOADS:
                 inputs = os.path.join(work, f"{workload}-{seed}")
-                for i, job in enumerate(workloads.build(workload, seed, inputs)):
-                    runs = [
-                        run_job(src, job, os.path.join(work, tree, f"{workload}-{seed}-{i}"))
-                        for tree, src in trees.items()
-                    ]
+                built = workloads.build(workload, seed, inputs)
+                for i, job in enumerate(built):
                     jobs += 1
-                    if diff := differences(*runs):
+                    if diff := job_differences(job.command, job.args, f"{workload}-{seed}-{i}"):
                         differing += 1
                         print(f"DIFFERS {workload} seed {seed} job {i} ({job.label}): {', '.join(diff)}")
+                if workload == "improve-audit":
+                    if diff := job_differences("round", round_args(seed, built), f"round-{seed}"):
+                        round_differing += 1
+                        print(f"DIFFERS round seed {seed}: {', '.join(diff)}")
     print(
         f"{differing} of {jobs} jobs differ; "
-        f"{parse_differing} of {len(PARSE_RUNS)} help and usage runs differ"
+        f"{parse_differing} of {len(PARSE_RUNS)} help and usage runs differ; "
+        f"{round_differing} of {len(args.seeds)} round runs differ; "
+        f"{selfcheck_differing} of 1 selfcheck runs differ"
     )
-    return 1 if differing or parse_differing else 0
+    return 1 if differing or parse_differing or round_differing or selfcheck_differing else 0
 
 
 if __name__ == "__main__":
