@@ -30,10 +30,11 @@ CHECK_TOL = 1e-9
 # The text json.dump(indent=2, sort_keys=True) writes for one case of a
 # list that is a top-level value of a report (keys sorted, the case dict at
 # depth 2): all_in_v_prime, base, lhs, passed, the three reps and rhs.
+# Every float of a case is finite, so %r writes the repr json writes.
 _CASE = (
-    '\n    {\n      "all_in_v_prime": %s,\n      "base": %s,\n      "lhs": %s,'
+    '\n    {\n      "all_in_v_prime": %s,\n      "base": %r,\n      "lhs": %r,'
     '\n      "passed": %s,\n      "reps": [\n        %d,\n        %d,\n        %d'
-    '\n      ],\n      "rhs": %s\n    }'
+    '\n      ],\n      "rhs": %r\n    }'
 )
 _BOOL = ("false", "true")
 
@@ -128,27 +129,12 @@ def write_case_blocks(fh, blocks) -> None:
         for start in range(0, len(b.passed), step):
             cases = zip(*(col[start : start + step].tolist() for col in columns))
             text = ",".join(
-                _CASE % (
-                    _BOOL[inside], _json_float(base), _json_float(lhs),
-                    _BOOL[passed], *reps, _json_float(rhs),
-                )
+                _CASE % (_BOOL[inside], base, lhs, _BOOL[passed], *reps, rhs)
                 for inside, base, lhs, passed, reps, rhs in cases
             )
             fh.write(lead + text)
             lead = ","
     fh.write("[]" if lead == "[" else "\n  ]")
-
-
-def _json_float(x: float) -> str:
-    """What json writes for the float x: its repr, or NaN, Infinity or
-    -Infinity."""
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
 
 
 def delta_from_epsilon(epsilon: float, p: int) -> float:

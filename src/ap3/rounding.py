@@ -1,6 +1,7 @@
-"""Randomized rounding of a density function to an indicator, with mean
-repair and coset-deviation monitoring, plus the Hoeffding tail bound as a
-diagnostic.
+"""Randomized rounding of a density function to an indicator, carried as a
+boolean mask that `randomize` draws and `repair` tops up in place to the
+target mean; coset-deviation monitoring and the Hoeffding tail bound are
+diagnostics.
 
 PRNG discipline: the stream is the standard library's `random.Random(seed)`,
 the one generator ap3 draws from: one 64-bit word per point in canonical
@@ -22,12 +23,12 @@ from . import fourier, gfspace
 from . import subspace as sub
 
 
-def randomize(j: DensityFunction, seed: int | None) -> DensityFunction:
-    """Independent Bernoulli(j(m)) draws; 0/1-valued, reproducible per seed
-    (seed=None seeds from os.urandom), drawn and compared `gfspace.BLOCK`
-    words at a time.  CPython's getrandbits fills 32 bits at a time, least
-    significant first, so the blocks join into the stream of one
-    getrandbits(64 * p^n) call."""
+def randomize(j: DensityFunction, seed: int | None) -> np.ndarray:
+    """The boolean mask of independent Bernoulli(j(m)) draws, reproducible
+    per seed (seed=None seeds from os.urandom), drawn and compared
+    `gfspace.BLOCK` words at a time.  CPython's getrandbits fills 32 bits
+    at a time, least significant first, so the blocks join into the stream
+    of one getrandbits(64 * p^n) call."""
     rng = seeded_rng(seed)
     size, block = j.params.size, gfspace.BLOCK
     out = np.empty(size, dtype=bool)
@@ -39,36 +40,35 @@ def randomize(j: DensityFunction, seed: int | None) -> DensityFunction:
         np.less(np.frombuffer(words, dtype="<u8").astype(np.float64), vals * 2.0**64, out=hit)
         hit |= vals >= 1.0
         hit &= vals > 0.0
-    return DensityFunction(j.params, out.astype(np.float64))
+    return out
 
 
-def repair(j0: DensityFunction, target_mean: float) -> DensityFunction:
-    """Flip the lowest-index zeros to 1 until the mean reaches target_mean."""
-    if target_mean > 1.0 + 1e-12:
+def repair(mask: np.ndarray, target_mean: float) -> int:
+    """Set the lowest-index zeros of the boolean `mask` in place, up to the
+    least count k of ones whose float mean k / N is at least target_mean,
+    and return how many were set (none when the mask has k ones already)."""
+    if target_mean > 1.0:
         raise ValueError(f"target_mean {target_mean} exceeds 1")
-    if not j0.is_indicator:
-        raise ValueError("repair requires a 0/1-valued input")
-    vals = np.array(j0.values)
-    n = j0.params.size
-    # ceil with a guard so an exactly-met target never flips a point
-    need = max(0, math.ceil(target_mean * n - 1e-9))
-    ones = int(vals.sum())
-    flips = need - ones
-    if flips > 0:
-        zeros = np.nonzero(vals == 0.0)[0][:flips]
-        vals[zeros] = 1.0
-    return DensityFunction(j0.params, vals)
+    size = mask.size
+    num, den = target_mean.as_integer_ratio()
+    need = -(-num * size // den)  # the least k with k / N >= target_mean exactly
+    if (need - 1) / size >= target_mean:  # k - 1 whose quotient rounds up to it
+        need -= 1
+    zeros = np.flatnonzero(~mask)[: max(0, need - int(np.count_nonzero(mask)))]
+    mask[zeros] = True
+    return len(zeros)
 
 
 def round_to_indicator(
     j: DensityFunction, seed: int, monitored: Sequence[sub.Subspace] = ()
 ) -> tuple[DensityFunction, SimpleNamespace]:
-    """Randomize then repair; audit mean, triple-count drift, and coset drift
-    in a `rounding_report` of reports.schema.json."""
-    j0 = randomize(j, seed)
+    """Randomize then repair, to a set whose mean is not below E(j); audit
+    mean, triple-count drift, and coset drift in a `rounding_report` of
+    reports.schema.json, whose `repaired_points` is the number repair set."""
+    mask = randomize(j, seed)
     target = j.expectation()
-    j2 = repair(j0, target)
-    repaired = int(np.count_nonzero(j0.values != j2.values))
+    repaired = repair(mask, target)
+    j2 = DensityFunction(j.params, mask.astype(np.float64))
 
     max_dev = 0.0
     bound = 0.0

@@ -593,7 +593,7 @@ class TestBlock:
             write_case_blocks(cases, table.blocks())
             out = (
                 path.read_bytes(),
-                randomize(f, 5).values.tobytes(),
+                randomize(f, 5).tobytes(),
                 average_over_cosets(f, w).values.tobytes(),
                 cases.getvalue(),
             )

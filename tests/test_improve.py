@@ -65,6 +65,19 @@ def planted_set(p, n, k, seed):
     return PointSet.from_mask(f.params, draws < f.values)
 
 
+# The improve inputs whose layout, quotient counts and cases are checked.
+LAYOUT_INPUTS = pytest.mark.parametrize(
+    "make, eps, delta",
+    [
+        (lambda: planted_density(3, 8, 5, 0), 1.0, 0.004),
+        (lambda: planted_density(5, 5, 3, 0), 1.0, 0.004),
+        (lambda: planted_density(7, 4, 2, 0), 1.0, 0.004),
+        (lambda: planted_set(3, 8, 2, 0).density(), 0.3, 0.03),
+        (lambda: DensityFunction.constant(GroupParams(3, 2), 0.5), 1.0, None),
+    ],
+    ids=["planted-3-8", "planted-5-5", "planted-7-4", "set-3-8", "constant-on-W-everything"],
+)
+
 class TestConfig:
     F = DensityFunction.constant(GroupParams(3, 2), 0.5)
 
@@ -296,17 +309,7 @@ class TestConstructG:
             assert inside == fourier.count_raw(v_prime)
             assert table.all_passed == cases.passed.all()
 
-    @pytest.mark.parametrize(
-        "make, eps, delta",
-        [
-            (lambda: planted_density(3, 8, 5, 0), 1.0, 0.004),
-            (lambda: planted_density(5, 5, 3, 0), 1.0, 0.004),
-            (lambda: planted_density(7, 4, 2, 0), 1.0, 0.004),
-            (lambda: planted_set(3, 8, 2, 0).density(), 0.3, 0.03),
-            (lambda: DensityFunction.constant(GroupParams(3, 2), 0.5), 1.0, None),
-        ],
-        ids=["planted-3-8", "planted-5-5", "planted-7-4", "set-3-8", "constant-on-W-everything"],
-    )
+    @LAYOUT_INPUTS
     def test_layout_and_quotient_counts(self, make, eps, delta):
         # construct_g never builds f_W: rebuild it at full size and check
         # (a) the layout g is built from, (b) the quotient counts against
@@ -333,6 +336,14 @@ class TestConstructG:
         assert report.per_case_checks.all_passed and report.aggregate_ok
         if report.W.dim == f.params.n:
             assert report.lambda3_g == pytest.approx(63 / 512, rel=1e-14, abs=0)
+
+    @LAYOUT_INPUTS
+    def test_case_floats_are_finite(self, make, eps, delta):
+        # The listing writes each float with %r, which is json's text only
+        # for finite values.
+        _, report = construct_g(make(), eps, delta)
+        for b in report.per_case_checks.blocks():
+            assert all(np.isfinite(col).all() for col in (b.base, b.lhs, b.rhs))
 
     def test_too_deep_ell_fails_both_verdicts(self, monkeypatch):
         # With ell forced from 3 to 7, g's decrement |W|^2/(p^ell - 1)^2

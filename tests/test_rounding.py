@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from ap3 import gfspace
 from ap3.gfspace import BLOCK, DensityFunction, GroupParams
+from ap3.improve import construct_g
 from ap3.rounding import (
     hoeffding_bound,
     randomize,
@@ -14,7 +16,7 @@ from ap3.rounding import (
 )
 from ap3 import subspace as sub
 
-from conftest import random_density
+from conftest import planted_density, random_density
 
 
 def one_call_draws(size, seed):
@@ -31,27 +33,26 @@ class TestRandomize:
         vals[:3] = 1.0
         f = DensityFunction(params, vals)
         for seed in range(20):
-            out = randomize(f, seed)
-            assert np.array_equal(out.values, vals)
+            assert np.array_equal(randomize(f, seed), vals == 1.0)
 
     def test_reproducible(self, rng):
         f = random_density(GroupParams(3, 3), rng)
         a = randomize(f, 42)
         b = randomize(f, 42)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
         c = randomize(f, 43)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a, c)
 
     def test_is_indicator(self, rng):
         f = random_density(GroupParams(3, 3), rng)
         out = randomize(f, 0)
-        assert set(np.unique(out.values)) <= {0.0, 1.0}
+        assert out.dtype == bool and out.shape == (f.params.size,)
 
     def test_empirical_mean(self):
         # law of large numbers across seeds at a fixed point
         params = GroupParams(3, 1)
         f = DensityFunction(params, np.array([0.3, 0.3, 0.3]))
-        hits = sum(randomize(f, s).values.sum() for s in range(2000))
+        hits = sum(int(randomize(f, s).sum()) for s in range(2000))
         assert abs(hits / 6000 - 0.3) < 0.02
 
     @pytest.mark.parametrize(
@@ -65,16 +66,16 @@ class TestRandomize:
         monkeypatch.setattr(gfspace, "BLOCK", block)
         f = random_density(GroupParams(p, n), rng)
         want = one_call_draws(f.params.size, 31).astype(np.float64) < f.values * 2.0**64
-        assert np.array_equal(randomize(f, 31).values, want)
+        assert np.array_equal(randomize(f, 31), want)
 
     def test_mean_within_six_sigma(self):
         params = GroupParams(3, 10)
-        ones = randomize(DensityFunction.constant(params, 0.3), 8).values.sum()
+        ones = int(randomize(DensityFunction.constant(params, 0.3), 8).sum())
         assert abs(ones - 0.3 * params.size) <= 6 * (params.size * 0.3 * 0.7) ** 0.5
 
     def test_unseeded_draws_differ(self):
         f = DensityFunction.constant(GroupParams(3, 5), 0.5)
-        assert not np.array_equal(randomize(f, None).values, randomize(f, None).values)
+        assert not np.array_equal(randomize(f, None), randomize(f, None))
 
     def test_rejects_negative_seed(self):
         # random.Random(-5) draws the stream of random.Random(5).
@@ -84,8 +85,8 @@ class TestRandomize:
 
     def test_memory_is_bounded_by_its_blocks(self, rng):
         # Each block is compared as it is drawn, so the peak is the bool
-        # and float64 outputs and their checks: about 1.3 times the draws'
-        # bytes, where a full-size array of draws would add 2 times more.
+        # output and one block's draws and checks, where a full-size array
+        # of draws alone would take 8 bytes a point.
         f = random_density(GroupParams(3, 10), rng)
         tracemalloc.start()
         try:
@@ -98,33 +99,67 @@ class TestRandomize:
 
 class TestRepair:
     def test_noop_when_met(self):
-        params = GroupParams(3, 1)
-        f = DensityFunction(params, np.array([1.0, 0.0, 1.0]))
-        out = repair(f, 2 / 3)
-        assert np.array_equal(out.values, f.values)
+        mask = np.array([True, False, True])
+        assert repair(mask, 2 / 3) == 0
+        assert mask.tolist() == [True, False, True]
 
     def test_flips_lowest_indices(self):
-        params = GroupParams(3, 2)
-        f = DensityFunction(params, np.zeros(9))
-        out = repair(f, 3 / 9)
-        assert list(np.nonzero(out.values)[0]) == [0, 1, 2]
+        mask = np.zeros(9, dtype=bool)
+        assert repair(mask, 3 / 9) == 3
+        assert list(np.nonzero(mask)[0]) == [0, 1, 2]
 
     def test_never_removes(self):
-        params = GroupParams(3, 1)
-        f = DensityFunction(params, np.array([1.0, 1.0, 1.0]))
-        out = repair(f, 1 / 3)
-        assert out.values.sum() == 3.0
+        mask = np.ones(3, dtype=bool)
+        assert repair(mask, 1 / 3) == 0
+        assert mask.all()
 
     def test_rejects_a_target_above_1(self):
-        f = DensityFunction(GroupParams(3, 1), np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ValueError) as info:
-            repair(f, 1.5)
-        assert str(info.value) == "target_mean 1.5 exceeds 1"
+        # with no slack: one ulp above 1 is refused too
+        mask = np.array([True, False, False])
+        for target in [1.5, np.nextafter(1.0, 2.0)]:
+            with pytest.raises(ValueError) as info:
+                repair(mask, target)
+            assert str(info.value) == f"target_mean {target} exceeds 1"
+        assert mask.tolist() == [True, False, False]
 
-    def test_rejects_nonindicator(self):
-        f = DensityFunction(GroupParams(3, 1), np.array([0.5, 0.0, 0.0]))
-        with pytest.raises(ValueError, match="0/1"):
-            repair(f, 0.5)
+    @pytest.mark.parametrize("k, size", [(3, 9), (40, 81), (129, 243)])
+    def test_one_ulp_above_sets_one_point(self, rng, k, size):
+        # A target one ulp above k / N is met by k + 1 points, not by k.
+        mask = np.zeros(size, dtype=bool)
+        mask[rng.choice(size, k, replace=False)] = True
+        assert repair(mask.copy(), k / size) == 0
+        topped = mask.copy()
+        assert repair(topped, np.nextafter(k / size, 1.0)) == 1
+        assert np.count_nonzero(topped) == k + 1
+        assert np.count_nonzero(topped & ~mask) == 1
+
+    @given(
+        size=st.integers(3, 2187),
+        density=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["k/N", "below", "above", "uniform"]),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_contract(self, size, density, seed, kind, frac):
+        # After repair the count is the least whose float mean reaches the
+        # target, reached by setting the lowest-index zeros only.
+        before = np.random.default_rng(seed).random(size) < density
+        k = round(frac * size)
+        target = {
+            "k/N": k / size,
+            "below": np.nextafter(k / size, 0.0),
+            "above": np.nextafter(k / size, 2.0),
+            "uniform": frac,
+        }[kind]
+        assume(target <= 1.0)
+        mask = before.copy()
+        set_ = repair(mask, float(target))
+        count = int(np.count_nonzero(mask))
+        assert count / size >= target
+        assert set_ == 0 or (count - 1) / size < target
+        assert set_ == count - int(np.count_nonzero(before))
+        assert np.array_equal(np.flatnonzero(mask & ~before), np.flatnonzero(~before)[:set_])
+        assert not (before & ~mask).any()
 
 
 class TestRoundToIndicator:
@@ -133,7 +168,18 @@ class TestRoundToIndicator:
         f = DensityFunction.constant(params, 0.5)
         for seed in range(50):
             j2, rep = round_to_indicator(f, seed)
-            assert rep.mean_after >= rep.mean_before - 1e-12
+            assert rep.mean_after >= rep.mean_before
+            assert rep.mean_after == j2.expectation()
+
+    def test_set_input_keeps_the_mean(self):
+        # g improved from a set has a mean that k / N for the k it rounds
+        # to can miss by an ulp; the rounded set's mean must still reach it.
+        f = planted_density(3, 5, 2, 1)
+        s = np.random.default_rng(1).random(f.params.size) < f.values
+        g, report = construct_g(DensityFunction(f.params, s.astype(np.float64)), 0.5, 0.1)
+        for seed in range(4):
+            j2, rep = round_to_indicator(g, seed, monitored=[report.W])
+            assert rep.mean_after >= rep.mean_before
             assert rep.mean_after == j2.expectation()
 
     def test_replay_bit_identical(self, rng):
