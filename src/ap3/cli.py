@@ -216,10 +216,11 @@ def cmd_count(args) -> int:
     f = load_density(args.input)
     _write_manifest(args, [args.input])
     # An indicator is counted as a mask, exactly; any other density as floats.
-    indicator = f.is_indicator
+    params, indicator = f.params, f.is_indicator
     x = f.values > 0.0 if indicator else f.values
-    raw = fourier.triple_counts(x, f.params)[0].item()
-    print(f"lambda3={raw / f.params.size**2:.17g}")
+    del f  # an indicator's float values are not needed once its mask exists
+    raw = fourier.triple_counts(x, params)[0].item()
+    print(f"lambda3={raw / params.size**2:.17g}")
     print(f"t3_raw={raw}" if indicator else f"t3_raw={raw:.17g}")
     if indicator:
         print(f"t3_nontrivial={raw - int(x.sum())}")
@@ -228,12 +229,13 @@ def cmd_count(args) -> int:
 
 def cmd_spectrum(args) -> int:
     from . import fourier
-    from .gfspace import load_density
+    from .gfspace import load_density_complex
 
-    f = load_density(args.input)
+    # The values are read into the complex buffer that the transform runs
+    # on in place, so no float64 copy of them exists.
+    params, values = load_density_complex(args.input)
     _write_manifest(args, [args.input])
-    coeffs, params = fourier.dft_forward(f), f.params
-    del f  # its values are not needed once the coefficients exist
+    coeffs = fourier.forward(values, params.p, params.n)[0]
     a = fourier.large_spectrum(coeffs, args.delta, params)
     lines = fourier.spectrum_export_lines(coeffs, a)
     text = "\n".join(lines)
@@ -254,6 +256,7 @@ def cmd_average(args) -> int:
     w = sub.span(f.params, args.subspace)
     _write_manifest(args, [args.input])
     fw = sub.average_over_cosets(f, w)
+    del f  # its values are not needed once the average exists
     save_density(fw, _out(args, args.output))
     return 0
 

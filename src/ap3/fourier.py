@@ -39,7 +39,9 @@ def forward(x: np.ndarray, p: int, k: int) -> np.ndarray:
     """The transforms over F_p^k of the rows of x, a (batch, p^k) array or
     one row, as a (batch, p^k) complex128 array: x itself, transformed in
     place, if it is a complex128 array, which its caller gives up, and
-    otherwise a complex128 copy of x."""
+    otherwise a complex128 copy of x.  `ap3 spectrum` hands it the buffer
+    that `gfspace.load_density_complex` read its input into, so a spectrum
+    job holds no float64 copy of the input."""
     return _transform(ifftn, x, p, k)
 
 
@@ -80,7 +82,10 @@ def exact_counts(floats: np.ndarray) -> np.ndarray:
 
 
 def pair_counts(
-    x: np.ndarray, params: GroupParams, forms: tuple[tuple[int, int], ...] = ((1, 1),)
+    x: np.ndarray,
+    params: GroupParams,
+    forms: tuple[tuple[int, int], ...] = ((1, 1),),
+    t: np.ndarray | None = None,
 ) -> np.ndarray:
     """R(v) = sum of x(y) x(z) over the (y, z) with a y + b z = v, for each
     (a, b) in forms and each row of the (batch, p^n) array x, form by form:
@@ -92,10 +97,13 @@ def pair_counts(
     density rows give the float64 convolutions, never rounded.
 
     R's transform is t(a k) t(b k), t the transform of x, so a row takes
-    one forward transform and each output row one inverse.
+    one forward transform and each output row one inverse.  A caller that
+    already holds t, `forward(x, p, n)`, passes it and gives it up: the
+    form (1, 1) squares it in place, and x is not transformed again.
     """
     p, n = params.p, params.n
-    t = forward(x, p, n)
+    if t is None:
+        t = forward(x, p, n)
     if forms == ((1, 1),):
         t *= t  # in place: a count holds only t and its result full-size
     else:
@@ -104,11 +112,12 @@ def pair_counts(
     return exact_counts(conv) if x.dtype == bool else conv
 
 
-def triple_counts(x: np.ndarray, params: GroupParams) -> np.ndarray:
+def triple_counts(x: np.ndarray, params: GroupParams, t: np.ndarray | None = None) -> np.ndarray:
     """T3 = sum over (m, d) of x(m) x(m+d) x(m+2d), trivial triples
     included, for each row of the (batch, p^n) array x.  Since
     m + (m+2d) = 2(m+d), it is sum_y x(y) (x * x)(2y): one forward and one
-    inverse transform per row.
+    inverse transform per row.  x's transform t, if the caller holds it,
+    is given up to `pair_counts`, which squares it in place.
 
     As in `pair_counts`, x's dtype decides: boolean masks give exact int64
     counts, float64 density rows float64 sums, within a few ulp of the
@@ -117,7 +126,7 @@ def triple_counts(x: np.ndarray, params: GroupParams) -> np.ndarray:
     """
     p, n = params.p, params.n
     x = x.reshape(-1, params.size)
-    conv = pair_counts(x, params)
+    conv = pair_counts(x, params, t=t)
     # sum_y x(y) conv(2y) = sum_w x(w/2) conv(w)
     return (conv * x[:, scale_map(p, n, (p + 1) // 2)]).sum(axis=1)
 

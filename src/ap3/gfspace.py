@@ -6,6 +6,11 @@ the seeded generator every random draw comes from (`seeded_rng`), and
 `improve.CaseTable.blocks`, `improve.write_case_blocks` (slices of
 `BLOCK // 64` cases) and `fourier.large_spectrum`.
 
+An .apf file is read one line at a time by one reader, either into a
+`DensityFunction` (`load_density`) or, for a caller that transforms it
+in place, straight into the real parts of a complex128 array
+(`load_density_complex`), with the same checks and error messages.
+
 Elements are indexed little-endian base p: index = sum(digit_k * p**k),
 with coordinate 0 the least significant digit.  Every array, file, and
 transform in this package uses that one order.
@@ -264,9 +269,10 @@ def _body_error(path: str, lines: list[str], size: int) -> FileFormatError:
     raise RuntimeError(f"{path}: body failed to load but has no bad token")
 
 
-def _read_density(fh, path: str) -> tuple[GroupParams, np.ndarray | None]:
-    """The header and body of an open .apf file, read one line at a time;
-    the body is None if any of it is malformed."""
+def _read_density(fh, path: str, dtype) -> tuple[GroupParams, np.ndarray | None]:
+    """The header and body of an open .apf file, read one line at a time
+    into the real parts of a new `dtype` array, whose imaginary parts, if
+    it has any, are left unset; the body is None if any of it is malformed."""
     first = fh.readline()
     if not first:
         raise FileFormatError(f"{path}:1: empty file")
@@ -275,7 +281,8 @@ def _read_density(fh, path: str) -> tuple[GroupParams, np.ndarray | None]:
     header = first.splitlines()[0]
     params = _parse_header(header, path)
     size = params.size
-    values = np.empty(size, dtype=np.float64)
+    values = np.empty(size, dtype=dtype)
+    real = values.real  # values itself for a real dtype
     count = 0
     try:
         for line in itertools.chain((first[len(header) :],), fh):
@@ -283,30 +290,45 @@ def _read_density(fh, path: str) -> tuple[GroupParams, np.ndarray | None]:
             end = count + len(row)
             if end > size:
                 return params, None
-            values[count:end] = row
+            real[count:end] = row
             count = end
     except ValueError:  # a bad token, or a non-ASCII byte
         return params, None
-    if count == size and 0.0 <= values.min() and values.max() <= 1.0:  # false for NaN
+    if count == size and 0.0 <= real.min() and real.max() <= 1.0:  # false for NaN
         return params, values
     return params, None
 
 
-def load_density(path: str) -> DensityFunction:
-    """Load an .apf file, holding only the values and one line of text.
+def _load(path: str, dtype) -> tuple[GroupParams, np.ndarray]:
+    """The header and values of an .apf file, holding only a `dtype` array
+    and one line of text, as `_read_density` reads them.
 
     A file that fails is read again whole, so the error is the first problem
     in file order, and a non-ASCII byte anywhere comes before the rest.
     """
     try:
         with open(path, "r", encoding="ascii") as fh:
-            params, values = _read_density(fh, path)
+            params, values = _read_density(fh, path, dtype)
     except (ValueError, MemoryError):  # a bad first line, or too many values to allocate
         _read_lines(path)  # a non-ASCII byte anywhere in the file is reported first
         raise
     if values is None:
         raise _body_error(path, _read_lines(path), params.size)
-    return DensityFunction(params, values)
+    return params, values
+
+
+def load_density(path: str) -> DensityFunction:
+    """Load an .apf file, holding only the values and one line of text."""
+    return DensityFunction(*_load(path, np.float64))
+
+
+def load_density_complex(path: str) -> tuple[GroupParams, np.ndarray]:
+    """An .apf file's group and values as a writable complex128 array with
+    zero imaginary parts, to be transformed in place: accepted, refused and
+    worded as `load_density` does, and with no float64 copy of the values."""
+    params, values = _load(path, np.complex128)
+    values.imag = 0.0
+    return params, values
 
 
 def save_density(f: DensityFunction, path: str) -> None:

@@ -149,10 +149,10 @@ def delta_from_epsilon(epsilon: float, p: int) -> float:
     return delta
 
 
-def build_W(f: DensityFunction, delta: float):
-    """A = large spectrum, V = span(A), W = V^perp."""
-    a = fourier.large_spectrum(fourier.dft_forward(f), delta, f.params)
-    v = sub.span(f.params, list(a.members))
+def build_W(coeffs: np.ndarray, delta: float, params: GroupParams):
+    """A = the large spectrum of f's coefficients, V = span(A), W = V^perp."""
+    a = fourier.large_spectrum(coeffs, delta, params)
+    v = sub.span(params, list(a.members))
     w = sub.orthogonal_complement(v)
     return a, v, w
 
@@ -209,10 +209,12 @@ def construct_g(
     delta defaults to delta_from_epsilon(epsilon, p), the paper's value
     with c_p = 1.
 
-    T3(f) is the one count at full size.  On Q = F_p^n / W, with c the
-    coset means of f (f_W's value on each row), each case's ratio of g's
-    count to f_W's is exactly 1 unless all three of its rows lie in V',
-    where it is 1 - 1/(p^ell - 1)^2 (see `case_counts`), so
+    T3(f) is the one count at full size, and it squares f's one transform
+    after `build_W` has read the large spectrum from it.  On
+    Q = F_p^n / W, with c the coset means of f (f_W's value on each row),
+    each case's ratio of g's count to f_W's is exactly 1 unless all three
+    of its rows lie in V', where it is 1 - 1/(p^ell - 1)^2 (see
+    `case_counts`), so
     T3(f_W) = |W|^2 T3_Q(c), T3(g) = T3(f_W) - |W|^2/(p^ell - 1)^2
     T3_Q(c 1_V'), both from one float count, and T3(V' reps) = T3_Q(1_V')
     exactly.  `aggregate_ok` compares the two decrements themselves, with
@@ -229,13 +231,16 @@ def construct_g(
             f"n = {params.n} < ell = {ell}: S has codimension ell in W, and no W in "
             f"F_{p}^{params.n} has dimension {ell} (epsilon = {epsilon})"
         )
-    a_set, v_space, w_space = build_W(f, delta)
+    fhat = fourier.forward(f.values, p, params.n)  # f's one transform
+    a_set, v_space, w_space = build_W(fhat[0], delta, params)
     if ell > w_space.dim:
         raise ValueError(
             f"dim(W) = {w_space.dim} < ell = {ell}: the spectrum is too rich for "
             f"epsilon = {epsilon}; raise delta or epsilon"
         )
-    t3_f = float(fourier.triple_counts(f.values, params)[0])  # the one p^n count
+    # The one p^n count, which squares fhat in place.
+    t3_f = float(fourier.triple_counts(f.values, params, fhat)[0])
+    del fhat  # used up by the count
     rows = sub.coset_decomposition(w_space)
     c = sub.coset_means(f, rows)  # f_W on each row
     in_vp = select_v_prime(c, epsilon)

@@ -82,13 +82,13 @@ def _participation(x: np.ndarray, params: GroupParams) -> tuple[np.ndarray, np.n
     return conv[0][scale_map(p, n, 2)], conv[1]
 
 
-def _near_min(values: np.ndarray) -> np.ndarray:
-    """Mask of the values at most 6 above the least one.
+def _near_min(values: np.ndarray, least: int) -> np.ndarray:
+    """Mask of the values at most 6 above their least one, `least`.
 
-    Their floor quotient by 7 is 0.  A comparison with min + 6 would run a
-    numpy loop that nothing else in a search job runs, and paging in its
+    Their floor quotient by 7 is 0.  A comparison with least + 6 would run
+    a numpy loop that nothing else in a search job runs, and paging in its
     code adds 0.13 MB to the job's peak RSS (numpy 2.4, x86-64 Linux)."""
-    return ~((values - values.min()) // 7).astype(bool)
+    return ~((values - least) // 7).astype(bool)
 
 
 def _best_move(
@@ -104,7 +104,9 @@ def _best_move(
     addition alone raises the count by at least 1, so it is never a move.
 
     That pair term is 0-3, so a swap scores remove[u] + add[v] - count less
-    0-6, and a pair can tie or beat the best swap only if
+    0-6.  When min(remove) + min(add) - count - 6 >= count, as on a lifted
+    cap, where every point ties, no swap lowers the count, and no table is
+    built.  Otherwise a pair can tie or beat the best swap only if
     remove[u] <= min(remove) + 6 and add[v] <= min(add) + 6.  Only those
     pairs are scored, a few rows and columns in place of the |S| x |S^c|
     table.  The candidates keep their ascending order, so the first minimum
@@ -115,7 +117,10 @@ def _best_move(
         return None, count
     add = count + 2 * e[outside] + m[outside] + 1
     remove = count - 2 * e[inside] - m[inside] + 2
-    near_u, near_v = _near_min(remove), _near_min(add)
+    least_add, least_remove = int(add.min()), int(remove.min())
+    if least_remove + least_add - count - 6 >= count:
+        return None, count
+    near_u, near_v = _near_min(remove, least_remove), _near_min(add, least_add)
     inside, remove = inside[near_u], remove[near_u]
     outside, add = outside[near_v], add[near_v]
     h = (params.p + 1) // 2  # 1/2 mod p

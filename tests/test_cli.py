@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import jsonschema
@@ -59,6 +60,19 @@ def cap_set(tmp_path):
 
 def run(args, tmp_path):
     return main(args + ["--output-dir", str(tmp_path / "out")])
+
+
+def traced_run(args, tmp_path):
+    """The traced peak of `run(args)`, after one untraced run of the same
+    job, which fills the caches that every later run reuses (argparse's
+    compiled patterns, the scale maps)."""
+    assert run(args, tmp_path) == 0
+    tracemalloc.start()
+    try:
+        assert run(args, tmp_path) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # The `ap3` console script's call (pyproject: ap3.cli:main), for `python -c`.
@@ -403,6 +417,17 @@ class TestCount:
         save_density(PointSet(params, (0, 1, 3, 4)).density(), str(path))
         assert run(["count", "--input", str(path)], tmp_path) == 0
         assert "t3_nontrivial=0" in capsys.readouterr().out
+
+    def test_indicator_count_drops_the_values(self, tmp_path, capsys, rng):
+        # An indicator is counted from its mask alone: at 3^10 the job
+        # traces 3.3-3.4 times the float64 values, and 4.3-4.4 while it
+        # held them beside the count (which alone traces 3.1 times).
+        params = GroupParams(3, 10)
+        path = str(tmp_path / "ind.apf")
+        save_density(PointSet.from_mask(params, rng.random(params.size) < 0.3).density(), path)
+        peak = traced_run(["count", "--input", path], tmp_path)
+        assert "t3_nontrivial=" in capsys.readouterr().out
+        assert peak < 3.7 * 8 * params.size, peak
 
     @pytest.mark.parametrize("k", [1, 2, 1001, 50002])
     def test_interval_in_cyclic_group(self, tmp_path, capsys, k):
@@ -1057,10 +1082,15 @@ class TestMemoryBudget:
     compiles `cli` and then loads numpy, in the order every job does:
     `ap3 --help` alone loads neither.  Measured on a 2-core x86-64 VM
     (Python 3.11.7, numpy 2.4.6, no bytecode cache), a job over that
-    start-up: spectrum +2.2-2.4 MB with the large spectrum compared a
-    block at a time (+2.4-2.7 MB with a full-size |fhat|), average
-    +1.9-2.0 MB and the Z_4001 count (`fourier.triple_counts` on the
-    set's mask) +1.5-1.6 MB.  The
+    start-up: spectrum +1.9 MB with its input read into the buffer that
+    the transform runs on (+2.2-2.3 MB with a float64 copy of the input
+    beside it), average +1.5-1.6 MB once it drops its input before it
+    writes (+1.8-2.0 MB holding it), the Z_4001 count
+    (`fourier.triple_counts` on the set's mask) +1.4-1.5 MB, from the
+    mask alone (+1.5-1.6 MB beside the float values), and improve
+    +2.5-2.7 MB.  Before those three changes: spectrum +2.2-2.4 MB with
+    the large spectrum compared a block at a time (+2.4-2.7 MB with a
+    full-size |fhat|), average +1.9-2.0 MB and count +1.5-1.6 MB.  The
     figures that follow are over an older start-up that compiled `cli`
     after numpy and peaked 0.7 MB higher: spectrum +1.4-1.6 MB, average
     +0.9-1.1 MB and count +0.3-0.6 MB with the job's modules compiled
@@ -1179,6 +1209,18 @@ class TestSpectrum:
             lines = (tmp_path / "out" / "s.txt").read_text().splitlines()
             want = fourier.large_spectrum(fourier.dft_forward(f), delta, params)
             assert sorted(int(line.split()[0]) for line in lines) == list(want.members)
+
+    def test_holds_one_complex_buffer(self, tmp_path, rng):
+        # The values are read into the buffer that the transform runs on in
+        # place.  At 3^10 the job traces 1.21-1.22 times that buffer, the
+        # rest being the manifest's hash chunks and the parser, and
+        # 1.53-1.57 times it while it held a float64 copy of the values.
+        params = GroupParams(3, 10)
+        path = str(tmp_path / "f.apf")
+        save_density(DensityFunction(params, rng.random(params.size)), path)
+        argv = ["spectrum", "--input", path, "--delta", "0.01", "--output", "s.txt"]
+        peak = traced_run(argv, tmp_path)
+        assert peak < 1.3 * 16 * params.size, peak
 
     def test_bad_delta_is_usage_error(self, half_density, tmp_path):
         assert run(

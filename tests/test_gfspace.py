@@ -21,6 +21,7 @@ from ap3.gfspace import (
     index_to_digits,
     is_prime,
     load_density,
+    load_density_complex,
     load_set,
     save_density,
     save_set,
@@ -320,6 +321,54 @@ class TestExpectation:
         assert f.expectation() == pytest.approx(2 / 3)
 
 
+# The .apf texts of TestFiles, each with the error or values both loaders give.
+FIRST_ERRORS = [
+    ("0 0.5 1\n0.25 x 0\n0 0 0\n", ":3: field 2: bad value 'x'"),
+    ("0 0.5 1\n0.25 0 1.5\n0 0 0\n", ":3: field 3: value 1.5 outside [0,1]"),
+    ("0 0.5 1\n-0.25 0 0\n0 0 0\n", ":3: field 1: value -0.25 outside [0,1]"),
+    ("0 0.5 1\n0.25 0 nan\n0 0 0\n", ":3: field 3: value nan is not finite"),
+    ("0 0.5 1\n0.25 0 -inf\n0 0 0\n", ":3: field 3: value -inf is not finite"),
+    ("0 5 x\n", ":2: field 2: value 5 outside [0,1]"),
+    ("0 2 0\nx\n", ":2: field 2: value 2 outside [0,1]"),
+    ("0 0 0 0 0 0 0 0\n\n0 1 0\n", ":4: body longer than p^n = 9"),
+    ("0 0 0 0 0 0 0 0 0\nx\n", ":3: body longer than p^n = 9"),
+    # Form feeds, vertical tabs and \x1c-\x1e end a line as \n does.
+    ("0 0 0\x0c0 0\x0c0 y\n0 0\n", ":4: field 2: bad value 'y'"),
+    ("0 0 0\x0b0 0 0\x1c0 0 0 0\n", ":4: body longer than p^n = 9"),
+    ("0 0 0 0 0 0 0 0 0\x0c0", ":3: body longer than p^n = 9"),
+    ("0 0 0\x1d0 0 0\x1e0 0\x0c\x0cq\n", ":6: field 1: bad value 'q'"),
+    # \x1f separates tokens but does not end a line.
+    ("0 0 0\x1f0 0 0\x1f0 0 2\n", ":2: field 9: value 2 outside [0,1]"),
+    ("0 0 0\r\n0 x 0\r\n0 0 0\r\n", ":3: field 2: bad value 'x'"),
+    ("0 0 0\r0 0 0\r0 0 2", ":4: field 3: value 2 outside [0,1]"),
+    ("0 0 0\n0 0", ": body length 5 != p^n = 9"),
+    ("0 0 0\n0 0 0\n0 0 0\n0\n", ":5: body longer than p^n = 9"),
+]
+
+LINE_BREAK_TEXTS = [
+    "3 1\x0c0 0.5\n1\n",
+    "3 1\x0b0 0.5 1\n",
+    "3 1\x1c0\x1d0.5\x1e1",
+    "3 1\r\n0 0.5\r\n1\r\n",
+    "3 1\r0 0.5\r1",
+    "3 1\n0 0.5 1",
+    " 3 1 \n\n0\x1f0.5\t1\n\n",
+]
+
+HEADER_ERRORS = [
+    ("3 2\x0c0 0 0\x0c0 0 0\x0c0 0 z\n", ":4: field 3: bad value 'z'"),
+    ("3 1\x0c0 0 0 0\n", ":2: body longer than p^n = 3"),
+    ("3 1\x1f0 0.5 1\n", ":1: header must be 'p n', got '3 1\\x1f0 0.5 1'"),
+    ("\x0c3 1\n0 0 0\n", ":1: header must be 'p n', got ''"),
+    ("\n3 1\n0 0 0\n", ":1: header must be 'p n', got ''"),
+    ("3\x1d1\n0 0 0\n", ":1: header must be 'p n', got '3'"),
+    ("3 1\r\n0 0.5\r\n", ": body length 2 != p^n = 3"),
+    ("x 1\n0 0 0\n", ":1: non-integer header field: invalid literal for int() with base 10: 'x'"),
+]
+
+NON_ASCII_HEADS = [b"3 1\nx 0 0\n", b"4 1\n0 0 0 0\n", b"3 39\n0\n", b"3 1\n0 0 0\n"]
+
+
 class TestFiles:
     def test_load_simple(self, tmp_path):
         path = tmp_path / "f.apf"
@@ -354,31 +403,7 @@ class TestFiles:
         with pytest.raises(FileFormatError, match="field 2: value .* is not finite"):
             load_density(str(path))
 
-    @pytest.mark.parametrize(
-        "body, message",
-        [
-            ("0 0.5 1\n0.25 x 0\n0 0 0\n", ":3: field 2: bad value 'x'"),
-            ("0 0.5 1\n0.25 0 1.5\n0 0 0\n", ":3: field 3: value 1.5 outside [0,1]"),
-            ("0 0.5 1\n-0.25 0 0\n0 0 0\n", ":3: field 1: value -0.25 outside [0,1]"),
-            ("0 0.5 1\n0.25 0 nan\n0 0 0\n", ":3: field 3: value nan is not finite"),
-            ("0 0.5 1\n0.25 0 -inf\n0 0 0\n", ":3: field 3: value -inf is not finite"),
-            ("0 5 x\n", ":2: field 2: value 5 outside [0,1]"),
-            ("0 2 0\nx\n", ":2: field 2: value 2 outside [0,1]"),
-            ("0 0 0 0 0 0 0 0\n\n0 1 0\n", ":4: body longer than p^n = 9"),
-            ("0 0 0 0 0 0 0 0 0\nx\n", ":3: body longer than p^n = 9"),
-            # Form feeds, vertical tabs and \x1c-\x1e end a line as \n does.
-            ("0 0 0\x0c0 0\x0c0 y\n0 0\n", ":4: field 2: bad value 'y'"),
-            ("0 0 0\x0b0 0 0\x1c0 0 0 0\n", ":4: body longer than p^n = 9"),
-            ("0 0 0 0 0 0 0 0 0\x0c0", ":3: body longer than p^n = 9"),
-            ("0 0 0\x1d0 0 0\x1e0 0\x0c\x0cq\n", ":6: field 1: bad value 'q'"),
-            # \x1f separates tokens but does not end a line.
-            ("0 0 0\x1f0 0 0\x1f0 0 2\n", ":2: field 9: value 2 outside [0,1]"),
-            ("0 0 0\r\n0 x 0\r\n0 0 0\r\n", ":3: field 2: bad value 'x'"),
-            ("0 0 0\r0 0 0\r0 0 2", ":4: field 3: value 2 outside [0,1]"),
-            ("0 0 0\n0 0", ": body length 5 != p^n = 9"),
-            ("0 0 0\n0 0 0\n0 0 0\n0\n", ":5: body longer than p^n = 9"),
-        ],
-    )
+    @pytest.mark.parametrize("body, message", FIRST_ERRORS)
     def test_first_error_in_file_order(self, tmp_path, body, message):
         path = tmp_path / "f.apf"
         path.write_bytes(("3 2\n" + body).encode("ascii"))
@@ -386,37 +411,14 @@ class TestFiles:
             load_density(str(path))
         assert str(info.value) == f"{path}{message}"
 
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "3 1\x0c0 0.5\n1\n",
-            "3 1\x0b0 0.5 1\n",
-            "3 1\x1c0\x1d0.5\x1e1",
-            "3 1\r\n0 0.5\r\n1\r\n",
-            "3 1\r0 0.5\r1",
-            "3 1\n0 0.5 1",
-            " 3 1 \n\n0\x1f0.5\t1\n\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", LINE_BREAK_TEXTS)
     def test_line_breaks_accepted(self, tmp_path, text):
         # The header is the first str.splitlines() piece of the file.
         path = tmp_path / "f.apf"
         path.write_bytes(text.encode("ascii"))
         assert load_density(str(path)).values.tolist() == [0.0, 0.5, 1.0]
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("3 2\x0c0 0 0\x0c0 0 0\x0c0 0 z\n", ":4: field 3: bad value 'z'"),
-            ("3 1\x0c0 0 0 0\n", ":2: body longer than p^n = 3"),
-            ("3 1\x1f0 0.5 1\n", ":1: header must be 'p n', got '3 1\\x1f0 0.5 1'"),
-            ("\x0c3 1\n0 0 0\n", ":1: header must be 'p n', got ''"),
-            ("\n3 1\n0 0 0\n", ":1: header must be 'p n', got ''"),
-            ("3\x1d1\n0 0 0\n", ":1: header must be 'p n', got '3'"),
-            ("3 1\r\n0 0.5\r\n", ": body length 2 != p^n = 3"),
-            ("x 1\n0 0 0\n", ":1: non-integer header field: invalid literal for int() with base 10: 'x'"),
-        ],
-    )
+    @pytest.mark.parametrize("text, message", HEADER_ERRORS)
     def test_header_line_errors(self, tmp_path, text, message):
         path = tmp_path / "f.apf"
         path.write_bytes(text.encode("ascii"))
@@ -424,9 +426,7 @@ class TestFiles:
             load_density(str(path))
         assert str(info.value) == f"{path}{message}"
 
-    @pytest.mark.parametrize(
-        "head", [b"3 1\nx 0 0\n", b"4 1\n0 0 0 0\n", b"3 39\n0\n", b"3 1\n0 0 0\n"]
-    )
+    @pytest.mark.parametrize("head", NON_ASCII_HEADS)
     def test_non_ascii_byte_reported_first(self, tmp_path, head):
         # Whatever else is wrong with the file (a bad token or header, a
         # size too large to allocate, nothing), the first non-ASCII byte is
@@ -436,6 +436,39 @@ class TestFiles:
         with pytest.raises(UnicodeDecodeError) as info:
             load_density(str(path))
         assert info.value.start == len(head) + 20000
+
+    def test_complex_loader_refuses_alike(self, tmp_path):
+        # `load_density_complex` shares `load_density`'s checks and words.
+        texts = [("3 2\n" + body).encode("ascii") for body, _ in FIRST_ERRORS]
+        texts += [text.encode("ascii") for text, _ in HEADER_ERRORS]
+        texts += [head + b" " * 20000 + b"\xe9\n" for head in NON_ASCII_HEADS]
+        texts += [b"", b"3 1\n1 1\n", b"3 1\n1 2 0\n", b"3 1\n1 nan 0\n", b"4 1\n0 0 0 0\n"]
+        path = tmp_path / "f.apf"
+        for text in texts:
+            path.write_bytes(text)
+            errors = []
+            for load in (load_density, load_density_complex):
+                with pytest.raises((FileFormatError, UnicodeDecodeError)) as info:
+                    load(str(path))
+                errors.append((type(info.value), str(info.value)))
+            assert errors[0] == errors[1], text[:40]
+
+    def test_complex_loader_reads_alike(self, tmp_path):
+        # Its real parts are `load_density`'s values bit for bit, and its
+        # imaginary parts are +0.0.
+        texts = LINE_BREAK_TEXTS + [
+            "3 1\n\n0 1\n\n  \n0.5\n\n",
+            "3 2\n-0 5e-324 1e-320 0.1 1 0.30000000000000004 2.5e-1 1e0\n0.99999999999999999\n",
+        ]
+        path = tmp_path / "f.apf"
+        for text in texts:
+            path.write_bytes(text.encode("ascii"))
+            f = load_density(str(path))
+            params, values = load_density_complex(str(path))
+            assert params == f.params
+            assert values.dtype == np.complex128 and values.flags.writeable
+            assert values.real.tobytes() == f.values.tobytes(), text
+            assert values.imag.tobytes() == bytes(f.values.nbytes), text
 
     def test_blank_body_lines_skipped(self, tmp_path):
         path = tmp_path / "f.apf"
@@ -503,6 +536,12 @@ class TestFiles:
         g, peak = self._traced_peak(load_density, path)
         assert peak <= 3 * g.values.nbytes
         assert np.array_equal(g.values, f.values)
+        # The complex reader holds its one complex128 array and a line of
+        # text (1.03 times the array, traced); a float64 copy of the values
+        # would add half the array.
+        (_, values), peak = self._traced_peak(load_density_complex, path)
+        assert peak <= 1.25 * values.nbytes
+        assert np.array_equal(values.real, f.values)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "f.apf"

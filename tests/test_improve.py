@@ -153,21 +153,21 @@ class TestChooseEll:
 class TestBuildW:
     def test_constant_gives_full_W(self):
         f = DensityFunction.constant(GroupParams(3, 2), 0.5)
-        a, v, w = build_W(f, 0.1)
+        a, v, w = build_W(fourier.dft_forward(f), 0.1, f.params)
         assert a.members == (0,)
         assert v.dim == 0
         assert w.dim == 2
 
     def test_tiny_delta_random(self, rng):
         f = random_density(GroupParams(3, 2), rng)
-        a, v, w = build_W(f, 1e-15)
+        a, v, w = build_W(fourier.dft_forward(f), 1e-15, f.params)
         assert v.dim == 2 and w.dim == 0
 
     @pytest.mark.parametrize("delta", [1e-200, 5e-324])
     def test_parseval_bound_past_the_float_range(self, rng, delta):
         # Below 1e-154 delta^-2 overflows a float; no |A| can exceed it.
         f = random_density(GroupParams(3, 2), rng)
-        a, v, w = build_W(f, delta)
+        a, v, w = build_W(fourier.dft_forward(f), delta, f.params)
         assert len(a) == 9 and v.dim == 2 and w.dim == 0
 
 
@@ -220,6 +220,25 @@ class TestConstructG:
             assert report.per_case_checks.all_passed
             assert report.aggregate_ok
             assert g.values.min() >= 0.0 and g.values.max() <= 1.0
+
+    def test_transforms_f_once(self, monkeypatch):
+        # `build_W` reads the large spectrum from f's one forward transform,
+        # and the count of f squares that transform in place; the other
+        # transforms are of rows on the quotient, smaller than p^n.
+        sizes = []
+        ifftn = fourier.ifftn
+
+        def counting(arr, *args, **kwargs):
+            sizes.append(arr.size)
+            return ifftn(arr, *args, **kwargs)
+
+        monkeypatch.setattr(fourier, "ifftn", counting)
+        f = planted_density(3, 6, 2, 0)
+        g, report = construct_g(f, 1.0, 0.004)
+        assert report.W.dim == 4
+        assert sizes.count(f.params.size) == 1 and max(sizes) == f.params.size
+        t3_f = float(fourier.triple_counts(f.values, f.params)[0])
+        assert report.lambda3_f == t3_f / f.params.size**2
 
     def test_ell_too_deep_raises(self, rng):
         f = random_density(GroupParams(3, 2), rng)

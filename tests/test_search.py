@@ -273,6 +273,29 @@ class TestCandidateMoves:
                 tied += np.count_nonzero(swap == swap.min()) > 1
         assert tied >= 10  # the tie-break is exercised
 
+    @pytest.mark.parametrize("n", [4, 5, 8])
+    def test_lifted_cap_builds_no_table(self, n):
+        # The cap {z = x^2 + y^2} of F_3^3 lifted to F_3^n: every swap
+        # scores alike, so every pair would be a candidate (the full table
+        # took 251 MB of RSS at 3^8), but (min add - count) + (min remove -
+        # count) >= 6 shows that no swap lowers the count.
+        params = GroupParams(3, n)
+        cap = [x + 3 * y + 9 * ((x * x + y * y) % 3) for x in range(3) for y in range(3)]
+        x = np.isin(np.arange(params.size) % 27, cap)
+        m, e = _participation(x, params)
+        count = int(m[x].sum())
+        assert count == 9 * 3 ** (2 * (n - 3))  # T3(S x F_p^j) = p^2j T3(S)
+        tracemalloc.start()
+        try:
+            move = _best_move(x, count, m, e, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert move == (None, count)
+        assert peak < 8 * 8 * params.size  # a few int64 arrays of p^n entries
+        if n < 8:
+            assert full_table_best_move(x, count, m, e, params) == (None, count)
+
     @pytest.mark.parametrize("p, n", [(3, 8), (4001, 1)])
     def test_step_memory(self, p, n):
         # The full table traces 217 MB at 3^8 and 81 MB on Z_4001.
